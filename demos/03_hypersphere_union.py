@@ -4,8 +4,10 @@ that still fits inside the null quadric.
 A hypersphere is a sphere intersected with a hyperplane.  Taking, for
 each point a of nonzero norm, the hypersphere through the origin cut out
 by ||x - a|| = -||a|| and a.(x - a) = 0 produces one of every nonzero
-radius while every point of the union satisfies ||x|| = 0.  That keeps
-the size near q^(n-1) instead of q^n / 2.
+radius while every point of the union satisfies ||x|| = 0.  In fact the
+union is exactly the null quadric minus the origin, {x != 0 : ||x|| = 0}
+(the proof is in the docstring of hypersphere_union), which keeps the
+size near q^(n-1) instead of q^n / 2.
 """
 
 from ffkakeya import hypersphere_union, make_field, prime_power_decompose

@@ -22,10 +22,11 @@ from .constructions import (
     circular_prime,
     circular_square,
     hypersphere_union,
+    json_int,
     radius_spherical,
     witness_from_json_dict,
 )
-from .errors import BudgetExceededError, KakeyaError, SizeCapError
+from .errors import BudgetExceededError, KakeyaError, SizeCapError, UsageError
 from .field import make_field, prime_power_decompose
 from .geometry import DiagonalEq, PointSet, diagonal_count_bruteforce, diagonal_count_closed
 from .search import greedy_circular, minimal_circular_exact
@@ -47,10 +48,6 @@ CIRCULAR = ("circular-prime", "circular-square", "circular-odd-power")
 CSV_COLUMNS = ["q", "p", "k", "n", "construction", "variant", "size",
                "mainTerm1", "mainTerm2", "mainTerm3",
                "bound", "boundMet", "witnessValid"]
-
-
-class UsageError(Exception):
-    pass
 
 
 def _dumps(obj) -> str:
@@ -121,16 +118,20 @@ def _cmd_construct(args) -> int:
 
 def _load_set_file(path):
     data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or "ranks" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("ranks"), list):
         raise UsageError(f"{path} is not a point set file")
-    field = make_field(int(data["p"]), int(data.get("k", 1)))
-    if "q" in data and int(data["q"]) != field.q:
+    where = f"set file {path}"
+    field = make_field(json_int(data, "p", where),
+                       json_int(data, "k", where) if "k" in data else 1)
+    if "q" in data and json_int(data, "q", where) != field.q:
         raise UsageError("q in file does not match p^k")
-    n = int(data["n"])
+    n = json_int(data, "n", where)
+    if not all(isinstance(r, int) and not isinstance(r, bool) for r in data["ranks"]):
+        raise UsageError(f"{where}: ranks must be integers")
     points = PointSet.from_ranks(field, n, data["ranks"])
     witness = None
     if "witness" in data:
-        witness = witness_from_json_dict(data["witness"])
+        witness = witness_from_json_dict(data["witness"], field, n)
     return field, points, witness
 
 

@@ -25,6 +25,7 @@ from .errors import (
     BadDimensionError,
     NotANonsquareError,
     NotASquareFieldError,
+    UsageError,
     WrongDegreeError,
     ZeroRadiusError,
 )
@@ -33,11 +34,12 @@ from .geometry import (
     HypersphereSpec,
     PointSet,
     SphereSpec,
-    norm_profile,
+    is_rank,
+    origin_norm_profile,
+    origin_sphere_ranks,
     point_unrank,
     space_size,
-    sphere_points,
-    sum_profile,
+    sphere_ranks,
 )
 from .verification import (
     circular_lower_bounds,
@@ -131,18 +133,63 @@ def _spec_to_dict(spec) -> dict:
     raise TypeError(f"unknown witness entry {type(spec).__name__}")
 
 
-def _spec_from_dict(data: dict):
+def json_int(data, key, where: str, field: Fq | None = None) -> int:
+    """data[key] as an integer, and an element rank of the field if one is
+    given; UsageError naming what is missing or wrong otherwise."""
+    if not isinstance(data, dict) or key not in data:
+        raise UsageError(f"{where} has no {key!r}")
+    return _json_rank(data[key], f"{where} {key!r}", field)
+
+
+def _json_rank(value, what: str, field: Fq | None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    if field is not None and not is_rank(field, value):
+        raise UsageError(f"{what} rank {value} outside [0, {field.q})")
+    return value
+
+
+def _json_point(data: dict, key, where: str, field: Fq | None,
+                n: int | None) -> tuple[int, ...]:
+    vec = data[key]
+    if not isinstance(vec, list) or (n is not None and len(vec) != n):
+        raise UsageError(f"{where} {key!r} must be a list of {n or 'some'} ranks")
+    return tuple(_json_rank(v, f"{where} {key!r}", field) for v in vec)
+
+
+def _spec_from_dict(data, where: str, field: Fq | None, n: int | None):
+    if not isinstance(data, dict) or "center" not in data:
+        raise UsageError(f"{where} has no 'center'")
+    radius = json_int(data, "radius", where, field)
+    if not isinstance(data["center"], list):
+        return CircleSpec(json_int(data, "center", where, field), radius)
+    center = _json_point(data, "center", where, field, n)
     if "direction" in data:
-        return HypersphereSpec(tuple(data["center"]), tuple(data["direction"]),
-                               int(data["radius"]))
-    if isinstance(data["center"], list):
-        return SphereSpec(tuple(data["center"]), int(data["radius"]))
-    return CircleSpec(int(data["center"]), int(data["radius"]))
+        return HypersphereSpec(center, _json_point(data, "direction", where, field, n),
+                               radius)
+    return SphereSpec(center, radius)
 
 
-def witness_from_json_dict(data: dict) -> KakeyaWitness:
-    entries = {int(k): _spec_from_dict(v) for k, v in data["entries"].items()}
-    return KakeyaWitness(str(data["kind"]), entries)
+def witness_from_json_dict(data, field: Fq | None = None,
+                           n: int | None = None) -> KakeyaWitness:
+    """Parse a stored witness.  With the field (and dimension) of its set,
+    every rank must lie in [0, q) and every point have length n.  Missing
+    keys and bad ranks raise UsageError."""
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
+        raise UsageError("witness has no 'entries' object")
+    if not isinstance(data.get("kind"), str):
+        raise UsageError("witness has no 'kind' string")
+    entries = {}
+    for key, value in data["entries"].items():
+        where = f"witness entry {key}"
+        try:
+            param = int(key)
+        except ValueError:
+            raise UsageError(f"{where}: key is not an integer") from None
+        if field is not None and not is_rank(field, param):
+            raise UsageError(f"{where}: key rank outside [0, {field.q})")
+        entries[param] = _spec_from_dict(value, where, field, n)
+    return KakeyaWitness(data["kind"], entries)
 
 
 def _circular_window_met(q: int, size: int, lower: int) -> bool:
@@ -159,30 +206,23 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     Any two of these spheres meet only in the hyperplane where the first
     coordinate is (r + s - 1)/2, and no three share a point, so the union
     size equals sum of sphere sizes minus half the ordered pairwise
-    intersection total; both sums are recorded.
+    intersection total.  Both sums come from the multiplicity m(x), the
+    number of spheres through x: sum m and sum m(m - 1).
     """
     if n < 2:
         raise BadDimensionError("radius construction needs dimension >= 2")
     q = field.q
     space = space_size(field, n)
     tail = (0,) * (n - 1)
-    entries = {}
-    masks = {}
-    for r in field.units():
-        spec = SphereSpec((r,) + tail, r)
-        entries[r] = spec
-        masks[r] = sphere_points(field, spec).mask
-    union = np.zeros(space, dtype=bool)
-    singles = 0
-    for m in masks.values():
-        union |= m
-        singles += int(np.count_nonzero(m))
-    pairs_ordered = 0
-    units = list(field.units())
-    for i, r in enumerate(units):
-        for s in units[i + 1:]:
-            pairs_ordered += 2 * int(np.count_nonzero(masks[r] & masks[s]))
-    points = PointSet(field, n, union)
+    entries = {r: SphereSpec((r,) + tail, r) for r in field.units()}
+    multiplicity = np.zeros(space, dtype=np.min_scalar_type(q - 1))
+    for spec in entries.values():
+        multiplicity[sphere_ranks(field, spec)] += 1  # a sphere's ranks are distinct
+    m = np.arange(q)
+    counts = np.bincount(multiplicity, minlength=q)  # points of each multiplicity
+    singles = int(counts @ m)
+    pairs_ordered = int(counts @ (m * (m - 1)))
+    points = PointSet(field, n, multiplicity > 0)
     size = points.size
     witness = KakeyaWitness("radius", entries)
     report = spherical_kakeya_lower_bound(q, n)
@@ -216,7 +256,7 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
         r = field.smallest_nonsquare()
     if field.char(r) != -1:
         raise NotANonsquareError(f"rank {r} is not a nonsquare in F_{q}")
-    y_norms = norm_profile(field, n - 1)
+    y_norms = origin_norm_profile(field, n - 1)
     good = field.char_arr[field.sub_table[r, y_norms]] >= 0
     mask = np.repeat(good, q)
     points = PointSet(field, n, mask)
@@ -248,40 +288,36 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
 
 
 def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
-    """Union over all a with a != 0 and ||a|| != 0 of the hyper-sphere
-    with center a, direction a and radius -||a||.
+    """Union over all a with ||a|| != 0 of the hyper-sphere H_a with center
+    a, direction a and radius -||a||, which is exactly the null quadric
+    minus the origin, {x != 0 : ||x|| = 0}.
 
-    Every point of the union satisfies ||x|| = 0, so the whole set lives
-    inside the null quadric; its size is at most
+    Proof.  x lies on H_a iff a.x = ||a|| and ||x - a|| = -||a||.  Since
+    ||x - a|| = ||x|| - 2 a.x + ||a||, a point of H_a has ||x|| =
+    -||a|| + 2||a|| - ||a|| = 0, and x != 0 because a.x = ||a|| != 0.
+    Conversely, let x != 0 with ||x|| = 0, pick w with w.x != 0 (a unit
+    vector at a nonzero coordinate of x) and set a = c x + w with
+    c = (w.x - ||w||) / (2 w.x).  Then a.x = c||x|| + w.x = w.x and
+    ||a|| = c^2 ||x|| + 2c w.x + ||w|| = w.x, so ||a|| = a.x != 0 and
+    ||x - a|| = 0 - 2||a|| + ||a|| = -||a||: x lies on H_a.
+
+    So the set is read off the cached origin norm profile, and
+    objectsUsed = #{a : ||a|| != 0}.  The size is at most
     q^(n-1) + q^(n//2) - q^((n-1)//2).
     """
     if n < 3:
         raise BadDimensionError("hyper-sphere union needs dimension >= 3")
     q = field.q
     space = space_size(field, n)
-    add = field.add_table
-    sub = field.sub_table
-    mul = field.mul_table
-    two = field.add(1, 1)
-    norms = norm_profile(field, n)
-    union = np.zeros(space, dtype=bool)
-    objects = 0
-    for a_rank in range(1, space):
-        na = int(norms[a_rank])
-        if na == 0:
-            continue
-        a = point_unrank(field, n, a_rank)
-        # membership via ||x - a|| = ||x|| - 2 a.x + ||a|| and a.(x - a) = a.x - ||a||
-        ax = sum_profile(field, [mul[c] for c in a])
-        lhs = sub[add[norms, na], mul[two][ax]]
-        union |= (lhs == field.neg(na)) & (ax == na)
-        objects += 1
+    norms = origin_norm_profile(field, n)
+    union = norms == 0
+    union[0] = False
     points = PointSet(field, n, union)
     size = points.size
+    null_size = size + 1
     entries = {}
     for r in field.units():
-        target = field.neg(r)
-        a_rank = int(np.flatnonzero(norms == target)[0])
+        a_rank = int(origin_sphere_ranks(field, n, field.neg(r))[0])
         vec = point_unrank(field, n, a_rank)
         entries[r] = HypersphereSpec(vec, vec, r)
     witness = KakeyaWitness("hypersphere", entries)
@@ -294,8 +330,8 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
         bound_met=size <= bound,
         witness_valid=witness_valid(field, points, witness),
         accounting={
-            "objectsUsed": objects,
-            "nullQuadricSize": int(np.count_nonzero(norms == 0)),
+            "objectsUsed": space - null_size,
+            "nullQuadricSize": null_size,
             "allPointsNormZero": bool(np.all(norms[union] == 0)),
         })
 
@@ -304,28 +340,31 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
 
 def _circular_witness(field: Fq, ks: list[int], variant: str) -> KakeyaWitness:
     """Deterministic circle certificates from a covering set: the first
-    pair (x1, x2) in rank order certifies each parameter."""
-    two = field.add(1, 1)
-    half = field.inv(two)
-    entries = {}
+    pair (x1, x2) in row-major rank order with x1 - x2 = 2r certifies
+    radius r by the circle around x1 - r; the first pair of distinct
+    elements with x1 + x2 = 2a certifies center a with radius x1 - a."""
+    k = np.asarray(ks, dtype=np.int64)
     if variant == VARIANT_RADIUS:
-        diffs = field.sub_table[np.ix_(ks, ks)]
-        for r in field.units():
-            hits = np.argwhere(diffs == field.mul(two, r))
-            if hits.size == 0:
-                raise RuntimeError(f"no pair certifies radius {r}")
-            x1, x2 = ks[hits[0][0]], ks[hits[0][1]]
-            entries[r] = CircleSpec(field.mul(half, field.add(x1, x2)), r)
-        return KakeyaWitness("circular-radius", entries)
-    sums = field.add_table[np.ix_(ks, ks)].copy()
-    np.fill_diagonal(sums, -1)
-    for a in field.elements():
-        hits = np.argwhere(sums == field.mul(two, a))
-        if hits.size == 0:
-            raise RuntimeError(f"no pair certifies center {a}")
-        x1, x2 = ks[hits[0][0]], ks[hits[0][1]]
-        entries[a] = CircleSpec(a, field.mul(half, field.sub(x1, x2)))
-    return KakeyaWitness("circular-center", entries)
+        params = np.arange(1, field.q, dtype=np.int64)
+        values = field.sub_arrays(k[:, None], k[None, :])
+    else:
+        params = np.arange(field.q, dtype=np.int64)
+        values = field.add_arrays(k[:, None], k[None, :])
+        np.fill_diagonal(values, -1)
+    found, first = np.unique(values, return_index=True)
+    targets = field.add_arrays(params, params)
+    pos = np.minimum(np.searchsorted(found, targets), found.size - 1)
+    missing = found[pos] != targets
+    if missing.any():
+        what = "radius" if variant == VARIANT_RADIUS else "center"
+        raise RuntimeError(f"no pair certifies {what} {params[missing.argmax()]}")
+    x1 = k[first[pos] // k.size]
+    shifted = field.sub_arrays(x1, params)
+    if variant == VARIANT_RADIUS:
+        return KakeyaWitness("circular-radius", {
+            int(r): CircleSpec(int(a), int(r)) for r, a in zip(params, shifted)})
+    return KakeyaWitness("circular-center", {
+        int(a): CircleSpec(int(a), int(r)) for a, r in zip(params, shifted)})
 
 
 def _circular_result(field: Fq, name: str, variant: str, ks,

@@ -45,6 +45,11 @@ class BadDimensionError(KakeyaError, ValueError):
     """Operation undefined for this dimension."""
 
 
+class UsageError(KakeyaError, ValueError):
+    """Malformed input: a missing key, a value of the wrong type, or a rank
+    outside its range."""
+
+
 class BudgetExceededError(KakeyaError):
     """An exhaustive scan would exceed the configured work budget."""
 

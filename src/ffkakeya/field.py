@@ -253,6 +253,30 @@ class Fq:
             e >>= 1
         return result
 
+    # ---- elementwise arithmetic on rank arrays, for any q ----
+
+    def add_arrays(self, a, b) -> np.ndarray:
+        """Elementwise a + b of broadcastable rank arrays, digit by digit;
+        needs no dense table."""
+        return self._digitwise(a, b, 1)
+
+    def sub_arrays(self, a, b) -> np.ndarray:
+        """Elementwise a - b of broadcastable rank arrays, digit by digit."""
+        return self._digitwise(a, b, -1)
+
+    def _digitwise(self, a, b, sign: int) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.k == 1:
+            return (a + sign * b) % self.p
+        p = self.p
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        step = 1
+        for _ in range(self.k):
+            out += (a // step + sign * (b // step)) % p * step
+            step *= p
+        return out
+
     # ---- quadratic character ----
 
     def char(self, a: int) -> int:

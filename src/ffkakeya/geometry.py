@@ -11,10 +11,16 @@ The norm of a vector is the sum of its squared coordinates, with no square
 root anywhere.  A sphere of radius r in F_q^* around a center a is the
 solution set of ||x - a|| = r; a hyper-sphere additionally restricts x to
 the affine hyperplane through a orthogonal to a direction d.
+
+The norm form is translation-covariant: the sphere S_r(a) is the translate
+a + S_r(0).  So one cached origin norm profile per (field, n) gives every
+sphere and hyper-sphere by a gather of its level set and a digit-wise
+translate of point ranks, with no full enumeration per object.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +164,8 @@ class PointSet:
     def from_ranks(cls, field: Fq, n: int, ranks) -> "PointSet":
         size = space_size(field, n)
         mask = np.zeros(size, dtype=bool)
-        idx = np.asarray(list(ranks), dtype=np.int64)
+        idx = np.asarray(ranks if isinstance(ranks, np.ndarray) else list(ranks),
+                         dtype=np.int64)
         if idx.size:
             if idx.min() < 0 or idx.max() >= size:
                 raise ValueError("rank out of range")
@@ -298,29 +305,80 @@ def diagonal_count_closed(field: Fq, eq: DiagonalEq) -> int:
     return q ** (n - 1) + q ** ((n - 1) // 2) * eta
 
 
-# ---- spheres and hyper-spheres ----
+# ---- spheres and hyper-spheres, by translation of the origin profile ----
+
+@functools.lru_cache(maxsize=None)
+def origin_norm_profile(field: Fq, n: int) -> np.ndarray:
+    """Rank of ||x|| for every point rank x of F_q^n, in the smallest
+    unsigned dtype that holds a rank.  Cached per (field, n), read-only."""
+    values = norm_profile(field, n).astype(np.min_scalar_type(field.q - 1))
+    values.setflags(write=False)
+    return values
+
+
+def is_rank(field: Fq, v) -> bool:
+    """Whether v is an element rank of the field: an integer in [0, q)."""
+    return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            and 0 <= v < field.q)
+
+
+def is_point(field: Fq, n: int, vec) -> bool:
+    """Whether vec is a point of F_q^n: n element ranks, each in [0, q)."""
+    return (isinstance(vec, (tuple, list)) and len(vec) == n
+            and all(is_rank(field, v) for v in vec))
+
+
+def origin_sphere_ranks(field: Fq, n: int, radius: int) -> np.ndarray:
+    """Ranks of S_r(0) = {y : ||y|| = r}, ascending, for r in F_q^*."""
+    if not (is_rank(field, radius) and radius):
+        raise ValueError(f"radius rank {radius!r} outside [1, {field.q})")
+    return np.flatnonzero(origin_norm_profile(field, n) == radius)
+
+
+def translate(field: Fq, n: int, ranks, center) -> np.ndarray:
+    """Ranks of center + y for each point rank y, one digit at a time."""
+    center = tuple(center)
+    if not is_point(field, n, center):
+        raise ValueError(f"center {center} is not a point of F_{field.q}^{n}")
+    q = field.q
+    ranks = np.asarray(ranks, dtype=np.int64)
+    out = ranks.copy()
+    step = 1
+    for c in center:
+        if c:  # a zero coordinate leaves its digit as it is
+            shift = (field.add_table[:, c] - np.arange(q)).astype(np.int64) * step
+            out += shift[ranks // step % q]
+        step *= q
+    return out
+
+
+def sphere_ranks(field: Fq, sphere: SphereSpec) -> np.ndarray:
+    """Point ranks of a sphere, as the translate center + S_r(0)."""
+    n = len(sphere.center)
+    return translate(field, n, origin_sphere_ranks(field, n, sphere.radius),
+                     sphere.center)
+
+
+def hypersphere_ranks(field: Fq, h: HypersphereSpec) -> np.ndarray:
+    """Point ranks of a hyper-sphere, as center + {y in S_r(0) : d.y = 0}."""
+    n = len(h.center)
+    if not is_point(field, n, h.direction):
+        raise ValueError(f"direction {h.direction} is not a point of F_{field.q}^{n}")
+    y = origin_sphere_ranks(field, n, h.radius)
+    dots = np.zeros(y.shape, dtype=np.int32)
+    step = 1
+    for d in h.direction:
+        dots = field.add_table[dots, field.mul_table[d][y // step % field.q]]
+        step *= field.q
+    return translate(field, n, y[dots == 0], h.center)
+
 
 def sphere_points(field: Fq, sphere: SphereSpec) -> PointSet:
-    n = len(sphere.center)
-    values = norm_profile(field, n, center=sphere.center)
-    if not 0 < sphere.radius < field.q:
-        raise ValueError("radius rank out of range")
-    return PointSet(field, n, values == sphere.radius)
+    return PointSet.from_ranks(field, len(sphere.center), sphere_ranks(field, sphere))
 
 
 def hypersphere_points(field: Fq, h: HypersphereSpec) -> PointSet:
-    n = len(h.center)
-    space_size(field, n)
-    if not 0 < h.radius < field.q:
-        raise ValueError("radius rank out of range")
-    if max(max(h.center), max(h.direction)) >= field.q:
-        raise ValueError("coordinate rank out of range")
-    sub = field.sub_table
-    mul = field.mul_table
-    norms = norm_profile(field, n, center=h.center)
-    dots = sum_profile(
-        field, [mul[d][sub[:, c]] for d, c in zip(h.direction, h.center)])
-    return PointSet(field, n, (norms == h.radius) & (dots == 0))
+    return PointSet.from_ranks(field, len(h.center), hypersphere_ranks(field, h))
 
 
 def canonical_direction(field: Fq, direction) -> tuple[int, ...]:
@@ -344,9 +402,7 @@ def sphere_intersection_size(field: Fq, s1: SphereSpec, s2: SphereSpec) -> int:
         raise IdenticalSpheresError("spheres are identical")
     if len(s1.center) != len(s2.center):
         raise ValueError("dimension mismatch")
-    m1 = sphere_points(field, s1)
-    m2 = sphere_points(field, s2)
-    return int(np.count_nonzero(m1.mask & m2.mask))
+    return int(np.count_nonzero(sphere_points(field, s1).mask[sphere_ranks(field, s2)]))
 
 
 def sum_two_squares_covers(field: Fq) -> bool:

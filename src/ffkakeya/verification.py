@@ -21,12 +21,15 @@ import numpy as np
 from .errors import BadDimensionError, BudgetExceededError
 from .field import Fq, ceil_sqrt, prime_power_decompose
 from .geometry import (
+    HypersphereSpec,
     PointSet,
-    hypersphere_points,
-    norm_profile,
-    point_unrank,
+    SphereSpec,
+    hypersphere_ranks,
+    is_point,
+    is_rank,
+    origin_norm_profile,
     space_size,
-    sphere_points,
+    sphere_ranks,
 )
 
 DEFAULT_BUDGET = 100_000_000
@@ -86,52 +89,42 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
     """Check a coverage certificate against a point set.
 
     Key sets must be exact: all of F_q^* for radius-style kinds, all of
-    F_q for center-style kinds.  Every certified object must lie inside
-    the set.  Returns False on any mismatch instead of raising.
+    F_q for center-style kinds.  Every certified object must be made of
+    element ranks in [0, q), with a nonzero radius, and lie inside the set.
+    Returns False on any mismatch instead of raising.
     """
     kind = witness.kind
     entries = witness.entries
-    if kind == "radius":
-        if set(entries) != set(field.units()):
+    n = points.n
+    mask = points.mask
+    if kind in ("radius", "center-coordinate", "hypersphere"):
+        want = field.elements() if kind == "center-coordinate" else field.units()
+        if set(entries) != set(want):
             return False
-        for r, spec in entries.items():
-            if spec.radius != r or len(spec.center) != points.n:
+        spec_type, gather = ((HypersphereSpec, hypersphere_ranks) if kind == "hypersphere"
+                             else (SphereSpec, sphere_ranks))
+        for key, spec in entries.items():
+            if not (isinstance(spec, spec_type) and is_point(field, n, spec.center)
+                    and is_rank(field, spec.radius) and spec.radius):
                 return False
-            if not sphere_points(field, spec).issubset(points):
+            if kind == "hypersphere" and not is_point(field, n, spec.direction):
                 return False
-        return True
-    if kind == "center-coordinate":
-        if set(entries) != set(field.elements()):
-            return False
-        for a1, spec in entries.items():
-            if spec.center[0] != a1 or len(spec.center) != points.n:
+            if (spec.center[0] if kind == "center-coordinate" else spec.radius) != key:
                 return False
-            if not sphere_points(field, spec).issubset(points):
-                return False
-        return True
-    if kind == "hypersphere":
-        if set(entries) != set(field.units()):
-            return False
-        for r, spec in entries.items():
-            if spec.radius != r or len(spec.center) != points.n:
-                return False
-            if not hypersphere_points(field, spec).issubset(points):
+            if not mask[gather(field, spec)].all():
                 return False
         return True
     if kind in ("circular-radius", "circular-center"):
-        if points.n != 1:
+        if n != 1:
             return False
-        want = set(field.units()) if kind == "circular-radius" else set(field.elements())
-        if set(entries) != want:
+        want = field.units() if kind == "circular-radius" else field.elements()
+        if set(entries) != set(want):
             return False
-        mask = points.mask
         for key, spec in entries.items():
-            a, r = spec.center, spec.radius
-            if r == 0:
+            a, r = getattr(spec, "center", None), getattr(spec, "radius", None)
+            if not (is_rank(field, a) and is_rank(field, r) and r):
                 return False
-            if kind == "circular-radius" and r != key:
-                return False
-            if kind == "circular-center" and a != key:
+            if (r if kind == "circular-radius" else a) != key:
                 return False
             if not (mask[field.add(a, r)] and mask[field.sub(a, r)]):
                 return False
@@ -208,30 +201,37 @@ def verify_center_kakeya(points: PointSet, witness=None, *,
 def verify_intersection_lemma(field: Fq, n: int, *,
                               budget: int = DEFAULT_BUDGET) -> int:
     """Maximum intersection size over all pairs of distinct spheres in
-    F_q^n, by exhaustive scan over all centers and radii.
+    F_q^n, by exhaustive scan over all center differences and radii.
 
-    The maximum never exceeds q^(n-2) + q^((n-1)//2); same-center pairs
-    with different radii are disjoint.
+    S_r(a) and S_s(b) meet in the translate by a of S_r(0) and S_s(b - a),
+    so the pairs centred at 0 and at c != 0 cover every pair: about
+    space^2 work.  Same-center pairs with different radii are disjoint.
+    The maximum never exceeds q^(n-2) + q^((n-1)//2).
     """
     if n < 2:
         raise BadDimensionError("sphere pairs need dimension >= 2")
     q = field.q
     space = space_size(field, n)
-    estimate = space ** 3 // 2 + 1
+    estimate = space * space
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    rows = [norm_profile(field, n, center=None)]
-    for a in range(1, space):
-        rows.append(norm_profile(field, n, center=point_unrank(field, n, a)))
-    m = np.stack(rows).astype(np.int64)
+    norms = origin_norm_profile(field, n).astype(np.int64)
+    steps = q ** np.arange(n, dtype=np.int64)
+    xdig = np.arange(space, dtype=np.int64)[:, None] // steps % q
     best = 0
     qq = q * q
-    for i in range(space - 1):
-        joint = m[i][None, :] * q + m[i + 1:]
-        joint += np.arange(joint.shape[0], dtype=np.int64)[:, None] * qq
-        counts = np.bincount(joint.reshape(-1), minlength=joint.shape[0] * qq)
-        counts = counts.reshape(joint.shape[0], q, q)
-        best = max(best, int(counts[:, 1:, 1:].max()))
+    chunk = max(1, 1_000_000 // space)
+    for lo in range(1, space, chunk):
+        centers = np.arange(lo, min(space, lo + chunk), dtype=np.int64)
+        cdig = centers[:, None] // steps % q
+        # rank of x - c for every center c of the chunk and every point x
+        shifted = np.zeros((centers.size, space), dtype=np.int64)
+        for i in range(n):
+            shifted += field.sub_table[xdig[None, :, i], cdig[:, i, None]] * steps[i]
+        joint = norms[None, :] * q + norms[shifted]
+        joint += np.arange(centers.size, dtype=np.int64)[:, None] * qq
+        counts = np.bincount(joint.reshape(-1), minlength=centers.size * qq)
+        best = max(best, int(counts.reshape(-1, q, q)[:, 1:, 1:].max()))
     return best
 
 
@@ -255,8 +255,8 @@ def diff_cover(field: Fq, elems) -> bool:
     ks = _clean_ranks(field, elems)
     if not ks:
         return False
-    got = np.unique(field.sub_table[np.ix_(ks, ks)])
-    return got.size == field.q
+    k = np.asarray(ks, dtype=np.int64)
+    return np.unique(field.sub_arrays(k[:, None], k[None, :])).size == field.q
 
 
 def sum_cover(field: Fq, elems) -> bool:
@@ -264,7 +264,6 @@ def sum_cover(field: Fq, elems) -> bool:
     ks = _clean_ranks(field, elems)
     if len(ks) < 2:
         return False
-    sums = field.add_table[np.ix_(ks, ks)]
-    off_diag = ~np.eye(len(ks), dtype=bool)
-    got = np.unique(sums[off_diag])
-    return got.size == field.q
+    k = np.asarray(ks, dtype=np.int64)
+    sums = field.add_arrays(k[:, None], k[None, :])
+    return np.unique(sums[~np.eye(len(ks), dtype=bool)]).size == field.q

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through real subprocesses: output formats,
 exit codes, determinism."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -131,6 +132,80 @@ class TestVerify:
     def test_missing_file_is_usage_error(self):
         r = run("verify", "--file", "/nonexistent.json", "--property", "radius")
         assert r.returncode == 2
+
+
+class TestMalformedSetFiles:
+    """A corrupted set file is a usage error: exit 2, one line on stderr,
+    no traceback, and never a verdict."""
+
+    @pytest.fixture(scope="class")
+    def radius7(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("r7") / "radius7.json"
+        r = run("construct", "--p", "7", "--n", "4", "--which", "radius-spherical",
+                "--out", str(path))
+        assert r.returncode == 0
+        return json.loads(path.read_text())
+
+    def verify(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        return run("verify", "--file", str(path), "--property", "radius",
+                   "--mode", "witness")
+
+    def assert_usage_error(self, r):
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in r.stderr
+
+    def test_untouched_file_verifies(self, radius7, tmp_path):
+        r = self.verify(tmp_path, radius7)
+        assert r.returncode == 0 and json.loads(r.stdout)["verdict"] is True
+
+    def test_negative_center_rank_is_not_wrapped(self, radius7, tmp_path):
+        data = copy.deepcopy(radius7)
+        assert data["witness"]["entries"]["1"]["center"] == [1, 0, 0, 0]
+        data["witness"]["entries"]["1"]["center"] = [-6, 0, 0, 0]
+        self.assert_usage_error(self.verify(tmp_path, data))
+        r = run("verify", "--file", str(tmp_path / "bad.json"), "--property", "witness")
+        self.assert_usage_error(r)
+
+    def test_center_rank_beyond_q(self, radius7, tmp_path):
+        data = copy.deepcopy(radius7)
+        data["witness"]["entries"]["1"]["center"] = [99, 0, 0, 0]
+        self.assert_usage_error(self.verify(tmp_path, data))
+
+    def test_file_without_p(self, radius7, tmp_path):
+        data = copy.deepcopy(radius7)
+        del data["p"]
+        self.assert_usage_error(self.verify(tmp_path, data))
+
+    def test_witness_entry_without_center(self, radius7, tmp_path):
+        data = copy.deepcopy(radius7)
+        del data["witness"]["entries"]["3"]["center"]
+        self.assert_usage_error(self.verify(tmp_path, data))
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["witness"]["entries"]["2"].update(center=[2, 0, 0]),
+        lambda d: d["witness"]["entries"]["2"].update(radius=1.0),
+        lambda d: d["witness"].pop("entries"),
+        lambda d: d.update(n=[4]),
+        lambda d: d["ranks"].append("5"),
+    ], ids=["short-center", "float-radius", "no-entries", "list-n", "string-rank"])
+    def test_other_corruptions(self, radius7, tmp_path, edit):
+        data = copy.deepcopy(radius7)
+        edit(data)
+        self.assert_usage_error(self.verify(tmp_path, data))
+
+
+class TestCircularBeyondTableCap:
+    @pytest.mark.parametrize("variant", ["radius", "center"])
+    def test_p_10007(self, variant):
+        r = run("construct", "--p", "10007", "--which", "circular-prime",
+                "--variant", variant)
+        assert r.returncode == 0
+        data = json.loads(r.stdout)
+        assert data["witnessValid"] is True and data["boundMet"] is True
 
 
 class TestCount:

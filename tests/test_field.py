@@ -180,6 +180,19 @@ class TestTables:
                 assert f.inv_arr[a] == f.inv(a)
         assert f.inv_arr[0] == -1
 
+    @pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (3, 3), (5, 2), (7, 3)])
+    def test_array_arithmetic_matches_tables(self, p, k):
+        f = make_field(p, k)
+        a = np.arange(f.q)
+        assert np.array_equal(f.add_arrays(a[:, None], a[None, :]), f.add_table)
+        assert np.array_equal(f.sub_arrays(a[:, None], a[None, :]), f.sub_table)
+
+    def test_array_arithmetic_needs_no_tables(self):
+        f = Fq(10007)
+        assert f.sub_arrays([3, 10006], [5, 1]).tolist() == [10005, 10005]
+        assert f.add_arrays(10006, 2) == 1
+        assert "add_table" not in vars(f) and "sub_table" not in vars(f)
+
     @pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (3, 3)])
     def test_field_axioms(self, p, k):
         f = make_field(p, k)

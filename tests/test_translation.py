@@ -1,0 +1,308 @@
+"""Spheres as translates of the cached origin profile, checked against the
+full-enumeration paths they replaced.
+
+Each oracle below is the earlier implementation, kept here verbatim in
+spirit: a fresh norm profile per sphere, the per-center hyper-sphere
+loop, pairwise sphere masks, the all-pairs intersection scan and the
+dense-table circle certificates.
+"""
+
+import numpy as np
+import pytest
+
+from ffkakeya import (
+    CircleSpec,
+    HypersphereSpec,
+    PointSet,
+    SphereSpec,
+    center_spherical,
+    circular_odd_power,
+    circular_prime,
+    circular_square,
+    hypersphere_points,
+    hypersphere_union,
+    make_field,
+    norm_profile,
+    origin_norm_profile,
+    point_rank,
+    point_unrank,
+    prime_power_decompose,
+    radius_spherical,
+    sphere_points,
+    sphere_ranks,
+    translate,
+    verify_intersection_lemma,
+    witness_valid,
+)
+from ffkakeya.constructions import KakeyaWitness
+from ffkakeya.geometry import is_point, origin_sphere_ranks, space_size, sum_profile
+
+
+def field_of(q):
+    return make_field(*prime_power_decompose(q))
+
+
+# ---- oracles: the replaced full-enumeration paths ----
+
+def old_hypersphere_union(field, n):
+    """One sum_profile per center a with ||a|| != 0."""
+    space = space_size(field, n)
+    add, sub, mul = field.add_table, field.sub_table, field.mul_table
+    two = field.add(1, 1)
+    norms = norm_profile(field, n)
+    union = np.zeros(space, dtype=bool)
+    objects = 0
+    for a_rank in range(1, space):
+        na = int(norms[a_rank])
+        if na == 0:
+            continue
+        a = point_unrank(field, n, a_rank)
+        ax = sum_profile(field, [mul[c] for c in a])
+        lhs = sub[add[norms, na], mul[two][ax]]
+        union |= (lhs == field.neg(na)) & (ax == na)
+        objects += 1
+    return union, objects
+
+
+def old_radius_accounting(field, n):
+    """Union, sum of sizes and ordered pairwise intersections from one held
+    mask per radius."""
+    tail = (0,) * (n - 1)
+    masks = {r: norm_profile(field, n, center=(r,) + tail) == r for r in field.units()}
+    union = np.zeros(field.q ** n, dtype=bool)
+    singles = 0
+    for m in masks.values():
+        union |= m
+        singles += int(np.count_nonzero(m))
+    units = list(field.units())
+    pairs = 0
+    for i, r in enumerate(units):
+        for s in units[i + 1:]:
+            pairs += 2 * int(np.count_nonzero(masks[r] & masks[s]))
+    return union, singles, pairs
+
+
+def old_intersection_lemma(field, n):
+    """Every pair of centers, every pair of radii: space^3 / 2 work."""
+    q = field.q
+    space = space_size(field, n)
+    m = np.stack([norm_profile(field, n, center=point_unrank(field, n, a))
+                  for a in range(space)]).astype(np.int64)
+    best = 0
+    for i in range(space - 1):
+        joint = m[i][None, :] * q + m[i + 1:]
+        joint += np.arange(joint.shape[0], dtype=np.int64)[:, None] * q * q
+        counts = np.bincount(joint.reshape(-1), minlength=joint.shape[0] * q * q)
+        best = max(best, int(counts.reshape(-1, q, q)[:, 1:, 1:].max()))
+    return best
+
+
+def old_circular_witness(field, ks, variant):
+    """First matching pair by np.argwhere over the dense q x q tables."""
+    two = field.add(1, 1)
+    half = field.inv(two)
+    entries = {}
+    if variant == "radius":
+        diffs = field.sub_table[np.ix_(ks, ks)]
+        for r in field.units():
+            x1, x2 = (ks[i] for i in np.argwhere(diffs == field.mul(two, r))[0])
+            entries[r] = (field.mul(half, field.add(x1, x2)), r)
+        return entries
+    sums = field.add_table[np.ix_(ks, ks)].copy()
+    np.fill_diagonal(sums, -1)
+    for a in field.elements():
+        x1, x2 = (ks[i] for i in np.argwhere(sums == field.mul(two, a))[0])
+        entries[a] = (a, field.mul(half, field.sub(x1, x2)))
+    return entries
+
+
+# ---- (a) gathered spheres ----
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gathered_spheres_equal_a_fresh_profile(q, n):
+    field = field_of(q)
+    rng = np.random.default_rng(q * 10 + n)
+    centers = [(0,) * n] + [tuple(int(c) for c in rng.integers(0, q, size=n))
+                            for _ in range(2)]
+    for center in centers:
+        values = norm_profile(field, n, center=center)
+        for r in field.units():
+            got = sphere_points(field, SphereSpec(center, r))
+            assert np.array_equal(got.mask, values == r), (center, r)
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (5, 3), (9, 3), (7, 4)])
+def test_gathered_hyperspheres_equal_two_fresh_profiles(q, n):
+    field = field_of(q)
+    rng = np.random.default_rng(q + n)
+    for _ in range(4):
+        center = tuple(int(c) for c in rng.integers(0, q, size=n))
+        direction = tuple(int(c) for c in rng.integers(0, q, size=n))
+        if not any(direction):
+            continue
+        r = int(rng.integers(1, q))
+        norms = norm_profile(field, n, center=center)
+        dots = sum_profile(field, [field.mul_table[d][field.sub_table[:, c]]
+                                   for d, c in zip(direction, center)])
+        got = hypersphere_points(field, HypersphereSpec(center, direction, r))
+        assert np.array_equal(got.mask, (norms == r) & (dots == 0))
+
+
+# ---- (b) hyper-sphere union in closed form ----
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 7, 9) for n in (3, 4)] + [(3, 5)])
+def test_hypersphere_union_closed_form_equals_per_center_loop(q, n):
+    field = field_of(q)
+    union, objects = old_hypersphere_union(field, n)
+    res = hypersphere_union(field, n)
+    assert np.array_equal(res.points.mask, union)
+    assert res.accounting["objectsUsed"] == objects
+    assert res.size == res.accounting["nullQuadricSize"] - 1
+
+
+# ---- (c) radius accounting from the multiplicity ----
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_radius_accounting_equals_pairwise_masks(q, n):
+    field = field_of(q)
+    union, singles, pairs = old_radius_accounting(field, n)
+    res = radius_spherical(field, n)
+    assert np.array_equal(res.points.mask, union)
+    assert res.accounting["sumSphereSizes"] == singles
+    assert res.accounting["sumPairwiseIntersectionsOrdered"] == pairs
+    assert res.accounting["inclusionExclusionSize"] == res.size
+
+
+# ---- (d) intersection lemma over pairs centred at 0 ----
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 7, 9, 11) for n in (2, 3, 4)
+                                 if q ** n <= 125])
+def test_intersection_lemma_equals_all_pairs_scan(q, n):
+    field = field_of(q)
+    assert verify_intersection_lemma(field, n) == old_intersection_lemma(field, n)
+
+
+# ---- circle certificates without dense tables ----
+
+def covering_sets(q):
+    field = field_of(q)
+    if field.k == 1:
+        return [circular_prime(q, v) for v in ("radius", "center")]
+    if field.k % 2 == 0:
+        return [circular_square(field, v) for v in ("radius", "center")]
+    return [circular_odd_power(field, v) for v in ("radius", "center")]
+
+
+def odd_prime_powers(limit):
+    out = []
+    for q in range(3, limit + 1, 2):
+        try:
+            prime_power_decompose(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("q", odd_prime_powers(243))
+def test_circle_certificates_equal_the_argwhere_pairs(q):
+    for res in covering_sets(q):
+        ks = [int(x) for x in res.points.ranks()]
+        want = old_circular_witness(res.field, ks, res.variant)
+        got = {key: (spec.center, spec.radius) for key, spec in res.witness.entries.items()}
+        assert got == want, (q, res.variant)
+
+
+# ---- the origin profile and translate ----
+
+def test_origin_profile_is_cached_compact_and_read_only():
+    field = make_field(7)
+    values = origin_norm_profile(field, 3)
+    assert values is origin_norm_profile(field, 3)
+    assert values.dtype == np.uint8 and not values.flags.writeable
+    assert np.array_equal(values, norm_profile(field, 3))
+    assert origin_norm_profile(make_field(257), 1).dtype == np.uint16
+
+
+def test_origin_sphere_ranks_ascend_and_partition_the_nonzero_norms():
+    field = make_field(5)
+    parts = [origin_sphere_ranks(field, 3, r) for r in field.units()]
+    for part in parts:
+        assert np.all(np.diff(part) > 0)
+    assert np.array_equal(np.sort(np.concatenate(parts)),
+                          np.flatnonzero(norm_profile(field, 3) != 0))
+
+
+def test_translate_is_digitwise_addition():
+    field = field_of(9)
+    rng = np.random.default_rng(3)
+    ranks = rng.integers(0, 9 ** 3, size=50)
+    center = (4, 0, 7)
+    got = translate(field, 3, ranks, center)
+    for y, x in zip(ranks, got):
+        want = tuple(field.add(a, c) for a, c in zip(point_unrank(field, 3, int(y)), center))
+        assert int(x) == point_rank(field, want)
+
+
+@pytest.mark.parametrize("center", [(-1, 0, 0), (7, 0, 0), (0, 0), (0, 0, 0, 0),
+                                    (1.0, 0, 0), (True, 0, 0)])
+def test_translate_rejects_points_outside_the_space(center):
+    field = make_field(7)
+    assert not is_point(field, 3, center)
+    with pytest.raises(ValueError):
+        translate(field, 3, [0, 1], center)
+
+
+@pytest.mark.parametrize("radius", [-6, 7, 99])
+def test_out_of_range_radius_is_rejected(radius):
+    with pytest.raises(ValueError):
+        sphere_ranks(make_field(7), SphereSpec((0, 0, 0), radius))
+
+
+# ---- witnesses with ranks outside [0, q) never verify ----
+
+@pytest.mark.parametrize("center", [(-6, 0, 0, 0), (99, 0, 0, 0), (1, 0, 0)])
+def test_radius_witness_with_bad_center_is_false(center):
+    field = make_field(7)
+    res = radius_spherical(field, 4)
+    entries = dict(res.witness.entries)
+    entries[1] = SphereSpec(center, 1)
+    assert not witness_valid(field, res.points, KakeyaWitness("radius", entries))
+
+
+@pytest.mark.parametrize("radius", [-1, 99])
+def test_center_witness_with_bad_radius_is_false(radius):
+    field = make_field(5)
+    res = center_spherical(field, 3)
+    entries = dict(res.witness.entries)
+    entries[0] = SphereSpec(entries[0].center, radius)
+    assert not witness_valid(field, res.points,
+                             KakeyaWitness("center-coordinate", entries))
+
+
+def test_hypersphere_witness_with_bad_direction_is_false():
+    field = make_field(5)
+    res = hypersphere_union(field, 3)
+    entries = dict(res.witness.entries)
+    spec = entries[1]
+    entries[1] = HypersphereSpec(spec.center, (-4, 0, 0), 1)
+    assert not witness_valid(field, res.points, KakeyaWitness("hypersphere", entries))
+
+
+@pytest.mark.parametrize("kind,key,circle", [
+    ("circular-radius", 1, CircleSpec(99, 1)),
+    ("circular-radius", 1, CircleSpec(-6, 1)),
+    ("circular-center", 1, CircleSpec(1, 99)),
+    ("circular-center", 1, CircleSpec(1, -6)),
+])
+def test_circle_witness_with_bad_ranks_is_false(kind, key, circle):
+    field = make_field(7)
+    keys = field.units() if kind == "circular-radius" else field.elements()
+    entries = {a: CircleSpec(a, 1) if kind == "circular-center" else CircleSpec(0, a)
+               for a in keys}
+    full = PointSet.full(field, 1)
+    assert witness_valid(field, full, KakeyaWitness(kind, entries))
+    entries[key] = circle
+    assert not witness_valid(field, full, KakeyaWitness(kind, entries))
