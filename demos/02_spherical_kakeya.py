@@ -6,6 +6,8 @@ a point with first coordinate c.  Both live in F_q^n and both get close
 to half the space, which the lower bound says is unavoidable.
 """
 
+import time
+
 from ffkakeya import (
     center_spherical,
     exact_str,
@@ -33,6 +35,15 @@ res = radius_spherical(make_field(5), 3)
 acct = res.accounting
 print(f"  q=5 n=3: {acct['sumSphereSizes']} - {acct['sumPairwiseIntersectionsOrdered']}/2 "
       f"= {res.size}")
+print()
+
+print("no certificate needed: the exhaustive check counts the points outside")
+print("every sphere, one coordinate at a time")
+res = radius_spherical(make_field(11), 4)
+start = time.perf_counter()
+verdict = verify_radius_kakeya(res.points)
+print(f"  q=11 n=4: every radius found by the exhaustive check: {verdict} "
+      f"({time.perf_counter() - start:.2f} s)")
 print()
 
 print("center construction: keep (x, y) whenever r - ||y|| is a square")

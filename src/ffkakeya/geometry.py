@@ -164,9 +164,10 @@ class PointSet:
     def from_ranks(cls, field: Fq, n: int, ranks) -> "PointSet":
         size = space_size(field, n)
         mask = np.zeros(size, dtype=bool)
-        idx = np.asarray(ranks if isinstance(ranks, np.ndarray) else list(ranks),
-                         dtype=np.int64)
+        idx = np.asarray(ranks if isinstance(ranks, np.ndarray) else list(ranks))
         if idx.size:
+            if idx.dtype.kind not in "iu":
+                raise ValueError(f"ranks must be integers, got dtype {idx.dtype}")
             if idx.min() < 0 or idx.max() >= size:
                 raise ValueError("rank out of range")
             mask[idx] = True
@@ -224,6 +225,9 @@ class PointSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PointSet":
+        for key in ("p", "k", "q", "n", "ranks"):
+            if key not in data:
+                raise ValueError(f"point set has no {key!r}")
         field = make_field(int(data["p"]), int(data["k"]))
         if field.q != int(data["q"]):
             raise ValueError("q does not match p^k")

@@ -7,7 +7,8 @@ difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 (sums of two distinct elements).
 
 Witness mode checks a certificate object against the set; exhaustive mode
-scans all candidate spheres and needs no certificate, within a work budget.
+needs none: it counts the points outside every candidate sphere, exactly,
+in about n * q^(n+2) steps whatever the set holds, within a work budget.
 """
 
 from __future__ import annotations
@@ -135,45 +136,42 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
 # ---- exhaustive sphere scans ----
 
 def _complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
-    """G[a, v] = number of points outside the set at norm-distance v from
-    center rank a.  A sphere S_v(a) lies inside the set iff G[a, v] == 0."""
-    field = points.field
+    """G[a, v] = #{x not in the set : ||x - a|| = v}; the sphere S_v(a)
+    lies inside the set iff G[a, v] == 0.
+
+    ||x - a|| sums one square per coordinate, so G is built one coordinate
+    at a time in exact integers.  acc has one axis per coordinate and a
+    last axis for the partial norm; step i turns axis i from the point
+    digit x_i into the center digit a_i, adding (x_i - a_i)^2 to the
+    partial norm.  About n * q^(n+2) work and q^(n+1) counts of memory,
+    whatever the set holds.
+    """
+    field, n = points.field, points.n
     q = field.q
-    n = points.n
     space = space_size(field, n)
-    comp = np.flatnonzero(~points.mask)
-    estimate = space * max(int(comp.size), 1)
+    estimate = n * q ** (n + 2)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    sq = field.sq_arr
-    sub = field.sub_table
-    add = field.add_table
-    steps = q ** np.arange(n, dtype=np.int64)
-    cdig = ((comp[:, None] // steps[None, :]) % q).astype(np.int32)
-    out = np.zeros((space, q), dtype=np.int64)
-    if comp.size == 0:
-        return out
-    chunk = max(1, 4_000_000 // int(comp.size))
-    centers = np.arange(space, dtype=np.int64)
-    for lo in range(0, space, chunk):
-        hi = min(space, lo + chunk)
-        adig = ((centers[lo:hi, None] // steps[None, :]) % q).astype(np.int32)
-        acc = np.zeros((hi - lo, comp.size), dtype=np.int32)
-        for i in range(n):
-            term = sq[sub[cdig[None, :, i], adig[:, i, None]]]
-            acc = add[acc, term]
-        flat = acc + (np.arange(hi - lo, dtype=np.int64)[:, None] * q)
-        counts = np.bincount(flat.reshape(-1), minlength=(hi - lo) * q)
-        out[lo:hi] = counts.reshape(hi - lo, q)
-    return out
+    sq, add, sub = field.sq_arr, field.add_table, field.sub_table
+    # C-order axes, most significant digit first, as the final reshape reads
+    acc = np.zeros((q,) * n + (q,), dtype=np.min_scalar_type(space))
+    acc[..., 0] = (~points.mask).reshape((q,) * n)
+    squares = np.unique(sq)
+    for axis in range(n):
+        nxt = np.zeros_like(acc)
+        for t in squares:
+            part = sum(acc.take(add[:, y], axis=axis) for y in np.flatnonzero(sq == t))
+            nxt += part[..., sub[:, t]] if t else part
+        acc = nxt
+    return acc.reshape(space, q)
 
 
 def verify_radius_kakeya(points: PointSet, witness=None, *,
                          budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the set contains a sphere of every radius in F_q^*.
 
-    With a witness, checks the certificate; otherwise scans all centers
-    exhaustively (work roughly q^n times the complement size)."""
+    With a witness, checks the certificate; otherwise counts the points
+    outside every sphere exhaustively (about n * q^(n+2) work)."""
     if points.n < 2:
         raise BadDimensionError("spherical verification needs dimension >= 2")
     if witness is not None:
@@ -185,7 +183,8 @@ def verify_radius_kakeya(points: PointSet, witness=None, *,
 def verify_center_kakeya(points: PointSet, witness=None, *,
                          budget: int = DEFAULT_BUDGET) -> bool:
     """True iff for every a1 in F_q the set contains a sphere (of some
-    nonzero radius) whose center has first coordinate a1."""
+    nonzero radius) whose center has first coordinate a1.  Checks a witness
+    as the radius verifier does, or else counts exhaustively in the same way."""
     if points.n < 2:
         raise BadDimensionError("spherical verification needs dimension >= 2")
     field = points.field

@@ -320,6 +320,24 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet.from_ranks(f, 2, [9])
 
+    @pytest.mark.parametrize("ranks", [[1.7, 2.2], [1.0], np.array([1.5]), [True, False]])
+    def test_from_ranks_rejects_non_integers(self, ranks):
+        with pytest.raises(ValueError, match="integers"):
+            PointSet.from_ranks(make_field(7), 1, ranks)
+
+    def test_from_ranks_takes_integer_arrays_and_empty_lists(self):
+        f = make_field(7)
+        for ranks in (np.array([1, 2], dtype=np.uint8), np.array([1, 2]), [1, 2]):
+            assert PointSet.from_ranks(f, 1, ranks).ranks().tolist() == [1, 2]
+        assert PointSet.from_ranks(f, 1, []).size == 0
+
+    @pytest.mark.parametrize("key", ["p", "k", "q", "n", "ranks"])
+    def test_json_names_a_missing_key(self, key):
+        d = PointSet.from_ranks(make_field(3), 2, [1]).to_json_dict()
+        del d[key]
+        with pytest.raises(ValueError, match=repr(key)):
+            PointSet.from_json_dict(d)
+
     def test_eq_and_spaces(self):
         f = make_field(3)
         g = make_field(5)

@@ -3,14 +3,16 @@ full-enumeration paths they replaced.
 
 Each oracle below is the earlier implementation, kept here verbatim in
 spirit: a fresh norm profile per sphere, the per-center hyper-sphere
-loop, pairwise sphere masks, the all-pairs intersection scan and the
-dense-table circle certificates.
+loop, pairwise sphere masks, the all-pairs intersection scan, the
+dense-table circle certificates and the (center, non-member) pair scan of
+the exhaustive verifiers.
 """
 
 import numpy as np
 import pytest
 
 from ffkakeya import (
+    BudgetExceededError,
     CircleSpec,
     HypersphereSpec,
     PointSet,
@@ -31,11 +33,14 @@ from ffkakeya import (
     sphere_points,
     sphere_ranks,
     translate,
+    verify_center_kakeya,
     verify_intersection_lemma,
+    verify_radius_kakeya,
     witness_valid,
 )
 from ffkakeya.constructions import KakeyaWitness
 from ffkakeya.geometry import is_point, origin_sphere_ranks, space_size, sum_profile
+from ffkakeya.verification import _complement_hit_counts
 
 
 def field_of(q):
@@ -116,6 +121,40 @@ def old_circular_witness(field, ks, variant):
     return entries
 
 
+def old_complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
+    """G[a, v] = number of points outside the set at norm-distance v from
+    center rank a.  A sphere S_v(a) lies inside the set iff G[a, v] == 0."""
+    field = points.field
+    q = field.q
+    n = points.n
+    space = space_size(field, n)
+    comp = np.flatnonzero(~points.mask)
+    estimate = space * max(int(comp.size), 1)
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+    sq = field.sq_arr
+    sub = field.sub_table
+    add = field.add_table
+    steps = q ** np.arange(n, dtype=np.int64)
+    cdig = ((comp[:, None] // steps[None, :]) % q).astype(np.int32)
+    out = np.zeros((space, q), dtype=np.int64)
+    if comp.size == 0:
+        return out
+    chunk = max(1, 4_000_000 // int(comp.size))
+    centers = np.arange(space, dtype=np.int64)
+    for lo in range(0, space, chunk):
+        hi = min(space, lo + chunk)
+        adig = ((centers[lo:hi, None] // steps[None, :]) % q).astype(np.int32)
+        acc = np.zeros((hi - lo, comp.size), dtype=np.int32)
+        for i in range(n):
+            term = sq[sub[cdig[None, :, i], adig[:, i, None]]]
+            acc = add[acc, term]
+        flat = acc + (np.arange(hi - lo, dtype=np.int64)[:, None] * q)
+        counts = np.bincount(flat.reshape(-1), minlength=(hi - lo) * q)
+        out[lo:hi] = counts.reshape(hi - lo, q)
+    return out
+
+
 # ---- (a) gathered spheres ----
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
@@ -182,6 +221,47 @@ def test_radius_accounting_equals_pairwise_masks(q, n):
 def test_intersection_lemma_equals_all_pairs_scan(q, n):
     field = field_of(q)
     assert verify_intersection_lemma(field, n) == old_intersection_lemma(field, n)
+
+
+# ---- exhaustive scans by the coordinate recurrence ----
+
+def scan_sets(field, n):
+    """The empty and full sets, a seeded half-random set and both
+    constructions."""
+    half = np.random.default_rng(field.q * 10 + n).random(space_size(field, n)) < 0.5
+    return {"empty": PointSet.empty(field, n), "full": PointSet.full(field, n),
+            "half": PointSet(field, n, half), "radius": radius_spherical(field, n).points,
+            "center": center_spherical(field, n).points}
+
+
+def without_radius(points, counts, r):
+    """The set less every sphere of radius r that it holds (counts[a, r] == 0),
+    so that it holds none: removing points makes no new sphere."""
+    field, n = points.field, points.n
+    mask = points.mask.copy()
+    for a in np.flatnonzero(counts[:, r] == 0):
+        mask[sphere_ranks(field, SphereSpec(point_unrank(field, n, int(a)), r))] = False
+    return PointSet(field, n, mask)
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 7, 9, 11, 25, 27) for n in (2, 3, 4)
+                                 if q ** n <= 15_000] + [(3, 5), (5, 5)])
+def test_exhaustive_scan_equals_the_pair_scan(q, n):
+    field = field_of(q)
+    sets = scan_sets(field, n)
+    radius_counts = old_complement_hit_counts(sets["radius"], 10 ** 12)
+    sets["one radius missing"] = without_radius(sets["radius"], radius_counts, q // 2)
+    first = np.arange(q ** n) % q
+    for name, points in sets.items():
+        want = (radius_counts if name == "radius"
+                else old_complement_hit_counts(points, 10 ** 12))
+        assert np.array_equal(_complement_hit_counts(points, 10 ** 12), want), name
+        found = want[:, 1:] == 0
+        radius_ok = bool(found.any(axis=0).all())
+        center_ok = set(first[found.any(axis=1)].tolist()) == set(field.elements())
+        assert verify_radius_kakeya(points) == radius_ok, name
+        assert verify_center_kakeya(points) == center_ok, name
+    assert not verify_radius_kakeya(sets["one radius missing"])
 
 
 # ---- circle certificates without dense tables ----

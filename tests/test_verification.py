@@ -247,10 +247,10 @@ class TestBudgets:
         f = make_field(5)
         empty = PointSet.empty(f, 2)
         with pytest.raises(BudgetExceededError) as info:
-            verify_radius_kakeya(empty, budget=624)
-        assert info.value.estimate == 625
-        assert info.value.budget == 624
-        assert not verify_radius_kakeya(empty, budget=625)
+            verify_radius_kakeya(empty, budget=1249)
+        assert info.value.estimate == 1250  # n * q^(n+2)
+        assert info.value.budget == 1249
+        assert not verify_radius_kakeya(empty, budget=1250)
 
     def test_lemma_budget(self):
         f = make_field(3)
