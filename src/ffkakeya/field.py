@@ -15,6 +15,15 @@ Extension fields reduce modulo the lexicographically smallest monic
 irreducible polynomial of degree k over F_p, comparing coefficient tuples
 constant term first, so two independent builds of the same (p, k) agree
 element by element.
+
+Multiplication is read from one pair of length-q arrays per field, built
+lazily for q <= TABLE_CAP: exp[i] = g^i for the primitive element g of
+least rank, and its inverse log.  Every multiplicative table (mul_table,
+inv_arr, sq_arr, char_arr) is a gather from them, and so are the scalar
+mul, inv and pow of extension fields up to TABLE_CAP; beyond it the scalar
+ops multiply polynomials digit by digit.  Which g is used changes no
+output: only the tables and values derived from exp and log are visible.
+The additive tables are sums of per-digit p x p tables.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from functools import cached_property
 from math import isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonOddPrimeError, SizeCapError
 
@@ -125,13 +135,30 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of m >= 1, by trial division."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 class Fq:
     """The finite field with q = p^k elements, p an odd prime.
 
-    All operations take and return element ranks (plain ints).  Dense
-    numpy operation tables are built lazily for vectorized callers and
-    require q <= TABLE_CAP; the scalar methods work for any supported q.
-    Instances are immutable; use make_field() for a cached instance.
+    All operations take and return element ranks (plain ints).  The
+    exp/log arrays and every table derived from them are built lazily and
+    require q <= TABLE_CAP; up to that cap the scalar mul, inv, pow and
+    char read them, and beyond it they fall back to polynomial arithmetic,
+    so the scalar methods work for any supported q.  Instances are
+    immutable; use make_field() for a cached instance.
     """
 
     zero = 0
@@ -217,6 +244,39 @@ class Fq:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
+        if self.q > TABLE_CAP:
+            return self._poly_mul(a, b)
+        if a == 0 or b == 0:
+            return 0
+        exp, log = self._logs
+        return int(exp[log[a] + log[b]])
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        if self.k == 1:
+            return pow(a, self.p - 2, self.p)
+        return self.pow(a, self.q - 2)
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        if self.k == 1:
+            return pow(a, e, self.p)
+        if self.q > TABLE_CAP:
+            return self._poly_pow(a, e)
+        if a == 0:
+            return 0 if e else 1
+        exp, log = self._logs
+        return int(exp[int(log[a]) * e % (self.q - 1)])
+
+    # ---- polynomial arithmetic: beyond TABLE_CAP, and to build the logs ----
+
+    def _poly_mul(self, a: int, b: int) -> int:
+        """a * b by the schoolbook product of the digit polynomials, reduced
+        by the modulus.  It never reads the logs, which are built with it."""
+        if self.k == 1:
+            return a * b % self.p
         p, k = self.p, self.k
         ca = self.element_to_coeffs(a)
         cb = self.element_to_coeffs(b)
@@ -234,22 +294,13 @@ class Fq:
                     out[d] = (out[d] + c * row[d]) % p
         return self.coeffs_to_element(out)
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
+    def _poly_pow(self, a: int, e: int) -> int:
+        """a^e for e >= 0 by square-and-multiply over _poly_mul."""
         result = 1
-        base = a
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self._poly_mul(result, a)
+            a = self._poly_mul(a, a)
             e >>= 1
         return result
 
@@ -303,77 +354,94 @@ class Fq:
                 f"q = {self.q} exceeds the dense-table cap {TABLE_CAP}")
 
     @cached_property
-    def _digits(self) -> np.ndarray:
+    def _logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log) with exp[i] = g^i for 0 <= i < 2(q-1), g the primitive
+        element of least rank, and log[exp[i]] = i for i < q-1.  exp is
+        twice the group order long, so exp[log[a] + log[b]] needs no mod.
+        log[0] is 0: every caller handles the zero element itself."""
         self._require_tables()
-        ranks = np.arange(self.q, dtype=np.int32)
-        steps = self.p ** np.arange(self.k, dtype=np.int64)
-        return ((ranks[:, None] // steps[None, :]) % self.p).astype(np.int32)
+        p, k = self.p, self.k
+        order = self.q - 1
+        # x generates the unit group iff x^(order/l) != 1 for each prime l | order
+        factors = _prime_factors(order)
+        g = next(x for x in range(1, self.q)
+                 if all(self._poly_pow(x, order // ell) != 1 for ell in factors))
+        exp = np.empty(2 * order, dtype=np.int32)
+        exp[0] = 1
+        # doubling, exp[m:2m] = exp[:m] * g^m: multiplication by g^m is
+        # F_p-linear on digit vectors, row i of its matrix the digits of g^m t^i
+        pvec = p ** np.arange(k)
+        m, gm = 1, g
+        while m < exp.size:
+            rows = np.array([self.element_to_coeffs(self._poly_mul(gm, p ** i))
+                             for i in range(k)], dtype=np.int64)
+            block = exp[:min(m, exp.size - m)]
+            digits = block[:, None] // pvec % p
+            exp[m:m + block.size] = digits @ rows % p @ pvec
+            m, gm = 2 * m, self._poly_mul(gm, gm)
+        log = np.zeros(self.q, dtype=np.int32)
+        log[exp[:order]] = np.arange(order, dtype=np.int32)
+        return exp, log
 
-    @cached_property
-    def _pvec(self) -> np.ndarray:
-        return (self.p ** np.arange(self.k, dtype=np.int64)).astype(np.int32)
+    def _digit_table(self, sign: int) -> np.ndarray:
+        """The q x q table of a + sign * b, one digit at a time: with
+        a = a_i p^i + a_lo, the table for digits 0..i is the broadcast sum
+        of the p x p digit table times p^i and the table for digits below i."""
+        self._require_tables()
+        p = self.p
+        x = np.arange(p, dtype=np.int32)
+        digit = (x[:, None] + sign * x[None, :]) % p
+        out = np.zeros((1, 1), dtype=np.int32)
+        for i in range(self.k):
+            m = p ** i
+            out = ((digit * m)[:, None, :, None] + out[None, :, None, :]).reshape(p * m, p * m)
+        return out
 
     @cached_property
     def add_table(self) -> np.ndarray:
-        d = self._digits
-        summed = (d[:, None, :] + d[None, :, :]) % self.p
-        return (summed @ self._pvec).astype(np.int32)
+        return self._digit_table(1)
 
     @cached_property
     def sub_table(self) -> np.ndarray:
-        d = self._digits
-        diff = (d[:, None, :] - d[None, :, :]) % self.p
-        return (diff @ self._pvec).astype(np.int32)
+        return self._digit_table(-1)
 
     @cached_property
     def neg_arr(self) -> np.ndarray:
-        return self.sub_table[0].copy()
+        self._require_tables()
+        return self.sub_arrays(0, np.arange(self.q)).astype(np.int32)
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        self._require_tables()
-        q, p, k = self.q, self.p, self.k
-        if k == 1:
-            a = np.arange(q, dtype=np.int64)
-            return ((a[:, None] * a[None, :]) % p).astype(np.int32)
-        d = self._digits.astype(np.int64)
-        conv = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                conv[:, :, i + j] += np.multiply.outer(d[:, i], d[:, j])
-        red = np.zeros((2 * k - 1, k), dtype=np.int64)
-        for e in range(k):
-            red[e, e] = 1
-        for e in range(k, 2 * k - 1):
-            red[e] = self._reduction[e - k]
-        digits = (conv.reshape(q * q, 2 * k - 1) @ red) % p
-        return (digits @ self._pvec.astype(np.int64)).reshape(q, q).astype(np.int32)
+        exp, log = self._logs
+        # row a in log order is the window exp[log a : log a + q]
+        rows = sliding_window_view(exp, self.q)[log]
+        out = np.take(rows, log, axis=1)
+        out[0, :] = 0
+        out[:, 0] = 0
+        return out
 
     @cached_property
     def inv_arr(self) -> np.ndarray:
         """inv_arr[0] is the sentinel -1; 0 is not invertible."""
-        inv = (self.mul_table == 1).argmax(axis=1).astype(np.int32)
+        exp, log = self._logs
+        inv = exp[-log % (self.q - 1)]
         inv[0] = -1
         return inv
 
     @cached_property
     def sq_arr(self) -> np.ndarray:
-        return np.diagonal(self.mul_table).copy()
+        exp, log = self._logs
+        sq = exp[2 * log]
+        sq[0] = 0
+        return sq
 
     @cached_property
     def char_arr(self) -> np.ndarray:
-        mul = self.mul_table
-        e = (self.q - 1) // 2
-        result = np.ones(self.q, dtype=np.int32)
-        base = np.arange(self.q, dtype=np.int32)
-        while e:
-            if e & 1:
-                result = mul[result, base]
-            base = mul[base, base]
-            e >>= 1
-        minus_one = int(self.neg_arr[1])
-        out = np.where(result == 1, 1, np.where(result == minus_one, -1, 0))
-        return out.astype(np.int8)
+        """g^i is a square exactly when i is even."""
+        _, log = self._logs
+        chi = (1 - 2 * (log & 1)).astype(np.int8)
+        chi[0] = 0
+        return chi
 
     # ---- identity ----
 

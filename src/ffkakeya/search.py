@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .field import Fq
 from .verification import circular_lower_bounds, diff_cover, sum_cover
@@ -127,26 +129,33 @@ def exhaustive_cover_exists(field: Fq, kind: str, size: int) -> bool:
 
 def greedy_circular(field: Fq, kind: str) -> SearchOutcome:
     """Greedy baseline: repeatedly add the element covering the most
-    still-missing values, breaking ties toward the smallest rank."""
+    still-missing values, breaking ties toward the smallest rank.
+
+    Every candidate's gain is computed at once: row x of the value table
+    holds the cover values x would add (x - y and y - x, or x + y, for each
+    chosen y, and x - x = 0 for 'radius'), so the gain is the number of
+    distinct uncovered values in the row.  Memory is O(q * |chosen|)."""
     _check_kind(kind)
     q = field.q
-    full = (1 << q) - 1
+    ranks = np.arange(q, dtype=np.int64)
+    table = np.zeros((q, 1 if kind == KIND_RADIUS else 0), dtype=np.int64)
+    covered = np.zeros(q, dtype=bool)
+    member = np.zeros(q, dtype=bool)
     chosen: list[int] = []
-    member = [False] * q
-    covered = 0
     nodes = 0
-    while covered != full:
-        best_x = -1
-        best_gain = -1
-        for x in range(q):
-            if member[x]:
-                continue
-            nodes += 1
-            gain = bin(_new_bits(field, kind, x, chosen) & ~covered).count("1")
-            if gain > best_gain:
-                best_gain = gain
-                best_x = x
-        covered |= _new_bits(field, kind, best_x, chosen)
-        chosen.append(best_x)
-        member[best_x] = True
+    while not covered.all():
+        candidates = np.flatnonzero(~member)
+        nodes += candidates.size
+        values = np.sort(table[candidates], axis=1)
+        new = ~covered[values]
+        new[:, 1:] &= values[:, 1:] != values[:, :-1]
+        best = int(candidates[np.argmax(new.sum(axis=1))])
+        covered[table[best]] = True
+        member[best] = True
+        chosen.append(best)
+        if kind == KIND_RADIUS:
+            cols = [field.sub_arrays(ranks, best), field.sub_arrays(best, ranks)]
+        else:
+            cols = [field.add_arrays(ranks, best)]
+        table = np.column_stack([table, *cols])
     return SearchOutcome(q, kind, len(chosen), tuple(sorted(chosen)), nodes, False)

@@ -242,27 +242,30 @@ def intersection_lemma_bound(q: int, n: int) -> int:
 
 # ---- one-dimensional covers ----
 
-def _clean_ranks(field: Fq, elems) -> list[int]:
-    ks = sorted(set(int(x) for x in elems))
-    if ks and not (0 <= ks[0] and ks[-1] < field.q):
+def _clean_ranks(field: Fq, elems) -> np.ndarray:
+    """The distinct ranks of elems, sorted; ValueError for non-integer or
+    out-of-range ranks."""
+    idx = np.asarray(elems if isinstance(elems, np.ndarray) else list(elems))
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"ranks must be integers, got dtype {idx.dtype}")
+    ks = np.unique(idx).astype(np.int64)
+    if ks.size and not (0 <= ks[0] and ks[-1] < field.q):
         raise ValueError("element rank out of range")
     return ks
 
 
 def diff_cover(field: Fq, elems) -> bool:
     """True iff K - K = F_q."""
-    ks = _clean_ranks(field, elems)
-    if not ks:
+    k = _clean_ranks(field, elems)
+    if not k.size:
         return False
-    k = np.asarray(ks, dtype=np.int64)
     return np.unique(field.sub_arrays(k[:, None], k[None, :])).size == field.q
 
 
 def sum_cover(field: Fq, elems) -> bool:
     """True iff K (+) K = F_q, sums of two distinct elements only."""
-    ks = _clean_ranks(field, elems)
-    if len(ks) < 2:
+    k = _clean_ranks(field, elems)
+    if k.size < 2:
         return False
-    k = np.asarray(ks, dtype=np.int64)
     sums = field.add_arrays(k[:, None], k[None, :])
-    return np.unique(sums[~np.eye(len(ks), dtype=bool)]).size == field.q
+    return np.unique(sums[~np.eye(k.size, dtype=bool)]).size == field.q

@@ -1,7 +1,8 @@
 """Field layer: moduli, arithmetic tables, quadratic character.
 
 Reference values here are either computed by the independent scalar
-oracles below or asserted directly when trivial.
+oracles below or asserted directly when trivial.  The dense-table builders
+that the exp/log tables replaced are kept below as the oracle for them.
 """
 
 import numpy as np
@@ -40,6 +41,85 @@ def ref_mul(field, a, b):
             for i in range(k):
                 prod[d - k + i] = (prod[d - k + i] - c * mod[i]) % p
     return sum(prod[i] * p**i for i in range(k))
+
+
+def _odd_prime_powers_up_to(bound):
+    out = []
+    for q in range(3, bound + 1, 2):
+        try:
+            prime_power_decompose(q)
+        except NonOddPrimeError:
+            continue
+        out.append(q)
+    return out
+
+
+# ---- oracles: the table builders replaced by exp/log gathers ----
+
+def _old_digits(field):
+    ranks = np.arange(field.q, dtype=np.int32)
+    steps = field.p ** np.arange(field.k, dtype=np.int64)
+    return ((ranks[:, None] // steps[None, :]) % field.p).astype(np.int32)
+
+
+def _old_pvec(field):
+    return (field.p ** np.arange(field.k, dtype=np.int64)).astype(np.int32)
+
+
+def old_add_table(field):
+    """The q x q x k digit tensor, summed digit by digit."""
+    d = _old_digits(field)
+    summed = (d[:, None, :] + d[None, :, :]) % field.p
+    return (summed @ _old_pvec(field)).astype(np.int32)
+
+
+def old_sub_table(field):
+    d = _old_digits(field)
+    diff = (d[:, None, :] - d[None, :, :]) % field.p
+    return (diff @ _old_pvec(field)).astype(np.int32)
+
+
+def old_mul_table(field):
+    """The q x q x (2k-1) convolution tensor of digit products, reduced by
+    the rows t^k .. t^(2k-2) mod the modulus."""
+    q, p, k = field.q, field.p, field.k
+    if k == 1:
+        a = np.arange(q, dtype=np.int64)
+        return ((a[:, None] * a[None, :]) % p).astype(np.int32)
+    d = _old_digits(field).astype(np.int64)
+    conv = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            conv[:, :, i + j] += np.multiply.outer(d[:, i], d[:, j])
+    red = np.zeros((2 * k - 1, k), dtype=np.int64)
+    for e in range(k):
+        red[e, e] = 1
+    for e in range(k, 2 * k - 1):
+        red[e] = field._reduction[e - k]
+    digits = (conv.reshape(q * q, 2 * k - 1) @ red) % p
+    return (digits @ _old_pvec(field).astype(np.int64)).reshape(q, q).astype(np.int32)
+
+
+def old_inv_arr(mul):
+    """The column of the 1 in each row of the multiplication table."""
+    inv = (mul == 1).argmax(axis=1).astype(np.int32)
+    inv[0] = -1
+    return inv
+
+
+def old_char_arr(field, mul, neg):
+    """x^((q-1)/2) by square-and-multiply over the multiplication table."""
+    e = (field.q - 1) // 2
+    result = np.ones(field.q, dtype=np.int32)
+    base = np.arange(field.q, dtype=np.int32)
+    while e:
+        if e & 1:
+            result = mul[result, base]
+        base = mul[base, base]
+        e >>= 1
+    minus_one = int(neg[1])
+    out = np.where(result == 1, 1, np.where(result == minus_one, -1, 0))
+    return out.astype(np.int8)
 
 
 def ref_has_root(coeffs, p):
@@ -172,12 +252,12 @@ class TestTables:
             for b in range(q):
                 assert f.add_table[a, b] == f.add(a, b)
                 assert f.sub_table[a, b] == f.sub(a, b)
-                assert f.mul_table[a, b] == f.mul(a, b)
+                assert f.mul_table[a, b] == ref_mul(f, a, b)
         for a in range(q):
             assert f.neg_arr[a] == f.neg(a)
-            assert f.sq_arr[a] == f.mul(a, a)
+            assert f.sq_arr[a] == ref_mul(f, a, a)
             if a:
-                assert f.inv_arr[a] == f.inv(a)
+                assert ref_mul(f, a, int(f.inv_arr[a])) == 1
         assert f.inv_arr[0] == -1
 
     @pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (3, 3), (5, 2), (7, 3)])
@@ -192,6 +272,59 @@ class TestTables:
         assert f.sub_arrays([3, 10006], [5, 1]).tolist() == [10005, 10005]
         assert f.add_arrays(10006, 2) == 1
         assert "add_table" not in vars(f) and "sub_table" not in vars(f)
+
+    @pytest.mark.parametrize("q", _odd_prime_powers_up_to(729))
+    def test_tables_equal_the_replaced_builders(self, q):
+        f = Fq(*prime_power_decompose(q))
+        mul, sub = old_mul_table(f), old_sub_table(f)
+        want = {
+            "add_table": old_add_table(f),
+            "sub_table": sub,
+            "mul_table": mul,
+            "neg_arr": sub[0].copy(),
+            "inv_arr": old_inv_arr(mul),
+            "sq_arr": np.diagonal(mul).copy(),
+            "char_arr": old_char_arr(f, mul, sub[0]),
+        }
+        for name, ref in want.items():
+            got = getattr(f, name)
+            assert got.dtype == ref.dtype, name
+            assert np.array_equal(got, ref), name
+
+    @pytest.mark.parametrize("p,k", [(4093, 1), (3, 7)])
+    def test_length_q_answers_build_no_dense_table(self, p, k):
+        f = Fq(p, k)
+        for name in ("char_arr", "inv_arr", "sq_arr", "neg_arr"):
+            assert getattr(f, name).shape == (f.q,)
+        assert f.char(5) in (-1, 1)
+        f.smallest_nonsquare()
+        assert not {"add_table", "sub_table", "mul_table"} & set(vars(f))
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (3, 5), (7, 3), (5, 4)])
+    def test_scalar_ops_from_logs_equal_the_polynomial_ones(self, p, k):
+        f = Fq(p, k)
+        q = f.q
+        for a in f.elements():
+            for e in (0, 1, 2, (q - 1) // 2, q - 1, 3 * q + 5):
+                assert f.pow(a, e) == f._poly_pow(a, e), (a, e)
+            if a:
+                assert f.inv(a) == f._poly_pow(a, q - 2)
+        rng = np.random.default_rng(q)
+        for a, b in rng.integers(0, q, size=(200, 2)).tolist():
+            assert f.mul(a, b) == ref_mul(f, a, b) == f._poly_mul(a, b)
+
+    def test_scalar_ops_beyond_the_table_cap(self):
+        f = Fq(3, 8)
+        rng = np.random.default_rng(8)
+        for a, b in rng.integers(1, f.q, size=(20, 2)).tolist():
+            assert f.mul(a, b) == ref_mul(f, a, b)
+            assert f.mul(a, f.inv(a)) == 1
+            assert f.pow(a, f.q - 1) == 1
+        assert f.mul(0, 5) == 0 and f.pow(0, 0) == 1
+        with pytest.raises(SizeCapError):
+            f.mul_table
+        with pytest.raises(SizeCapError):
+            f.char_arr
 
     @pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (3, 3)])
     def test_field_axioms(self, p, k):

@@ -1,4 +1,8 @@
-"""Minimal one-dimensional cover search: exact DFS, certification, greedy."""
+"""Minimal one-dimensional cover search: exact DFS, certification, greedy.
+
+The scalar greedy that the vectorized one replaced is kept below as its
+oracle.
+"""
 
 import pytest
 
@@ -12,13 +16,51 @@ from ffkakeya import (
     prime_power_decompose,
     sum_cover,
 )
-from ffkakeya.search import exhaustive_cover_exists
+from ffkakeya.search import SearchOutcome, exhaustive_cover_exists
 
 SMALL_Q = [3, 5, 7, 9, 11, 13]
 
 
 def _cover_fn(kind):
     return diff_cover if kind == "radius" else sum_cover
+
+
+# ---- oracle: the scalar greedy, one bitmask of cover values per candidate ----
+
+def old_new_bits(field, kind, x, chosen):
+    bits = 0
+    if kind == "radius":
+        bits |= 1  # x - x
+        for y in chosen:
+            bits |= (1 << field.sub(x, y)) | (1 << field.sub(y, x))
+    else:
+        for y in chosen:
+            bits |= 1 << field.add(x, y)
+    return bits
+
+
+def old_greedy_circular(field, kind):
+    q = field.q
+    full = (1 << q) - 1
+    chosen = []
+    member = [False] * q
+    covered = 0
+    nodes = 0
+    while covered != full:
+        best_x = -1
+        best_gain = -1
+        for x in range(q):
+            if member[x]:
+                continue
+            nodes += 1
+            gain = bin(old_new_bits(field, kind, x, chosen) & ~covered).count("1")
+            if gain > best_gain:
+                best_gain = gain
+                best_x = x
+        covered |= old_new_bits(field, kind, best_x, chosen)
+        chosen.append(best_x)
+        member[best_x] = True
+    return SearchOutcome(q, kind, len(chosen), tuple(sorted(chosen)), nodes, False)
 
 
 class TestExactSearch:
@@ -120,6 +162,13 @@ class TestGreedy:
     def test_deterministic(self):
         f = make_field(13)
         assert greedy_circular(f, "radius") == greedy_circular(f, "radius")
+
+    @pytest.mark.parametrize(
+        "q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 125, 241, 243, 337, 343, 729, 1009])
+    @pytest.mark.parametrize("kind", ["radius", "center"])
+    def test_equals_the_scalar_greedy(self, q, kind):
+        f = make_field(*prime_power_decompose(q))
+        assert greedy_circular(f, kind) == old_greedy_circular(f, kind)
 
 
 class TestOutcomeSerialization:

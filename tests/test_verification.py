@@ -280,12 +280,22 @@ class TestOneDimensionalCovers:
         assert not diff_cover(f, [])
         assert diff_cover(f, [0, 0, 1])  # duplicates collapse
 
+    def test_diff_cover_rejects_non_integer_ranks(self):
+        # read as {0, 1}, [0.2, 1.9] would cover F_3
+        with pytest.raises(ValueError):
+            diff_cover(make_field(3), [0.2, 1.9])
+
     def test_sum_cover_cases(self):
         f = make_field(3)
         assert not sum_cover(f, [0, 1])
         assert sum_cover(f, [0, 1, 2])
         assert not sum_cover(f, [1])
         assert not sum_cover(f, [])
+
+    def test_sum_cover_rejects_non_integer_ranks(self):
+        # read as {0, 1, 2}, [0.5, 1.5, 2.5] would cover F_3
+        with pytest.raises(ValueError):
+            sum_cover(make_field(3), [0.5, 1.5, 2.5])
 
     def test_against_scalar_definition(self):
         f = make_field(7)
