@@ -254,6 +254,8 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
     space_size(field, n)
     if r is None:
         r = field.smallest_nonsquare()
+    if not is_rank(field, r):
+        raise UsageError(f"radius rank {r!r} outside [0, {q})")
     if field.char(r) != -1:
         raise NotANonsquareError(f"rank {r} is not a nonsquare in F_{q}")
     y_norms = origin_norm_profile(field, n - 1)

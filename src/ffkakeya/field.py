@@ -17,13 +17,15 @@ constant term first, so two independent builds of the same (p, k) agree
 element by element.
 
 Multiplication is read from one pair of length-q arrays per field, built
-lazily for q <= TABLE_CAP: exp[i] = g^i for the primitive element g of
-least rank, and its inverse log.  Every multiplicative table (mul_table,
-inv_arr, sq_arr, char_arr) is a gather from them, and so are the scalar
-mul, inv and pow of extension fields up to TABLE_CAP; beyond it the scalar
-ops multiply polynomials digit by digit.  Which g is used changes no
-output: only the tables and values derived from exp and log are visible.
-The additive tables are sums of per-digit p x p tables.
+lazily while they fit in LOG_CAP_BYTES (12 bytes per element, so q up to
+about 5.6 million): exp[i] = g^i for the primitive element g of least
+rank, and its inverse log.  Every multiplicative table (mul_table,
+inv_arr, sq_arr, char_arr; these need q <= TABLE_CAP) is a gather from
+them, and so are the scalar mul, inv, pow and char of extension fields up
+to the byte cap; beyond it the scalar ops multiply polynomials digit by
+digit.  Which g is used changes no output: only the tables and values
+derived from exp and log are visible.  The additive tables are sums of
+per-digit p x p tables.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import NonOddPrimeError, SizeCapError
 
 FIELD_CAP = 1 << 63  # largest accepted q = p^k
 TABLE_CAP = 4096     # largest q with dense q x q operation tables
+LOG_CAP_BYTES = 64 << 20  # largest exp/log pair, 12 bytes per element
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -154,11 +157,12 @@ class Fq:
     """The finite field with q = p^k elements, p an odd prime.
 
     All operations take and return element ranks (plain ints).  The
-    exp/log arrays and every table derived from them are built lazily and
-    require q <= TABLE_CAP; up to that cap the scalar mul, inv, pow and
-    char read them, and beyond it they fall back to polynomial arithmetic,
-    so the scalar methods work for any supported q.  Instances are
-    immutable; use make_field() for a cached instance.
+    exp/log arrays are built lazily while 12q bytes fit LOG_CAP_BYTES, and
+    the tables derived from them require q <= TABLE_CAP.  Up to the byte
+    cap the scalar mul, inv, pow and char read the logs, and beyond it
+    they fall back to polynomial arithmetic, so the scalar methods work
+    for any supported q.  Instances are immutable; use make_field() for a
+    cached instance.
     """
 
     zero = 0
@@ -244,7 +248,7 @@ class Fq:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        if self.q > TABLE_CAP:
+        if not self._logs_fit:
             return self._poly_mul(a, b)
         if a == 0 or b == 0:
             return 0
@@ -263,14 +267,14 @@ class Fq:
             return self.pow(self.inv(a), -e)
         if self.k == 1:
             return pow(a, e, self.p)
-        if self.q > TABLE_CAP:
+        if not self._logs_fit:
             return self._poly_pow(a, e)
         if a == 0:
             return 0 if e else 1
         exp, log = self._logs
         return int(exp[int(log[a]) * e % (self.q - 1)])
 
-    # ---- polynomial arithmetic: beyond TABLE_CAP, and to build the logs ----
+    # ---- polynomial arithmetic: beyond LOG_CAP_BYTES, and to build the logs ----
 
     def _poly_mul(self, a: int, b: int) -> int:
         """a * b by the schoolbook product of the digit polynomials, reduced
@@ -353,13 +357,20 @@ class Fq:
             raise SizeCapError(
                 f"q = {self.q} exceeds the dense-table cap {TABLE_CAP}")
 
+    @property
+    def _logs_fit(self) -> bool:
+        """Whether the exp/log pair, 12 bytes per element, fits LOG_CAP_BYTES."""
+        return 12 * self.q <= LOG_CAP_BYTES
+
     @cached_property
     def _logs(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log) with exp[i] = g^i for 0 <= i < 2(q-1), g the primitive
         element of least rank, and log[exp[i]] = i for i < q-1.  exp is
         twice the group order long, so exp[log[a] + log[b]] needs no mod.
         log[0] is 0: every caller handles the zero element itself."""
-        self._require_tables()
+        if not self._logs_fit:
+            raise SizeCapError(f"q = {self.q} exceeds the exp/log cap of "
+                               f"{LOG_CAP_BYTES >> 20} MB")
         p, k = self.p, self.k
         order = self.q - 1
         # x generates the unit group iff x^(order/l) != 1 for each prime l | order
@@ -375,9 +386,11 @@ class Fq:
         while m < exp.size:
             rows = np.array([self.element_to_coeffs(self._poly_mul(gm, p ** i))
                              for i in range(k)], dtype=np.int64)
-            block = exp[:min(m, exp.size - m)]
-            digits = block[:, None] // pvec % p
-            exp[m:m + block.size] = digits @ rows % p @ pvec
+            # in chunks, so the digit matrices stay small whatever q is
+            for lo in range(0, min(m, exp.size - m), 1 << 16):
+                block = exp[lo:min(m, exp.size - m, lo + (1 << 16))]
+                digits = block[:, None] // pvec % p
+                exp[m + lo:m + lo + block.size] = digits @ rows % p @ pvec
             m, gm = 2 * m, self._poly_mul(gm, gm)
         log = np.zeros(self.q, dtype=np.int32)
         log[exp[:order]] = np.arange(order, dtype=np.int32)
@@ -412,6 +425,7 @@ class Fq:
 
     @cached_property
     def mul_table(self) -> np.ndarray:
+        self._require_tables()
         exp, log = self._logs
         # row a in log order is the window exp[log a : log a + q]
         rows = sliding_window_view(exp, self.q)[log]
@@ -423,6 +437,7 @@ class Fq:
     @cached_property
     def inv_arr(self) -> np.ndarray:
         """inv_arr[0] is the sentinel -1; 0 is not invertible."""
+        self._require_tables()
         exp, log = self._logs
         inv = exp[-log % (self.q - 1)]
         inv[0] = -1
@@ -430,6 +445,7 @@ class Fq:
 
     @cached_property
     def sq_arr(self) -> np.ndarray:
+        self._require_tables()
         exp, log = self._logs
         sq = exp[2 * log]
         sq[0] = 0
@@ -438,6 +454,7 @@ class Fq:
     @cached_property
     def char_arr(self) -> np.ndarray:
         """g^i is a square exactly when i is even."""
+        self._require_tables()
         _, log = self._logs
         chi = (1 - 2 * (log & 1)).astype(np.int8)
         chi[0] = 0

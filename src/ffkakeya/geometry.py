@@ -12,10 +12,11 @@ root anywhere.  A sphere of radius r in F_q^* around a center a is the
 solution set of ||x - a|| = r; a hyper-sphere additionally restricts x to
 the affine hyperplane through a orthogonal to a direction d.
 
-The norm form is translation-covariant: the sphere S_r(a) is the translate
-a + S_r(0).  So one cached origin norm profile per (field, n) gives every
-sphere and hyper-sphere by a gather of its level set and a digit-wise
-translate of point ranks, with no full enumeration per object.
+The norm form is translation-covariant and a sum over coordinates, so a
+sphere splits into fibres over its first coordinate (see sphere_ranks):
+one cached level order of the (n-1)-dim origin norm profile, 4 bytes per
+point of F_q^(n-1), gives every sphere in O(q + |sphere|) steps with no
+scan of F_q^n.  Hyper-spheres are translates of level sets of S_r(0).
 """
 
 from __future__ import annotations
@@ -66,15 +67,6 @@ def norm(field: Fq, vec) -> int:
     acc = 0
     for v in vec:
         acc = field.add(acc, field.mul(v, v))
-    return acc
-
-
-def dot(field: Fq, u, v) -> int:
-    if len(u) != len(v):
-        raise ValueError("length mismatch")
-    acc = 0
-    for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
     return acc
 
 
@@ -254,35 +246,34 @@ def sum_profile(field: Fq, term_tables) -> np.ndarray:
     return acc
 
 
-def norm_profile(field: Fq, n: int, center=None) -> np.ndarray:
-    """Rank of ||x - center|| for every point rank x of F_q^n."""
+def norm_profile(field: Fq, n: int) -> np.ndarray:
+    """Rank of ||x|| for every point rank x of F_q^n."""
     space_size(field, n)
-    sq = field.sq_arr
-    if center is None:
-        tables = [sq] * n
-    else:
-        if len(center) != n:
-            raise ValueError("center length mismatch")
-        sub = field.sub_table
-        tables = [sq[sub[:, c]] for c in center]
-    return sum_profile(field, tables)
+    return sum_profile(field, [field.sq_arr] * n)
 
 
 # ---- diagonal equation counting ----
 
+def _check_equation(field: Fq, eq: DiagonalEq) -> None:
+    if not all(is_rank(field, v) for v in eq.coeffs + (eq.rhs,)):
+        raise ValueError(f"equation ranks must lie in [0, {field.q}): {eq}")
+
+
+def _diagonal_values(field: Fq, eq: DiagonalEq) -> np.ndarray:
+    """Rank of sum a_i x_i^2 for every point x of F_q^n."""
+    _check_equation(field, eq)
+    return sum_profile(field, [field.mul_table[c][field.sq_arr] for c in eq.coeffs])
+
+
 def diagonal_count_bruteforce(field: Fq, eq: DiagonalEq) -> int:
     """Exact number of solutions by full enumeration of F_q^n."""
-    values = sum_profile(
-        field, [field.mul_table[c][field.sq_arr] for c in eq.coeffs])
-    return int(np.count_nonzero(values == eq.rhs))
+    return int(np.count_nonzero(_diagonal_values(field, eq) == eq.rhs))
 
 
 def diagonal_counts_by_rhs(field: Fq, coeffs) -> np.ndarray:
     """Solution counts of a diagonal equation for every rhs at once,
     by one full enumeration of F_q^n."""
-    eq = DiagonalEq(tuple(coeffs), 0)
-    values = sum_profile(
-        field, [field.mul_table[c][field.sq_arr] for c in eq.coeffs])
+    values = _diagonal_values(field, DiagonalEq(tuple(coeffs), 0))
     return np.bincount(values, minlength=field.q).astype(np.int64)
 
 
@@ -291,6 +282,7 @@ def diagonal_count_closed(field: Fq, eq: DiagonalEq) -> int:
     quadrics: q^(n-1) plus a character correction of magnitude q^((n-1)//2)
     for nonzero rhs, and (q-1) * q^(n/2-1) (n even) or zero (n odd) for
     rhs = 0."""
+    _check_equation(field, eq)
     q = field.q
     n = len(eq.coeffs)
     delta = 1
@@ -309,7 +301,7 @@ def diagonal_count_closed(field: Fq, eq: DiagonalEq) -> int:
     return q ** (n - 1) + q ** ((n - 1) // 2) * eta
 
 
-# ---- spheres and hyper-spheres, by translation of the origin profile ----
+# ---- spheres and hyper-spheres, from the origin profile and its levels ----
 
 @functools.lru_cache(maxsize=None)
 def origin_norm_profile(field: Fq, n: int) -> np.ndarray:
@@ -332,11 +324,42 @@ def is_point(field: Fq, n: int, vec) -> bool:
             and all(is_rank(field, v) for v in vec))
 
 
-def origin_sphere_ranks(field: Fq, n: int, radius: int) -> np.ndarray:
-    """Ranks of S_r(0) = {y : ||y|| = r}, ascending, for r in F_q^*."""
+@functools.lru_cache(maxsize=None)
+def level_order(field: Fq, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, offsets): the point ranks of F_q^m sorted stably by norm, so
+    order[offsets[v]:offsets[v + 1]] is the level {t : ||t|| = v}, ascending
+    (F_q^0 is the point 0).  Cached per (field, m), read-only, and int32
+    below 2^31 points: 4 bytes per point of F_q^m."""
+    profile = origin_norm_profile(field, m) if m else np.zeros(1, dtype=np.uint8)
+    order = np.argsort(profile, kind="stable")
+    order = order.astype(np.int32 if order.size < 2 ** 31 else np.int64)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(profile, minlength=field.q))))
+    for a in (order, offsets):
+        a.setflags(write=False)
+    return order, offsets
+
+
+def _fibres(field: Fq, m: int, radius, heads, scale: int) -> np.ndarray:
+    """heads[y] + scale * t for every point (y, t) of F_q x F_q^m with
+    y^2 + ||t|| = radius: fibre by fibre in order of y, t ascending within
+    a fibre, in O(q + |sphere|) steps and few temporaries."""
     if not (is_rank(field, radius) and radius):
         raise ValueError(f"radius rank {radius!r} outside [1, {field.q})")
-    return np.flatnonzero(origin_norm_profile(field, n) == radius)
+    order, offsets = level_order(field, m)
+    levels = field.sub_arrays(radius, field.sq_arr)  # fibre y is level r - y^2
+    sizes = offsets[levels + 1] - offsets[levels]
+    # index into order minus output position, constant within a fibre
+    out = np.repeat(offsets[levels] - np.cumsum(sizes) + sizes, sizes)
+    out += np.arange(out.size)
+    np.multiply(order[out], scale, out=out, dtype=np.int64)  # no int32 overflow
+    out += np.repeat(heads, sizes)
+    return out
+
+
+def origin_sphere_ranks(field: Fq, n: int, radius: int) -> np.ndarray:
+    """Ranks of S_r(0) = {y : ||y|| = r}, ascending, for r in F_q^*: fibred
+    over the last coordinate, whose digit is the most significant."""
+    return _fibres(field, n - 1, radius, np.arange(field.q) * field.q ** (n - 1), 1)
 
 
 def translate(field: Fq, n: int, ranks, center) -> np.ndarray:
@@ -357,10 +380,21 @@ def translate(field: Fq, n: int, ranks, center) -> np.ndarray:
 
 
 def sphere_ranks(field: Fq, sphere: SphereSpec) -> np.ndarray:
-    """Point ranks of a sphere, as the translate center + S_r(0)."""
-    n = len(sphere.center)
-    return translate(field, n, origin_sphere_ranks(field, n, sphere.radius),
-                     sphere.center)
+    """Point ranks of S_r(a), fibred over the first coordinate: with the
+    tail a' = (a_1, ..., a_(n-1)) and L_v the levels of level_order(n - 1),
+
+        S_r(a) = {(a_0 + y_0) + q (a' + t) : y_0 in F_q, t in L_(r - y_0^2)},
+
+    in O(q + |S_r(a)|) steps; the tail digits are translated only when
+    a' != 0."""
+    n, q = len(sphere.center), field.q
+    if not is_point(field, n, sphere.center):
+        raise ValueError(f"center {sphere.center} is not a point of F_{q}^{n}")
+    ranks = _fibres(field, n - 1, sphere.radius,
+                    field.add_arrays(sphere.center[0], np.arange(q)), q)
+    if any(sphere.center[1:]):
+        ranks = translate(field, n, ranks, (0,) + sphere.center[1:])
+    return ranks
 
 
 def hypersphere_ranks(field: Fq, h: HypersphereSpec) -> np.ndarray:
@@ -383,17 +417,6 @@ def sphere_points(field: Fq, sphere: SphereSpec) -> PointSet:
 
 def hypersphere_points(field: Fq, h: HypersphereSpec) -> PointSet:
     return PointSet.from_ranks(field, len(h.center), hypersphere_ranks(field, h))
-
-
-def canonical_direction(field: Fq, direction) -> tuple[int, ...]:
-    """Scale a nonzero direction so its first nonzero coordinate is 1;
-    proportional directions give the same hyper-sphere."""
-    direction = tuple(direction)
-    for d in direction:
-        if d:
-            s = field.inv(d)
-            return tuple(field.mul(s, c) for c in direction)
-    raise ZeroDirectionError("direction must be nonzero")
 
 
 def sphere_intersection_size(field: Fq, s1: SphereSpec, s2: SphereSpec) -> int:

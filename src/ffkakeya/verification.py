@@ -127,9 +127,8 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
                 return False
             if (r if kind == "circular-radius" else a) != key:
                 return False
-            if not (mask[field.add(a, r)] and mask[field.sub(a, r)]):
-                return False
-        return True
+        a, r = np.array([(s.center, s.radius) for s in entries.values()], dtype=np.int64).T
+        return bool(mask[field.add_arrays(a, r)].all() and mask[field.sub_arrays(a, r)].all())
     return False
 
 

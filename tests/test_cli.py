@@ -231,6 +231,26 @@ class TestCount:
         assert r.returncode == 2
 
 
+class TestRankArguments:
+    """An element rank outside [0, q) on the command line is a usage error:
+    exit 2, one line on stderr, nothing on stdout. numpy would otherwise
+    wrap -1 to q - 1 or raise IndexError."""
+
+    @pytest.mark.parametrize("args", [
+        ("construct", "--p", "7", "--n", "3", "--which", "center-spherical", "--r", "99"),
+        ("construct", "--p", "7", "--n", "3", "--which", "center-spherical", "--r", "-1"),
+        ("count", "--p", "7", "--coeffs", "1,2", "--rhs", "9"),
+        ("count", "--p", "7", "--coeffs", "1,2", "--rhs", "-1"),
+        ("count", "--p", "7", "--coeffs", "1,9", "--rhs", "1"),
+    ], ids=["r-99", "r-minus-1", "rhs-9", "rhs-minus-1", "coeff-9"])
+    def test_exits_two(self, args):
+        r = run(*args)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in r.stderr
+
+
 class TestBound:
     def test_spherical(self):
         r = run("bound", "--q", "5", "--n", "4")

@@ -135,6 +135,13 @@ class TestCenterSpherical:
         res = center_spherical(f, 3, r=3)
         assert res.accounting["fixedNonsquareRadius"] == 3
 
+    @pytest.mark.parametrize("r", [99, 7, -1, -4, 3.0, True])
+    def test_radius_that_is_not_a_rank_raises(self, r):
+        # -1 would wrap to the nonsquare rank 6 and build a set whose
+        # witness the loader rejects; 99 would index past the tables
+        with pytest.raises(ValueError, match="outside"):
+            center_spherical(make_field(7), 3, r=r)
+
     @pytest.mark.parametrize("q", [5, 7, 9, 11])
     def test_five_dimensional_gap_is_small(self, q):
         res = center_spherical(make_field(*prime_power_decompose(q)), 5)
@@ -237,6 +244,16 @@ class TestCircularSquare:
         ks = [int(x) for x in res.points.ranks()]
         cover = diff_cover(f, ks) if variant == "radius" else sum_cover(f, ks)
         assert cover and res.witness_valid and res.bound_met
+
+    def test_past_the_table_cap(self):
+        # q = 3^8 > TABLE_CAP: the subfield scan reads the exp/log arrays
+        f = make_field(3, 8)
+        sub = [x for x in f.elements() if f._poly_pow(x, 81) == x]
+        want = sorted(set(sub) | {f._poly_mul(3, x) for x in sub})
+        for variant, covers in (("radius", diff_cover), ("center", sum_cover)):
+            res = circular_square(f, variant)
+            assert res.points.ranks().tolist() == want
+            assert res.size == 161 and covers(f, want) and res.witness_valid
 
     def test_frozen_f9_set(self):
         # subfield F_3 = {0, 1, 2} plus its multiples by the generator

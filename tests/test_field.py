@@ -8,6 +8,7 @@ that the exp/log tables replaced are kept below as the oracle for them.
 import numpy as np
 import pytest
 
+import ffkakeya.field as field_module
 from ffkakeya import (
     Fq,
     KakeyaError,
@@ -18,6 +19,7 @@ from ffkakeya import (
     prime_power_decompose,
     smallest_irreducible,
 )
+from ffkakeya.field import LOG_CAP_BYTES, TABLE_CAP
 
 ODD_PRIME_POWERS_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
 
@@ -325,6 +327,31 @@ class TestTables:
             f.mul_table
         with pytest.raises(SizeCapError):
             f.char_arr
+
+    def test_scalar_ops_past_the_table_cap_read_the_logs(self):
+        f = Fq(3, 8)
+        assert f.q > TABLE_CAP and 12 * f.q <= LOG_CAP_BYTES
+        rng = np.random.default_rng(38)
+        for a, b in rng.integers(0, f.q, size=(300, 2)).tolist():
+            assert f.mul(a, b) == f._poly_mul(a, b)
+            for e in (0, 1, 81, (f.q - 1) // 2, f.q - 2, 2 * f.q + 3):
+                assert f.pow(a, e) == f._poly_pow(a, e), (a, e)
+            if a:
+                assert f.inv(a) == f._poly_pow(a, f.q - 2)
+                assert f.char(a) == (1 if f._poly_pow(a, (f.q - 1) // 2) == 1 else -1)
+        assert "_logs" in vars(f)
+        assert not {"add_table", "sub_table", "mul_table", "char_arr"} & set(vars(f))
+
+    def test_scalar_ops_past_the_log_byte_cap_multiply_polynomials(self, monkeypatch):
+        monkeypatch.setattr(field_module, "LOG_CAP_BYTES", 12 * 3 ** 8 - 1)
+        f = Fq(3, 8)
+        with pytest.raises(SizeCapError):
+            f._logs
+        rng = np.random.default_rng(8)
+        for a, b in rng.integers(1, f.q, size=(20, 2)).tolist():
+            assert f.mul(a, b) == ref_mul(f, a, b)
+            assert f.mul(a, f.inv(a)) == 1
+        assert f.char(f.smallest_nonsquare()) == -1
 
     @pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (3, 3)])
     def test_field_axioms(self, p, k):

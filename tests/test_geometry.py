@@ -34,7 +34,28 @@ from ffkakeya import (
     sphere_points,
     sum_two_squares_covers,
 )
-from ffkakeya.geometry import canonical_direction, dot, space_size
+from ffkakeya.geometry import space_size
+
+
+def dot(field, u, v):
+    """Scalar dot product of two points."""
+    if len(u) != len(v):
+        raise ValueError("length mismatch")
+    acc = 0
+    for a, b in zip(u, v):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+def canonical_direction(field, direction):
+    """Scale a nonzero direction so its first nonzero coordinate is 1;
+    proportional directions give the same hyper-sphere."""
+    direction = tuple(direction)
+    for d in direction:
+        if d:
+            s = field.inv(d)
+            return tuple(field.mul(s, c) for c in direction)
+    raise ZeroDirectionError("direction must be nonzero")
 
 
 def ref_diagonal_count(field, coeffs, rhs):
@@ -156,6 +177,23 @@ class TestCounting:
         assert diagonal_count_closed(f, DiagonalEq((1, 1, 1, 1), 1)) == 120
         assert diagonal_count_closed(f, DiagonalEq((1, 1, 1, 1), 0)) == 145
 
+    @pytest.mark.parametrize("rhs", [9, -1, 1.0])
+    def test_non_rank_rhs_raises(self, rhs):
+        # numpy would wrap -1 to rank 6; 9 would count no solutions
+        f = make_field(7)
+        for count in (diagonal_count_bruteforce, diagonal_count_closed):
+            with pytest.raises(ValueError, match="ranks"):
+                count(f, DiagonalEq((1, 2), rhs))
+
+    @pytest.mark.parametrize("coeff", [9, -6, True])
+    def test_non_rank_coefficient_raises(self, coeff):
+        f = make_field(7)
+        for count in (diagonal_count_bruteforce, diagonal_count_closed):
+            with pytest.raises(ValueError, match="ranks"):
+                count(f, DiagonalEq((1, coeff), 1))
+        with pytest.raises(ValueError, match="ranks"):
+            diagonal_counts_by_rhs(f, (1, coeff))
+
 
 class TestSpheres:
     def test_frozen_unit_circle_f5(self):
@@ -189,11 +227,9 @@ class TestSpheres:
 
     def test_norm_profile_matches_norm(self):
         f = make_field(3, 2)
-        prof = norm_profile(f, 2, center=(1, 3))
+        prof = norm_profile(f, 2)
         for r in range(81):
-            vec = point_unrank(f, 2, r)
-            diff = tuple(f.sub(x, c) for x, c in zip(vec, (1, 3)))
-            assert prof[r] == norm(f, diff)
+            assert prof[r] == norm(f, point_unrank(f, 2, r))
 
     def test_rejects_radius_outside_field(self):
         f = make_field(3)
@@ -268,6 +304,10 @@ class TestHyperspheres:
         assert canonical_direction(f, (2, 4, 0)) == (1, 2, 0)
         assert canonical_direction(f, (0, 3, 1)) == (0, 1, 2)
         assert canonical_direction(f, (1, 0, 0)) == (1, 0, 0)
+        for d in ((2, 4, 0), (0, 3, 1), (3, 1, 4)):
+            h = HypersphereSpec(center=(1, 2, 0), radius=3, direction=d)
+            scaled = HypersphereSpec(h.center, canonical_direction(f, d), h.radius)
+            assert hypersphere_points(f, h) == hypersphere_points(f, scaled)
 
 
 class TestSumTwoSquares:

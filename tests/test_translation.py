@@ -2,10 +2,11 @@
 full-enumeration paths they replaced.
 
 Each oracle below is the earlier implementation, kept here verbatim in
-spirit: a fresh norm profile per sphere, the per-center hyper-sphere
-loop, pairwise sphere masks, the all-pairs intersection scan, the
-dense-table circle certificates and the (center, non-member) pair scan of
-the exhaustive verifiers.
+spirit: a fresh norm profile per sphere, the rescan of the origin profile
+and its n-dim translate per sphere, the per-center hyper-sphere loop,
+pairwise sphere masks, the all-pairs intersection scan, the dense-table
+circle certificates and the (center, non-member) pair scan of the
+exhaustive verifiers.
 """
 
 import numpy as np
@@ -39,7 +40,15 @@ from ffkakeya import (
     witness_valid,
 )
 from ffkakeya.constructions import KakeyaWitness
-from ffkakeya.geometry import is_point, origin_sphere_ranks, space_size, sum_profile
+from ffkakeya.geometry import (
+    _fibres,
+    is_point,
+    level_order,
+    norm,
+    origin_sphere_ranks,
+    space_size,
+    sum_profile,
+)
 from ffkakeya.verification import _complement_hit_counts
 
 
@@ -48,6 +57,26 @@ def field_of(q):
 
 
 # ---- oracles: the replaced full-enumeration paths ----
+
+def norm_profile_at(field, n, center):
+    """Rank of ||x - center|| for every point rank x, by a fresh full
+    enumeration."""
+    if len(center) != n:
+        raise ValueError("center length mismatch")
+    return sum_profile(field, [field.sq_arr[field.sub_table[:, c]] for c in center])
+
+
+def old_origin_sphere_ranks(field, n, radius):
+    """S_r(0) by a rescan of the whole q^n origin profile."""
+    return np.flatnonzero(origin_norm_profile(field, n) == radius)
+
+
+def old_sphere_ranks(field, sphere):
+    """S_r(a) as the n-dim translate a + S_r(0) of the rescan."""
+    n = len(sphere.center)
+    return translate(field, n, old_origin_sphere_ranks(field, n, sphere.radius),
+                     sphere.center)
+
 
 def old_hypersphere_union(field, n):
     """One sum_profile per center a with ||a|| != 0."""
@@ -73,7 +102,7 @@ def old_radius_accounting(field, n):
     """Union, sum of sizes and ordered pairwise intersections from one held
     mask per radius."""
     tail = (0,) * (n - 1)
-    masks = {r: norm_profile(field, n, center=(r,) + tail) == r for r in field.units()}
+    masks = {r: norm_profile_at(field, n, (r,) + tail) == r for r in field.units()}
     union = np.zeros(field.q ** n, dtype=bool)
     singles = 0
     for m in masks.values():
@@ -91,7 +120,7 @@ def old_intersection_lemma(field, n):
     """Every pair of centers, every pair of radii: space^3 / 2 work."""
     q = field.q
     space = space_size(field, n)
-    m = np.stack([norm_profile(field, n, center=point_unrank(field, n, a))
+    m = np.stack([norm_profile_at(field, n, point_unrank(field, n, a))
                   for a in range(space)]).astype(np.int64)
     best = 0
     for i in range(space - 1):
@@ -165,7 +194,7 @@ def test_gathered_spheres_equal_a_fresh_profile(q, n):
     centers = [(0,) * n] + [tuple(int(c) for c in rng.integers(0, q, size=n))
                             for _ in range(2)]
     for center in centers:
-        values = norm_profile(field, n, center=center)
+        values = norm_profile_at(field, n, center)
         for r in field.units():
             got = sphere_points(field, SphereSpec(center, r))
             assert np.array_equal(got.mask, values == r), (center, r)
@@ -181,7 +210,7 @@ def test_gathered_hyperspheres_equal_two_fresh_profiles(q, n):
         if not any(direction):
             continue
         r = int(rng.integers(1, q))
-        norms = norm_profile(field, n, center=center)
+        norms = norm_profile_at(field, n, center)
         dots = sum_profile(field, [field.mul_table[d][field.sub_table[:, c]]
                                    for d, c in zip(direction, center)])
         got = hypersphere_points(field, HypersphereSpec(center, direction, r))
@@ -306,6 +335,72 @@ def test_origin_profile_is_cached_compact_and_read_only():
     assert origin_norm_profile(make_field(257), 1).dtype == np.uint16
 
 
+SPHERE_SWEEP = [(q, n, None) for q in (3, 5, 7, 9, 11, 25, 27, 31) for n in (2, 3, 4)] + [
+    (3, 5, None), (5, 5, None), (13, 5, (1, 2, 6, 12)), (7, 7, (1, 3, 6))]
+
+
+def sweep_radii(field, radii):
+    return field.units() if radii is None else radii
+
+
+@pytest.mark.parametrize("q,n,radii", SPHERE_SWEEP)
+def test_fibred_spheres_equal_the_translate_of_the_rescan(q, n, radii):
+    field = field_of(q)
+    rng = np.random.default_rng(q * 100 + n)
+    tail = tuple(int(c) for c in rng.integers(1, q, size=n - 1))
+    centers = [(0,) * n, (q - 1,) + (0,) * (n - 1), (0,) + tail,
+               tuple(int(c) for c in rng.integers(0, q, size=n))]
+    for r in sweep_radii(field, radii):
+        for center in centers:
+            sphere = SphereSpec(center, r)
+            got = sphere_ranks(field, sphere)
+            assert got.dtype == np.int64
+            assert np.array_equal(np.sort(got), np.sort(old_sphere_ranks(field, sphere))), \
+                (center, r)
+
+
+@pytest.mark.parametrize("q,n,radii", SPHERE_SWEEP + [(3, 1, None), (9, 1, None), (31, 1, None)])
+def test_origin_spheres_equal_the_rescan_element_for_element(q, n, radii):
+    field = field_of(q)
+    for r in sweep_radii(field, radii):
+        assert np.array_equal(origin_sphere_ranks(field, n, r),
+                              old_origin_sphere_ranks(field, n, r)), r
+
+
+@pytest.mark.parametrize("q,m", [(3, 1), (9, 2), (31, 3), (13, 4)])
+def test_level_order_is_cached_read_only_and_int32(q, m):
+    field = field_of(q)
+    order, offsets = level_order(field, m)
+    assert level_order(field, m)[0] is order
+    assert order.dtype == np.int32 and order.shape == (q ** m,)
+    assert offsets.shape == (q + 1,) and offsets[0] == 0 and offsets[-1] == q ** m
+    assert not order.flags.writeable and not offsets.flags.writeable
+    profile = origin_norm_profile(field, m)
+    for v in range(q):
+        assert np.array_equal(order[offsets[v]:offsets[v + 1]], np.flatnonzero(profile == v))
+
+
+def test_fibres_scale_in_64_bits():
+    # past 2^31 points q * t overflows int32, the dtype of the level order
+    field = make_field(5)
+    order, offsets = level_order(field, 2)
+    want = []
+    for y in range(5):
+        v = field.sub(1, field.mul(y, y))
+        want += [y + 2 ** 33 * int(t) for t in order[offsets[v]:offsets[v + 1]]]
+    got = _fibres(field, 2, 1, np.arange(5), 2 ** 33)
+    assert got.tolist() == want
+
+
+def test_centred_profile_oracle_matches_the_scalar_norm():
+    field = field_of(9)
+    center = (1, 3)
+    prof = norm_profile_at(field, 2, center)
+    for r in range(81):
+        vec = point_unrank(field, 2, r)
+        assert prof[r] == norm(field, tuple(field.sub(x, c) for x, c in zip(vec, center)))
+
+
 def test_origin_sphere_ranks_ascend_and_partition_the_nonzero_norms():
     field = make_field(5)
     parts = [origin_sphere_ranks(field, 3, r) for r in field.units()]
@@ -369,6 +464,18 @@ def test_hypersphere_witness_with_bad_direction_is_false():
     spec = entries[1]
     entries[1] = HypersphereSpec(spec.center, (-4, 0, 0), 1)
     assert not witness_valid(field, res.points, KakeyaWitness("hypersphere", entries))
+
+
+@pytest.mark.parametrize("center", [1, 6])
+def test_circle_witness_needs_both_points_in_the_set(center):
+    # the circle of radius 1 around 1 is {2, 0}, around 6 it is {0, 5}:
+    # either way one point is the missing 0
+    field = make_field(7)
+    points = PointSet.from_ranks(field, 1, range(1, 7))
+    entries = {r: CircleSpec(2 if r in (3, 4) else 3, r) for r in field.units()}
+    assert witness_valid(field, points, KakeyaWitness("circular-radius", entries))
+    entries[1] = CircleSpec(center, 1)
+    assert not witness_valid(field, points, KakeyaWitness("circular-radius", entries))
 
 
 @pytest.mark.parametrize("kind,key,circle", [
