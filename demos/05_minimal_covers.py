@@ -1,8 +1,8 @@
 """How small can a circular Kakeya set actually be?
 
-For q up to 13 the exact minimum is computed by a normalized DFS and then
-certified by unpruned enumeration one size below.  Past that, a greedy
-pass still gives a working cover quickly.
+For q up to 13 the exact minimum is computed by a normalized DFS, which
+certifies it by exhausting every smaller size.  Past that, a greedy pass
+still gives a working cover quickly.
 """
 
 from ffkakeya import (

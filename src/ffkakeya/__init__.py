@@ -5,134 +5,68 @@ diagonal quadrics both by brute force and by the closed formulas, checks
 the covering properties exhaustively or via stored witnesses, and searches
 for minimal circular covers.  Everything is exact integer arithmetic on
 top of small cached field tables.
-"""
 
-from .constructions import (
-    CircleSpec,
-    ConstructionResult,
-    KakeyaWitness,
-    center_spherical,
-    circular_odd_power,
-    circular_prime,
-    circular_square,
-    hypersphere_union,
-    radius_spherical,
-    witness_from_json_dict,
-)
-from .errors import (
-    BadDimensionError,
-    BudgetExceededError,
-    IdenticalSpheresError,
-    KakeyaError,
-    NonOddPrimeError,
-    NotANonsquareError,
-    NotASquareFieldError,
-    SizeCapError,
-    UsageError,
-    WrongDegreeError,
-    ZeroCoefficientError,
-    ZeroDirectionError,
-    ZeroRadiusError,
-)
-from .field import Fq, ceil_sqrt, make_field, prime_power_decompose, smallest_irreducible
-from .geometry import (
-    DiagonalEq,
-    HypersphereSpec,
-    PointSet,
-    SphereSpec,
-    diagonal_count_bruteforce,
-    diagonal_count_closed,
-    diagonal_counts_by_rhs,
-    hypersphere_points,
-    hypersphere_ranks,
-    norm,
-    norm_profile,
-    origin_norm_profile,
-    point_rank,
-    point_unrank,
-    sphere_intersection_size,
-    sphere_points,
-    sphere_ranks,
-    sum_two_squares_covers,
-    translate,
-)
-from .search import SearchOutcome, greedy_circular, minimal_circular_exact
-from .verification import (
-    BoundReport,
-    circular_lower_bounds,
-    diff_cover,
-    exact_str,
-    intersection_lemma_bound,
-    spherical_kakeya_lower_bound,
-    sum_cover,
-    verify_center_kakeya,
-    verify_intersection_lemma,
-    verify_radius_kakeya,
-    witness_valid,
-)
+Importing the package loads none of its modules.  The first touch of any
+public name imports the library modules once and binds every public
+name, so a process that only runs the command line pays for the modules
+its subcommand uses, and a library caller pays for them all at once.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadDimensionError",
-    "BoundReport",
-    "BudgetExceededError",
-    "CircleSpec",
-    "ConstructionResult",
-    "DiagonalEq",
-    "Fq",
-    "HypersphereSpec",
-    "IdenticalSpheresError",
-    "KakeyaError",
-    "KakeyaWitness",
-    "NonOddPrimeError",
-    "NotANonsquareError",
-    "NotASquareFieldError",
-    "PointSet",
-    "SearchOutcome",
-    "SizeCapError",
-    "SphereSpec",
-    "UsageError",
-    "WrongDegreeError",
-    "ZeroCoefficientError",
-    "ZeroDirectionError",
-    "ZeroRadiusError",
-    "ceil_sqrt",
-    "center_spherical",
-    "circular_lower_bounds",
-    "circular_odd_power",
-    "circular_prime",
-    "circular_square",
-    "diagonal_count_bruteforce",
-    "diagonal_count_closed",
-    "diagonal_counts_by_rhs",
-    "diff_cover",
-    "exact_str",
-    "greedy_circular",
-    "hypersphere_points",
-    "hypersphere_ranks",
-    "hypersphere_union",
-    "intersection_lemma_bound",
-    "make_field",
-    "minimal_circular_exact",
-    "norm",
-    "norm_profile",
-    "origin_norm_profile",
-    "point_rank",
-    "point_unrank",
-    "prime_power_decompose",
-    "radius_spherical",
-    "smallest_irreducible",
-    "spherical_kakeya_lower_bound",
-    "sphere_intersection_size",
-    "sphere_points",
-    "sphere_ranks",
-    "sum_cover",
-    "sum_two_squares_covers",
-    "translate",
-    "verify_center_kakeya",
-    "verify_intersection_lemma",
-    "verify_radius_kakeya",
-    "witness_from_json_dict",
-    "witness_valid",
-]
+# each public name, under the module that defines it
+_HOMES = {
+    "constructions": (
+        "CircleSpec", "ConstructionResult", "KakeyaWitness", "center_spherical",
+        "circular_odd_power", "circular_prime", "circular_square",
+        "hypersphere_union", "radius_spherical", "witness_from_json_dict",
+    ),
+    "errors": (
+        "BadDimensionError", "BudgetExceededError", "IdenticalSpheresError",
+        "KakeyaError", "NonOddPrimeError", "NotANonsquareError",
+        "NotASquareFieldError", "SizeCapError", "UsageError", "WrongDegreeError",
+        "ZeroCoefficientError", "ZeroDirectionError", "ZeroRadiusError",
+    ),
+    "exact": (
+        "BoundReport", "ceil_sqrt", "circular_lower_bounds", "exact_str",
+        "prime_power_decompose", "spherical_kakeya_lower_bound",
+    ),
+    "field": ("Fq", "make_field", "smallest_irreducible"),
+    "geometry": (
+        "DiagonalEq", "HypersphereSpec", "PointSet", "SphereSpec",
+        "diagonal_count_bruteforce", "diagonal_count_closed", "diagonal_counts_by_rhs",
+        "hypersphere_points", "hypersphere_ranks", "norm", "norm_profile",
+        "origin_norm_profile", "point_rank", "point_unrank", "sphere_intersection_size",
+        "sphere_points", "sphere_ranks", "sum_two_squares_covers", "translate",
+    ),
+    "search": ("SearchOutcome", "greedy_circular", "minimal_circular_exact"),
+    "verification": (
+        "diff_cover", "intersection_lemma_bound", "sum_cover", "verify_center_kakeya",
+        "verify_intersection_lemma", "verify_radius_kakeya", "witness_valid",
+    ),
+}
+
+__all__ = sorted(name for public in _HOMES.values() for name in public)
+
+
+def _bind_all() -> None:
+    """Import every library module and bind every public name, in one go."""
+    from importlib import import_module
+
+    names = globals()
+    for module, public in _HOMES.items():
+        mod = import_module(f".{module}", __name__)
+        for name in public:
+            names[name] = getattr(mod, name)
+
+
+def __getattr__(name: str):
+    # called only for names not bound yet; the first touch binds them all
+    if name in __all__ or name in _HOMES:
+        _bind_all()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,32 +15,18 @@ import json
 import sys
 from pathlib import Path
 
-from .constructions import (
-    VARIANTS,
-    center_spherical,
-    circular_odd_power,
-    circular_prime,
-    circular_square,
-    hypersphere_union,
-    json_int,
-    radius_spherical,
-    witness_from_json_dict,
-)
 from .errors import BudgetExceededError, KakeyaError, SizeCapError, UsageError
-from .field import make_field, prime_power_decompose
-from .geometry import DiagonalEq, PointSet, diagonal_count_bruteforce, diagonal_count_closed
-from .search import greedy_circular, minimal_circular_exact
-from .verification import (
+from .exact import (
     DEFAULT_BUDGET,
+    VARIANTS,
     circular_lower_bounds,
-    diff_cover,
     exact_str,
+    prime_power_decompose,
     spherical_kakeya_lower_bound,
-    sum_cover,
-    verify_center_kakeya,
-    verify_radius_kakeya,
-    witness_valid,
 )
+
+# Each subcommand imports the modules it runs, so `bound` never loads numpy
+# and `count` never loads the constructions.
 
 SPHERICAL = ("radius-spherical", "center-spherical", "hypersphere-union")
 CIRCULAR = ("circular-prime", "circular-square", "circular-odd-power")
@@ -84,6 +70,16 @@ def _csv_text(rows) -> str:
 
 
 def _build_construction(which, p, k, n, variant, r):
+    from .constructions import (
+        center_spherical,
+        circular_odd_power,
+        circular_prime,
+        circular_square,
+        hypersphere_union,
+        radius_spherical,
+    )
+    from .field import make_field
+
     if which in CIRCULAR:
         if n not in (None, 1):
             raise UsageError(f"{which} is one-dimensional; omit --n or pass 1")
@@ -117,6 +113,10 @@ def _cmd_construct(args) -> int:
 
 
 def _load_set_file(path):
+    from .constructions import json_int, witness_from_json_dict
+    from .field import make_field
+    from .geometry import PointSet
+
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or not isinstance(data.get("ranks"), list):
         raise UsageError(f"{path} is not a point set file")
@@ -136,6 +136,14 @@ def _load_set_file(path):
 
 
 def _cmd_verify(args) -> int:
+    from .verification import (
+        diff_cover,
+        sum_cover,
+        verify_center_kakeya,
+        verify_radius_kakeya,
+        witness_valid,
+    )
+
     field, points, witness = _load_set_file(args.file)
     prop = args.property
     if prop in ("radius", "center"):
@@ -177,6 +185,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .field import make_field
+    from .geometry import DiagonalEq, diagonal_count_bruteforce, diagonal_count_closed
+
     coeffs = tuple(int(x) for x in args.coeffs.split(",") if x.strip())
     if args.n is not None and args.n != len(coeffs):
         raise UsageError("--n does not match the number of coefficients")
@@ -211,6 +222,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .field import make_field
+    from .search import greedy_circular, minimal_circular_exact
+
     field = make_field(args.p, args.k)
     if args.method == "exact":
         outcome = minimal_circular_exact(field, args.kind, limit=args.limit,

@@ -29,6 +29,14 @@ from .errors import (
     WrongDegreeError,
     ZeroRadiusError,
 )
+from .exact import (
+    VARIANT_CENTER,
+    VARIANT_RADIUS,
+    VARIANTS,
+    circular_lower_bounds,
+    exact_str,
+    spherical_kakeya_lower_bound,
+)
 from .field import Fq, make_field
 from .geometry import (
     HypersphereSpec,
@@ -41,16 +49,7 @@ from .geometry import (
     space_size,
     sphere_ranks,
 )
-from .verification import (
-    circular_lower_bounds,
-    exact_str,
-    spherical_kakeya_lower_bound,
-    witness_valid,
-)
-
-VARIANT_RADIUS = "radius"
-VARIANT_CENTER = "center"
-VARIANTS = (VARIANT_RADIUS, VARIANT_CENTER)
+from .verification import witness_valid
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,131 @@
+"""Exact integer and rational results that need no arrays.
+
+Primality and prime-power decomposition, exact square roots, the
+rendering of rationals, the lower bounds on the size of spherical and
+circular Kakeya sets, and the constants the command-line parser needs.
+Nothing here imports numpy, so a process that only computes a bound
+never loads it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import BadDimensionError, NonOddPrimeError
+
+DEFAULT_BUDGET = 100_000_000
+
+VARIANT_RADIUS = "radius"
+VARIANT_CENTER = "center"
+VARIANTS = (VARIANT_RADIUS, VARIANT_CENTER)
+
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for all 64-bit inputs."""
+    if m < 2:
+        return False
+    for w in _MR_WITNESSES:
+        if m % w == 0:
+            return m == w
+    d = m - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for w in _MR_WITNESSES:
+        x = pow(w, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_power_decompose(q: int) -> tuple[int, int]:
+    """Write q as p^k with p an odd prime, or raise NonOddPrimeError."""
+    if not isinstance(q, int) or q < 3:
+        raise NonOddPrimeError(f"{q} is not an odd prime power >= 3")
+    if q % 2 == 0:
+        raise NonOddPrimeError(f"{q} is even")
+    p = None
+    d = 3
+    while d * d <= q:
+        if q % d == 0:
+            p = d
+            break
+        d += 2
+    if p is None:
+        return q, 1
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise NonOddPrimeError(f"{q} is not a prime power")
+    return p, k
+
+
+def ceil_sqrt(m: int) -> int:
+    """Exact ceiling of the square root of a nonnegative integer."""
+    if m < 0:
+        raise ValueError("negative input")
+    if m == 0:
+        return 0
+    return math.isqrt(m - 1) + 1
+
+
+def exact_str(value) -> str:
+    """Render an exact integer or rational; halves appear as 'num/2'."""
+    f = Fraction(value)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
+# ---- lower bounds ----
+
+@dataclass(frozen=True)
+class BoundReport:
+    q: int
+    n: int
+    branch: str
+    value: Fraction
+
+    @property
+    def ceiling(self) -> int:
+        return math.ceil(self.value)
+
+
+def spherical_kakeya_lower_bound(q: int, n: int) -> BoundReport:
+    """Exact lower bound for the size of any set containing q - 1 spheres
+    of distinct radii (n >= 4), or (q-1)/2 such spheres (n in {2, 3}).
+
+    The value can be a half-integer; callers wanting a point count take
+    the ceiling.
+    """
+    prime_power_decompose(q)
+    if not isinstance(n, int) or n < 2:
+        raise BadDimensionError(f"bound needs dimension >= 2, got {n}")
+    if n >= 4:
+        e = (n - 1) // 2
+        value = (Fraction(q ** n, 2) + Fraction(q ** (n - 1), 2) - q ** (n - 2)
+                 - Fraction(q ** (e + 2), 2) + Fraction(q ** (e + 1), 2))
+        return BoundReport(q, n, "n>=4", value)
+    value = Fraction(q ** n - q ** (n - 2), 4)
+    return BoundReport(q, n, "n in {2,3}", value)
+
+
+def circular_lower_bounds(q: int) -> tuple[int, int]:
+    """(ceil(sqrt(q)), ceil(sqrt(2q))): minimum sizes for difference and
+    restricted-sum covers of F_q."""
+    prime_power_decompose(q)
+    return ceil_sqrt(q), ceil_sqrt(2 * q)

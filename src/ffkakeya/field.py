@@ -32,68 +32,16 @@ from __future__ import annotations
 
 import functools
 from functools import cached_property
-from math import isqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonOddPrimeError, SizeCapError
+from .exact import ceil_sqrt, is_prime, prime_power_decompose  # noqa: F401 (re-exported)
 
 FIELD_CAP = 1 << 63  # largest accepted q = p^k
 TABLE_CAP = 4096     # largest q with dense q x q operation tables
 LOG_CAP_BYTES = 64 << 20  # largest exp/log pair, 12 bytes per element
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for all 64-bit inputs."""
-    if m < 2:
-        return False
-    for w in _MR_WITNESSES:
-        if m % w == 0:
-            return m == w
-    d = m - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for w in _MR_WITNESSES:
-        x = pow(w, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Write q as p^k with p an odd prime, or raise NonOddPrimeError."""
-    if not isinstance(q, int) or q < 3:
-        raise NonOddPrimeError(f"{q} is not an odd prime power >= 3")
-    if q % 2 == 0:
-        raise NonOddPrimeError(f"{q} is even")
-    p = None
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            p = d
-            break
-        d += 2
-    if p is None:
-        return q, 1
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise NonOddPrimeError(f"{q} is not a prime power")
-    return p, k
 
 
 # ---- polynomial helpers over F_p (coefficient lists, constant term first) ----
@@ -128,9 +76,11 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
     Candidate low coefficients (c_0, ..., c_{k-1}) are compared constant
-    term first, so the scan fixes c_0 outermost.
+    term first, so the scan fixes c_0 outermost.  For k >= 2 the codes
+    below p^(k-1) are exactly the candidates with c_0 = 0, each divisible
+    by t, so the scan starts at p^(k-1).
     """
-    for code in range(p ** k):
+    for code in range(p ** (k - 1) if k > 1 else 0, p ** k):
         low = [(code // p ** (k - 1 - i)) % p for i in range(k)]
         f = low + [1]
         if _is_irreducible(f, p):
@@ -488,11 +438,3 @@ def make_field(p: int, k: int = 1) -> Fq:
     """Cached constructor for F_(p^k)."""
     return Fq(p, k)
 
-
-def ceil_sqrt(m: int) -> int:
-    """Exact ceiling of the square root of a nonnegative integer."""
-    if m < 0:
-        raise ValueError("negative input")
-    if m == 0:
-        return 0
-    return isqrt(m - 1) + 1

@@ -435,7 +435,6 @@ def sphere_intersection_size(field: Fq, s1: SphereSpec, s2: SphereSpec) -> int:
 def sum_two_squares_covers(field: Fq) -> bool:
     """Whether every element of F_q^* is a sum of two squares."""
     sq = field.sq_arr
-    attained = np.unique(field.add_table[sq[:, None], sq[None, :]])
     mask = np.zeros(field.q, dtype=bool)
-    mask[attained] = True
+    mask[field.add_table[sq[:, None], sq[None, :]]] = True
     return bool(mask[1:].all())

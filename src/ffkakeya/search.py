@@ -3,21 +3,18 @@
 kind 'radius' asks for K - K = F_q, kind 'center' for K (+) K = F_q with
 distinct summands.  Both cover properties are invariant under affine maps
 K -> c*K + d (c != 0), so the exact search fixes 0 and 1 in K; that loses
-no generality and shrinks the tree.  Certified minimality can be
-re-checked independently with exhaustive_cover_exists, which enumerates
-every subset without any normalization or pruning.
+no generality and shrinks the tree.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError
+from .exact import circular_lower_bounds
 from .field import Fq
-from .verification import circular_lower_bounds, diff_cover, sum_cover
 
 EXACT_LIMIT = 13
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -114,17 +111,6 @@ def minimal_circular_exact(field: Fq, kind: str, *, limit: int = EXACT_LIMIT,
         if found is not None:
             return SearchOutcome(q, kind, s, tuple(sorted(found)), nodes, True)
     raise RuntimeError("no cover found up to size q")  # unreachable for odd q >= 3
-
-
-def exhaustive_cover_exists(field: Fq, kind: str, size: int) -> bool:
-    """Whether any subset of the given size covers, by plain enumeration of
-    all subsets with no normalization and no pruning."""
-    _check_kind(kind)
-    predicate = diff_cover if kind == KIND_RADIUS else sum_cover
-    for combo in itertools.combinations(range(field.q), size):
-        if predicate(field, combo):
-            return True
-    return False
 
 
 def greedy_circular(field: Fq, kind: str) -> SearchOutcome:

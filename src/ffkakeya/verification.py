@@ -9,18 +9,23 @@ difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 Witness mode checks a certificate object against the set; exhaustive mode
 needs none: it counts the points outside every candidate sphere, exactly,
 in about n * q^(n+2) steps whatever the set holds, within a work budget.
+The size lower bounds live in exact, which needs no numpy; they are
+re-exported here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import BadDimensionError, BudgetExceededError
-from .field import Fq, ceil_sqrt, prime_power_decompose
+from .exact import (  # noqa: F401 (re-exported)
+    DEFAULT_BUDGET,
+    BoundReport,
+    circular_lower_bounds,
+    exact_str,
+    spherical_kakeya_lower_bound,
+)
+from .field import Fq
 from .geometry import (
     HypersphereSpec,
     PointSet,
@@ -32,57 +37,6 @@ from .geometry import (
     space_size,
     sphere_ranks,
 )
-
-DEFAULT_BUDGET = 100_000_000
-
-
-def exact_str(value) -> str:
-    """Render an exact integer or rational; halves appear as 'num/2'."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-# ---- lower bound for spherical Kakeya sets ----
-
-@dataclass(frozen=True)
-class BoundReport:
-    q: int
-    n: int
-    branch: str
-    value: Fraction
-
-    @property
-    def ceiling(self) -> int:
-        return math.ceil(self.value)
-
-
-def spherical_kakeya_lower_bound(q: int, n: int) -> BoundReport:
-    """Exact lower bound for the size of any set containing q - 1 spheres
-    of distinct radii (n >= 4), or (q-1)/2 such spheres (n in {2, 3}).
-
-    The value can be a half-integer; callers wanting a point count take
-    the ceiling.
-    """
-    prime_power_decompose(q)
-    if not isinstance(n, int) or n < 2:
-        raise BadDimensionError(f"bound needs dimension >= 2, got {n}")
-    if n >= 4:
-        e = (n - 1) // 2
-        value = (Fraction(q ** n, 2) + Fraction(q ** (n - 1), 2) - q ** (n - 2)
-                 - Fraction(q ** (e + 2), 2) + Fraction(q ** (e + 1), 2))
-        return BoundReport(q, n, "n>=4", value)
-    value = Fraction(q ** n - q ** (n - 2), 4)
-    return BoundReport(q, n, "n in {2,3}", value)
-
-
-def circular_lower_bounds(q: int) -> tuple[int, int]:
-    """(ceil(sqrt(q)), ceil(sqrt(2q))): minimum sizes for difference and
-    restricted-sum covers of F_q."""
-    prime_power_decompose(q)
-    return ceil_sqrt(q), ceil_sqrt(2 * q)
-
 
 # ---- witness checking ----
 
@@ -155,7 +109,7 @@ def _complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     # C-order axes, most significant digit first, as the final reshape reads
     acc = np.zeros((q,) * n + (q,), dtype=np.min_scalar_type(space))
     acc[..., 0] = (~points.mask).reshape((q,) * n)
-    squares = np.unique(sq)
+    squares = np.flatnonzero(np.bincount(sq, minlength=q))
     for axis in range(n):
         nxt = np.zeros_like(acc)
         for t in squares:
@@ -241,30 +195,38 @@ def intersection_lemma_bound(q: int, n: int) -> int:
 
 # ---- one-dimensional covers ----
 
+def _marks(field: Fq, ranks) -> np.ndarray:
+    """Boolean marks over F_q of the ranks attained, in O(size + q) steps."""
+    hit = np.zeros(field.q, dtype=bool)
+    hit[ranks] = True
+    return hit
+
+
 def _clean_ranks(field: Fq, elems) -> np.ndarray:
     """The distinct ranks of elems, sorted; ValueError for non-integer or
-    out-of-range ranks."""
+    out-of-range ranks.  It sorts the ranks given, so a small set in a
+    large field costs nothing of order q."""
     idx = np.asarray(elems if isinstance(elems, np.ndarray) else list(elems))
     if idx.size and idx.dtype.kind not in "iu":
         raise ValueError(f"ranks must be integers, got dtype {idx.dtype}")
-    ks = np.unique(idx).astype(np.int64)
-    if ks.size and not (0 <= ks[0] and ks[-1] < field.q):
+    if idx.size and not (0 <= idx.min() and idx.max() < field.q):
         raise ValueError("element rank out of range")
-    return ks
+    ks = np.sort(idx.astype(np.int64).ravel())
+    return ks[np.concatenate(([True], ks[1:] != ks[:-1]))] if ks.size else ks
 
 
 def diff_cover(field: Fq, elems) -> bool:
     """True iff K - K = F_q."""
     k = _clean_ranks(field, elems)
-    if not k.size:
+    if k.size * (k.size - 1) + 1 < field.q:  # too few differences
         return False
-    return np.unique(field.sub_arrays(k[:, None], k[None, :])).size == field.q
+    return bool(_marks(field, field.sub_arrays(k[:, None], k[None, :])).all())
 
 
 def sum_cover(field: Fq, elems) -> bool:
     """True iff K (+) K = F_q, sums of two distinct elements only."""
     k = _clean_ranks(field, elems)
-    if k.size < 2:
+    if k.size * (k.size - 1) < 2 * field.q:  # too few pairs
         return False
     sums = field.add_arrays(k[:, None], k[None, :])
-    return np.unique(sums[~np.eye(k.size, dtype=bool)]).size == field.q
+    return bool(_marks(field, sums[~np.eye(k.size, dtype=bool)]).all())

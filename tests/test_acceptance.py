@@ -50,7 +50,6 @@ from ffkakeya import (
     witness_valid,
 )
 from ffkakeya.field import ceil_sqrt
-from ffkakeya.search import exhaustive_cover_exists
 
 SWEEP_Q = [3, 5, 7, 9, 11, 13, 25, 27]
 SWEEP_N = [1, 2, 3, 4]
@@ -233,8 +232,8 @@ def test_criterion_8_search():
             assert out.certified
             assert out.size >= lower
             assert cover(field, list(out.example))
-            assert exhaustive_cover_exists(field, kind, out.size)
-            assert not exhaustive_cover_exists(field, kind, out.size - 1)
+            assert conftest.exhaustive_cover_exists(field, kind, out.size)
+            assert not conftest.exhaustive_cover_exists(field, kind, out.size - 1)
             greedy = greedy_circular(field, kind)
             assert greedy.size >= out.size
             assert cover(field, list(greedy.example))

@@ -56,6 +56,15 @@ def _odd_prime_powers_up_to(bound):
     return out
 
 
+def full_scan_irreducible(p, k):
+    """The modulus search from code 0, candidates with c_0 = 0 included."""
+    for code in range(p ** k):
+        f = [(code // p ** (k - 1 - i)) % p for i in range(k)] + [1]
+        if field_module._is_irreducible(f, p):
+            return tuple(f)
+    raise AssertionError("no irreducible found")
+
+
 # ---- oracles: the table builders replaced by exp/log gathers ----
 
 def _old_digits(field):
@@ -161,6 +170,12 @@ class TestModulus:
             for code in range(sum(c * p**(k - 1 - i) for i, c in enumerate(body))):
                 cand = tuple((code // p**(k - 1 - i)) % p for i in range(k)) + (1,)
                 assert ref_has_root(cand, p), cand
+
+    @pytest.mark.parametrize("p,k", [
+        (p, k) for q in _odd_prime_powers_up_to(3 ** 10)
+        for p, k in [prime_power_decompose(q)] if k >= 2])
+    def test_search_skipping_c0_zero_equals_the_full_scan(self, p, k):
+        assert smallest_irreducible(p, k) == full_scan_irreducible(p, k)
 
     def test_prime_field_has_no_modulus(self):
         assert make_field(7).modulus is None

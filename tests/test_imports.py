@@ -1,0 +1,118 @@
+"""What an ffkakeya process imports: each subcommand loads only the modules
+it runs, and the package binds its public names in one go on first touch.
+
+Every check starts a fresh interpreter, since the test process itself has
+long since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ffkakeya
+
+# the checkout's package, whatever directory a probe runs in
+ENV = dict(os.environ, PYTHONPATH=str(Path(ffkakeya.__file__).resolve().parent.parent))
+
+# runs one command line in-process, then writes the loaded module names
+CLI_PROBE = """
+import json, sys
+from ffkakeya.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as f:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, f)
+"""
+
+
+def modules_after(tmp_path, *argv):
+    report = tmp_path / "modules.json"
+    proc = subprocess.run([sys.executable, "-c", CLI_PROBE, str(report), *map(str, argv)],
+                          capture_output=True, text=True, cwd=tmp_path, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(report.read_text())
+    assert result["code"] == 0, proc.stderr
+    return set(result["modules"])
+
+
+@pytest.fixture(scope="module")
+def set_files(tmp_path_factory):
+    """A center-spherical set in F_5^3, and a difference and a sum cover of F_13."""
+    from ffkakeya import center_spherical, circular_prime, make_field
+
+    work = tmp_path_factory.mktemp("sets")
+    for name, res in (("center.json", center_spherical(make_field(5), 3)),
+                      ("cover.json", circular_prime(13, "radius")),
+                      ("sums.json", circular_prime(13, "center"))):
+        (work / name).write_text(json.dumps(res.to_json_dict()))
+    return work
+
+
+def test_bound_imports_no_numpy(tmp_path):
+    loaded = modules_after(tmp_path, "bound", "--q", "9", "--n", "4")
+    assert "numpy" not in loaded
+    assert {"ffkakeya.cli", "ffkakeya.exact"} <= loaded
+
+
+def test_count_and_search_skip_the_constructions(tmp_path):
+    for argv in (("count", "--p", "3", "--k", "2", "--coeffs", "1,2,3", "--rhs", "1"),
+                 ("search", "--p", "7", "--kind", "center")):
+        loaded = modules_after(tmp_path, *argv)
+        assert "ffkakeya.constructions" not in loaded, argv
+        assert "numpy" in loaded, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--file", "center.json", "--property", "center", "--mode", "exhaustive"),
+    ("verify", "--file", "cover.json", "--property", "diff-cover"),
+    ("verify", "--file", "sums.json", "--property", "sum-cover"),
+])
+def test_verify_imports_no_masked_arrays(set_files, argv):
+    loaded = modules_after(set_files, *argv)
+    assert "ffkakeya.verification" in loaded
+    assert "numpy.ma" not in loaded
+
+
+def run_python(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_bare_import_loads_no_module_and_no_numpy():
+    out = run_python(
+        "import sys, ffkakeya\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('ffkakeya', 'numpy'))))")
+    assert out.split() == ["['ffkakeya']"]
+
+
+def test_first_touch_of_any_public_name_binds_them_all():
+    # Dropping only the package from sys.modules re-runs __init__ alone;
+    # the library modules stay loaded, so each round is cheap.
+    out = run_python(
+        "import importlib, sys\n"
+        "import ffkakeya\n"
+        "names = list(ffkakeya.__all__)\n"
+        "assert set(names) <= set(dir(ffkakeya))\n"
+        "for name in names:\n"
+        "    del sys.modules['ffkakeya']\n"
+        "    pkg = importlib.import_module('ffkakeya')\n"
+        "    assert not set(names) & set(vars(pkg)), name\n"
+        "    getattr(pkg, name)\n"
+        "    assert set(names) <= set(vars(pkg)), name\n"
+        "print(len(names))")
+    assert int(out) == len(ffkakeya.__all__)
+
+
+def test_star_import_and_dir_list_all():
+    namespace = {}
+    exec("from ffkakeya import *", namespace)
+    assert set(ffkakeya.__all__) <= set(namespace)
+    assert set(ffkakeya.__all__) <= set(dir(ffkakeya))
+    assert ffkakeya.make_field is ffkakeya.field.make_field
+    with pytest.raises(AttributeError):
+        ffkakeya.no_such_name  # noqa: B018

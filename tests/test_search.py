@@ -6,6 +6,7 @@ oracle.
 
 import pytest
 
+from conftest import exhaustive_cover_exists
 from ffkakeya import (
     BudgetExceededError,
     circular_lower_bounds,
@@ -16,7 +17,7 @@ from ffkakeya import (
     prime_power_decompose,
     sum_cover,
 )
-from ffkakeya.search import SearchOutcome, exhaustive_cover_exists
+from ffkakeya.search import SearchOutcome
 
 SMALL_Q = [3, 5, 7, 9, 11, 13]
 

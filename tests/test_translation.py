@@ -152,7 +152,11 @@ def old_circular_witness(field, ks, variant):
 
 def old_complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     """G[a, v] = number of points outside the set at norm-distance v from
-    center rank a.  A sphere S_v(a) lies inside the set iff G[a, v] == 0."""
+    center rank a.  A sphere S_v(a) lies inside the set iff G[a, v] == 0.
+
+    Every (center, non-member) pair is summed coordinate by coordinate
+    through flat gathers from the raveled (c - a)^2 and addition tables,
+    in int16 while q^2 < 2^15 (each index c * q + a stays below q^2)."""
     field = points.field
     q = field.q
     n = points.n
@@ -161,11 +165,11 @@ def old_complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     estimate = space * max(int(comp.size), 1)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    sq = field.sq_arr
-    sub = field.sub_table
-    add = field.add_table
+    dt = np.int16 if q * q < 2 ** 15 else np.int32
+    sq_sub = field.sq_arr[field.sub_table].astype(dt).ravel()  # [c * q + a] = (c - a)^2
+    add = field.add_table.astype(dt).ravel()                    # [x * q + y] = x + y
     steps = q ** np.arange(n, dtype=np.int64)
-    cdig = ((comp[:, None] // steps[None, :]) % q).astype(np.int32)
+    cdig = ((comp[:, None] // steps[None, :]) % q).astype(dt)
     out = np.zeros((space, q), dtype=np.int64)
     if comp.size == 0:
         return out
@@ -173,11 +177,10 @@ def old_complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     centers = np.arange(space, dtype=np.int64)
     for lo in range(0, space, chunk):
         hi = min(space, lo + chunk)
-        adig = ((centers[lo:hi, None] // steps[None, :]) % q).astype(np.int32)
-        acc = np.zeros((hi - lo, comp.size), dtype=np.int32)
+        adig = ((centers[lo:hi, None] // steps[None, :]) % q).astype(dt)
+        acc = np.zeros((hi - lo, comp.size), dtype=dt)
         for i in range(n):
-            term = sq[sub[cdig[None, :, i], adig[:, i, None]]]
-            acc = add[acc, term]
+            acc = add.take(acc * q + sq_sub.take(cdig[:, i] * q + adig[:, i, None]))
         flat = acc + (np.arange(hi - lo, dtype=np.int64)[:, None] * q)
         counts = np.bincount(flat.reshape(-1), minlength=(hi - lo) * q)
         out[lo:hi] = counts.reshape(hi - lo, q)

@@ -27,12 +27,14 @@ from ffkakeya import (
     radius_spherical,
     spherical_kakeya_lower_bound,
     sum_cover,
+    sum_two_squares_covers,
     verify_center_kakeya,
     verify_intersection_lemma,
     verify_radius_kakeya,
     witness_valid,
 )
 from ffkakeya.geometry import space_size
+from ffkakeya.verification import _clean_ranks
 
 
 def ref_sphere_ranks(field, center, radius, n):
@@ -320,6 +322,80 @@ class TestOneDimensionalCovers:
             image = [f.add(f.mul(lam, x), c) for x in ks]
             assert diff_cover(f, ks) == diff_cover(f, image)
             assert sum_cover(f, ks) == sum_cover(f, image)
+
+
+# ---- oracles: the np.unique paths replaced by sorts and boolean marks ----
+
+def unique_clean_ranks(field, elems):
+    idx = np.asarray(elems if isinstance(elems, np.ndarray) else list(elems))
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"ranks must be integers, got dtype {idx.dtype}")
+    ks = np.unique(idx).astype(np.int64)
+    if ks.size and not (0 <= ks[0] and ks[-1] < field.q):
+        raise ValueError("element rank out of range")
+    return ks
+
+
+def unique_diff_cover(field, elems):
+    k = unique_clean_ranks(field, elems)
+    return bool(k.size) and np.unique(field.sub_arrays(k[:, None], k[None, :])).size == field.q
+
+
+def unique_sum_cover(field, elems):
+    k = unique_clean_ranks(field, elems)
+    if k.size < 2:
+        return False
+    sums = field.add_arrays(k[:, None], k[None, :])
+    return np.unique(sums[~np.eye(k.size, dtype=bool)]).size == field.q
+
+
+def unique_sum_two_squares_covers(field):
+    sq = field.sq_arr
+    attained = np.unique(field.add_table[sq[:, None], sq[None, :]])
+    return set(range(1, field.q)) <= set(attained.tolist())
+
+
+class TestMarksEqualUnique:
+    @pytest.mark.parametrize("q", [3, 7, 9, 25, 27, 101])
+    def test_ranks_and_covers(self, q):
+        f = make_field(*prime_power_decompose(q))
+        rng = np.random.default_rng(q)
+        for trial in range(60):
+            raw = rng.integers(0, q, size=int(rng.integers(0, 2 * q)))
+            if trial % 3 == 1:
+                raw = raw.astype(np.uint8 if q < 256 else np.int32)
+            elems = raw.reshape(-1, 2) if trial % 4 == 2 and raw.size % 2 == 0 else raw
+            got = _clean_ranks(f, elems)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, unique_clean_ranks(f, elems))
+            for ks in (elems, raw.tolist()):
+                assert diff_cover(f, ks) == unique_diff_cover(f, ks)
+                assert sum_cover(f, ks) == unique_sum_cover(f, ks)
+
+    def test_small_set_in_a_large_field_allocates_nothing_of_order_q(self):
+        f = make_field(1_000_000_007)
+        ks = [10 ** 9, 0, 5, 1, 5]
+        assert _clean_ranks(f, ks).tolist() == [0, 1, 5, 10 ** 9]
+        assert not diff_cover(f, ks) and not sum_cover(f, ks)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25, 27, 49, 81, 125])
+    def test_sum_two_squares(self, q):
+        f = make_field(*prime_power_decompose(q))
+        assert sum_two_squares_covers(f) == unique_sum_two_squares_covers(f)
+
+    @pytest.mark.parametrize("elems", [
+        [-1, 0], [0, 7], [7], [3, -2, 9], np.array([0, 7], dtype=np.uint8),
+        [0.5, 1.0], np.array([1.0, 2.0]), [True, False],
+    ], ids=["negative", "q", "only-q", "both", "uint8-q", "float", "float-array", "bool"])
+    def test_same_errors(self, elems):
+        f = make_field(7)
+        with pytest.raises(ValueError) as want:
+            unique_clean_ranks(f, elems)
+        for fn in (_clean_ranks, diff_cover, sum_cover):
+            with pytest.raises(ValueError) as got:
+                fn(f, elems)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
 
 
 class TestHypersphereWitnessPath:
