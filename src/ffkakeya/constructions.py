@@ -43,11 +43,11 @@ from .geometry import (
     PointSet,
     SphereSpec,
     is_rank,
+    level_order,
     origin_norm_profile,
     origin_sphere_ranks,
     point_unrank,
     space_size,
-    sphere_ranks,
 )
 from .verification import witness_valid
 
@@ -200,28 +200,45 @@ def _circular_window_met(q: int, size: int, lower: int) -> bool:
 
 def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     """Union over r in F_q^* of the sphere of radius r centered at
-    (r, 0, ..., 0), i.e. the solution sets of (x - r)^2 + ||y|| = r.
+    (r, 0, ..., 0), i.e. the solution sets of (x_0 - r)^2 + ||t|| = r.
 
     Any two of these spheres meet only in the hyperplane where the first
     coordinate is (r + s - 1)/2, and no three share a point, so the union
     size equals sum of sphere sizes minus half the ordered pairwise
     intersection total.  Both sums come from the multiplicity m(x), the
     number of spheres through x: sum m and sum m(m - 1).
+
+    Fibres.  Whether (x_0, t) lies on the sphere of radius r depends only
+    on x_0 and v = ||t||, so m(x_0, t) = M[||t||, x_0] with
+
+        M[v, x_0] = #{r in F_q^* : (x_0 - r)^2 + v = r},
+
+    built by one length-q update per radius (sphere r adds 1 at
+    (r - (x_0 - r)^2, x_0) for every x_0).  The set is M > 0 read through
+    the origin norm profile of F_q^(n-1), and with L_v = #{t : ||t|| = v}
+    the level sizes, sum m = sum_(v, x_0) L_v M[v, x_0] and likewise for
+    m(m - 1); the latter is summed as each update raises some M from
+    m to m + 1, which adds 2m.  Nothing of size q^n is counted.
     """
     if n < 2:
         raise BadDimensionError("radius construction needs dimension >= 2")
     q = field.q
-    space = space_size(field, n)
+    space_size(field, n)
     tail = (0,) * (n - 1)
     entries = {r: SphereSpec((r,) + tail, r) for r in field.units()}
-    multiplicity = np.zeros(space, dtype=np.min_scalar_type(q - 1))
-    for spec in entries.values():
-        multiplicity[sphere_ranks(field, spec)] += 1  # a sphere's ranks are distinct
-    m = np.arange(q)
-    counts = np.bincount(multiplicity, minlength=q)  # points of each multiplicity
-    singles = int(counts @ m)
-    pairs_ordered = int(counts @ (m * (m - 1)))
-    points = PointSet(field, n, multiplicity > 0)
+    _, offsets = level_order(field, n - 1)
+    level_sizes = np.diff(offsets).astype(np.int64)
+    x0 = np.arange(q)
+    multiplicity = np.zeros((q, q), dtype=np.min_scalar_type(q - 1))
+    singles = pairs_ordered = 0
+    for r in field.units():
+        levels = field.sub_arrays(r, field.sq_arr[field.sub_arrays(x0, r)])
+        before, sizes = multiplicity[levels, x0], level_sizes[levels]
+        singles += int(sizes.sum())
+        pairs_ordered += 2 * int(sizes @ before.astype(np.int64))
+        multiplicity[levels, x0] = before + 1
+    mask = (multiplicity > 0)[origin_norm_profile(field, n - 1)].ravel()
+    points = PointSet(field, n, mask)
     size = points.size
     witness = KakeyaWitness("radius", entries)
     report = spherical_kakeya_lower_bound(q, n)
@@ -257,9 +274,9 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
         raise UsageError(f"radius rank {r!r} outside [0, {q})")
     if field.char(r) != -1:
         raise NotANonsquareError(f"rank {r} is not a nonsquare in F_{q}")
-    y_norms = origin_norm_profile(field, n - 1)
-    good = field.char_arr[field.sub_table[r, y_norms]] >= 0
-    mask = np.repeat(good, q)
+    # (x, y) is in the set iff r - ||y|| is a square: one flag per level
+    square_gap = field.char_arr[field.sub_arrays(r, np.arange(q))] >= 0
+    mask = np.repeat(square_gap[origin_norm_profile(field, n - 1)], q)
     points = PointSet(field, n, mask)
     size = points.size
     tail = (0,) * (n - 1)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,16 +61,49 @@ def _poly_rem(a: list[int], m: list[int], p: int) -> list[int]:
     return a
 
 
+def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a * b modulo the monic polynomial f."""
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_rem([c % p for c in prod], f, p)
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A greatest common divisor of a and b, by Euclid's algorithm."""
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        a, b = b, _poly_rem(a, [c * inv % p for c in b], p)
+    return a
+
+
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Trial division of the monic polynomial f by every monic divisor
-    candidate of degree at most deg(f)//2."""
+    """Rabin's test for the monic polynomial f of degree k over F_p: f is
+    irreducible iff t^(p^k) = t mod f and gcd(t^(p^(k/l)) - t, f) = 1 for
+    every prime l dividing k.  A common factor with t^(p^j) - t for any
+    j < k has degree dividing j, so it proves f reducible: testing every
+    j <= k/2 as well rejects a candidate with a factor of degree d after
+    d powers.  About k^3 log p steps, where trial division by every
+    candidate of degree up to k/2 takes about p^(k/2)."""
     k = len(f) - 1
-    for d in range(1, k // 2 + 1):
-        for code in range(p ** d):
-            g = [(code // p ** i) % p for i in range(d)] + [1]
-            if not _poly_rem(f, g, p):
+    t = _poly_rem([0, 1], f, p)
+    gcd_at = set(range(1, k // 2 + 1)) | {k // ell for ell in _prime_factors(k)}
+    x = t  # t^(p^j) mod f
+    for j in range(1, k + 1):
+        base, e, x = x, p, [1]
+        while e:  # x = base^p mod f, by square-and-multiply
+            if e & 1:
+                x = _poly_mulmod(x, base, f, p)
+            base, e = _poly_mulmod(base, base, f, p), e >> 1
+        if j < k and j in gcd_at:
+            diff = [(a - b) % p for a, b in zip_longest(x, t, fillvalue=0)]
+            while diff and diff[-1] == 0:
+                diff.pop()
+            if len(_poly_gcd(f, diff, p)) != 1:
                 return False
-    return True
+    return x == t
 
 
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -78,7 +112,8 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     Candidate low coefficients (c_0, ..., c_{k-1}) are compared constant
     term first, so the scan fixes c_0 outermost.  For k >= 2 the codes
     below p^(k-1) are exactly the candidates with c_0 = 0, each divisible
-    by t, so the scan starts at p^(k-1).
+    by t, so the scan starts at p^(k-1).  Each candidate takes Rabin's
+    test, which is exact, so the modulus is the one trial division finds.
     """
     for code in range(p ** (k - 1) if k > 1 else 0, p ** k):
         low = [(code // p ** (k - 1 - i)) % p for i in range(k)]

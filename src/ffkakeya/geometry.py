@@ -17,6 +17,12 @@ sphere splits into fibres over its first coordinate (see sphere_ranks):
 one cached level order of the (n-1)-dim origin norm profile, 4 bytes per
 point of F_q^(n-1), gives every sphere in O(q + |sphere|) steps with no
 scan of F_q^n.  Hyper-spheres are translates of level sets of S_r(0).
+
+A sphere centred at (a_0, 0, ..., 0), the only kind both spherical
+constructions use, is a union of whole fibre levels {(x_0, t) : ||t|| = v}.
+So one q x q table per point set, fibre_level_table, says which levels lie
+inside it, and each such sphere is then checked by q lookups, with no
+gather over F_q^n.
 """
 
 from __future__ import annotations
@@ -354,6 +360,23 @@ def _fibres(field: Fq, m: int, radius, heads, scale: int) -> np.ndarray:
     np.multiply(order[out], scale, out=out, dtype=np.int64)  # no int32 overflow
     out += np.repeat(heads, sizes)
     return out
+
+
+def fibre_level_table(field: Fq, n: int, mask) -> np.ndarray:
+    """H[v, x0]: whether every point (x0, t) of F_q x F_q^(n-1) with
+    ||t|| = v lies in the set of the boolean rank mask; empty levels read
+    True.  Row t of mask.reshape(-1, q) is the line {(x0, t) : x0 in F_q},
+    so one gather puts the rows in level order and one reduction per
+    nonempty level gives the table, in O(q^n) steps and q^n bytes."""
+    q = field.q
+    order, offsets = level_order(field, n - 1)
+    full = offsets[:-1] < offsets[1:]
+    table = np.ones((q, q), dtype=bool)
+    # consecutive nonempty starts bound each level: the empty ones between
+    # them hold no rows, and reduceat would return a row, not True, for them
+    table[full] = np.logical_and.reduceat(mask.reshape(-1, q).take(order, axis=0),
+                                          offsets[:-1][full], axis=0)
+    return table
 
 
 def origin_sphere_ranks(field: Fq, n: int, radius: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from .geometry import (
     HypersphereSpec,
     PointSet,
     SphereSpec,
+    fibre_level_table,
     hypersphere_ranks,
     is_point,
     is_rank,
@@ -47,6 +48,16 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
     F_q for center-style kinds.  Every certified object must be made of
     element ranks in [0, q), with a nonzero radius, and lie inside the set.
     Returns False on any mismatch instead of raising.
+
+    Both spherical constructions certify with spheres centred at
+    (a_0, 0, ..., 0), which are unions of whole levels of the fibres:
+
+        S_r(a_0, 0, ..., 0) = {(a_0 + y_0, t) : y_0 in F_q, ||t|| = r - y_0^2},
+
+    so such a sphere lies inside the set iff H[r - y_0^2, a_0 + y_0] holds
+    for every y_0, with H = fibre_level_table of the set.  They are all
+    checked at once by q lookups each into the one q x q table; spheres
+    with any other center, and hyper-spheres, are gathered one by one.
     """
     kind = witness.kind
     entries = witness.entries
@@ -56,8 +67,7 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
         want = field.elements() if kind == "center-coordinate" else field.units()
         if set(entries) != set(want):
             return False
-        spec_type, gather = ((HypersphereSpec, hypersphere_ranks) if kind == "hypersphere"
-                             else (SphereSpec, sphere_ranks))
+        spec_type = HypersphereSpec if kind == "hypersphere" else SphereSpec
         for key, spec in entries.items():
             if not (isinstance(spec, spec_type) and is_point(field, n, spec.center)
                     and is_rank(field, spec.radius) and spec.radius):
@@ -66,9 +76,18 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
                 return False
             if (spec.center[0] if kind == "center-coordinate" else spec.radius) != key:
                 return False
-            if not mask[gather(field, spec)].all():
+        if kind == "hypersphere":
+            return all(mask[hypersphere_ranks(field, s)].all() for s in entries.values())
+        on_axis = [s for s in entries.values() if not any(s.center[1:])]
+        if on_axis:
+            a0, r = np.array([(s.center[0], s.radius) for s in on_axis],
+                             dtype=np.int64).T[:, :, None]
+            y0 = np.arange(field.q)
+            table = fibre_level_table(field, n, mask)
+            if not table[field.sub_arrays(r, field.sq_arr), field.add_arrays(a0, y0)].all():
                 return False
-        return True
+        return all(mask[sphere_ranks(field, s)].all()
+                   for s in entries.values() if any(s.center[1:]))
     if kind in ("circular-radius", "circular-center"):
         if n != 1:
             return False

@@ -8,6 +8,7 @@ import pytest
 
 from ffkakeya import (
     BadDimensionError,
+    Fq,
     HypersphereSpec,
     NonOddPrimeError,
     NotANonsquareError,
@@ -155,6 +156,13 @@ class TestCenterSpherical:
     def test_plane_case_still_carries_a_valid_witness(self):
         res = center_spherical(make_field(5), 2)
         assert res.witness_valid
+
+    def test_builds_no_dense_subtraction_table(self):
+        field = Fq(3, 3)  # a fresh instance: make_field's may hold tables already
+        res = center_spherical(field, 3)
+        assert "sub_table" not in field.__dict__
+        assert res.witness_valid
+        assert res.to_json_dict() == center_spherical(make_field(3, 3), 3).to_json_dict()
 
 
 class TestHypersphereUnion:

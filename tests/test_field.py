@@ -56,11 +56,24 @@ def _odd_prime_powers_up_to(bound):
     return out
 
 
+def trial_division_irreducible(f, p):
+    """The replaced irreducibility test: trial division of the monic f by
+    every monic candidate divisor of degree at most deg(f)//2."""
+    k = len(f) - 1
+    for d in range(1, k // 2 + 1):
+        for code in range(p ** d):
+            g = [(code // p ** i) % p for i in range(d)] + [1]
+            if not field_module._poly_rem(f, g, p):
+                return False
+    return True
+
+
 def full_scan_irreducible(p, k):
-    """The modulus search from code 0, candidates with c_0 = 0 included."""
+    """The modulus search from code 0, candidates with c_0 = 0 included,
+    each tested by trial division."""
     for code in range(p ** k):
         f = [(code // p ** (k - 1 - i)) % p for i in range(k)] + [1]
-        if field_module._is_irreducible(f, p):
+        if trial_division_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible found")
 
@@ -176,6 +189,18 @@ class TestModulus:
         for p, k in [prime_power_decompose(q)] if k >= 2])
     def test_search_skipping_c0_zero_equals_the_full_scan(self, p, k):
         assert smallest_irreducible(p, k) == full_scan_irreducible(p, k)
+
+    @pytest.mark.parametrize("p,kmax", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
+    def test_rabin_test_equals_trial_division_on_every_monic(self, p, kmax):
+        for k in range(1, kmax + 1):
+            for code in range(p ** k):
+                f = [(code // p ** i) % p for i in range(k)] + [1]
+                assert field_module._is_irreducible(f, p) == trial_division_irreducible(f, p), f
+
+    def test_degree_20_modulus_is_found_fast(self):
+        # the first irreducible by trial division, which took 2.6 s to find it
+        want = (1,) + (0,) * 16 + (1, 0, 2, 1)
+        assert smallest_irreducible(3, 20) == want
 
     def test_prime_field_has_no_modulus(self):
         assert make_field(7).modulus is None

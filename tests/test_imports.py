@@ -57,6 +57,13 @@ def test_bound_imports_no_numpy(tmp_path):
     assert {"ffkakeya.cli", "ffkakeya.exact"} <= loaded
 
 
+def test_bound_imports_no_dataclasses(tmp_path):
+    # BoundReport is a plain class: a dataclass would pull in inspect too
+    for argv in (("--q", "9", "--n", "4"), ("--q", "13", "--n", "1")):
+        loaded = modules_after(tmp_path, "bound", *argv)
+        assert "dataclasses" not in loaded and "inspect" not in loaded, argv
+
+
 def test_count_and_search_skip_the_constructions(tmp_path):
     for argv in (("count", "--p", "3", "--k", "2", "--coeffs", "1,2,3", "--rhs", "1"),
                  ("search", "--p", "7", "--kind", "center")):

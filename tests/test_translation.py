@@ -4,9 +4,10 @@ full-enumeration paths they replaced.
 Each oracle below is the earlier implementation, kept here verbatim in
 spirit: a fresh norm profile per sphere, the rescan of the origin profile
 and its n-dim translate per sphere, the per-center hyper-sphere loop,
-pairwise sphere masks, the all-pairs intersection scan, the dense-table
-circle certificates and the (center, non-member) pair scan of the
-exhaustive verifiers.
+pairwise sphere masks, the q^n multiplicity scatter of the radius
+construction, the per-sphere gathers of the witness check, the all-pairs
+intersection scan, the dense-table circle certificates and the
+(center, non-member) pair scan of the exhaustive verifiers.
 """
 
 import numpy as np
@@ -42,6 +43,7 @@ from ffkakeya import (
 from ffkakeya.constructions import KakeyaWitness
 from ffkakeya.geometry import (
     _fibres,
+    fibre_level_table,
     is_point,
     level_order,
     norm,
@@ -114,6 +116,32 @@ def old_radius_accounting(field, n):
         for s in units[i + 1:]:
             pairs += 2 * int(np.count_nonzero(masks[r] & masks[s]))
     return union, singles, pairs
+
+
+def old_radius_scatter(field, n):
+    """Union, sum of sizes and ordered pairwise intersections from a q^n
+    multiplicity array, one scatter of each gathered sphere."""
+    q = field.q
+    multiplicity = np.zeros(q ** n, dtype=np.min_scalar_type(q - 1))
+    for r in field.units():
+        multiplicity[sphere_ranks(field, SphereSpec((r,) + (0,) * (n - 1), r))] += 1
+    m = np.arange(q)
+    counts = np.bincount(multiplicity, minlength=q)  # points of each multiplicity
+    return multiplicity > 0, int(counts @ m), int(counts @ (m * (m - 1)))
+
+
+def gathered_witness_valid(field, points, witness):
+    """The sphere-kind witness check by one gather per sphere (entries
+    assumed well formed)."""
+    want = field.elements() if witness.kind == "center-coordinate" else field.units()
+    if set(witness.entries) != set(want):
+        return False
+    for key, spec in witness.entries.items():
+        if (spec.center[0] if witness.kind == "center-coordinate" else spec.radius) != key:
+            return False
+        if not points.mask[sphere_ranks(field, spec)].all():
+            return False
+    return True
 
 
 def old_intersection_lemma(field, n):
@@ -246,7 +274,96 @@ def test_radius_accounting_equals_pairwise_masks(q, n):
     assert res.accounting["inclusionExclusionSize"] == res.size
 
 
-# ---- (d) intersection lemma over pairs centred at 0 ----
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_radius_fibre_table_equals_the_multiplicity_scatter(q, n):
+    field = field_of(q)
+    union, singles, pairs = old_radius_scatter(field, n)
+    res = radius_spherical(field, n)
+    assert np.array_equal(res.points.mask, union)
+    assert res.accounting["sumSphereSizes"] == singles
+    assert res.accounting["sumPairwiseIntersectionsOrdered"] == pairs
+    assert res.accounting["inclusionExclusionSize"] == res.size
+
+
+# ---- (d) witness checks from the fibre-level table ----
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (9, 2), (7, 3), (25, 2), (27, 3), (5, 4)])
+def test_fibre_level_table_is_the_levelwise_all(q, n):
+    field = field_of(q)
+    profile = origin_norm_profile(field, n - 1)
+    rng = np.random.default_rng(q * 7 + n)
+    full = PointSet.full(field, n).mask
+    for mask in (full, rng.random(q ** n) < 0.97, radius_spherical(field, n).points.mask):
+        rows = mask.reshape(-1, q)
+        want = np.array([[rows[profile == v, x0].all() for x0 in range(q)]
+                         for v in range(q)])
+        assert np.array_equal(fibre_level_table(field, n, mask), want)
+
+
+def sweep_witnesses(field, n):
+    """Both constructions, a radius witness and a center witness whose
+    spheres all have nonzero tails, and a mix of zero and nonzero tails;
+    each with the union of its spheres as the set."""
+    q = field.q
+    rng = np.random.default_rng(q * 100 + n)
+
+    def center(first, zero_tail):
+        tail = (0,) * (n - 1) if zero_tail else tuple(int(c) for c in rng.integers(1, q, n - 1))
+        return (first,) + tail
+
+    out = [(res.points, res.witness) for res in (radius_spherical(field, n),
+                                                 center_spherical(field, n))]
+    for tails in ("nonzero", "mixed"):
+        zero = (lambda i: False) if tails == "nonzero" else (lambda i: i % 2 == 0)
+        radius = {r: SphereSpec(center(int(rng.integers(0, q)), zero(r)), r)
+                  for r in field.units()}
+        centers = {a: SphereSpec(center(a, zero(a)), int(rng.integers(1, q)))
+                   for a in field.elements()}
+        for kind, entries in (("radius", radius), ("center-coordinate", centers)):
+            mask = np.zeros(q ** n, dtype=bool)
+            for spec in entries.values():
+                mask[sphere_ranks(field, spec)] = True
+            out.append((PointSet(field, n, mask), KakeyaWitness(kind, entries)))
+    return out
+
+
+WITNESS_SWEEP = [(q, n) for q in (3, 5, 7, 9, 25, 27) for n in (2, 3, 4) if q ** n <= 20_000]
+
+
+@pytest.mark.parametrize("q,n", WITNESS_SWEEP)
+def test_table_witness_check_equals_the_gathers(q, n):
+    field = field_of(q)
+    rng = np.random.default_rng(q + 10 * n)
+    for points, witness in sweep_witnesses(field, n):
+        assert witness_valid(field, points, witness)
+        assert gathered_witness_valid(field, points, witness)
+        assert witness_valid(field, PointSet.full(field, n), witness)
+        assert not witness_valid(field, PointSet.empty(field, n), witness)
+        random = PointSet(field, n, points.mask | (rng.random(q ** n) < 0.5))
+        random = PointSet(field, n, random.mask & (rng.random(q ** n) < 0.9))
+        assert (witness_valid(field, random, witness)
+                == gathered_witness_valid(field, random, witness))
+
+
+@pytest.mark.parametrize("q,n", WITNESS_SWEEP)
+def test_every_sphere_missing_one_point_is_rejected(q, n):
+    field = field_of(q)
+    rng = np.random.default_rng(q * 3 + n)
+    for points, witness in sweep_witnesses(field, n):
+        for key, spec in witness.entries.items():
+            ranks = sphere_ranks(field, spec)
+            # every point of a small sphere, else its first, last and a random one
+            picks = ranks if ranks.size <= 8 else ranks[[0, -1, int(rng.integers(ranks.size))]]
+            for rank in picks:
+                mask = points.mask.copy()
+                mask[rank] = False
+                holed = PointSet(field, n, mask)
+                assert not witness_valid(field, holed, witness), (witness.kind, key, rank)
+                assert not gathered_witness_valid(field, holed, witness)
+
+
+# ---- (e) intersection lemma over pairs centred at 0 ----
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 7, 9, 11) for n in (2, 3, 4)
                                  if q ** n <= 125])

@@ -1,6 +1,7 @@
 """Bounds, exhaustive verification, witness checking, one-dimensional covers."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,23 @@ class TestLowerBound:
                 want = (Fraction(q**n, 2) + Fraction(q**(n - 1), 2) - q**(n - 2)
                         - Fraction(q**(e + 2), 2) + Fraction(q**(e + 1), 2))
                 assert spherical_kakeya_lower_bound(q, n).value == want
+
+    def test_report_is_an_immutable_value(self):
+        report = spherical_kakeya_lower_bound(9, 4)
+        same = spherical_kakeya_lower_bound(9, 4)
+        assert report == same and hash(report) == hash(same)
+        assert report != spherical_kakeya_lower_bound(9, 3)
+        assert len({report, same, spherical_kakeya_lower_bound(9, 3)}) == 2
+        assert repr(report) == ("BoundReport(q=9, n=4, branch='n>=4', "
+                                "value=Fraction(3240, 1))")
+        assert pickle.loads(pickle.dumps(report)) == report
+        with pytest.raises(AttributeError):
+            report.value = Fraction(1)
+        with pytest.raises(AttributeError):
+            del report.q
+        with pytest.raises(AttributeError):
+            report.extra = 1
+        assert report.value == 3240 and report.ceiling == 3240
 
     def test_validation(self):
         with pytest.raises(NonOddPrimeError):
