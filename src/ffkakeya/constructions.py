@@ -238,7 +238,7 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
         pairs_ordered += 2 * int(sizes @ before.astype(np.int64))
         multiplicity[levels, x0] = before + 1
     mask = (multiplicity > 0)[origin_norm_profile(field, n - 1)].ravel()
-    points = PointSet(field, n, mask)
+    points = PointSet._adopt(field, n, mask)
     size = points.size
     witness = KakeyaWitness("radius", entries)
     report = spherical_kakeya_lower_bound(q, n)
@@ -277,7 +277,7 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
     # (x, y) is in the set iff r - ||y|| is a square: one flag per level
     square_gap = field.char_arr[field.sub_arrays(r, np.arange(q))] >= 0
     mask = np.repeat(square_gap[origin_norm_profile(field, n - 1)], q)
-    points = PointSet(field, n, mask)
+    points = PointSet._adopt(field, n, mask)
     size = points.size
     tail = (0,) * (n - 1)
     witness = KakeyaWitness(
@@ -330,7 +330,7 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
     norms = origin_norm_profile(field, n)
     union = norms == 0
     union[0] = False
-    points = PointSet(field, n, union)
+    points = PointSet._adopt(field, n, union)
     size = points.size
     null_size = size + 1
     entries = {}

@@ -23,6 +23,12 @@ constructions use, is a union of whole fibre levels {(x_0, t) : ||t|| = v}.
 So one q x q table per point set, fibre_level_table, says which levels lie
 inside it, and each such sphere is then checked by q lookups, with no
 gather over F_q^n.
+
+Diagonal quadrics a_1 x_1^2 + ... + a_n x_n^2 = b are counted two ways:
+by the classical closed form, and directly, for every b at once, by a
+recurrence over partial sums that adds one coordinate at a time from the
+number of square roots of each element, in O(n q^2) steps with no
+enumeration of F_q^n (diagonal_counts_by_rhs).
 """
 
 from __future__ import annotations
@@ -141,22 +147,32 @@ class PointSet:
     __slots__ = ("field", "n", "mask")
 
     def __init__(self, field: Fq, n: int, mask):
+        self._bind(field, n, np.array(mask, dtype=bool, copy=True))
+
+    @classmethod
+    def _adopt(cls, field: Fq, n: int, mask: np.ndarray) -> "PointSet":
+        """The set of a fresh bool mask, taken over without a copy and made
+        read-only; no other reference to the mask may write to it."""
+        points = cls.__new__(cls)
+        points._bind(field, n, mask)
+        return points
+
+    def _bind(self, field: Fq, n: int, mask: np.ndarray) -> None:
         size = space_size(field, n)
-        arr = np.array(mask, dtype=bool, copy=True)
-        if arr.shape != (size,):
+        if mask.shape != (size,):
             raise ValueError(f"mask must have shape ({size},)")
-        arr.setflags(write=False)
+        mask.setflags(write=False)
         self.field = field
         self.n = n
-        self.mask = arr
+        self.mask = mask
 
     @classmethod
     def empty(cls, field: Fq, n: int) -> "PointSet":
-        return cls(field, n, np.zeros(space_size(field, n), dtype=bool))
+        return cls._adopt(field, n, np.zeros(space_size(field, n), dtype=bool))
 
     @classmethod
     def full(cls, field: Fq, n: int) -> "PointSet":
-        return cls(field, n, np.ones(space_size(field, n), dtype=bool))
+        return cls._adopt(field, n, np.ones(space_size(field, n), dtype=bool))
 
     @classmethod
     def from_ranks(cls, field: Fq, n: int, ranks) -> "PointSet":
@@ -169,7 +185,7 @@ class PointSet:
             if idx.min() < 0 or idx.max() >= size:
                 raise ValueError("rank out of range")
             mask[idx] = True
-        return cls(field, n, mask)
+        return cls._adopt(field, n, mask)
 
     @property
     def size(self) -> int:
@@ -190,14 +206,14 @@ class PointSet:
 
     def __or__(self, other: "PointSet") -> "PointSet":
         self._check_same_space(other)
-        return PointSet(self.field, self.n, self.mask | other.mask)
+        return PointSet._adopt(self.field, self.n, self.mask | other.mask)
 
     def __and__(self, other: "PointSet") -> "PointSet":
         self._check_same_space(other)
-        return PointSet(self.field, self.n, self.mask & other.mask)
+        return PointSet._adopt(self.field, self.n, self.mask & other.mask)
 
     def complement(self) -> "PointSet":
-        return PointSet(self.field, self.n, ~self.mask)
+        return PointSet._adopt(self.field, self.n, ~self.mask)
 
     def issubset(self, other: "PointSet") -> bool:
         self._check_same_space(other)
@@ -265,22 +281,46 @@ def _check_equation(field: Fq, eq: DiagonalEq) -> None:
         raise ValueError(f"equation ranks must lie in [0, {field.q}): {eq}")
 
 
-def _diagonal_values(field: Fq, eq: DiagonalEq) -> np.ndarray:
-    """Rank of sum a_i x_i^2 for every point x of F_q^n."""
+def diagonal_counts_by_rhs(field: Fq, coeffs) -> np.ndarray:
+    """Solution counts of a_1 x_1^2 + ... + a_n x_n^2 = b for every rhs b
+    at once, exact in int64 (q^n <= POINT_CAP), by a recurrence over the
+    partial sums, one coordinate at a time:
+
+        N_j[w] = #{(x_1, ..., x_j) : a_1 x_1^2 + ... + a_j x_j^2 = w},
+        N_j[w] = sum_v h_j[v] N_(j-1)[w - v],   N_1 = h_1,
+
+    with h_j[v] = #{x : a_j x^2 = v} = 1 + chi(a_j) chi(v): the number of
+    square roots of v / a_j, so h_j[0] = 1.  Each step gathers N_(j-1) at
+    w - v for the q (q + 1) / 2 pairs with h_j[v] != 0 and takes one
+    matrix-vector product, so the work is O(n q^2) steps and O(q^2) bytes,
+    never O(q^n).  h_j depends only on the square class of a_j, so at most
+    two index matrices are built.
+
+    Only the number of square roots of an element enters, never a
+    character sum, so agreement with diagonal_count_closed, whose classical
+    formula rests on Gauss sums, remains an independent check of it."""
+    eq = DiagonalEq(tuple(coeffs), 0)
     _check_equation(field, eq)
-    return sum_profile(field, [field.mul_table[c][field.sq_arr] for c in eq.coeffs])
+    chi = field.char_arr.astype(np.int64)  # SizeCapError beyond TABLE_CAP
+    space_size(field, len(eq.coeffs))
+    counts = 1 + chi[eq.coeffs[0]] * chi
+    gathers = {}  # square class of a_j -> (w - v for each w and v, h_j[v])
+    for c in eq.coeffs[1:]:
+        if chi[c] not in gathers:
+            h = 1 + chi[c] * chi
+            v = np.flatnonzero(h)
+            gathers[chi[c]] = (field.sub_arrays(np.arange(field.q)[:, None], v), h[v])
+        index, weights = gathers[chi[c]]
+        counts = counts[index] @ weights
+    return counts
 
 
 def diagonal_count_bruteforce(field: Fq, eq: DiagonalEq) -> int:
-    """Exact number of solutions by full enumeration of F_q^n."""
-    return int(np.count_nonzero(_diagonal_values(field, eq) == eq.rhs))
-
-
-def diagonal_counts_by_rhs(field: Fq, coeffs) -> np.ndarray:
-    """Solution counts of a diagonal equation for every rhs at once,
-    by one full enumeration of F_q^n."""
-    values = _diagonal_values(field, DiagonalEq(tuple(coeffs), 0))
-    return np.bincount(values, minlength=field.q).astype(np.int64)
+    """Exact number of solutions by direct counting: the rhs entry of
+    diagonal_counts_by_rhs, which counts the points of F_q^n coordinate by
+    coordinate without enumerating them."""
+    _check_equation(field, eq)
+    return int(diagonal_counts_by_rhs(field, eq.coeffs)[eq.rhs])
 
 
 def diagonal_count_closed(field: Fq, eq: DiagonalEq) -> int:

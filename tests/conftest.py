@@ -7,7 +7,10 @@ output capture.
 
 import itertools
 
+import numpy as np
+
 from ffkakeya import diff_cover, sum_cover
+from ffkakeya.geometry import sum_profile
 
 acceptance_lines = []
 
@@ -19,6 +22,15 @@ def exhaustive_cover_exists(field, kind: str, size: int) -> bool:
     predicate = diff_cover if kind == "radius" else sum_cover
     return any(predicate(field, combo)
                for combo in itertools.combinations(range(field.q), size))
+
+
+def enumerated_counts_by_rhs(field, coeffs):
+    """Solution counts of sum a_i x_i^2 = b for every rhs b, by evaluating
+    the form at every point of F_q^n through sum_profile and rows of
+    mul_table and taking a histogram: the oracle for the partial-sum
+    recurrence of diagonal_counts_by_rhs."""
+    values = sum_profile(field, [field.mul_table[c][field.sq_arr] for c in coeffs])
+    return np.bincount(values, minlength=field.q).astype(np.int64)
 
 
 def pytest_terminal_summary(terminalreporter):

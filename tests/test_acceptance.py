@@ -81,8 +81,10 @@ def criterion(num, label):
 
 @pytest.fixture(scope="session")
 def counting_sweep():
-    """Every (q, n, coeffs, rhs, closed, bruteforce) record in the sweep:
-    all-ones plus 50 seeded random nonzero coefficient vectors per case."""
+    """Every (q, n, coeffs, rhs, closed, enumerated, recurrence) record in
+    the sweep: all-ones plus 50 seeded random nonzero coefficient vectors
+    per case.  enumerated evaluates the form at every point of F_q^n;
+    recurrence is the library's diagonal_counts_by_rhs."""
     records = []
     rng = np.random.default_rng(20260821)
     for q in SWEEP_Q:
@@ -92,10 +94,12 @@ def counting_sweep():
             for _ in range(RANDOM_VECTORS_PER_CASE):
                 vecs.append(tuple(int(x) for x in rng.integers(1, q, size=n)))
             for coeffs in vecs:
-                brute = diagonal_counts_by_rhs(field, coeffs)
+                brute = conftest.enumerated_counts_by_rhs(field, coeffs)
+                recurrence = diagonal_counts_by_rhs(field, coeffs)
                 for rhs in range(q):
                     closed = diagonal_count_closed(field, DiagonalEq(coeffs, rhs))
-                    records.append((q, n, coeffs, rhs, closed, int(brute[rhs])))
+                    records.append((q, n, coeffs, rhs, closed, int(brute[rhs]),
+                                    int(recurrence[rhs])))
     return records
 
 
@@ -103,13 +107,14 @@ def counting_sweep():
 def test_criterion_1_counting(counting_sweep):
     expected = (RANDOM_VECTORS_PER_CASE + 1) * sum(SWEEP_Q) * len(SWEEP_N)
     assert len(counting_sweep) == expected
-    for q, n, coeffs, rhs, closed, brute in counting_sweep:
+    for q, n, coeffs, rhs, closed, brute, recurrence in counting_sweep:
         assert closed == brute, (q, n, coeffs, rhs, closed, brute)
+        assert recurrence == brute, (q, n, coeffs, rhs, recurrence, brute)
 
 
 @criterion(2, "sphere size deviation from q^(n-1) has the exact magnitude")
 def test_criterion_2_magnitude(counting_sweep):
-    for q, n, coeffs, rhs, closed, _ in counting_sweep:
+    for q, n, coeffs, rhs, closed, *_ in counting_sweep:
         main = q ** (n - 1)
         if rhs != 0:
             want = q ** ((n - 1) // 2)

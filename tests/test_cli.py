@@ -3,6 +3,7 @@ exit codes, determinism."""
 
 import copy
 import json
+import resource
 import subprocess
 import sys
 
@@ -229,6 +230,32 @@ class TestCount:
     def test_n_mismatch_is_usage_error(self):
         r = run("count", "--p", "5", "--n", "3", "--coeffs", "1,1", "--rhs", "1")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("method", ["bruteforce", "both"])
+    def test_direct_count_at_3_to_the_20(self, method):
+        # under 2 GB of address space, where a q^n enumeration died with exit 1
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        r = run("count", "--p", "3", "--coeffs", ",".join(["1"] * 20), "--rhs", "1",
+                "--method", method, preexec_fn=limit_memory)
+        assert r.returncode == 0 and r.stderr == ""
+        data = json.loads(r.stdout)
+        assert data["bruteforce"] == 1162241784
+        assert data.get("agree", True) is True
+
+    @pytest.mark.parametrize("method", ["bruteforce", "both"])
+    def test_direct_count_beyond_the_point_cap_exits_three(self, method):
+        r = run("count", "--p", "3", "--coeffs", ",".join(["1"] * 26), "--rhs", "1",
+                "--method", method)
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr == "error: q^n = 3^26 exceeds the point cap 2^40\n"
+
+    def test_closed_count_beyond_the_point_cap(self):
+        r = run("count", "--p", "3", "--coeffs", ",".join(["1"] * 26), "--rhs", "1",
+                "--method", "closed")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["closed"] == 3 ** 25 + 3 ** 12
 
 
 class TestRankArguments:

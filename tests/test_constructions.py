@@ -365,3 +365,11 @@ class TestResultSerialization:
             assert w == res.witness
             f = res.field
             assert witness_valid(f, res.points, w)
+
+
+def test_constructed_point_sets_are_read_only():
+    f = make_field(3)
+    for res in (radius_spherical(f, 3), center_spherical(f, 3),
+                hypersphere_union(f, 3), circular_prime(7, "radius")):
+        with pytest.raises(ValueError):
+            res.points.mask[0] = not res.points.mask[0]

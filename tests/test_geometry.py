@@ -9,9 +9,11 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import enumerated_counts_by_rhs
 from ffkakeya import (
     BadDimensionError,
     DiagonalEq,
+    Fq,
     HypersphereSpec,
     IdenticalSpheresError,
     PointSet,
@@ -34,7 +36,9 @@ from ffkakeya import (
     sphere_points,
     sum_two_squares_covers,
 )
-from ffkakeya.geometry import space_size
+from ffkakeya.geometry import POINT_CAP, space_size
+
+ODD_PRIME_POWERS_27 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27]
 
 
 def dot(field, u, v):
@@ -195,6 +199,54 @@ class TestCounting:
             diagonal_counts_by_rhs(f, (1, coeff))
 
 
+class TestCountRecurrence:
+    """diagonal_counts_by_rhs against the enumeration of every point, and
+    against the closed form where no enumeration can reach."""
+
+    @pytest.mark.parametrize("q", ODD_PRIME_POWERS_27)
+    def test_equals_the_enumeration(self, q):
+        f = make_field(*prime_power_decompose(q))
+        rng = np.random.default_rng(1000 + q)
+        for n in range(1, 6):
+            if q ** n > 10 ** 6:
+                break
+            vecs = [(1,) * n] + [tuple(int(x) for x in rng.integers(1, q, size=n))
+                                 for _ in range(4)]
+            for coeffs in vecs:
+                got = diagonal_counts_by_rhs(f, coeffs)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, enumerated_counts_by_rhs(f, coeffs),
+                                              err_msg=str((q, coeffs)))
+
+    @pytest.mark.parametrize("p,k,n", [(3, 1, 20), (31, 1, 8), (3, 7, 3)])
+    def test_matches_the_closed_form_beyond_the_enumeration(self, p, k, n):
+        f = make_field(p, k)
+        rng = np.random.default_rng(p * n + k)
+        for coeffs in [(1,) * n, tuple(int(x) for x in rng.integers(1, f.q, size=n))]:
+            counts = diagonal_counts_by_rhs(f, coeffs)
+            assert counts.sum() == f.q ** n
+            for rhs in range(f.q):
+                assert counts[rhs] == diagonal_count_closed(f, DiagonalEq(coeffs, rhs))
+
+    def test_builds_no_dense_table(self):
+        field = Fq(3, 3)  # a fresh instance: make_field's may hold tables already
+        eq = DiagonalEq((1, 2, 5), 4)
+        assert diagonal_count_bruteforce(field, eq) == diagonal_count_closed(field, eq)
+        assert "mul_table" not in field.__dict__
+        assert "add_table" not in field.__dict__
+
+    def test_point_cap(self):
+        f = make_field(3)
+        assert 3 ** 25 <= POINT_CAP < 3 ** 26
+        assert diagonal_count_bruteforce(f, DiagonalEq((1,) * 25, 0)) == 3 ** 24
+        with pytest.raises(SizeCapError, match="point cap"):
+            diagonal_count_bruteforce(f, DiagonalEq((1,) * 26, 0))
+
+    def test_table_cap(self):
+        with pytest.raises(SizeCapError, match="dense-table cap"):
+            diagonal_counts_by_rhs(make_field(4099), (1, 1))
+
+
 class TestSpheres:
     def test_frozen_unit_circle_f5(self):
         f = make_field(5)
@@ -340,9 +392,20 @@ class TestPointSet:
 
     def test_mask_is_immutable(self):
         f = make_field(3)
-        a = PointSet.empty(f, 2)
-        with pytest.raises(ValueError):
-            a.mask[0] = True
+        a = PointSet.from_ranks(f, 2, [1, 5])
+        for s in (a, PointSet.empty(f, 2), PointSet.full(f, 2), a | a, a & a,
+                  a.complement(), PointSet(f, 2, a.mask)):
+            with pytest.raises(ValueError):
+                s.mask[0] = True
+
+    def test_constructor_copies_the_mask(self):
+        f = make_field(3)
+        mask = np.zeros(9, dtype=bool)
+        mask[4] = True
+        a = PointSet(f, 2, mask)
+        mask[:] = True
+        assert mask.flags.writeable
+        assert a.ranks().tolist() == [4]
 
     def test_json_round_trip(self):
         f = make_field(3, 2)
