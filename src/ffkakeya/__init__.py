@@ -35,9 +35,9 @@ _HOMES = {
     "geometry": (
         "DiagonalEq", "HypersphereSpec", "PointSet", "SphereSpec",
         "diagonal_count_bruteforce", "diagonal_count_closed", "diagonal_counts_by_rhs",
-        "hypersphere_points", "hypersphere_ranks", "norm", "norm_profile",
-        "origin_norm_profile", "point_rank", "point_unrank", "sphere_intersection_size",
-        "sphere_points", "sphere_ranks", "sum_two_squares_covers", "translate",
+        "hypersphere_points", "hypersphere_ranks", "origin_norm_profile", "point_rank",
+        "point_unrank", "sphere_intersection_size", "sphere_points", "sphere_ranks",
+        "sum_two_squares_covers", "translate",
     ),
     "search": ("SearchOutcome", "greedy_circular", "minimal_circular_exact"),
     "verification": (

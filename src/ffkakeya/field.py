@@ -22,9 +22,11 @@ about 5.6 million): exp[i] = g^i for the primitive element g of least
 rank, and its inverse log.  Every multiplicative table (mul_table,
 inv_arr, sq_arr, char_arr; these need q <= TABLE_CAP) is a gather from
 them, and so are the scalar mul, inv, pow and char of extension fields up
-to the byte cap; beyond it the scalar ops multiply polynomials digit by
-digit.  Which g is used changes no output: only the tables and values
-derived from exp and log are visible.  The additive tables are sums of
+to the byte cap; beyond it the scalar ops multiply the digit polynomials
+modulo the modulus.  One polynomial product, _poly_mulmod, and its power
+_poly_powmod serve those ops, the build of the logs and Rabin's
+irreducibility test alike.  Which g is used changes no output: only the
+tables and values derived from exp and log are visible.  The additive tables are sums of
 per-digit p x p tables.
 """
 
@@ -71,6 +73,18 @@ def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     return _poly_rem([c % p for c in prod], f, p)
 
 
+def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e modulo the monic polynomial f, for e >= 0, by square-and-multiply."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, a, f, p)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(a, a, f, p)
+    return result
+
+
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """A greatest common divisor of a and b, by Euclid's algorithm."""
     while b:
@@ -96,14 +110,8 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     k = len(f) - 1
     t = _poly_rem([0, 1], f, p)
     gcd_at = set(range(1, k // 2 + 1)) | {k // ell for ell in _prime_factors(k)}
-    x, base, e = [1], t, p
-    while e:  # x = t^p mod f
-        if e & 1:
-            x = _poly_mulmod(x, base, f, p)
-        e >>= 1
-        if e:
-            base = _poly_mulmod(base, base, f, p)
-    tp, frobenius = x, [[1]]  # row i of frobenius: t^(ip) mod f
+    tp = x = _poly_powmod(t, p, f, p)
+    frobenius = [[1]]  # row i of frobenius: t^(ip) mod f
     for j in range(1, k + 1):  # x = t^(p^j) mod f
         if j > 1:
             while len(frobenius) < k:  # once, for a candidate that survives j = 1
@@ -183,22 +191,6 @@ class Fq:
         self.k = k
         self.q = q
         self.modulus = smallest_irreducible(p, k) if k > 1 else None
-        if k > 1:
-            self._reduction = self._tpower_digits()
-
-    def _tpower_digits(self) -> list[tuple[int, ...]]:
-        """Digits of t^e mod modulus for e = k .. 2k-2."""
-        p, k, m = self.p, self.k, self.modulus
-        top = [(-m[i]) % p for i in range(k)]  # t^k
-        rows = [tuple(top)]
-        cur = top
-        for _ in range(k - 2):
-            shifted = [0] + cur[:-1]
-            carry = cur[-1]
-            nxt = [(shifted[i] + carry * top[i]) % p for i in range(k)]
-            rows.append(tuple(nxt))
-            cur = nxt
-        return rows
 
     # ---- element codecs ----
 
@@ -280,36 +272,19 @@ class Fq:
     # ---- polynomial arithmetic: beyond LOG_CAP_BYTES, and to build the logs ----
 
     def _poly_mul(self, a: int, b: int) -> int:
-        """a * b by the schoolbook product of the digit polynomials, reduced
-        by the modulus.  It never reads the logs, which are built with it."""
+        """a * b by the product of the digit polynomials modulo the modulus.
+        It never reads the logs, which are built with it."""
         if self.k == 1:
             return a * b % self.p
-        p, k = self.p, self.k
-        ca = self.element_to_coeffs(a)
-        cb = self.element_to_coeffs(b)
-        full = [0] * (2 * k - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    full[i + j] += x * y
-        out = [c % p for c in full[:k]]
-        for e in range(k, 2 * k - 1):
-            c = full[e] % p
-            if c:
-                row = self._reduction[e - k]
-                for d in range(k):
-                    out[d] = (out[d] + c * row[d]) % p
-        return self.coeffs_to_element(out)
+        return self.coeffs_to_element(_poly_mulmod(
+            self.element_to_coeffs(a), self.element_to_coeffs(b), self.modulus, self.p))
 
     def _poly_pow(self, a: int, e: int) -> int:
-        """a^e for e >= 0 by square-and-multiply over _poly_mul."""
-        result = 1
-        while e:
-            if e & 1:
-                result = self._poly_mul(result, a)
-            a = self._poly_mul(a, a)
-            e >>= 1
-        return result
+        """a^e for e >= 0 by square-and-multiply of the digit polynomial."""
+        if self.k == 1:
+            return pow(a, e, self.p)
+        return self.coeffs_to_element(_poly_powmod(
+            self.element_to_coeffs(a), e, self.modulus, self.p))
 
     # ---- elementwise arithmetic on rank arrays, for any q ----
 

@@ -12,6 +12,10 @@ root anywhere.  A sphere of radius r in F_q^* around a center a is the
 solution set of ||x - a|| = r; a hyper-sphere additionally restricts x to
 the affine hyperplane through a orthogonal to a direction d.
 
+Every object here is a level set of the norm form, and its one source is
+origin_norm_profile: the norm of every point of F_q^n, cached per (q, n)
+and built from the (n-1)-dim profile by one q x q table of y^2 + v.
+
 The norm form is translation-covariant and a sum over coordinates, so a
 sphere splits into fibres over its first coordinate (see sphere_ranks):
 one cached level order of the (n-1)-dim origin norm profile, 4 bytes per
@@ -54,10 +58,10 @@ POINT_CAP = 1 << 40  # largest supported q^n
 def space_size(field: Fq, n: int) -> int:
     if not isinstance(n, int) or n < 1:
         raise BadDimensionError(f"dimension must be a positive integer, got {n}")
-    size = field.q ** n
-    if size > POINT_CAP:
+    # q >= 3, so n > 40 is past the cap: reject it before forming q^n
+    if n > 40 or field.q ** n > POINT_CAP:
         raise SizeCapError(f"q^n = {field.q}^{n} exceeds the point cap 2^40")
-    return size
+    return field.q ** n
 
 
 def point_rank(field: Fq, vec) -> int:
@@ -71,15 +75,9 @@ def point_rank(field: Fq, vec) -> int:
 
 def point_unrank(field: Fq, n: int, rank: int) -> tuple[int, ...]:
     q = field.q
+    if not 0 <= rank < q ** n:
+        raise ValueError(f"point rank {rank} outside [0, {q}^{n})")
     return tuple((rank // q ** i) % q for i in range(n))
-
-
-def norm(field: Fq, vec) -> int:
-    """Sum of squared coordinates."""
-    acc = 0
-    for v in vec:
-        acc = field.add(acc, field.mul(v, v))
-    return acc
 
 
 # ---- geometric object descriptors ----
@@ -198,6 +196,8 @@ class PointSet:
         return np.flatnonzero(self.mask)
 
     def __contains__(self, point) -> bool:
+        if not is_point(self.field, self.n, point):
+            raise ValueError(f"{point!r} is not a point of F_{self.field.q}^{self.n}")
         return bool(self.mask[point_rank(self.field, point)])
 
     def _check_same_space(self, other: "PointSet") -> None:
@@ -246,32 +246,6 @@ class PointSet:
         if field.q != int(data["q"]):
             raise ValueError("q does not match p^k")
         return cls.from_ranks(field, int(data["n"]), data["ranks"])
-
-
-# ---- vectorized evaluation over the whole space ----
-
-def sum_profile(field: Fq, term_tables) -> np.ndarray:
-    """Field-sum of per-coordinate terms, for every point of F_q^n at once.
-
-    term_tables[i][v] is the rank of the term contributed by coordinate i
-    taking the value of rank v.  The result array maps every point rank to
-    the rank of the sum of its coordinate terms; it is a full enumeration
-    of all q^n points, evaluated one coordinate digit at a time.
-    """
-    add = field.add_table
-    acc = np.zeros(1, dtype=np.int32)
-    for table in term_tables:
-        t = np.asarray(table, dtype=np.int32)
-        if t.shape != (field.q,):
-            raise ValueError("term table must have one entry per element")
-        acc = add[t[:, None], acc[None, :]].reshape(-1)
-    return acc
-
-
-def norm_profile(field: Fq, n: int) -> np.ndarray:
-    """Rank of ||x|| for every point rank x of F_q^n."""
-    space_size(field, n)
-    return sum_profile(field, [field.sq_arr] * n)
 
 
 # ---- diagonal equation counting ----
@@ -352,8 +326,19 @@ def diagonal_count_closed(field: Fq, eq: DiagonalEq) -> int:
 @functools.lru_cache(maxsize=None)
 def origin_norm_profile(field: Fq, n: int) -> np.ndarray:
     """Rank of ||x|| for every point rank x of F_q^n, in the smallest
-    unsigned dtype that holds a rank.  Cached per (field, n), read-only."""
-    values = norm_profile(field, n).astype(np.min_scalar_type(field.q - 1))
+    unsigned dtype that holds a rank; F_q^0 is the point 0.  The last
+    coordinate y is the most significant digit and ||(t, y)|| = y^2 + ||t||,
+    so with the q x q table levels[y, v] = y^2 + v, row y of the profile
+    is levels[y] gathered at the (n-1)-dim profile.  Built one dimension
+    at a time through this cache; cached per (field, n), read-only."""
+    dtype = np.min_scalar_type(field.q - 1)
+    if n == 0:
+        values = np.zeros(1, dtype=dtype)
+    else:
+        space_size(field, n)
+        lower = origin_norm_profile(field, n - 1)
+        levels = field.add_table.astype(dtype)[field.sq_arr]
+        values = levels.take(lower, axis=1).ravel()
     values.setflags(write=False)
     return values
 
@@ -376,7 +361,7 @@ def level_order(field: Fq, m: int) -> tuple[np.ndarray, np.ndarray]:
     order[offsets[v]:offsets[v + 1]] is the level {t : ||t|| = v}, ascending
     (F_q^0 is the point 0).  Cached per (field, m), read-only, and int32
     below 2^31 points: 4 bytes per point of F_q^m."""
-    profile = origin_norm_profile(field, m) if m else np.zeros(1, dtype=np.uint8)
+    profile = origin_norm_profile(field, m)
     order = np.argsort(profile, kind="stable")
     order = order.astype(np.int32 if order.size < 2 ** 31 else np.int64)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(profile, minlength=field.q))))

@@ -10,9 +10,40 @@ import itertools
 import numpy as np
 
 from ffkakeya import diff_cover, sum_cover
-from ffkakeya.geometry import sum_profile
 
 acceptance_lines = []
+
+
+def norm(field, vec) -> int:
+    """Sum of squared coordinates, one scalar field operation at a time."""
+    acc = 0
+    for v in vec:
+        acc = field.add(acc, field.mul(v, v))
+    return acc
+
+
+def sum_profile(field, term_tables) -> np.ndarray:
+    """Field-sum of per-coordinate terms, for every point of F_q^n at once.
+
+    term_tables[i][v] is the rank of the term contributed by coordinate i
+    taking the value of rank v.  The result maps every point rank to the
+    rank of the sum of its coordinate terms, by a full enumeration of all
+    q^n points, one coordinate digit at a time: the enumeration oracle of
+    the profile layer."""
+    add = field.add_table
+    acc = np.zeros(1, dtype=np.int32)
+    for table in term_tables:
+        t = np.asarray(table, dtype=np.int32)
+        if t.shape != (field.q,):
+            raise ValueError("term table must have one entry per element")
+        acc = add[t[:, None], acc[None, :]].reshape(-1)
+    return acc
+
+
+def norm_profile(field, n: int) -> np.ndarray:
+    """Rank of ||x|| for every point rank x of F_q^n, by enumeration: the
+    oracle of origin_norm_profile."""
+    return sum_profile(field, [field.sq_arr] * n)
 
 
 def exhaustive_cover_exists(field, kind: str, size: int) -> bool:

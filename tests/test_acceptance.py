@@ -36,7 +36,6 @@ from ffkakeya import (
     intersection_lemma_bound,
     make_field,
     minimal_circular_exact,
-    norm_profile,
     prime_power_decompose,
     radius_spherical,
     sphere_intersection_size,
@@ -185,7 +184,7 @@ def test_criterion_6_hypersphere_union():
         for n in (3, 4):
             res = hypersphere_union(field, n)
             assert res.witness_valid
-            norms = norm_profile(field, n)
+            norms = conftest.norm_profile(field, n)
             assert not norms[res.points.mask].any()
             bound = q ** (n - 1) + q ** (n // 2) - q ** ((n - 1) // 2)
             assert res.size <= bound

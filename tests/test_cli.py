@@ -199,6 +199,24 @@ class TestMalformedSetFiles:
         self.assert_usage_error(self.verify(tmp_path, data))
 
 
+class TestHugeDimension:
+    """An n far past the point cap exits 3 at once: q^n is never formed."""
+
+    HUGE = 10 ** 9
+    ERROR = f"error: q^n = 3^{HUGE} exceeds the point cap 2^40\n"
+
+    def test_set_file_with_huge_n(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"q": 3, "p": 3, "k": 1, "n": self.HUGE, "ranks": [1]}))
+        r = run("verify", "--file", str(path), "--property", "radius", timeout=20)
+        assert r.returncode == 3 and r.stdout == "" and r.stderr == self.ERROR
+
+    def test_construct_with_huge_n(self):
+        r = run("construct", "--p", "3", "--n", str(self.HUGE), "--which", "radius-spherical",
+                timeout=20)
+        assert r.returncode == 3 and r.stdout == "" and r.stderr == self.ERROR
+
+
 class TestCircularBeyondTableCap:
     @pytest.mark.parametrize("variant", ["radius", "center"])
     def test_p_10007(self, variant):

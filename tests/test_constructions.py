@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import norm, norm_profile
 from ffkakeya import (
     BadDimensionError,
     Fq,
@@ -25,8 +26,6 @@ from ffkakeya import (
     hypersphere_points,
     hypersphere_union,
     make_field,
-    norm,
-    norm_profile,
     point_unrank,
     prime_power_decompose,
     radius_spherical,

@@ -2,8 +2,11 @@
 
 Reference values here are either computed by the independent scalar
 oracles below or asserted directly when trivial.  The dense-table builders
-that the exp/log tables replaced are kept below as the oracle for them.
+that the exp/log tables replaced are kept below as the oracle for them,
+and so is the reduction-row product, the oracle of Fq._poly_mul.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -103,6 +106,35 @@ def old_sub_table(field):
     return (diff @ _old_pvec(field)).astype(np.int32)
 
 
+def reduction_rows(field):
+    """Digits of t^e mod the modulus for e = k .. 2k-2, each the previous
+    row times t."""
+    p, k, m = field.p, field.k, field.modulus
+    top = [(-m[i]) % p for i in range(k)]  # t^k
+    rows = [top]
+    for _ in range(k - 2):
+        cur = rows[-1]
+        rows.append([((cur[i - 1] if i else 0) + cur[-1] * top[i]) % p for i in range(k)])
+    return rows
+
+
+def reduction_row_mul(field, a, b):
+    """The replaced scalar product: the schoolbook product of the digit
+    polynomials, its digits k .. 2k-2 folded back by the reduction rows."""
+    p, k = field.p, field.k
+    if k == 1:
+        return a * b % p
+    ca, cb = field.element_to_coeffs(a), field.element_to_coeffs(b)
+    full = [0] * (2 * k - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            full[i + j] += x * y
+    out = full[:k]
+    for row, c in zip(reduction_rows(field), full[k:]):
+        out = [o + c * r for o, r in zip(out, row)]
+    return field.coeffs_to_element([o % p for o in out])
+
+
 def old_mul_table(field):
     """The q x q x (2k-1) convolution tensor of digit products, reduced by
     the rows t^k .. t^(2k-2) mod the modulus."""
@@ -118,8 +150,7 @@ def old_mul_table(field):
     red = np.zeros((2 * k - 1, k), dtype=np.int64)
     for e in range(k):
         red[e, e] = 1
-    for e in range(k, 2 * k - 1):
-        red[e] = field._reduction[e - k]
+    red[k:] = reduction_rows(field)
     digits = (conv.reshape(q * q, 2 * k - 1) @ red) % p
     return (digits @ _old_pvec(field).astype(np.int64)).reshape(q, q).astype(np.int32)
 
@@ -204,6 +235,46 @@ class TestModulus:
 
     def test_prime_field_has_no_modulus(self):
         assert make_field(7).modulus is None
+
+    def test_moduli_up_to_3_10_are_frozen(self):
+        digest = hashlib.sha256()
+        for q in _odd_prime_powers_up_to(3 ** 10):
+            p, k = prime_power_decompose(q)
+            if k >= 2:
+                digest.update(repr((p, k, smallest_irreducible(p, k))).encode())
+        assert digest.hexdigest() == (
+            "a48d70c0f575737d6164a5cf8d5e0683c33947bdb57fa1c972176331fa89f7de")
+
+
+class TestPolynomialProduct:
+    """Fq._poly_mul and _poly_pow, the rank wrappers over the one polynomial
+    product, against the reduction-row product they replaced."""
+
+    @pytest.mark.parametrize("q", _odd_prime_powers_up_to(243))
+    def test_poly_mul_equals_the_reduction_rows_on_all_pairs(self, q):
+        f = Fq(*prime_power_decompose(q))
+        got = np.array([[f._poly_mul(a, b) for b in f.elements()] for a in f.elements()])
+        assert np.array_equal(got, old_mul_table(f))
+
+    def test_poly_mul_and_pow_equal_the_reduction_rows_at_3_15(self):
+        f = Fq(3, 15)
+        rng = np.random.default_rng(315)
+        for a, b in rng.integers(0, f.q, size=(500, 2)).tolist():
+            assert f._poly_mul(a, b) == reduction_row_mul(f, a, b), (a, b)
+        for a, e in zip(rng.integers(0, f.q, size=20).tolist(), (0, 1, 2, 3, 7, 8, 242) * 3):
+            want = 1
+            for _ in range(e):
+                want = reduction_row_mul(f, want, a)
+            assert f._poly_pow(a, e) == want, (a, e)
+        assert "_logs" not in vars(f)
+
+    def test_powmod_is_repeated_mulmod(self):
+        f, p = [2, 0, 1, 1], 3  # t^3 + t^2 + 2 over F_3
+        a = [1, 2, 1]
+        want = [1]
+        for e in range(30):
+            assert field_module._poly_powmod(a, e, f, p) == want, e
+            want = field_module._poly_mulmod(want, a, f, p)
 
 
 class TestConstruction:

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import enumerated_counts_by_rhs
+from conftest import enumerated_counts_by_rhs, norm, norm_profile
 from ffkakeya import (
     BadDimensionError,
     DiagonalEq,
@@ -27,8 +27,6 @@ from ffkakeya import (
     diagonal_counts_by_rhs,
     hypersphere_points,
     make_field,
-    norm,
-    norm_profile,
     point_rank,
     point_unrank,
     prime_power_decompose,
@@ -96,6 +94,11 @@ class TestRanks:
             seen.add(vec)
         assert len(seen) == f.q ** n
 
+    @pytest.mark.parametrize("rank", [-1, 9, 100])
+    def test_unrank_rejects_ranks_outside_the_space(self, rank):
+        with pytest.raises(ValueError, match="outside"):
+            point_unrank(make_field(3), 2, rank)
+
     def test_first_coordinate_is_least_significant(self):
         f = make_field(5)
         assert point_rank(f, (2, 0, 0)) == 2
@@ -108,6 +111,11 @@ class TestRanks:
             space_size(f, 0)
         with pytest.raises(SizeCapError):
             space_size(f, 100)
+
+    @pytest.mark.parametrize("n", [26, 41, 10 ** 9, 10 ** 100])
+    def test_space_size_rejects_huge_n_at_once(self, n):
+        with pytest.raises(SizeCapError, match=rf"^q\^n = 3\^{n} exceeds the point cap 2\^40$"):
+            space_size(make_field(3), n)
 
 
 class TestSpecValidation:
@@ -389,6 +397,18 @@ class TestPointSet:
         a = PointSet.from_ranks(f, 2, [5])
         assert (2, 1) in a
         assert (1, 2) not in a
+
+    @pytest.mark.parametrize("point", [(1,), (1, 0, 0), (True, 0), (0, 0, 1), (1.0, 0),
+                                       (3, 0), (-1, 0), [1, 0, 0], "10", 1, None])
+    def test_membership_rejects_non_points(self, point):
+        a = PointSet.from_ranks(make_field(3), 2, [1])
+        with pytest.raises(ValueError, match="not a point"):
+            point in a
+
+    def test_membership_takes_tuples_lists_and_numpy_integers(self):
+        a = PointSet.from_ranks(make_field(3), 2, [1])
+        assert (1, 0) in a and [1, 0] in a and (np.int64(1), np.uint8(0)) in a
+        assert (0, 1) not in a
 
     def test_mask_is_immutable(self):
         f = make_field(3)

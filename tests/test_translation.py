@@ -13,6 +13,7 @@ intersection scan, the dense-table circle certificates and the
 import numpy as np
 import pytest
 
+from conftest import norm, norm_profile, sum_profile
 from ffkakeya import (
     BudgetExceededError,
     CircleSpec,
@@ -26,7 +27,6 @@ from ffkakeya import (
     hypersphere_points,
     hypersphere_union,
     make_field,
-    norm_profile,
     origin_norm_profile,
     point_rank,
     point_unrank,
@@ -46,10 +46,8 @@ from ffkakeya.geometry import (
     fibre_level_table,
     is_point,
     level_order,
-    norm,
     origin_sphere_ranks,
     space_size,
-    sum_profile,
 )
 from ffkakeya.verification import _complement_hit_counts
 
@@ -453,6 +451,31 @@ def test_origin_profile_is_cached_compact_and_read_only():
     assert values.dtype == np.uint8 and not values.flags.writeable
     assert np.array_equal(values, norm_profile(field, 3))
     assert origin_norm_profile(make_field(257), 1).dtype == np.uint16
+
+
+PROFILE_SWEEP = [(q, n) for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
+                 for n in range(5) if q ** n <= 10 ** 6] + [(3, 12), (7, 6)]
+
+
+@pytest.mark.parametrize("q,n", PROFILE_SWEEP)
+def test_origin_profile_equals_the_enumeration(q, n):
+    field = field_of(q)
+    want = norm_profile(field, n).astype(np.min_scalar_type(q - 1))
+    got = origin_norm_profile(field, n)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_origin_profile_caches_every_lower_dimension_read_only():
+    field = make_field(29)
+    origin_norm_profile(field, 3)
+    for m in range(4):
+        hits = origin_norm_profile.cache_info().hits
+        profile = origin_norm_profile(field, m)
+        assert origin_norm_profile.cache_info().hits == hits + 1, m
+        assert not profile.flags.writeable
+        with pytest.raises(ValueError):
+            profile[0] = 1
 
 
 SPHERE_SWEEP = [(q, n, None) for q in (3, 5, 7, 9, 11, 25, 27, 31) for n in (2, 3, 4)] + [

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import norm
 from ffkakeya import (
     BadDimensionError,
     BudgetExceededError,
@@ -21,7 +22,6 @@ from ffkakeya import (
     hypersphere_union,
     intersection_lemma_bound,
     make_field,
-    norm,
     point_rank,
     point_unrank,
     prime_power_decompose,
