@@ -321,13 +321,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_work_bounds(args) -> None:
+    """A negative work bound is malformed input, not a bound exceeded."""
+    for name in ("budget", "node_budget", "limit"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_work_bounds(args)
         return args.handler(args)
     except (BudgetExceededError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a size within the caps whose arrays do not fit
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BadDimensionError, NonOddPrimeError
+from .errors import BadDimensionError, NonOddPrimeError, SizeCapError
 
 DEFAULT_BUDGET = 100_000_000
+DIGIT_CAP = 4300  # most decimal digits in an exact bound, Python's default str limit
 
 VARIANT_RADIUS = "radius"
 VARIANT_CENTER = "center"
@@ -138,18 +139,26 @@ def spherical_kakeya_lower_bound(q: int, n: int) -> BoundReport:
     of distinct radii (n >= 4), or (q-1)/2 such spheres (n in {2, 3}).
 
     The value can be a half-integer; callers wanting a point count take
-    the ceiling.
+    the ceiling.  A value of more than DIGIT_CAP decimal digits raises
+    SizeCapError, at once, before q^n is formed, when q^n > 16^DIGIT_CAP.
     """
     prime_power_decompose(q)
     if not isinstance(n, int) or n < 2:
         raise BadDimensionError(f"bound needs dimension >= 2, got {n}")
+    too_large = SizeCapError(f"the bound at q^n = {q}^{n} exceeds {DIGIT_CAP} digits")
+    # the value exceeds q^n / 5, so past q^n = 16^DIGIT_CAP it has too many digits
+    if (q.bit_length() - 1) * n > 4 * DIGIT_CAP:
+        raise too_large
     if n >= 4:
         e = (n - 1) // 2
         value = (Fraction(q ** n, 2) + Fraction(q ** (n - 1), 2) - q ** (n - 2)
                  - Fraction(q ** (e + 2), 2) + Fraction(q ** (e + 1), 2))
-        return BoundReport(q, n, "n>=4", value)
-    value = Fraction(q ** n - q ** (n - 2), 4)
-    return BoundReport(q, n, "n in {2,3}", value)
+        branch = "n>=4"
+    else:
+        value, branch = Fraction(q ** n - q ** (n - 2), 4), "n in {2,3}"
+    if value.numerator >= 10 ** DIGIT_CAP:
+        raise too_large
+    return BoundReport(q, n, branch, value)
 
 
 def circular_lower_bounds(q: int) -> tuple[int, int]:

@@ -19,15 +19,16 @@ element by element.
 Multiplication is read from one pair of length-q arrays per field, built
 lazily while they fit in LOG_CAP_BYTES (12 bytes per element, so q up to
 about 5.6 million): exp[i] = g^i for the primitive element g of least
-rank, and its inverse log.  Every multiplicative table (mul_table,
-inv_arr, sq_arr, char_arr; these need q <= TABLE_CAP) is a gather from
-them, and so are the scalar mul, inv, pow and char of extension fields up
-to the byte cap; beyond it the scalar ops multiply the digit polynomials
-modulo the modulus.  One polynomial product, _poly_mulmod, and its power
-_poly_powmod serve those ops, the build of the logs and Rabin's
-irreducibility test alike.  Which g is used changes no output: only the
-tables and values derived from exp and log are visible.  The additive tables are sums of
-per-digit p x p tables.
+rank, and its inverse log.  inv_arr, sq_arr, char_arr (4q bytes each)
+and mul_table are gathers from them, and so are the scalar mul, inv, pow
+and char of extension fields up to the byte cap; beyond it the scalar ops
+multiply the digit polynomials modulo the modulus.  One polynomial
+product, _poly_mulmod, and its power _poly_powmod serve those ops, the
+build of the logs and Rabin's irreducibility test alike.  Which g is used
+changes no output: only the tables and values derived from exp and log
+are visible.  add_arrays and sub_arrays add rank arrays digit by digit
+for any q, and every other module adds through them; only the dense
+q x q tables (add_table, sub_table, mul_table) need q <= TABLE_CAP.
 """
 
 from __future__ import annotations
@@ -168,12 +169,12 @@ class Fq:
     """The finite field with q = p^k elements, p an odd prime.
 
     All operations take and return element ranks (plain ints).  The
-    exp/log arrays are built lazily while 12q bytes fit LOG_CAP_BYTES, and
-    the tables derived from them require q <= TABLE_CAP.  Up to the byte
-    cap the scalar mul, inv, pow and char read the logs, and beyond it
-    they fall back to polynomial arithmetic, so the scalar methods work
-    for any supported q.  Instances are immutable; use make_field() for a
-    cached instance.
+    exp/log arrays and the length-q arrays gathered from them are built
+    lazily while 12q bytes fit LOG_CAP_BYTES; only the dense q x q tables
+    require q <= TABLE_CAP.  Up to the byte cap the scalar mul, inv, pow
+    and char read the logs, and beyond it they fall back to polynomial
+    arithmetic, so the scalar methods work for any supported q.
+    Instances are immutable; use make_field() for a cached instance.
     """
 
     zero = 0
@@ -316,10 +317,7 @@ class Fq:
         """Quadratic character: x^((q-1)/2) mapped to {-1, 0, +1}."""
         if a == 0:
             return 0
-        if self.q <= TABLE_CAP:
-            return int(self.char_arr[a])
-        v = self.pow(a, (self.q - 1) // 2)
-        return 1 if v == 1 else -1
+        return 1 if self.pow(a, (self.q - 1) // 2) == 1 else -1
 
     def smallest_nonsquare(self) -> int:
         """The nonsquare of least rank."""
@@ -328,7 +326,7 @@ class Fq:
                 return a
         raise RuntimeError("no nonsquare found")  # unreachable for odd q >= 3
 
-    # ---- dense operation tables (vectorized callers) ----
+    # ---- length-q arrays and dense q x q tables (vectorized callers) ----
 
     def _require_tables(self) -> None:
         if self.q > TABLE_CAP:
@@ -398,7 +396,6 @@ class Fq:
 
     @cached_property
     def neg_arr(self) -> np.ndarray:
-        self._require_tables()
         return self.sub_arrays(0, np.arange(self.q)).astype(np.int32)
 
     @cached_property
@@ -415,7 +412,6 @@ class Fq:
     @cached_property
     def inv_arr(self) -> np.ndarray:
         """inv_arr[0] is the sentinel -1; 0 is not invertible."""
-        self._require_tables()
         exp, log = self._logs
         inv = exp[-log % (self.q - 1)]
         inv[0] = -1
@@ -423,7 +419,6 @@ class Fq:
 
     @cached_property
     def sq_arr(self) -> np.ndarray:
-        self._require_tables()
         exp, log = self._logs
         sq = exp[2 * log]
         sq[0] = 0
@@ -432,7 +427,6 @@ class Fq:
     @cached_property
     def char_arr(self) -> np.ndarray:
         """g^i is a square exactly when i is even."""
-        self._require_tables()
         _, log = self._logs
         chi = (1 - 2 * (log & 1)).astype(np.int8)
         chi[0] = 0

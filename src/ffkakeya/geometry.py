@@ -275,7 +275,7 @@ def diagonal_counts_by_rhs(field: Fq, coeffs) -> np.ndarray:
     formula rests on Gauss sums, remains an independent check of it."""
     eq = DiagonalEq(tuple(coeffs), 0)
     _check_equation(field, eq)
-    chi = field.char_arr.astype(np.int64)  # SizeCapError beyond TABLE_CAP
+    chi = field.char_arr.astype(np.int64)
     space_size(field, len(eq.coeffs))
     counts = 1 + chi[eq.coeffs[0]] * chi
     gathers = {}  # square class of a_j -> (w - v for each w and v, h_j[v])
@@ -328,17 +328,17 @@ def origin_norm_profile(field: Fq, n: int) -> np.ndarray:
     """Rank of ||x|| for every point rank x of F_q^n, in the smallest
     unsigned dtype that holds a rank; F_q^0 is the point 0.  The last
     coordinate y is the most significant digit and ||(t, y)|| = y^2 + ||t||,
-    so with the q x q table levels[y, v] = y^2 + v, row y of the profile
-    is levels[y] gathered at the (n-1)-dim profile.  Built one dimension
-    at a time through this cache; cached per (field, n), read-only."""
+    so row y of the profile is the row y^2 + v, for v up to the largest
+    norm in F_q^(n-1), gathered at the (n-1)-dim profile.  Built through
+    this cache; cached per (field, n), read-only."""
     dtype = np.min_scalar_type(field.q - 1)
     if n == 0:
         values = np.zeros(1, dtype=dtype)
     else:
         space_size(field, n)
         lower = origin_norm_profile(field, n - 1)
-        levels = field.add_table.astype(dtype)[field.sq_arr]
-        values = levels.take(lower, axis=1).ravel()
+        levels = field.add_arrays(field.sq_arr[:, None], np.arange(int(lower.max()) + 1))
+        values = levels.astype(dtype).take(lower, axis=1).ravel()
     values.setflags(write=False)
     return values
 
@@ -415,14 +415,13 @@ def translate(field: Fq, n: int, ranks, center) -> np.ndarray:
     center = tuple(center)
     if not is_point(field, n, center):
         raise ValueError(f"center {center} is not a point of F_{field.q}^{n}")
-    q = field.q
+    q, x = field.q, np.arange(field.q)
     ranks = np.asarray(ranks, dtype=np.int64)
     out = ranks.copy()
     step = 1
     for c in center:
         if c:  # a zero coordinate leaves its digit as it is
-            shift = (field.add_table[:, c] - np.arange(q)).astype(np.int64) * step
-            out += shift[ranks // step % q]
+            out += ((field.add_arrays(x, c) - x) * step)[ranks // step % q]
         step *= q
     return out
 
@@ -446,17 +445,22 @@ def sphere_ranks(field: Fq, sphere: SphereSpec) -> np.ndarray:
 
 
 def hypersphere_ranks(field: Fq, h: HypersphereSpec) -> np.ndarray:
-    """Point ranks of a hyper-sphere, as center + {y in S_r(0) : d.y = 0}."""
-    n = len(h.center)
+    """Point ranks of a hyper-sphere, as center + {y in S_r(0) : d.y = 0}.
+
+    d.y is F_p-linear in the base-p digits of y, digit i k + j being digit j
+    of y_i: mod p, the |y| x nk digit matrix times the nk x k matrix whose
+    row i k + j holds the digits of d_i t^j, block by block over d_i != 0."""
+    n, p, k, q = len(h.center), field.p, field.k, field.q
     if not is_point(field, n, h.direction):
-        raise ValueError(f"direction {h.direction} is not a point of F_{field.q}^{n}")
+        raise ValueError(f"direction {h.direction} is not a point of F_{q}^{n}")
     y = origin_sphere_ranks(field, n, h.radius)
-    dots = np.zeros(y.shape, dtype=np.int32)
-    step = 1
-    for d in h.direction:
-        dots = field.add_table[dots, field.mul_table[d][y // step % field.q]]
-        step *= field.q
-    return translate(field, n, y[dots == 0], h.center)
+    digits = np.arange(q) // p ** np.arange(k)[:, None] % p  # [j, a]: digit j of a
+    dots = np.zeros((k, y.size), dtype=np.int64)
+    for i, d in enumerate(h.direction):
+        if d:
+            rows = [field.element_to_coeffs(field.mul(d, p ** j)) for j in range(k)]
+            dots += (np.array(rows).T @ digits)[:, y // q ** i % q]
+    return translate(field, n, y[~(dots % p).any(axis=0)], h.center)
 
 
 def sphere_points(field: Fq, sphere: SphereSpec) -> PointSet:
@@ -484,5 +488,5 @@ def sum_two_squares_covers(field: Fq) -> bool:
     """Whether every element of F_q^* is a sum of two squares."""
     sq = field.sq_arr
     mask = np.zeros(field.q, dtype=bool)
-    mask[field.add_table[sq[:, None], sq[None, :]]] = True
+    mask[field.add_arrays(sq[:, None], sq[None, :])] = True
     return bool(mask[1:].all())

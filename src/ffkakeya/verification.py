@@ -124,7 +124,8 @@ def _complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     estimate = n * q ** (n + 2)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    sq, add, sub = field.sq_arr, field.add_table, field.sub_table
+    sq, x = field.sq_arr, np.arange(q)
+    add, sub = field.add_arrays(x[:, None], x), field.sub_arrays(x[:, None], x)  # not per loop
     # C-order axes, most significant digit first, as the final reshape reads
     acc = np.zeros((q,) * n + (q,), dtype=np.min_scalar_type(space))
     acc[..., 0] = (~points.mask).reshape((q,) * n)
@@ -189,6 +190,7 @@ def verify_intersection_lemma(field: Fq, n: int, *,
     norms = origin_norm_profile(field, n).astype(np.int64)
     steps = q ** np.arange(n, dtype=np.int64)
     xdig = np.arange(space, dtype=np.int64)[:, None] // steps % q
+    sub = field.sub_arrays(np.arange(q)[:, None], np.arange(q))  # once, not per chunk
     best = 0
     qq = q * q
     chunk = max(1, 1_000_000 // space)
@@ -198,7 +200,7 @@ def verify_intersection_lemma(field: Fq, n: int, *,
         # rank of x - c for every center c of the chunk and every point x
         shifted = np.zeros((centers.size, space), dtype=np.int64)
         for i in range(n):
-            shifted += field.sub_table[xdig[None, :, i], cdig[:, i, None]] * steps[i]
+            shifted += sub[xdig[None, :, i], cdig[:, i, None]] * steps[i]
         joint = norms[None, :] * q + norms[shifted]
         joint += np.arange(centers.size, dtype=np.int64)[:, None] * qq
         counts = np.bincount(joint.reshape(-1), minlength=centers.size * qq)

@@ -3,6 +3,7 @@ exit codes, determinism."""
 
 import copy
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -14,6 +15,11 @@ CMD = [sys.executable, "-m", "ffkakeya"]
 
 def run(*args, **kwargs):
     return subprocess.run(CMD + list(args), capture_output=True, text=True, **kwargs)
+
+
+def limit_memory():
+    """Under 2 GB of address space: an allocation past it raises MemoryError."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 class TestConstruct:
@@ -103,6 +109,12 @@ class TestVerify:
                 "--budget", "5")
         assert r.returncode == 3
         assert "budget" in r.stderr
+
+    def test_negative_budget_is_usage_error(self, saved_set):
+        r = run("verify", "--file", str(saved_set), "--property", "radius",
+                "--budget", "-5")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: --budget must be nonnegative, got -5\n"
 
     def test_witness_property(self, saved_set):
         r = run("verify", "--file", str(saved_set), "--property", "witness")
@@ -227,6 +239,39 @@ class TestCircularBeyondTableCap:
         assert data["witnessValid"] is True and data["boundMet"] is True
 
 
+class TestBeyondTheTableCap:
+    """q past the dense-table cap 4096: every path reads length-q arrays
+    and q x q index arrays, never a dense operation table."""
+
+    @pytest.mark.parametrize("args,count", [
+        (("--p", "4099", "--coeffs", "1,2", "--rhs", "3"), 4098),
+        (("--p", "3", "--k", "8", "--coeffs", "1", "--rhs", "3"), 2),
+    ], ids=["4099", "3^8"])
+    def test_count_both_methods(self, args, count):
+        r = run("count", *args, "--method", "both", preexec_fn=limit_memory)
+        assert r.returncode == 0 and r.stderr == ""
+        data = json.loads(r.stdout)
+        assert data["closed"] == data["bruteforce"] == count and data["agree"] is True
+
+    def test_center_spherical_at_4099(self):
+        r = run("construct", "--p", "4099", "--n", "2", "--which", "center-spherical",
+                "--format", "csv", preexec_fn=limit_memory)
+        assert r.returncode == 0 and r.stderr == ""
+        row = r.stdout.splitlines()[1].split(",")
+        # q (q + 1) / 2 points: for q = 3 mod 4 and a nonsquare r, y^2 + z^2 = r
+        # has q + 1 solutions, two for each y that leaves r - y^2 a square
+        assert row[:7] == ["4099", "4099", "1", "2", "center-spherical", "", str(4099 * 2050)]
+        assert row[-2:] == ["true", "true"]
+
+    def test_out_of_memory_exits_three(self):
+        # the count's q x (q + 1) / 2 index would take 3.6 TiB
+        r = run("count", "--p", "1000003", "--coeffs", "1,2", "--rhs", "3",
+                preexec_fn=limit_memory)
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr.startswith("error: out of memory: ")
+        assert len(r.stderr.splitlines()) == 1
+
+
 class TestCount:
     def test_both_methods_agree(self):
         r = run("count", "--p", "3", "--k", "2", "--coeffs", "1,1,1", "--rhs", "2")
@@ -252,9 +297,6 @@ class TestCount:
     @pytest.mark.parametrize("method", ["bruteforce", "both"])
     def test_direct_count_at_3_to_the_20(self, method):
         # under 2 GB of address space, where a q^n enumeration died with exit 1
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
         r = run("count", "--p", "3", "--coeffs", ",".join(["1"] * 20), "--rhs", "1",
                 "--method", method, preexec_fn=limit_memory)
         assert r.returncode == 0 and r.stderr == ""
@@ -311,6 +353,25 @@ class TestBound:
     def test_invalid_q(self):
         assert run("bound", "--q", "12", "--n", "2").returncode == 2
 
+    @pytest.mark.parametrize("n", [5000, 9012])
+    def test_answers_up_to_the_digit_cap(self, n):
+        r = run("bound", "--q", "3", "--n", str(n))
+        value = (3**n + 3**(n - 1) - 2 * 3**(n - 2) - 3**((n + 3) // 2) + 3**((n + 1) // 2)) // 2
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["value"] == str(value)
+
+    @pytest.mark.parametrize("digits", [None, "0"], ids=["default", "no-str-limit"])
+    @pytest.mark.parametrize("n", [9013, 20000, 10 ** 9])
+    def test_past_the_digit_cap_exits_three(self, n, digits):
+        # a run that forms 3^(10^9) never ends, with or without Python's str limit
+        env = dict(os.environ)
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if digits is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = digits
+        r = run("bound", "--q", "3", "--n", str(n), env=env, timeout=20)
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr == f"error: the bound at q^n = 3^{n} exceeds 4300 digits\n"
+
 
 class TestSearch:
     def test_exact(self):
@@ -326,6 +387,12 @@ class TestSearch:
 
     def test_limit_exceeded_exits_three(self):
         assert run("search", "--p", "17", "--kind", "radius").returncode == 3
+
+    @pytest.mark.parametrize("flag", ["--limit", "--node-budget"])
+    def test_negative_bound_is_usage_error(self, flag):
+        r = run("search", "--p", "7", "--kind", "radius", flag, "-1")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == f"error: {flag} must be nonnegative, got -1\n"
 
     def test_raised_limit_succeeds(self):
         r = run("search", "--p", "17", "--kind", "radius", "--limit", "17")

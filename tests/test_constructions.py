@@ -31,13 +31,25 @@ from ffkakeya import (
     radius_spherical,
     sphere_points,
     sum_cover,
+    sum_two_squares_covers,
+    verify_center_kakeya,
+    verify_intersection_lemma,
+    verify_radius_kakeya,
     witness_from_json_dict,
     witness_valid,
 )
 from ffkakeya.field import ceil_sqrt
-from ffkakeya.geometry import space_size
+from ffkakeya.geometry import level_order, origin_norm_profile, space_size
 
 PRIMES_47 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+DENSE_TABLES = {"add_table", "sub_table", "mul_table"}
+
+
+def clear_geometry_caches():
+    """The profile caches are keyed by field equality, so a fresh field
+    equal to a cached one would reuse work done with the cached one."""
+    origin_norm_profile.cache_clear()
+    level_order.cache_clear()
 
 
 class TestRadiusSpherical:
@@ -157,11 +169,13 @@ class TestCenterSpherical:
         assert res.witness_valid
 
     def test_builds_no_dense_subtraction_table(self):
-        field = Fq(3, 3)  # a fresh instance: make_field's may hold tables already
-        res = center_spherical(field, 3)
-        assert "sub_table" not in field.__dict__
-        assert res.witness_valid
-        assert res.to_json_dict() == center_spherical(make_field(3, 3), 3).to_json_dict()
+        for p, k in [(7, 1), (3, 2), (3, 3)]:
+            clear_geometry_caches()
+            field = Fq(p, k)  # a fresh instance: make_field's may hold tables already
+            res = center_spherical(field, 3)
+            assert not DENSE_TABLES & set(vars(field)), field
+            assert res.witness_valid
+            assert res.to_json_dict() == center_spherical(make_field(p, k), 3).to_json_dict()
 
 
 class TestHypersphereUnion:
@@ -372,3 +386,29 @@ def test_constructed_point_sets_are_read_only():
                 hypersphere_union(f, 3), circular_prime(7, "radius")):
         with pytest.raises(ValueError):
             res.points.mask[0] = not res.points.mask[0]
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (3, 3)])
+def test_constructions_and_verifiers_build_no_dense_table(p, k):
+    clear_geometry_caches()
+    field = Fq(p, k)  # a fresh instance: make_field's may hold tables already
+    results = [radius_spherical(field, 2), center_spherical(field, 2),
+               radius_spherical(field, 3), center_spherical(field, 3),
+               hypersphere_union(field, 3)]
+    if k == 2:
+        results += [circular_square(field, v) for v in ("radius", "center")]
+    if k == 3:
+        results += [circular_odd_power(field, v) for v in ("radius", "center")]
+    for res in results:
+        assert res.witness_valid and not DENSE_TABLES & set(vars(field)), res.name
+        assert witness_valid(field, res.points, res.witness)
+        if res.n > 1:
+            radius = verify_radius_kakeya(res.points, budget=10 ** 9)
+            center = verify_center_kakeya(res.points, budget=10 ** 9)
+            assert {"radius-spherical": radius, "center-spherical": center}.get(res.name, True)
+        else:
+            (diff_cover if res.variant == "radius" else sum_cover)(field, res.points.ranks())
+        assert not DENSE_TABLES & set(vars(field)), res.name
+    assert verify_intersection_lemma(field, 2) == 2  # two circles meet in at most 2 points
+    assert sum_two_squares_covers(field)
+    assert not DENSE_TABLES & set(vars(field))

@@ -237,11 +237,11 @@ class TestCountRecurrence:
                 assert counts[rhs] == diagonal_count_closed(f, DiagonalEq(coeffs, rhs))
 
     def test_builds_no_dense_table(self):
-        field = Fq(3, 3)  # a fresh instance: make_field's may hold tables already
-        eq = DiagonalEq((1, 2, 5), 4)
-        assert diagonal_count_bruteforce(field, eq) == diagonal_count_closed(field, eq)
-        assert "mul_table" not in field.__dict__
-        assert "add_table" not in field.__dict__
+        for p, k in [(7, 1), (3, 2), (3, 3)]:
+            field = Fq(p, k)  # a fresh instance: make_field's may hold tables already
+            eq = DiagonalEq((1, 2, 5), 4)
+            assert diagonal_count_bruteforce(field, eq) == diagonal_count_closed(field, eq)
+            assert not {"add_table", "sub_table", "mul_table"} & set(vars(field)), field
 
     def test_point_cap(self):
         f = make_field(3)
@@ -251,8 +251,12 @@ class TestCountRecurrence:
             diagonal_count_bruteforce(f, DiagonalEq((1,) * 26, 0))
 
     def test_table_cap(self):
-        with pytest.raises(SizeCapError, match="dense-table cap"):
-            diagonal_counts_by_rhs(make_field(4099), (1, 1))
+        # past the dense-table cap, q = 4099: the recurrence reads length-q arrays only
+        f = Fq(4099)
+        counts = diagonal_counts_by_rhs(f, (1, 2))
+        assert counts.tolist() == [diagonal_count_closed(f, DiagonalEq((1, 2), rhs))
+                                   for rhs in range(f.q)]
+        assert not {"add_table", "sub_table", "mul_table"} & set(vars(f))
 
 
 class TestSpheres:

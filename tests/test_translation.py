@@ -25,6 +25,7 @@ from ffkakeya import (
     circular_prime,
     circular_square,
     hypersphere_points,
+    hypersphere_ranks,
     hypersphere_union,
     make_field,
     origin_norm_profile,
@@ -571,6 +572,87 @@ def test_translate_rejects_points_outside_the_space(center):
     assert not is_point(field, 3, center)
     with pytest.raises(ValueError):
         translate(field, 3, [0, 1], center)
+
+
+# ---- the dense-table expressions that add_arrays and the digit product replaced ----
+
+def table_origin_norm_profile(field, n):
+    """The profile recursion over add_table: row y is y^2 + v gathered at
+    the (n-1)-dim profile."""
+    dtype = np.min_scalar_type(field.q - 1)
+    if n == 0:
+        return np.zeros(1, dtype=dtype)
+    levels = field.add_table.astype(dtype)[field.sq_arr]
+    return levels.take(table_origin_norm_profile(field, n - 1), axis=1).ravel()
+
+
+def table_translate(field, n, ranks, center):
+    """center + y, one digit at a time, from columns of add_table."""
+    q = field.q
+    ranks = np.asarray(ranks, dtype=np.int64)
+    out = ranks.copy()
+    step = 1
+    for c in center:
+        if c:
+            shift = (field.add_table[:, c] - np.arange(q)).astype(np.int64) * step
+            out += shift[ranks // step % q]
+        step *= q
+    return out
+
+
+def table_hypersphere_ranks(field, h):
+    """center + {y in S_r(0) : d.y = 0}, d.y folded one coordinate at a
+    time over add_table and rows of mul_table."""
+    n = len(h.center)
+    y = origin_sphere_ranks(field, n, h.radius)
+    dots = np.zeros(y.shape, dtype=np.int32)
+    step = 1
+    for d in h.direction:
+        dots = field.add_table[dots, field.mul_table[d][y // step % field.q]]
+        step *= field.q
+    return table_translate(field, n, y[dots == 0], h.center)
+
+
+ODD_PRIME_POWERS_27 = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
+
+
+@pytest.mark.parametrize("q,n", PROFILE_SWEEP)
+def test_origin_profile_equals_the_table_recursion(q, n):
+    field = field_of(q)
+    want = table_origin_norm_profile(field, n)
+    got = origin_norm_profile(field, n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_27)
+def test_translate_equals_the_table_form(q):
+    field = field_of(q)
+    rng = np.random.default_rng(q)
+    for n in (1, 2, 3, 4):
+        ranks = rng.integers(0, q ** n, size=300)
+        for center in [(0,) * n, (q - 1,) * n, tuple(int(c) for c in rng.integers(0, q, size=n))]:
+            assert np.array_equal(translate(field, n, ranks, center),
+                                  table_translate(field, n, ranks, center)), (n, center)
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in ODD_PRIME_POWERS_27 for n in (3, 4)])
+def test_hyperspheres_equal_the_table_fold(q, n):
+    field = field_of(q)
+    rng = np.random.default_rng(7 * q + n)
+    # a nonzero direction of norm 0: d is then on its own hyperplane d.y = 0
+    isotropic = next(v for v in (point_unrank(field, n, a) for a in range(1, q ** n))
+                     if norm(field, v) == 0)
+    directions = [isotropic, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (q - 1,),
+                  tuple(int(c) for c in rng.integers(1, q, size=n))]
+    points = 0
+    for d in directions:
+        for r in (1, int(rng.integers(1, q))):
+            center = tuple(int(c) for c in rng.integers(0, q, size=n))
+            h = HypersphereSpec(center, d, r)
+            got = hypersphere_ranks(field, h)
+            assert np.array_equal(got, table_hypersphere_ranks(field, h)), (d, r)
+            points += got.size
+    assert points  # some of them are empty: an isotropic d at n = 3, r of one class
 
 
 @pytest.mark.parametrize("radius", [-6, 7, 99])

@@ -14,6 +14,7 @@ from ffkakeya import (
     KakeyaWitness,
     NonOddPrimeError,
     PointSet,
+    SizeCapError,
     SphereSpec,
     center_spherical,
     circular_lower_bounds,
@@ -120,6 +121,22 @@ class TestLowerBound:
             spherical_kakeya_lower_bound(15, 2)
         with pytest.raises(BadDimensionError):
             spherical_kakeya_lower_bound(5, 1)
+
+    @pytest.mark.parametrize("q,last", [(3, 9012), (5, 6152), (4093, 1190)])
+    def test_digit_cap_is_on_the_value(self, q, last):
+        # at (5, 6152) q^n already has 4301 digits and the value 4300
+        def numerator(n):
+            e = (n - 1) // 2
+            return (q**n + q**(n - 1) - 2 * q**(n - 2) - q**(e + 2) + q**(e + 1)) // 2
+
+        assert numerator(last) < 10 ** 4300 <= numerator(last + 1)
+        assert spherical_kakeya_lower_bound(q, last).value == numerator(last)
+        with pytest.raises(SizeCapError, match="exceeds 4300 digits"):
+            spherical_kakeya_lower_bound(q, last + 1)
+
+    def test_digit_cap_rejects_a_huge_n_before_forming_q_to_the_n(self):
+        with pytest.raises(SizeCapError, match=r"3\^1000000000 exceeds"):
+            spherical_kakeya_lower_bound(3, 10 ** 9)
 
     def test_value_is_always_an_integer_here(self):
         for q in (3, 5, 7, 9, 11):
