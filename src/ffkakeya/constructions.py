@@ -224,6 +224,7 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
         raise BadDimensionError("radius construction needs dimension >= 2")
     q = field.q
     space_size(field, n)
+    field.require_array((q, q))  # M, and the witness check's index arrays
     tail = (0,) * (n - 1)
     entries = {r: SphereSpec((r,) + tail, r) for r in field.units()}
     _, offsets = level_order(field, n - 1)
@@ -268,6 +269,7 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
         raise BadDimensionError("center construction needs dimension >= 2")
     q = field.q
     space_size(field, n)
+    field.require_array((q, q))  # the witness check's index arrays
     if r is None:
         r = field.smallest_nonsquare()
     if not is_rank(field, r):

@@ -26,14 +26,19 @@ multiply the digit polynomials modulo the modulus.  One polynomial
 product, _poly_mulmod, and its power _poly_powmod serve those ops, the
 build of the logs and Rabin's irreducibility test alike.  Which g is used
 changes no output: only the tables and values derived from exp and log
-are visible.  add_arrays and sub_arrays add rank arrays digit by digit
-for any q, and every other module adds through them; only the dense
-q x q tables (add_table, sub_table, mul_table) need q <= TABLE_CAP.
+are visible; mul_arrays is a gather from them too.  add_arrays and
+sub_arrays add rank arrays for any q, and every other module adds through
+them: a chunk of c base-p digits of both operands indexes one cached
+p^c x p^c table of digitwise sums (at most CHUNK_ENTRIES entries), and an
+outer sum gathers whole rows of it.  The three refuse an array of more
+than ARRAY_CAP elements before allocating it; only the dense q x q tables
+add_table, sub_table and mul_table need q <= TABLE_CAP.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from functools import cached_property
 from itertools import zip_longest
 
@@ -46,6 +51,8 @@ from .exact import ceil_sqrt, is_prime, prime_power_decompose  # noqa: F401 (re-
 FIELD_CAP = 1 << 63  # largest accepted q = p^k
 TABLE_CAP = 4096     # largest q with dense q x q operation tables
 LOG_CAP_BYTES = 64 << 20  # largest exp/log pair, 12 bytes per element
+ARRAY_CAP = 1 << 26  # most elements in one array of add/sub/mul_arrays (512 MB of int64)
+CHUNK_ENTRIES = 1 << 16  # most entries in one digit-chunk table of add/sub_arrays
 
 
 # ---- polynomial helpers over F_p (coefficient lists, constant term first) ----
@@ -170,7 +177,8 @@ class Fq:
 
     All operations take and return element ranks (plain ints).  The
     exp/log arrays and the length-q arrays gathered from them are built
-    lazily while 12q bytes fit LOG_CAP_BYTES; only the dense q x q tables
+    lazily while 12q bytes fit LOG_CAP_BYTES; the rank-array operations
+    form at most ARRAY_CAP elements, and only the dense q x q tables
     require q <= TABLE_CAP.  Up to the byte cap the scalar mul, inv, pow
     and char read the logs, and beyond it they fall back to polynomial
     arithmetic, so the scalar methods work for any supported q.
@@ -287,28 +295,78 @@ class Fq:
         return self.coeffs_to_element(_poly_powmod(
             self.element_to_coeffs(a), e, self.modulus, self.p))
 
-    # ---- elementwise arithmetic on rank arrays, for any q ----
+    # ---- elementwise arithmetic on rank arrays ----
 
     def add_arrays(self, a, b) -> np.ndarray:
-        """Elementwise a + b of broadcastable rank arrays, digit by digit;
-        needs no dense table."""
+        """Elementwise a + b of broadcastable rank arrays, for any q."""
         return self._digitwise(a, b, 1)
 
     def sub_arrays(self, a, b) -> np.ndarray:
-        """Elementwise a - b of broadcastable rank arrays, digit by digit."""
+        """Elementwise a - b of broadcastable rank arrays, for any q."""
         return self._digitwise(a, b, -1)
 
-    def _digitwise(self, a, b, sign: int) -> np.ndarray:
+    def mul_arrays(self, a, b) -> np.ndarray:
+        """Elementwise a * b of broadcastable rank arrays, read from the logs."""
+        a, b = self._operands(a, b)
+        exp, log = self._logs
+        return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]].astype(np.int64))
+
+    def require_array(self, shape) -> None:
+        """Raise SizeCapError, before anything is allocated, when an array of
+        this shape holds more than ARRAY_CAP elements."""
+        size = math.prod(shape)
+        if size > ARRAY_CAP:
+            raise SizeCapError(f"an array of {size} elements of F_{self.q} "
+                               f"exceeds the array cap {ARRAY_CAP}")
+
+    def _operands(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """a and b as int64 arrays, once their broadcast fits ARRAY_CAP."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if a.size * b.size > ARRAY_CAP:  # the broadcast has at most a.size * b.size
+            self.require_array(np.broadcast_shapes(a.shape, b.shape))
+        return a, b
+
+    @cached_property
+    def _chunks(self) -> tuple[int, dict[int, np.ndarray] | None]:
+        """(m, tables) for _digitwise: m = p^c for c base-p digits per chunk,
+        the fewest chunks whose m x m tables keep within CHUNK_ENTRIES, and
+        tables[sign] the table of x + sign * y, digit by digit, for x, y < m.
+        tables is None, and a chunk one digit, when p^2 exceeds CHUNK_ENTRIES."""
+        p, k = self.p, self.k
+        widest = 0
+        while widest < k and p ** (2 * widest + 2) <= CHUNK_ENTRIES:
+            widest += 1
+        if widest == 0:
+            return p, None
+        c = -(-k // -(-k // widest))  # ceil(k / number of chunks)
+        return p ** c, {sign: self._digit_table(sign, c).astype(np.int64) for sign in (1, -1)}
+
+    def _digitwise(self, a, b, sign: int) -> np.ndarray:
+        """a + sign * b one chunk of digits at a time: the chunks of the two
+        operands index the table of _chunks, and an outer sum (a column
+        against a row) gathers whole rows of it."""
+        a, b = self._operands(a, b)
         if self.k == 1:
             return (a + sign * b) % self.p
-        p = self.p
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        m, tables = self._chunks
+        outer = a.ndim == 2 and a.shape[1] == 1 and b.ndim in (1, 2) and b.size == b.shape[-1]
+        out = None
         step = 1
-        for _ in range(self.k):
-            out += (a // step + sign * (b // step)) % p * step
-            step *= p
+        while step < self.q:
+            x, y = a // step % m, b // step % m
+            if tables is None:
+                part = (x + sign * y) % m
+            elif outer:
+                part = tables[sign][x[:, 0]].take(y.ravel(), axis=1)
+            else:
+                part = tables[sign][x, y]
+            if out is None:
+                out = part
+            else:
+                part *= step
+                out += part
+            step *= m
         return out
 
     # ---- quadratic character ----
@@ -372,27 +430,28 @@ class Fq:
         log[exp[:order]] = np.arange(order, dtype=np.int32)
         return exp, log
 
-    def _digit_table(self, sign: int) -> np.ndarray:
-        """The q x q table of a + sign * b, one digit at a time: with
-        a = a_i p^i + a_lo, the table for digits 0..i is the broadcast sum
-        of the p x p digit table times p^i and the table for digits below i."""
-        self._require_tables()
+    def _digit_table(self, sign: int, digits: int) -> np.ndarray:
+        """The p^digits square table of a + sign * b, one digit at a time:
+        with a = a_i p^i + a_lo, the table for digits 0..i is the broadcast
+        sum of the p x p digit table times p^i and the table for digits below i."""
         p = self.p
         x = np.arange(p, dtype=np.int32)
         digit = (x[:, None] + sign * x[None, :]) % p
         out = np.zeros((1, 1), dtype=np.int32)
-        for i in range(self.k):
+        for i in range(digits):
             m = p ** i
             out = ((digit * m)[:, None, :, None] + out[None, :, None, :]).reshape(p * m, p * m)
         return out
 
     @cached_property
     def add_table(self) -> np.ndarray:
-        return self._digit_table(1)
+        self._require_tables()
+        return self._digit_table(1, self.k)
 
     @cached_property
     def sub_table(self) -> np.ndarray:
-        return self._digit_table(-1)
+        self._require_tables()
+        return self._digit_table(-1, self.k)
 
     @cached_property
     def neg_arr(self) -> np.ndarray:

@@ -445,22 +445,19 @@ def sphere_ranks(field: Fq, sphere: SphereSpec) -> np.ndarray:
 
 
 def hypersphere_ranks(field: Fq, h: HypersphereSpec) -> np.ndarray:
-    """Point ranks of a hyper-sphere, as center + {y in S_r(0) : d.y = 0}.
-
-    d.y is F_p-linear in the base-p digits of y, digit i k + j being digit j
-    of y_i: mod p, the |y| x nk digit matrix times the nk x k matrix whose
-    row i k + j holds the digits of d_i t^j, block by block over d_i != 0."""
-    n, p, k, q = len(h.center), field.p, field.k, field.q
+    """Point ranks of a hyper-sphere, as center + {y in S_r(0) : d.y = 0}."""
+    n, q = len(h.center), field.q
     if not is_point(field, n, h.direction):
         raise ValueError(f"direction {h.direction} is not a point of F_{q}^{n}")
     y = origin_sphere_ranks(field, n, h.radius)
-    digits = np.arange(q) // p ** np.arange(k)[:, None] % p  # [j, a]: digit j of a
-    dots = np.zeros((k, y.size), dtype=np.int64)
+    rows = field.mul_arrays(np.array(h.direction)[:, None], np.arange(q))  # [i, a]: d_i a
+    dots = np.zeros(y.shape, dtype=np.int64)
+    step = 1
     for i, d in enumerate(h.direction):
-        if d:
-            rows = [field.element_to_coeffs(field.mul(d, p ** j)) for j in range(k)]
-            dots += (np.array(rows).T @ digits)[:, y // q ** i % q]
-    return translate(field, n, y[~(dots % p).any(axis=0)], h.center)
+        if d:  # a zero coordinate of d adds nothing to d.y
+            dots = field.add_arrays(dots, rows[i][y // step % q])
+        step *= q
+    return translate(field, n, y[dots == 0], h.center)
 
 
 def sphere_points(field: Fq, sphere: SphereSpec) -> PointSet:

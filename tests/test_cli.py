@@ -263,9 +263,21 @@ class TestBeyondTheTableCap:
         assert row[:7] == ["4099", "4099", "1", "2", "center-spherical", "", str(4099 * 2050)]
         assert row[-2:] == ["true", "true"]
 
+    @pytest.mark.parametrize("args,size", [
+        (("count", "--p", "100003", "--coeffs", "1,2", "--rhs", "3"), 100003 * 50002),
+        (("construct", "--p", "20011", "--n", "2", "--which", "radius-spherical"), 20011 ** 2),
+        (("construct", "--p", "20011", "--n", "2", "--which", "center-spherical"), 20011 ** 2),
+    ], ids=["count", "radius", "center"])
+    def test_array_cap_exits_three_at_once(self, args, size):
+        # no address-space limit: the cap is checked before the q x q arrays exist
+        r = run(*args, timeout=20)
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr == (f"error: an array of {size} elements of F_{args[2]} "
+                            f"exceeds the array cap {1 << 26}\n")
+
     def test_out_of_memory_exits_three(self):
-        # the count's q x (q + 1) / 2 index would take 3.6 TiB
-        r = run("count", "--p", "1000003", "--coeffs", "1,2", "--rhs", "3",
+        # the 4099^3-byte mask is within the point and array caps
+        r = run("construct", "--p", "4099", "--n", "3", "--which", "center-spherical",
                 preexec_fn=limit_memory)
         assert r.returncode == 3 and r.stdout == ""
         assert r.stderr.startswith("error: out of memory: ")

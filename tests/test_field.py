@@ -22,7 +22,7 @@ from ffkakeya import (
     prime_power_decompose,
     smallest_irreducible,
 )
-from ffkakeya.field import LOG_CAP_BYTES, TABLE_CAP
+from ffkakeya.field import ARRAY_CAP, CHUNK_ENTRIES, LOG_CAP_BYTES, TABLE_CAP
 
 ODD_PRIME_POWERS_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
 
@@ -385,6 +385,52 @@ class TestTables:
         assert f.sub_arrays([3, 10006], [5, 1]).tolist() == [10005, 10005]
         assert f.add_arrays(10006, 2) == 1
         assert "add_table" not in vars(f) and "sub_table" not in vars(f)
+
+    # one chunk (27, 5^2), two equal chunks (3^6, 5^4), chunks of 4 and 3 digits (3^7)
+    @pytest.mark.parametrize("p,k", [(3, 3), (5, 2), (3, 6), (3, 7), (5, 4)])
+    def test_chunked_arithmetic_matches_tables_in_every_shape(self, p, k):
+        f = Fq(p, k)
+        m, _ = f._chunks
+        assert m * m <= CHUNK_ENTRIES
+        add, sub = f.add_table, f.sub_table
+        rng = np.random.default_rng(f.q)
+        a, b = rng.integers(0, f.q, size=(2, 300))
+        col, row = a[:40, None], b[None, :50]
+        for got, want in [
+            (f.add_arrays(a, b), add[a, b]),                  # elementwise
+            (f.sub_arrays(col, row), sub[col, row]),          # outer: a column, a row
+            (f.sub_arrays(col, b[:50]), sub[col, b[:50]]),    # outer: a column, a vector
+            (f.add_arrays(a[:6].reshape(2, 3), b[:3]), add[a[:6].reshape(2, 3), b[:3]]),
+            (f.add_arrays(col[:5], row[:, :1]), add[col[:5], row[:, :1]]),
+            (f.sub_arrays(7, a), sub[7, a]),
+        ]:
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_digits_too_wide_for_a_chunk_table(self):
+        f = Fq(257, 2)  # p^2 > CHUNK_ENTRIES: one digit at a time, mod p
+        assert f._chunks == (257, None)
+        rng = np.random.default_rng(257)
+        a, b = rng.integers(0, f.q, size=(2, 200)).tolist()
+        assert f.add_arrays(a, b).tolist() == [f.add(x, y) for x, y in zip(a, b)]
+        assert f.sub_arrays(np.array(a)[:, None], b)[3].tolist() == [f.sub(a[3], y) for y in b]
+
+    @pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (3, 3), (7, 2)])
+    def test_mul_arrays_matches_the_table(self, p, k):
+        f = Fq(p, k)
+        a = np.arange(f.q)
+        assert np.array_equal(f.mul_arrays(a[:, None], a), f.mul_table)
+        assert f.mul_arrays(3, a).tolist() == f.mul_table[3].tolist()
+        assert f.mul_arrays(0, 4) == 0 and f.mul_arrays(1, 4) == 4
+
+    def test_array_cap_is_checked_before_allocating(self):
+        f = Fq(3, 2)
+        f.require_array((ARRAY_CAP,))
+        with pytest.raises(SizeCapError, match="array cap"):
+            f.require_array((1 << 13, (ARRAY_CAP >> 13) + 1))
+        big = np.zeros(1 << 14, dtype=np.int64)  # a 2^28-element outer sum
+        for op in (f.add_arrays, f.sub_arrays, f.mul_arrays, Fq(10007).add_arrays):
+            with pytest.raises(SizeCapError, match="array cap"):
+                op(big[:, None], big)
 
     @pytest.mark.parametrize("q", _odd_prime_powers_up_to(729))
     def test_tables_equal_the_replaced_builders(self, q):

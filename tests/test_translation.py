@@ -574,7 +574,7 @@ def test_translate_rejects_points_outside_the_space(center):
         translate(field, 3, [0, 1], center)
 
 
-# ---- the dense-table expressions that add_arrays and the digit product replaced ----
+# ---- the dense-table expressions that add_arrays and mul_arrays replaced ----
 
 def table_origin_norm_profile(field, n):
     """The profile recursion over add_table: row y is y^2 + v gathered at
