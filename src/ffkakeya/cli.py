@@ -40,10 +40,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _bool_str(b: bool) -> str:
-    return "true" if b else "false"
-
-
 def _write(out_path, text: str) -> None:
     if out_path:
         Path(out_path).write_text(text)
@@ -57,8 +53,8 @@ def _result_row(res) -> list[str]:
     return [str(res.field.q), str(res.field.p), str(res.field.k), str(res.n),
             res.name, res.variant or "", str(res.size),
             terms[0], terms[1], terms[2],
-            exact_str(res.bound), _bool_str(res.bound_met),
-            _bool_str(res.witness_valid)]
+            exact_str(res.bound), str(res.bound_met).lower(),
+            str(res.witness_valid).lower()]
 
 
 def _csv_text(rows) -> str:

@@ -191,11 +191,6 @@ def witness_from_json_dict(data, field: Fq | None = None,
     return KakeyaWitness(data["kind"], entries)
 
 
-def _circular_window_met(q: int, size: int, lower: int) -> bool:
-    # sqrt(q) <= size < 6*sqrt(q), checked in exact integer arithmetic
-    return lower <= size and size * size >= q and size * size < 36 * q
-
-
 # ---- spherical constructions ----
 
 def radius_spherical(field: Fq, n: int) -> ConstructionResult:
@@ -396,6 +391,8 @@ def _circular_result(field: Fq, name: str, variant: str, ks,
     size = points.size
     witness = _circular_witness(field, ks, variant)
     lower = circular_lower_bounds(field.q)[0 if variant == VARIANT_RADIUS else 1]
+    # sqrt(q) <= size < 6 sqrt(q), in exact integer arithmetic
+    met = lower <= size and field.q <= size * size < 36 * field.q
     accounting = dict(accounting)
     accounting["nominalSize"] = nominal
     return ConstructionResult(
@@ -403,7 +400,7 @@ def _circular_result(field: Fq, name: str, variant: str, ks,
         points=points, witness=witness, size=size,
         main_terms=(Fraction(nominal),),
         bound=Fraction(lower), bound_is_lower=True,
-        bound_met=_circular_window_met(field.q, size, lower),
+        bound_met=met,
         witness_valid=witness_valid(field, points, witness),
         accounting=accounting)
 

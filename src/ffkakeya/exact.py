@@ -49,38 +49,43 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def _integer_root(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by Newton's method in exact integers from
+    above: from 2^ceil(bits / k), or, for m of 2k bits or more, from the
+    root of m's top half plus one, shifted back, which leaves few steps."""
+    s = m.bit_length() // (2 * k)
+    x = (_integer_root(m >> k * s, k) + 1) << s if s else 1 << -(-m.bit_length() // k)
+    while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
 def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Write q as p^k with p an odd prime, or raise NonOddPrimeError."""
+    """Write q as p^k with p an odd prime, or raise NonOddPrimeError: the
+    first exact k-th root of q that is prime, for k = 1, 2, ... while
+    3^k <= q.  A composite verdict of is_prime is exact at every size, but
+    it vouches for a prime only below 2^64: a prime p past that raises
+    SizeCapError."""
     if not isinstance(q, int) or q < 3:
         raise NonOddPrimeError(f"{q} is not an odd prime power >= 3")
     if q % 2 == 0:
         raise NonOddPrimeError(f"{q} is even")
-    p = None
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            p = d
-            break
-        d += 2
-    if p is None:
-        return q, 1
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
+    k = 1
+    while 3 ** k <= q:
+        p = _integer_root(q, k)
+        if p ** k == q and is_prime(p):
+            if p >> 64:
+                raise SizeCapError(f"{p} is past 2^64, where primality is not certified")
+            return p, k
         k += 1
-    if m != 1:
-        raise NonOddPrimeError(f"{q} is not a prime power")
-    return p, k
+    raise NonOddPrimeError(f"{q} is not a prime power")
 
 
 def ceil_sqrt(m: int) -> int:
     """Exact ceiling of the square root of a nonnegative integer."""
     if m < 0:
         raise ValueError("negative input")
-    if m == 0:
-        return 0
-    return math.isqrt(m - 1) + 1
+    return math.isqrt(m - 1) + 1 if m else 0
 
 
 def exact_str(value) -> str:

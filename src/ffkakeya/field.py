@@ -193,12 +193,11 @@ class Fq:
             raise ValueError(f"extension degree must be a positive integer, got {k}")
         if not isinstance(p, int) or p == 2 or not is_prime(p):
             raise NonOddPrimeError(f"{p} is not an odd prime")
-        q = p ** k
-        if q > FIELD_CAP:
+        if k >= 40 or p ** k > FIELD_CAP:  # p >= 3: past it for k >= 40, tested before p^k
             raise SizeCapError(f"q = {p}^{k} exceeds the field size cap 2^63")
         self.p = p
         self.k = k
-        self.q = q
+        self.q = p ** k
         self.modulus = smallest_irreducible(p, k) if k > 1 else None
 
     # ---- element codecs ----
@@ -378,11 +377,8 @@ class Fq:
         return 1 if self.pow(a, (self.q - 1) // 2) == 1 else -1
 
     def smallest_nonsquare(self) -> int:
-        """The nonsquare of least rank."""
-        for a in self.units():
-            if self.char(a) == -1:
-                return a
-        raise RuntimeError("no nonsquare found")  # unreachable for odd q >= 3
+        """The nonsquare of least rank; half the units are nonsquares."""
+        return next(a for a in self.units() if self.char(a) == -1)
 
     # ---- length-q arrays and dense q x q tables (vectorized callers) ----
 

@@ -370,6 +370,23 @@ def level_order(field: Fq, m: int) -> tuple[np.ndarray, np.ndarray]:
     return order, offsets
 
 
+def _norm_class_representatives(field: Fq, n: int) -> list[tuple[int, ...]]:
+    """The least nonzero point of each nonempty norm class of F_q^n, read
+    from level_order: at most q points, one per orbit of the orthogonal
+    group O of the norm form on the nonzero vectors.
+
+    Witt's extension theorem: in a nondegenerate quadratic space of odd
+    characteristic, an isometry between two subspaces extends to one of
+    the whole space.  For nonzero u, v with ||u|| = ||v||, a u -> a v is an
+    isometry of the line <u> onto <v>, isotropic or not, so some g in O has
+    g u = v.  Each g is linear, so it fixes 0 and ||g x - g c|| = ||x - c||:
+    it maps S_r(0) & S_s(c) onto S_r(0) & S_s(g c).  So |S_r(0) & S_s(c)|
+    depends only on ||c|| for c != 0."""
+    order, offsets = level_order(field, n)
+    starts = offsets[:-1] + (np.arange(field.q) == 0)  # the origin heads level 0
+    return [point_unrank(field, n, int(order[i])) for i in starts[starts < offsets[1:]]]
+
+
 def _fibres(field: Fq, m: int, radius, heads, scale: int) -> np.ndarray:
     """heads[y] + scale * t for every point (y, t) of F_q x F_q^m with
     y^2 + ||t|| = radius: fibre by fibre in order of y, t ascending within

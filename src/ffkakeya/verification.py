@@ -9,6 +9,8 @@ difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 Witness mode checks a certificate object against the set; exhaustive mode
 needs none: it counts the points outside every candidate sphere, exactly,
 in about n * q^(n+2) steps whatever the set holds, within a work budget.
+The intersection-lemma scan takes one center per norm class, in about
+n * q^(n+1) steps.
 The size lower bounds live in exact, which needs no numpy; they are
 re-exported here.
 """
@@ -30,6 +32,7 @@ from .geometry import (
     HypersphereSpec,
     PointSet,
     SphereSpec,
+    _norm_class_representatives,
     fibre_level_table,
     hypersphere_ranks,
     is_point,
@@ -37,6 +40,7 @@ from .geometry import (
     origin_norm_profile,
     space_size,
     sphere_ranks,
+    translate,
 )
 
 # ---- witness checking ----
@@ -165,46 +169,36 @@ def verify_center_kakeya(points: PointSet, witness=None, *,
         return witness.kind == "center-coordinate" and witness_valid(field, points, witness)
     hits = _complement_hit_counts(points, budget)
     ok_center = (hits[:, 1:] == 0).any(axis=1)
-    first = (np.arange(len(ok_center), dtype=np.int64) % field.q)
-    per_coord = np.bincount(first[ok_center], minlength=field.q)
-    return bool((per_coord > 0).all())
+    # center rank a = a_1 + q * (the rest), so column a_1 of the reshape
+    return bool(ok_center.reshape(-1, field.q).any(axis=0).all())
 
 
 def verify_intersection_lemma(field: Fq, n: int, *,
                               budget: int = DEFAULT_BUDGET) -> int:
     """Maximum intersection size over all pairs of distinct spheres in
-    F_q^n, by exhaustive scan over all center differences and radii.
+    F_q^n, by one scan per norm class of the center difference.
 
     S_r(a) and S_s(b) meet in the translate by a of S_r(0) and S_s(b - a),
-    so the pairs centred at 0 and at c != 0 cover every pair: about
-    space^2 work.  Same-center pairs with different radii are disjoint.
-    The maximum never exceeds q^(n-2) + q^((n-1)//2).
+    and same-center pairs with different radii are disjoint, so the pairs
+    centred at 0 and at c != 0 cover every pair.  By Witt's theorem (see
+    _norm_class_representatives) |S_r(0) & S_s(c)| depends only on ||c||:
+    one count of the joint (||x||, ||x - c||) per norm class, at most q of
+    them, about n * q^(n+1) work.  The maximum never exceeds
+    q^(n-2) + q^((n-1)//2).
     """
     if n < 2:
         raise BadDimensionError("sphere pairs need dimension >= 2")
     q = field.q
     space = space_size(field, n)
-    estimate = space * space
+    estimate = n * q ** (n + 1)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
     norms = origin_norm_profile(field, n).astype(np.int64)
-    steps = q ** np.arange(n, dtype=np.int64)
-    xdig = np.arange(space, dtype=np.int64)[:, None] // steps % q
-    sub = field.sub_arrays(np.arange(q)[:, None], np.arange(q))  # once, not per chunk
     best = 0
-    qq = q * q
-    chunk = max(1, 1_000_000 // space)
-    for lo in range(1, space, chunk):
-        centers = np.arange(lo, min(space, lo + chunk), dtype=np.int64)
-        cdig = centers[:, None] // steps % q
-        # rank of x - c for every center c of the chunk and every point x
-        shifted = np.zeros((centers.size, space), dtype=np.int64)
-        for i in range(n):
-            shifted += sub[xdig[None, :, i], cdig[:, i, None]] * steps[i]
-        joint = norms[None, :] * q + norms[shifted]
-        joint += np.arange(centers.size, dtype=np.int64)[:, None] * qq
-        counts = np.bincount(joint.reshape(-1), minlength=centers.size * qq)
-        best = max(best, int(counts.reshape(-1, q, q)[:, 1:, 1:].max()))
+    for c in _norm_class_representatives(field, n):
+        shifted = translate(field, n, np.arange(space), [field.neg(v) for v in c])  # x - c
+        counts = np.bincount(norms * q + norms[shifted], minlength=q * q)
+        best = max(best, int(counts.reshape(q, q)[1:, 1:].max()))
     return best
 
 
@@ -215,13 +209,6 @@ def intersection_lemma_bound(q: int, n: int) -> int:
 
 
 # ---- one-dimensional covers ----
-
-def _marks(field: Fq, ranks) -> np.ndarray:
-    """Boolean marks over F_q of the ranks attained, in O(size + q) steps."""
-    hit = np.zeros(field.q, dtype=bool)
-    hit[ranks] = True
-    return hit
-
 
 def _clean_ranks(field: Fq, elems) -> np.ndarray:
     """The distinct ranks of elems, sorted; ValueError for non-integer or
@@ -241,7 +228,8 @@ def diff_cover(field: Fq, elems) -> bool:
     k = _clean_ranks(field, elems)
     if k.size * (k.size - 1) + 1 < field.q:  # too few differences
         return False
-    return bool(_marks(field, field.sub_arrays(k[:, None], k[None, :])).all())
+    diffs = field.sub_arrays(k[:, None], k[None, :])
+    return bool(np.bincount(diffs.ravel(), minlength=field.q).all())
 
 
 def sum_cover(field: Fq, elems) -> bool:
@@ -250,4 +238,4 @@ def sum_cover(field: Fq, elems) -> bool:
     if k.size * (k.size - 1) < 2 * field.q:  # too few pairs
         return False
     sums = field.add_arrays(k[:, None], k[None, :])
-    return bool(_marks(field, sums[~np.eye(k.size, dtype=bool)]).all())
+    return bool(np.bincount(sums[~np.eye(k.size, dtype=bool)], minlength=field.q).all())

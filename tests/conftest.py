@@ -2,16 +2,27 @@
 
 The acceptance tests record one verdict line per criterion; this hook
 replays them in the terminal summary so they are visible even under
-output capture.
+output capture.  One hypothesis profile is loaded for every run: it draws
+the same examples each time and keeps no example database.  Hypothesis's
+other files (a cache of the constants it reads from the source) go to a
+temporary directory removed at exit, so no run writes .hypothesis/.
 """
 
 import itertools
+import tempfile
 
 import numpy as np
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from ffkakeya import diff_cover, sum_cover
 
 acceptance_lines = []
+
+settings.register_profile("ffkakeya", derandomize=True, deadline=None, database=None)
+settings.load_profile("ffkakeya")
+_hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_hypothesis_home.name)
 
 
 def norm(field, vec) -> int:

@@ -365,6 +365,26 @@ class TestBound:
     def test_invalid_q(self):
         assert run("bound", "--q", "12", "--n", "2").returncode == 2
 
+    @pytest.mark.parametrize("q", [1000000000000000003, 3 ** 100])
+    def test_large_prime_power_answers_at_once(self, q):
+        # the prime once hung in trial division up to its square root
+        r = run("bound", "--q", str(q), "--n", "4", timeout=10)
+        value = (q**4 + q**3 - 2 * q**2 - q**3 + q**2) // 2
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["value"] == str(value)
+
+    def test_report_with_a_large_prime_meets_the_point_cap(self):
+        r = run("report", "--which", "radius-spherical", "--q-list", "1000000000000000003",
+                "--n-list", "2", timeout=10)
+        assert r.returncode == 3 and "point cap" in r.stderr
+
+    @pytest.mark.parametrize("n", ["1", "4"])
+    def test_prime_past_2_to_the_64_exits_three(self, n):
+        q = 2 ** 64 + 13
+        r = run("bound", "--q", str(q), "--n", n, timeout=10)
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr == f"error: {q} is past 2^64, where primality is not certified\n"
+
     @pytest.mark.parametrize("n", [5000, 9012])
     def test_answers_up_to_the_digit_cap(self, n):
         r = run("bound", "--q", "3", "--n", str(n))

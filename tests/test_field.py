@@ -194,6 +194,26 @@ class TestPrimePowerDecompose:
         with pytest.raises(NonOddPrimeError):
             prime_power_decompose(bad)
 
+    def test_large_powers_and_primes(self):
+        assert prime_power_decompose(3 ** 39) == (3, 39)
+        assert prime_power_decompose(3 ** 100) == (3, 100)
+        assert prime_power_decompose(1000000000000000003) == (1000000000000000003, 1)
+        assert prime_power_decompose(2147483647 ** 2) == (2147483647, 2)
+
+    def test_product_of_two_primes_near_2_to_the_31(self):
+        with pytest.raises(NonOddPrimeError, match="is not a prime power"):
+            prime_power_decompose(2147483629 * 2147483647)
+
+    @pytest.mark.parametrize("q", [2 ** 64 + 13, (2 ** 64 + 13) ** 3])
+    def test_primes_past_2_to_the_64_are_not_vouched_for(self, q):
+        with pytest.raises(SizeCapError):
+            prime_power_decompose(q)
+
+    @pytest.mark.parametrize("k", [40, 10 ** 9])
+    def test_degree_past_the_field_cap_is_rejected_before_p_to_the_k(self, k):
+        with pytest.raises(SizeCapError):
+            Fq(3, k)
+
 
 class TestModulus:
     def test_f9_modulus_frozen(self):

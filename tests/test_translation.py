@@ -6,8 +6,9 @@ spirit: a fresh norm profile per sphere, the rescan of the origin profile
 and its n-dim translate per sphere, the per-center hyper-sphere loop,
 pairwise sphere masks, the q^n multiplicity scatter of the radius
 construction, the per-sphere gathers of the witness check, the all-pairs
-intersection scan, the dense-table circle certificates and the
-(center, non-member) pair scan of the exhaustive verifiers.
+intersection scan, the (0, c) pair scan of the intersection lemma, the
+dense-table circle certificates and the (center, non-member) pair scan of
+the exhaustive verifiers.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from conftest import norm, norm_profile, sum_profile
 from ffkakeya import (
+    BadDimensionError,
     BudgetExceededError,
     CircleSpec,
     HypersphereSpec,
@@ -42,8 +44,10 @@ from ffkakeya import (
     witness_valid,
 )
 from ffkakeya.constructions import KakeyaWitness
+from ffkakeya.exact import DEFAULT_BUDGET
 from ffkakeya.geometry import (
     _fibres,
+    _norm_class_representatives,
     fibre_level_table,
     is_point,
     level_order,
@@ -154,6 +158,44 @@ def old_intersection_lemma(field, n):
         joint = m[i][None, :] * q + m[i + 1:]
         joint += np.arange(joint.shape[0], dtype=np.int64)[:, None] * q * q
         counts = np.bincount(joint.reshape(-1), minlength=joint.shape[0] * q * q)
+        best = max(best, int(counts.reshape(-1, q, q)[:, 1:, 1:].max()))
+    return best
+
+
+def pair_scan_intersection_lemma(field, n: int, *,
+                                 budget: int = DEFAULT_BUDGET) -> int:
+    """Maximum intersection size over all pairs of distinct spheres in
+    F_q^n, by exhaustive scan over all center differences and radii.
+
+    S_r(a) and S_s(b) meet in the translate by a of S_r(0) and S_s(b - a),
+    so the pairs centred at 0 and at c != 0 cover every pair: about
+    space^2 work.  Same-center pairs with different radii are disjoint.
+    The maximum never exceeds q^(n-2) + q^((n-1)//2).
+    """
+    if n < 2:
+        raise BadDimensionError("sphere pairs need dimension >= 2")
+    q = field.q
+    space = space_size(field, n)
+    estimate = space * space
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+    norms = origin_norm_profile(field, n).astype(np.int64)
+    steps = q ** np.arange(n, dtype=np.int64)
+    xdig = np.arange(space, dtype=np.int64)[:, None] // steps % q
+    sub = field.sub_arrays(np.arange(q)[:, None], np.arange(q))  # once, not per chunk
+    best = 0
+    qq = q * q
+    chunk = max(1, 1_000_000 // space)
+    for lo in range(1, space, chunk):
+        centers = np.arange(lo, min(space, lo + chunk), dtype=np.int64)
+        cdig = centers[:, None] // steps % q
+        # rank of x - c for every center c of the chunk and every point x
+        shifted = np.zeros((centers.size, space), dtype=np.int64)
+        for i in range(n):
+            shifted += sub[xdig[None, :, i], cdig[:, i, None]] * steps[i]
+        joint = norms[None, :] * q + norms[shifted]
+        joint += np.arange(centers.size, dtype=np.int64)[:, None] * qq
+        counts = np.bincount(joint.reshape(-1), minlength=centers.size * qq)
         best = max(best, int(counts.reshape(-1, q, q)[:, 1:, 1:].max()))
     return best
 
@@ -362,13 +404,35 @@ def test_every_sphere_missing_one_point_is_rejected(q, n):
                 assert not gathered_witness_valid(field, holed, witness)
 
 
-# ---- (e) intersection lemma over pairs centred at 0 ----
+# ---- (e) intersection lemma: all pairs, pairs centred at 0, norm classes ----
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 7, 9, 11) for n in (2, 3, 4)
                                  if q ** n <= 125])
 def test_intersection_lemma_equals_all_pairs_scan(q, n):
     field = field_of(q)
     assert verify_intersection_lemma(field, n) == old_intersection_lemma(field, n)
+
+
+LEMMA_SWEEP = [(q, n) for q in (3, 5, 7, 9, 11, 13, 25, 27) for n in range(2, 8)
+               if q ** (2 * n) <= 10 ** 7]
+
+
+@pytest.mark.parametrize("q,n", LEMMA_SWEEP)
+def test_norm_class_scan_equals_the_pair_scan(q, n):
+    field = field_of(q)
+    assert verify_intersection_lemma(field, n) == pair_scan_intersection_lemma(field, n)
+
+
+def test_one_representative_per_norm_class():
+    for q, n in LEMMA_SWEEP:
+        field = field_of(q)
+        norms = origin_norm_profile(field, n)
+        reps = [point_rank(field, c) for c in _norm_class_representatives(field, n)]
+        assert 0 not in reps and reps == sorted(set(reps), key=lambda c: norms[c])
+        # the least nonzero rank of every norm that a nonzero point takes
+        want = {int(v): int(np.flatnonzero(norms[1:] == v)[0]) + 1
+                for v in np.unique(norms[1:])}
+        assert {int(norms[c]): c for c in reps} == want, (q, n)
 
 
 # ---- exhaustive scans by the coordinate recurrence ----

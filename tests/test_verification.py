@@ -35,6 +35,7 @@ from ffkakeya import (
     verify_radius_kakeya,
     witness_valid,
 )
+from ffkakeya.exact import DEFAULT_BUDGET
 from ffkakeya.geometry import space_size
 from ffkakeya.verification import _clean_ranks
 
@@ -293,6 +294,12 @@ class TestBudgets:
         f = make_field(3)
         with pytest.raises(BudgetExceededError):
             verify_intersection_lemma(f, 2, budget=10)
+        f = make_field(5)
+        with pytest.raises(BudgetExceededError) as info:
+            verify_intersection_lemma(f, 3, budget=1874)
+        assert info.value.estimate == 3 * 5 ** 4  # n * q^(n+1)
+        assert info.value.budget == 1874
+        assert verify_intersection_lemma(f, 3, budget=1875) == 10
 
 
 class TestIntersectionLemma:
@@ -302,6 +309,12 @@ class TestIntersectionLemma:
         best = verify_intersection_lemma(f, n)
         assert best == observed
         assert best <= intersection_lemma_bound(q, n)
+
+    def test_11_to_the_4_under_the_default_budget(self):
+        # the (0, c) pair scan needed 11^8 steps here, past DEFAULT_BUDGET
+        assert 4 * 11 ** 5 <= DEFAULT_BUDGET < 11 ** 8
+        best = verify_intersection_lemma(make_field(11), 4)
+        assert best == 132 == intersection_lemma_bound(11, 4)
 
     def test_bound_values(self):
         assert intersection_lemma_bound(3, 2) == 1 + 1
