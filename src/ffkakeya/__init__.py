@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # each public name, under the module that defines it
 _HOMES = {
     "constructions": (
-        "CircleSpec", "ConstructionResult", "KakeyaWitness", "center_spherical",
+        "ConstructionResult", "KakeyaWitness", "center_spherical",
         "circular_odd_power", "circular_prime", "circular_square",
         "hypersphere_union", "radius_spherical", "witness_from_json_dict",
     ),
@@ -33,7 +33,7 @@ _HOMES = {
     ),
     "field": ("Fq", "make_field", "smallest_irreducible"),
     "geometry": (
-        "DiagonalEq", "HypersphereSpec", "PointSet", "SphereSpec",
+        "CircleSpec", "DiagonalEq", "HypersphereSpec", "PointSet", "SphereSpec",
         "diagonal_count_bruteforce", "diagonal_count_closed", "diagonal_counts_by_rhs",
         "hypersphere_points", "hypersphere_ranks", "origin_norm_profile", "point_rank",
         "point_unrank", "sphere_intersection_size", "sphere_points", "sphere_ranks",

@@ -109,9 +109,9 @@ def _cmd_construct(args) -> int:
 
 
 def _load_set_file(path):
-    from .constructions import json_int, witness_from_json_dict
+    from .constructions import witness_from_json_dict
     from .field import make_field
-    from .geometry import PointSet
+    from .geometry import PointSet, json_int
 
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or not isinstance(data.get("ranks"), list):

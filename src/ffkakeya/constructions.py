@@ -11,11 +11,14 @@ around centers with every first (only) coordinate iff K (+) K = F_q with
 distinct summands.  Three small covers are built: one for prime q, one
 for square q from a subfield pair, and one for odd prime powers
 q = p^(2m+1) from two digit blocks.
+
+Saved witnesses are written from each entry's fields and read back into
+the entry type that their kind names in verification.WITNESS_KINDS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from math import isqrt
 
@@ -27,10 +30,8 @@ from .errors import (
     NotASquareFieldError,
     UsageError,
     WrongDegreeError,
-    ZeroRadiusError,
 )
 from .exact import (
-    VARIANT_CENTER,
     VARIANT_RADIUS,
     VARIANTS,
     circular_lower_bounds,
@@ -38,40 +39,30 @@ from .exact import (
     spherical_kakeya_lower_bound,
 )
 from .field import Fq, make_field
-from .geometry import (
+from .geometry import (  # noqa: F401 (CircleSpec re-exported)
+    CircleSpec,
     HypersphereSpec,
     PointSet,
     SphereSpec,
     is_rank,
+    json_int,
+    json_point,
     level_order,
     origin_norm_profile,
     origin_sphere_ranks,
     point_unrank,
     space_size,
 )
-from .verification import witness_valid
-
-
-@dataclass(frozen=True)
-class CircleSpec:
-    """One-dimensional circle (x - center)^2 = radius^2, the point pair
-    {center + radius, center - radius}."""
-
-    center: int
-    radius: int
-
-    def __post_init__(self):
-        if self.radius == 0:
-            raise ZeroRadiusError("circle radius must be nonzero")
+from .verification import WITNESS_KINDS, witness_valid
 
 
 @dataclass(frozen=True)
 class KakeyaWitness:
     """Coverage certificate: one certified object per parameter value.
 
-    kind is one of 'radius', 'center-coordinate', 'hypersphere',
-    'circular-radius', 'circular-center'; entries map the parameter
-    (a radius or a center coordinate) to the covering object."""
+    kind is a key of verification.WITNESS_KINDS, which names the type of
+    the entries; entries map the parameter (a radius or a center
+    coordinate) to the covering object."""
 
     kind: str
     entries: dict
@@ -122,62 +113,40 @@ class ConstructionResult:
 
 
 def _spec_to_dict(spec) -> dict:
-    if isinstance(spec, SphereSpec):
-        return {"center": list(spec.center), "radius": spec.radius}
-    if isinstance(spec, HypersphereSpec):
-        return {"center": list(spec.center), "direction": list(spec.direction),
-                "radius": spec.radius}
-    if isinstance(spec, CircleSpec):
-        return {"center": spec.center, "radius": spec.radius}
-    raise TypeError(f"unknown witness entry {type(spec).__name__}")
+    """The fields of a witness entry by name, each point as a list of ranks."""
+    values = ((f.name, getattr(spec, f.name)) for f in fields(spec))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
-def json_int(data, key, where: str, field: Fq | None = None) -> int:
-    """data[key] as an integer, and an element rank of the field if one is
-    given; UsageError naming what is missing or wrong otherwise."""
-    if not isinstance(data, dict) or key not in data:
-        raise UsageError(f"{where} has no {key!r}")
-    return _json_rank(data[key], f"{where} {key!r}", field)
-
-
-def _json_rank(value, what: str, field: Fq | None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
-    if field is not None and not is_rank(field, value):
-        raise UsageError(f"{what} rank {value} outside [0, {field.q})")
-    return value
-
-
-def _json_point(data: dict, key, where: str, field: Fq | None,
-                n: int | None) -> tuple[int, ...]:
-    vec = data[key]
-    if not isinstance(vec, list) or (n is not None and len(vec) != n):
-        raise UsageError(f"{where} {key!r} must be a list of {n or 'some'} ranks")
-    return tuple(_json_rank(v, f"{where} {key!r}", field) for v in vec)
-
-
-def _spec_from_dict(data, where: str, field: Fq | None, n: int | None):
-    if not isinstance(data, dict) or "center" not in data:
-        raise UsageError(f"{where} has no 'center'")
-    radius = json_int(data, "radius", where, field)
-    if not isinstance(data["center"], list):
-        return CircleSpec(json_int(data, "center", where, field), radius)
-    center = _json_point(data, "center", where, field, n)
-    if "direction" in data:
-        return HypersphereSpec(center, _json_point(data, "direction", where, field, n),
-                               radius)
-    return SphereSpec(center, radius)
+def _spec_from_dict(data, where: str, spec_type: type, field: Fq | None,
+                    n: int | None):
+    """The entry of spec_type stored in data, which must hold the type's
+    fields and no other key: a list of n ranks for each field the type
+    holds as a tuple (a point), one rank for each other field."""
+    names = [f.name for f in fields(spec_type)]
+    extra = [key for key in data if key not in names] if isinstance(data, dict) else []
+    if extra:
+        raise UsageError(f"{where} has {extra[0]!r}, which a {spec_type.__name__} has not")
+    return spec_type(**{
+        f.name: (json_point(data, f.name, where, field, n) if "tuple" in str(f.type)
+                 else json_int(data, f.name, where, field))
+        for f in fields(spec_type)})
 
 
 def witness_from_json_dict(data, field: Fq | None = None,
                            n: int | None = None) -> KakeyaWitness:
-    """Parse a stored witness.  With the field (and dimension) of its set,
-    every rank must lie in [0, q) and every point have length n.  Missing
-    keys and bad ranks raise UsageError."""
+    """Parse a stored witness into entries of the type its kind names.
+    With the field (and dimension) of its set, every rank must lie in
+    [0, q) and every point have length n.  An unknown kind, an entry not of
+    that type, missing keys and bad ranks raise UsageError."""
     if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
         raise UsageError("witness has no 'entries' object")
-    if not isinstance(data.get("kind"), str):
+    kind = data.get("kind")
+    if not isinstance(kind, str):
         raise UsageError("witness has no 'kind' string")
+    if kind not in WITNESS_KINDS:
+        raise UsageError(f"witness kind {kind!r} is not one of {', '.join(WITNESS_KINDS)}")
+    spec_type = WITNESS_KINDS[kind][0]
     entries = {}
     for key, value in data["entries"].items():
         where = f"witness entry {key}"
@@ -187,8 +156,8 @@ def witness_from_json_dict(data, field: Fq | None = None,
             raise UsageError(f"{where}: key is not an integer") from None
         if field is not None and not is_rank(field, param):
             raise UsageError(f"{where}: key rank outside [0, {field.q})")
-        entries[param] = _spec_from_dict(value, where, field, n)
-    return KakeyaWitness(data["kind"], entries)
+        entries[param] = _spec_from_dict(value, where, spec_type, field, n)
+    return KakeyaWitness(kind, entries)
 
 
 # ---- spherical constructions ----
@@ -206,14 +175,18 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     Fibres.  Whether (x_0, t) lies on the sphere of radius r depends only
     on x_0 and v = ||t||, so m(x_0, t) = M[||t||, x_0] with
 
-        M[v, x_0] = #{r in F_q^* : (x_0 - r)^2 + v = r},
+        M[v, x_0] = #{r in F_q^* : (x_0 - r)^2 + v = r}.
 
-    built by one length-q update per radius (sphere r adds 1 at
-    (r - (x_0 - r)^2, x_0) for every x_0).  The set is M > 0 read through
-    the origin norm profile of F_q^(n-1), and with L_v = #{t : ||t|| = v}
-    the level sizes, sum m = sum_(v, x_0) L_v M[v, x_0] and likewise for
-    m(m - 1); the latter is summed as each update raises some M from
-    m to m + 1, which adds 2m.  Nothing of size q^n is counted.
+    Those r are the roots of r^2 - (2 x_0 + 1) r + x_0^2 + v, whose
+    discriminant is 4 x_0 + 1 - 4 v, and r = 0 is a root iff v = -x_0^2, so
+
+        M[v, x_0] = 1 + chi(4 x_0 + 1 - 4 v) - [v = -x_0^2]:
+
+    one q x q sum, one gather of the character and one scatter of q
+    entries.  The set is M > 0 read through the origin norm profile of
+    F_q^(n-1), and with L_v = #{t : ||t|| = v} the level sizes, sum m =
+    sum_(v, x_0) L_v M[v, x_0]; M <= 2, so sum m(m - 1) = 2 sum_v L_v
+    #{x_0 : M[v, x_0] = 2}.  Nothing of size q^n is counted.
     """
     if n < 2:
         raise BadDimensionError("radius construction needs dimension >= 2")
@@ -225,14 +198,15 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     _, offsets = level_order(field, n - 1)
     level_sizes = np.diff(offsets).astype(np.int64)
     x0 = np.arange(q)
-    multiplicity = np.zeros((q, q), dtype=np.min_scalar_type(q - 1))
-    singles = pairs_ordered = 0
-    for r in field.units():
-        levels = field.sub_arrays(r, field.sq_arr[field.sub_arrays(x0, r)])
-        before, sizes = multiplicity[levels, x0], level_sizes[levels]
-        singles += int(sizes.sum())
-        pairs_ordered += 2 * int(sizes @ before.astype(np.int64))
-        multiplicity[levels, x0] = before + 1
+    two = field.add_arrays(x0, x0)
+    four = field.add_arrays(two, two)  # 4 x_0, and 4 v down the column
+    # the q x q discriminants are freed once the character is read
+    multiplicity = 1 + field.char_arr[field.add_arrays(field.neg_arr[four][:, None],
+                                                       field.add_arrays(four, 1))]
+    multiplicity[field.neg_arr[field.sq_arr], x0] -= 1
+    twice = np.count_nonzero(multiplicity == 2, axis=1)
+    singles = int(level_sizes @ (np.count_nonzero(multiplicity, axis=1) + twice))
+    pairs_ordered = 2 * int(level_sizes @ twice)
     mask = (multiplicity > 0)[origin_norm_profile(field, n - 1)].ravel()
     points = PointSet._adopt(field, n, mask)
     size = points.size
@@ -360,10 +334,10 @@ def _circular_witness(field: Fq, ks: list[int], variant: str) -> KakeyaWitness:
     elements with x1 + x2 = 2a certifies center a with radius x1 - a."""
     k = np.asarray(ks, dtype=np.int64)
     if variant == VARIANT_RADIUS:
-        params = np.arange(1, field.q, dtype=np.int64)
+        kind, params = "circular-radius", np.arange(1, field.q, dtype=np.int64)
         values = field.sub_arrays(k[:, None], k[None, :])
     else:
-        params = np.arange(field.q, dtype=np.int64)
+        kind, params = "circular-center", np.arange(field.q, dtype=np.int64)
         values = field.add_arrays(k[:, None], k[None, :])
         np.fill_diagonal(values, -1)
     found, first = np.unique(values, return_index=True)
@@ -371,15 +345,12 @@ def _circular_witness(field: Fq, ks: list[int], variant: str) -> KakeyaWitness:
     pos = np.minimum(np.searchsorted(found, targets), found.size - 1)
     missing = found[pos] != targets
     if missing.any():
-        what = "radius" if variant == VARIANT_RADIUS else "center"
-        raise RuntimeError(f"no pair certifies {what} {params[missing.argmax()]}")
+        raise RuntimeError(f"no pair certifies {variant} {params[missing.argmax()]}")
     x1 = k[first[pos] // k.size]
-    shifted = field.sub_arrays(x1, params)
-    if variant == VARIANT_RADIUS:
-        return KakeyaWitness("circular-radius", {
-            int(r): CircleSpec(int(a), int(r)) for r, a in zip(params, shifted)})
-    return KakeyaWitness("circular-center", {
-        int(a): CircleSpec(int(a), int(r)) for a, r in zip(params, shifted)})
+    shifted = field.sub_arrays(x1, params)  # the center x1 - r, or the radius x1 - a
+    circles = [CircleSpec(int(a), int(r)) for a, r in
+               (zip(shifted, params) if variant == VARIANT_RADIUS else zip(params, shifted))]
+    return KakeyaWitness(kind, dict(zip(params.tolist(), circles)))
 
 
 def _circular_result(field: Fq, name: str, variant: str, ks,

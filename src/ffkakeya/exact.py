@@ -10,6 +10,7 @@ never loads it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BadDimensionError, NonOddPrimeError, SizeCapError
@@ -98,41 +99,13 @@ def exact_str(value) -> str:
 
 # ---- lower bounds ----
 
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "q n branch value")):
     """An exact lower bound: the value and which branch of the bound gave
-    it.  Immutable, compared and hashed by its fields.  A plain class
+    it.  Immutable, compared and hashed by its fields.  A named tuple
     rather than a dataclass, so that computing a bound imports neither
     dataclasses nor inspect."""
 
-    __slots__ = ("q", "n", "branch", "value")
-
-    def __init__(self, q: int, n: int, branch: str, value: Fraction):
-        for name, v in zip(self.__slots__, (q, n, branch, value)):
-            object.__setattr__(self, name, v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.q, self.n, self.branch, self.value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"BoundReport(q={self.q!r}, n={self.n!r}, branch={self.branch!r}, "
-                f"value={self.value!r})")
-
-    def __reduce__(self):
-        return (BoundReport, self._fields())
+    __slots__ = ()
 
     @property
     def ceiling(self) -> int:

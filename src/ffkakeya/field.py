@@ -30,9 +30,9 @@ are visible; mul_arrays is a gather from them too.  add_arrays and
 sub_arrays add rank arrays for any q, and every other module adds through
 them: a chunk of c base-p digits of both operands indexes one cached
 p^c x p^c table of digitwise sums (at most CHUNK_ENTRIES entries), and an
-outer sum gathers whole rows of it.  The three refuse an array of more
-than ARRAY_CAP elements before allocating it; only the dense q x q tables
-add_table, sub_table and mul_table need q <= TABLE_CAP.
+outer sum gathers whole rows of it.  The three, and the dense q x q
+tables add_table, sub_table and mul_table, refuse an array of more than
+ARRAY_CAP elements before allocating it.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from .errors import NonOddPrimeError, SizeCapError
 from .exact import ceil_sqrt, is_prime, prime_power_decompose  # noqa: F401 (re-exported)
 
 FIELD_CAP = 1 << 63  # largest accepted q = p^k
-TABLE_CAP = 4096     # largest q with dense q x q operation tables
 LOG_CAP_BYTES = 64 << 20  # largest exp/log pair, 12 bytes per element
-ARRAY_CAP = 1 << 26  # most elements in one array of add/sub/mul_arrays (512 MB of int64)
+ARRAY_CAP = 1 << 26  # most elements in one rank array or dense table (512 MB of int64)
 CHUNK_ENTRIES = 1 << 16  # most entries in one digit-chunk table of add/sub_arrays
 
 
@@ -178,8 +177,8 @@ class Fq:
     All operations take and return element ranks (plain ints).  The
     exp/log arrays and the length-q arrays gathered from them are built
     lazily while 12q bytes fit LOG_CAP_BYTES; the rank-array operations
-    form at most ARRAY_CAP elements, and only the dense q x q tables
-    require q <= TABLE_CAP.  Up to the byte cap the scalar mul, inv, pow
+    and the dense q x q tables form at most ARRAY_CAP elements, so the
+    tables need q <= 8192.  Up to the byte cap the scalar mul, inv, pow
     and char read the logs, and beyond it they fall back to polynomial
     arithmetic, so the scalar methods work for any supported q.
     Instances are immutable; use make_field() for a cached instance.
@@ -382,11 +381,6 @@ class Fq:
 
     # ---- length-q arrays and dense q x q tables (vectorized callers) ----
 
-    def _require_tables(self) -> None:
-        if self.q > TABLE_CAP:
-            raise SizeCapError(
-                f"q = {self.q} exceeds the dense-table cap {TABLE_CAP}")
-
     @property
     def _logs_fit(self) -> bool:
         """Whether the exp/log pair, 12 bytes per element, fits LOG_CAP_BYTES."""
@@ -441,12 +435,12 @@ class Fq:
 
     @cached_property
     def add_table(self) -> np.ndarray:
-        self._require_tables()
+        self.require_array((self.q, self.q))
         return self._digit_table(1, self.k)
 
     @cached_property
     def sub_table(self) -> np.ndarray:
-        self._require_tables()
+        self.require_array((self.q, self.q))
         return self._digit_table(-1, self.k)
 
     @cached_property
@@ -455,7 +449,7 @@ class Fq:
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        self._require_tables()
+        self.require_array((self.q, self.q))
         exp, log = self._logs
         # row a in log order is the window exp[log a : log a + q]
         rows = sliding_window_view(exp, self.q)[log]

@@ -46,6 +46,7 @@ from .errors import (
     BadDimensionError,
     IdenticalSpheresError,
     SizeCapError,
+    UsageError,
     ZeroCoefficientError,
     ZeroDirectionError,
     ZeroRadiusError,
@@ -116,6 +117,19 @@ class HypersphereSpec:
             raise ZeroDirectionError("direction must be nonzero")
         if self.radius == 0:
             raise ZeroRadiusError("hyper-sphere radius must be nonzero")
+
+
+@dataclass(frozen=True)
+class CircleSpec:
+    """One-dimensional circle (x - center)^2 = radius^2, the point pair
+    {center + radius, center - radius}."""
+
+    center: int
+    radius: int
+
+    def __post_init__(self):
+        if self.radius == 0:
+            raise ZeroRadiusError("circle radius must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -239,13 +253,14 @@ class PointSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PointSet":
-        for key in ("p", "k", "q", "n", "ranks"):
-            if key not in data:
-                raise ValueError(f"point set has no {key!r}")
-        field = make_field(int(data["p"]), int(data["k"]))
-        if field.q != int(data["q"]):
+        """The set to_json_dict wrote: p, k, q and n integers and ranks a
+        list of them, or a ValueError that names the key."""
+        p, k, q, n = (json_int(data, key, "point set") for key in ("p", "k", "q", "n"))
+        ranks = json_point(data, "ranks", "point set")
+        field = make_field(p, k)
+        if field.q != q:
             raise ValueError("q does not match p^k")
-        return cls.from_ranks(field, int(data["n"]), data["ranks"])
+        return cls.from_ranks(field, n, ranks)
 
 
 # ---- diagonal equation counting ----
@@ -347,6 +362,36 @@ def is_rank(field: Fq, v) -> bool:
     """Whether v is an element rank of the field: an integer in [0, q)."""
     return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
             and 0 <= v < field.q)
+
+
+def json_int(data, key, where: str, field: Fq | None = None) -> int:
+    """data[key] as an integer, and an element rank of the field if one is
+    given; UsageError naming what is missing or wrong otherwise."""
+    return _json_rank(_json_value(data, key, where), f"{where} {key!r}", field)
+
+
+def json_point(data, key, where: str, field: Fq | None = None,
+               n: int | None = None) -> tuple[int, ...]:
+    """data[key] as a list of integers, n of them if n is given, each
+    checked as json_int checks one."""
+    vec = _json_value(data, key, where)
+    if not isinstance(vec, list) or (n is not None and len(vec) != n):
+        raise UsageError(f"{where} {key!r} must be a list of {n or 'some'} ranks")
+    return tuple(_json_rank(v, f"{where} {key!r}", field) for v in vec)
+
+
+def _json_value(data, key, where: str):
+    if not isinstance(data, dict) or key not in data:
+        raise UsageError(f"{where} has no {key!r}")
+    return data[key]
+
+
+def _json_rank(value, what: str, field: Fq | None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    if field is not None and not is_rank(field, value):
+        raise UsageError(f"{what} rank {value} outside [0, {field.q})")
+    return value
 
 
 def is_point(field: Fq, n: int, vec) -> bool:

@@ -6,9 +6,11 @@ center has first coordinate a1.  The one-dimensional analogues are the
 difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 (sums of two distinct elements).
 
-Witness mode checks a certificate object against the set; exhaustive mode
-needs none: it counts the points outside every candidate sphere, exactly,
-in about n * q^(n+2) steps whatever the set holds, within a work budget.
+Witness mode checks a certificate against the set through one table of
+its kinds, WITNESS_KINDS, which the reader of saved witnesses also reads;
+exhaustive mode needs none: it counts the points outside every candidate
+sphere, exactly, in about n * q^(n+2) steps whatever the set holds,
+within a work budget.
 The intersection-lemma scan takes one center per norm class, in about
 n * q^(n+1) steps.
 The size lower bounds live in exact, which needs no numpy; they are
@@ -16,6 +18,8 @@ re-exported here.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .exact import (  # noqa: F401 (re-exported)
 )
 from .field import Fq
 from .geometry import (
+    CircleSpec,
     HypersphereSpec,
     PointSet,
     SphereSpec,
@@ -45,15 +50,8 @@ from .geometry import (
 
 # ---- witness checking ----
 
-def witness_valid(field: Fq, points: PointSet, witness) -> bool:
-    """Check a coverage certificate against a point set.
-
-    Key sets must be exact: all of F_q^* for radius-style kinds, all of
-    F_q for center-style kinds.  Every certified object must be made of
-    element ranks in [0, q), with a nonzero radius, and lie inside the set.
-    Returns False on any mismatch instead of raising.
-
-    Both spherical constructions certify with spheres centred at
+def _spheres_inside(field: Fq, points: PointSet, spheres: list) -> bool:
+    """Both spherical constructions certify with spheres centred at
     (a_0, 0, ..., 0), which are unions of whole levels of the fibres:
 
         S_r(a_0, 0, ..., 0) = {(a_0 + y_0, t) : y_0 in F_q, ||t|| = r - y_0^2},
@@ -61,52 +59,70 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
     so such a sphere lies inside the set iff H[r - y_0^2, a_0 + y_0] holds
     for every y_0, with H = fibre_level_table of the set.  They are all
     checked at once by q lookups each into the one q x q table; spheres
-    with any other center, and hyper-spheres, are gathered one by one.
+    with any other center are gathered one by one."""
+    n, mask = points.n, points.mask
+    if not all(is_point(field, n, s.center) for s in spheres):
+        return False
+    on_axis = [s for s in spheres if not any(s.center[1:])]
+    if on_axis:
+        a0, r = np.array([(s.center[0], s.radius) for s in on_axis],
+                         dtype=np.int64).T[:, :, None]
+        table = fibre_level_table(field, n, mask)
+        if not table[field.sub_arrays(r, field.sq_arr),
+                     field.add_arrays(a0, np.arange(field.q))].all():
+            return False
+    return all(mask[sphere_ranks(field, s)].all() for s in spheres if any(s.center[1:]))
+
+
+def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list) -> bool:
+    n, mask = points.n, points.mask
+    return (all(is_point(field, n, h.center) and is_point(field, n, h.direction)
+                for h in hyperspheres)
+            and all(mask[hypersphere_ranks(field, h)].all() for h in hyperspheres))
+
+
+def _circles_inside(field: Fq, points: PointSet, circles: list) -> bool:
+    """Both points a + r and a - r of every circle, in one gather each."""
+    if points.n != 1 or not all(is_rank(field, c.center) for c in circles):
+        return False
+    a, r = np.array([(c.center, c.radius) for c in circles], dtype=np.int64).T
+    return bool(points.mask[field.add_arrays(a, r)].all()
+                and points.mask[field.sub_arrays(a, r)].all())
+
+
+# kind -> (entry type, key set, the parameter of an entry that its key names)
+WITNESS_KINDS = {
+    "radius": (SphereSpec, Fq.units, attrgetter("radius")),
+    "center-coordinate": (SphereSpec, Fq.elements, lambda s: s.center[0]),
+    "hypersphere": (HypersphereSpec, Fq.units, attrgetter("radius")),
+    "circular-radius": (CircleSpec, Fq.units, attrgetter("radius")),
+    "circular-center": (CircleSpec, Fq.elements, attrgetter("center")),
+}
+# entry type -> whether its entries lie in F_q^n (circles in F_q) and in the set
+_INSIDE = {SphereSpec: _spheres_inside, HypersphereSpec: _hyperspheres_inside,
+           CircleSpec: _circles_inside}
+
+
+def witness_valid(field: Fq, points: PointSet, witness) -> bool:
+    """Check a coverage certificate against a point set.
+
+    Its kind names in WITNESS_KINDS the type of the entries and the key
+    set, which must be exact: all of F_q^* or all of F_q.  Every entry must
+    be of that type, made of element ranks in [0, q) with a nonzero radius,
+    certify the parameter its key names, and lie inside the set.  Returns
+    False on any mismatch, an unknown kind included, instead of raising.
     """
-    kind = witness.kind
+    if witness.kind not in WITNESS_KINDS:
+        return False
+    spec_type, keys, param = WITNESS_KINDS[witness.kind]
     entries = witness.entries
-    n = points.n
-    mask = points.mask
-    if kind in ("radius", "center-coordinate", "hypersphere"):
-        want = field.elements() if kind == "center-coordinate" else field.units()
-        if set(entries) != set(want):
+    if set(entries) != set(keys(field)):
+        return False
+    for key, spec in entries.items():
+        if not (isinstance(spec, spec_type) and is_rank(field, spec.radius) and spec.radius
+                and param(spec) == key):
             return False
-        spec_type = HypersphereSpec if kind == "hypersphere" else SphereSpec
-        for key, spec in entries.items():
-            if not (isinstance(spec, spec_type) and is_point(field, n, spec.center)
-                    and is_rank(field, spec.radius) and spec.radius):
-                return False
-            if kind == "hypersphere" and not is_point(field, n, spec.direction):
-                return False
-            if (spec.center[0] if kind == "center-coordinate" else spec.radius) != key:
-                return False
-        if kind == "hypersphere":
-            return all(mask[hypersphere_ranks(field, s)].all() for s in entries.values())
-        on_axis = [s for s in entries.values() if not any(s.center[1:])]
-        if on_axis:
-            a0, r = np.array([(s.center[0], s.radius) for s in on_axis],
-                             dtype=np.int64).T[:, :, None]
-            y0 = np.arange(field.q)
-            table = fibre_level_table(field, n, mask)
-            if not table[field.sub_arrays(r, field.sq_arr), field.add_arrays(a0, y0)].all():
-                return False
-        return all(mask[sphere_ranks(field, s)].all()
-                   for s in entries.values() if any(s.center[1:]))
-    if kind in ("circular-radius", "circular-center"):
-        if n != 1:
-            return False
-        want = field.units() if kind == "circular-radius" else field.elements()
-        if set(entries) != set(want):
-            return False
-        for key, spec in entries.items():
-            a, r = getattr(spec, "center", None), getattr(spec, "radius", None)
-            if not (is_rank(field, a) and is_rank(field, r) and r):
-                return False
-            if (r if kind == "circular-radius" else a) != key:
-                return False
-        a, r = np.array([(s.center, s.radius) for s in entries.values()], dtype=np.int64).T
-        return bool(mask[field.add_arrays(a, r)].all() and mask[field.sub_arrays(a, r)].all())
-    return False
+    return _INSIDE[spec_type](field, points, list(entries.values()))
 
 
 # ---- exhaustive sphere scans ----

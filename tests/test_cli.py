@@ -211,6 +211,33 @@ class TestMalformedSetFiles:
         self.assert_usage_error(self.verify(tmp_path, data))
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["witness"].update(kind="bogus"),
+        lambda d: d["witness"]["entries"].update({"1": {"center": 1, "radius": 1}}),
+    ], ids=["unknown-kind", "circle-entry"])
+    def test_witness_not_of_its_kind_in_every_mode(self, radius7, tmp_path, edit):
+        # a verdict, even the exhaustive one that ignores the witness, would
+        # certify a file whose certificate cannot be read
+        data = copy.deepcopy(radius7)
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        for prop, mode in [("radius", "witness"), ("center", "witness"), ("witness", "witness"),
+                           ("radius", "exhaustive"), ("center", "exhaustive"),
+                           ("diff-cover", "exhaustive"), ("sum-cover", "exhaustive")]:
+            self.assert_usage_error(run("verify", "--file", str(path), "--property", prop,
+                                        "--mode", mode))
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["witness"].update(kind="hypersphere"),
+        lambda d: d["witness"]["entries"]["1"].update(direction=[1, 0, 0, 0]),
+    ], ids=["hypersphere-kind", "sphere-with-direction"])
+    def test_sphere_entries_are_not_hyperspheres(self, radius7, tmp_path, edit):
+        data = copy.deepcopy(radius7)
+        edit(data)
+        self.assert_usage_error(self.verify(tmp_path, data))
+
+
 class TestHugeDimension:
     """An n far past the point cap exits 3 at once: q^n is never formed."""
 
@@ -240,7 +267,7 @@ class TestCircularBeyondTableCap:
 
 
 class TestBeyondTheTableCap:
-    """q past the dense-table cap 4096: every path reads length-q arrays
+    """q past 4096, the old dense-table cap: every path reads length-q arrays
     and q x q index arrays, never a dense operation table."""
 
     @pytest.mark.parametrize("args,count", [

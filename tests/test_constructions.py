@@ -2,6 +2,7 @@
 and circular (prime, square, odd prime power)."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import norm, norm_profile
 from ffkakeya import (
     BadDimensionError,
+    CircleSpec,
     Fq,
     HypersphereSpec,
     NonOddPrimeError,
@@ -16,6 +18,7 @@ from ffkakeya import (
     NotASquareFieldError,
     PointSet,
     SphereSpec,
+    UsageError,
     WrongDegreeError,
     center_spherical,
     circular_lower_bounds,
@@ -267,7 +270,7 @@ class TestCircularSquare:
         assert cover and res.witness_valid and res.bound_met
 
     def test_past_the_table_cap(self):
-        # q = 3^8 > TABLE_CAP: the subfield scan reads the exp/log arrays
+        # q = 3^8, past the old dense-table cap: the subfield scan reads the exp/log arrays
         f = make_field(3, 8)
         sub = [x for x in f.elements() if f._poly_pow(x, 81) == x]
         want = sorted(set(sub) | {f._poly_mul(3, x) for x in sub})
@@ -378,6 +381,52 @@ class TestResultSerialization:
             assert w == res.witness
             f = res.field
             assert witness_valid(f, res.points, w)
+
+
+    def test_witness_points_are_json_lists(self):
+        for res in (radius_spherical(make_field(3), 2), hypersphere_union(make_field(3), 3),
+                    circular_prime(7, "center")):
+            d = res.to_json_dict()
+            assert json.loads(json.dumps(d)) == d
+            for entry in d["witness"]["entries"].values():
+                assert all(type(v) in (int, list) for v in entry.values())
+
+
+# each entry type as a saved witness stores it, in F_5^3 (circles in F_5)
+ENTRIES = {
+    SphereSpec: ({"center": [1, 0, 0], "radius": 1}, SphereSpec((1, 0, 0), 1)),
+    HypersphereSpec: ({"center": [1, 0, 0], "direction": [1, 0, 0], "radius": 1},
+                      HypersphereSpec((1, 0, 0), (1, 0, 0), 1)),
+    CircleSpec: ({"center": 1, "radius": 1}, CircleSpec(1, 1)),
+}
+KIND_TYPES = {"radius": SphereSpec, "center-coordinate": SphereSpec,
+              "hypersphere": HypersphereSpec, "circular-radius": CircleSpec,
+              "circular-center": CircleSpec}
+
+
+class TestWitnessReader:
+    @pytest.mark.parametrize("kind", KIND_TYPES)
+    @pytest.mark.parametrize("spec_type", ENTRIES)
+    def test_builds_the_type_its_kind_names(self, kind, spec_type):
+        stored, spec = ENTRIES[spec_type]
+        data = {"kind": kind, "entries": {"1": stored}}
+        for args in ((make_field(5), 1 if spec_type is CircleSpec else 3), ()):
+            if KIND_TYPES[kind] is spec_type:
+                assert witness_from_json_dict(data, *args).entries == {1: spec}
+            else:
+                with pytest.raises(UsageError):
+                    witness_from_json_dict(data, *args)
+
+    @pytest.mark.parametrize("kind", ["bogus", "", "Radius", "circular"])
+    def test_unknown_kind(self, kind):
+        data = {"kind": kind, "entries": {"1": ENTRIES[SphereSpec][0]}}
+        with pytest.raises(UsageError, match="witness kind"):
+            witness_from_json_dict(data, make_field(5), 3)
+
+    def test_entry_with_a_key_its_type_has_not(self):
+        entry = dict(ENTRIES[SphereSpec][0], note=1)
+        with pytest.raises(UsageError, match="'note'"):
+            witness_from_json_dict({"kind": "radius", "entries": {"1": entry}})
 
 
 def test_constructed_point_sets_are_read_only():

@@ -22,7 +22,7 @@ from ffkakeya import (
     prime_power_decompose,
     smallest_irreducible,
 )
-from ffkakeya.field import ARRAY_CAP, CHUNK_ENTRIES, LOG_CAP_BYTES, TABLE_CAP
+from ffkakeya.field import ARRAY_CAP, CHUNK_ENTRIES, LOG_CAP_BYTES
 
 ODD_PRIME_POWERS_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
 
@@ -500,14 +500,14 @@ class TestTables:
             assert f.mul(a, f.inv(a)) == 1
             assert f.pow(a, f.q - 1) == 1
         assert f.mul(0, 5) == 0 and f.pow(0, 0) == 1
-        with pytest.raises(SizeCapError, match="dense-table cap"):
-            f.mul_table
-        # the length-q arrays are bounded by the log byte cap, not the table cap
+        with pytest.raises(SizeCapError, match="array cap"):
+            Fq(3, 9).mul_table
+        # the length-q arrays are bounded by the log byte cap, not the array cap
         assert [f.char(a) for a in range(60)] == f.char_arr[:60].tolist()
 
     def test_scalar_ops_past_the_table_cap_read_the_logs(self):
-        f = Fq(3, 8)
-        assert f.q > TABLE_CAP and 12 * f.q <= LOG_CAP_BYTES
+        f = Fq(3, 9)
+        assert f.q ** 2 > ARRAY_CAP and 12 * f.q <= LOG_CAP_BYTES
         rng = np.random.default_rng(38)
         for a, b in rng.integers(0, f.q, size=(300, 2)).tolist():
             assert f.mul(a, b) == f._poly_mul(a, b)

@@ -6,7 +6,8 @@ in-process through cli.main.  Whatever the mutation, the exit code is one
 of 0, 1, 2, 3 and no exception escapes but argparse's SystemExit(2); a
 mutated witness that is accepted is also accepted by the check that needs
 no witness: the exhaustive scan for sphere witnesses, diff_cover or
-sum_cover for circle witnesses.
+sum_cover for circle witnesses.  A witness of an unknown kind, or with an
+entry of another type than its kind names, exits 2 in every mode.
 """
 
 import contextlib
@@ -36,6 +37,9 @@ UNWITNESSED = {
 }
 
 KINDS = ["radius", "center-coordinate", "hypersphere", "circular-radius", "circular-center"]
+VERIFY_MODES = [("radius", "witness"), ("center", "witness"), ("radius", "exhaustive"),
+                ("center", "exhaustive"), ("diff-cover", "exhaustive"),
+                ("sum-cover", "exhaustive")]
 # strings that int() reads, or nearly: the keys of witness entries go through it
 TEXT = st.sampled_from(["", "1", "-1", "01", " 2", "1_0", "+3", "\u0663", "2.0", "1e2", "x"])
 SCALARS = st.one_of(
@@ -121,9 +125,7 @@ def check_file(path, doc):
     """Exit codes stay in range, and an accepted witness passes the
     witness-free check of its kind."""
     path.write_text(json.dumps(doc))
-    for prop, mode in [("radius", "witness"), ("center", "witness"),
-                       ("radius", "exhaustive"), ("center", "exhaustive"),
-                       ("diff-cover", "exhaustive"), ("sum-cover", "exhaustive")]:
+    for prop, mode in VERIFY_MODES:
         code = run("verify", "--file", path, "--property", prop, "--mode", mode)
         if code == 0 and mode == "witness":
             assert run("verify", "--file", path, "--property", prop) == 0, (prop, doc)
@@ -150,6 +152,40 @@ def test_mutated_files(saved, name, data):
     doc = mutate(data, docs[name])
     assume(not needs_a_large_mask(doc))
     check_file(root / "mutated.json", doc)
+
+
+def entry_shapes(q, n):
+    """Each entry type as a saved witness stores it, with ranks of F_q^n."""
+    rank = st.integers(0, q - 1)
+    point = st.lists(rank, min_size=n, max_size=n)
+    return {
+        "sphere": st.fixed_dictionaries({"center": point, "radius": rank}),
+        "hypersphere": st.fixed_dictionaries({"center": point, "direction": point,
+                                              "radius": rank}),
+        "circle": st.fixed_dictionaries({"center": rank, "radius": rank}),
+    }
+
+
+@pytest.mark.parametrize("name", SAVED)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_witness_not_of_its_kind_exits_two(saved, name, data):
+    root, docs = saved
+    doc = json.loads(json.dumps(docs[name]))
+    witness = doc["witness"]
+    if data.draw(st.booleans()):
+        witness["kind"] = data.draw((TEXT | st.text(max_size=12)).filter(
+            lambda kind: kind not in KINDS))
+    else:
+        shapes = entry_shapes(doc["q"], doc["n"])
+        own = "circle" if witness["kind"].startswith("circular") else "sphere"
+        key = data.draw(st.sampled_from(sorted(witness["entries"])))
+        foreign = data.draw(st.sampled_from(sorted(shapes.keys() - {own})))
+        witness["entries"][key] = data.draw(shapes[foreign])
+    path = root / "foreign.json"
+    path.write_text(json.dumps(doc))
+    for prop, mode in VERIFY_MODES + [("witness", "witness")]:
+        assert run("verify", "--file", path, "--property", prop, "--mode", mode) == 2, doc
 
 
 def test_huge_extension_degree_exits_three_at_once(saved):

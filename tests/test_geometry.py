@@ -251,7 +251,7 @@ class TestCountRecurrence:
             diagonal_count_bruteforce(f, DiagonalEq((1,) * 26, 0))
 
     def test_table_cap(self):
-        # past the dense-table cap, q = 4099: the recurrence reads length-q arrays only
+        # q = 4099, past the old dense-table cap: the recurrence reads length-q arrays only
         f = Fq(4099)
         counts = diagonal_counts_by_rhs(f, (1, 2))
         assert counts.tolist() == [diagonal_count_closed(f, DiagonalEq((1, 2), rhs))
@@ -462,6 +462,17 @@ class TestPointSet:
     def test_json_names_a_missing_key(self, key):
         d = PointSet.from_ranks(make_field(3), 2, [1]).to_json_dict()
         del d[key]
+        with pytest.raises(ValueError, match=repr(key)):
+            PointSet.from_json_dict(d)
+
+    @pytest.mark.parametrize("key,value", [
+        ("p", 7.9), ("n", 2.5), ("p", "7"), ("k", True), ("q", 49.0), ("ranks", [1, True]),
+        ("ranks", [1.0]), ("ranks", "1"),
+    ])
+    def test_json_names_a_key_that_is_not_an_integer(self, key, value):
+        # the command line's loader rejects each of these too
+        d = PointSet.from_ranks(make_field(7), 2, [1]).to_json_dict()
+        d[key] = value
         with pytest.raises(ValueError, match=repr(key)):
             PointSet.from_json_dict(d)
 

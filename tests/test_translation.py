@@ -4,11 +4,12 @@ full-enumeration paths they replaced.
 Each oracle below is the earlier implementation, kept here verbatim in
 spirit: a fresh norm profile per sphere, the rescan of the origin profile
 and its n-dim translate per sphere, the per-center hyper-sphere loop,
-pairwise sphere masks, the q^n multiplicity scatter of the radius
-construction, the per-sphere gathers of the witness check, the all-pairs
-intersection scan, the (0, c) pair scan of the intersection lemma, the
-dense-table circle certificates and the (center, non-member) pair scan of
-the exhaustive verifiers.
+pairwise sphere masks, the q^n multiplicity scatter and the per-radius
+q x q multiplicity loop of the radius construction, the per-sphere
+gathers of the witness check, the all-pairs intersection scan, the
+(0, c) pair scan of the intersection lemma, the dense-table circle
+certificates and the (center, non-member) pair scan of the exhaustive
+verifiers.
 """
 
 import numpy as np
@@ -131,6 +132,27 @@ def old_radius_scatter(field, n):
     m = np.arange(q)
     counts = np.bincount(multiplicity, minlength=q)  # points of each multiplicity
     return multiplicity > 0, int(counts @ m), int(counts @ (m * (m - 1)))
+
+
+def loop_radius_multiplicity(field, n):
+    """Union, sum of sizes and ordered pairwise intersections from the q x q
+    multiplicity M[||t||, x_0], one length-q update per radius: sphere r
+    adds 1 at (r - (x_0 - r)^2, x_0) for every x_0, and raising an entry
+    of M from m to m + 1 adds 2m ordered pairs."""
+    q = field.q
+    _, offsets = level_order(field, n - 1)
+    level_sizes = np.diff(offsets).astype(np.int64)
+    x0 = np.arange(q)
+    multiplicity = np.zeros((q, q), dtype=np.int64)
+    singles = pairs = 0
+    for r in field.units():
+        levels = field.sub_arrays(r, field.sq_arr[field.sub_arrays(x0, r)])
+        before, sizes = multiplicity[levels, x0], level_sizes[levels]
+        singles += int(sizes.sum())
+        pairs += 2 * int(sizes @ before)
+        multiplicity[levels, x0] = before + 1
+    assert multiplicity.max() <= 2  # a quadratic in r has at most two roots
+    return (multiplicity > 0)[origin_norm_profile(field, n - 1)].ravel(), singles, pairs
 
 
 def gathered_witness_valid(field, points, witness):
@@ -320,6 +342,18 @@ def test_radius_accounting_equals_pairwise_masks(q, n):
 def test_radius_fibre_table_equals_the_multiplicity_scatter(q, n):
     field = field_of(q)
     union, singles, pairs = old_radius_scatter(field, n)
+    res = radius_spherical(field, n)
+    assert np.array_equal(res.points.mask, union)
+    assert res.accounting["sumSphereSizes"] == singles
+    assert res.accounting["sumPairwiseIntersectionsOrdered"] == pairs
+    assert res.accounting["inclusionExclusionSize"] == res.size
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 6), (5, 3), (7, 4), (9, 6), (11, 3), (13, 2),
+                                 (25, 3), (27, 3), (81, 2), (125, 2), (243, 2), (1009, 2)])
+def test_radius_discriminant_equals_the_per_radius_loop(q, n):
+    field = field_of(q)
+    union, singles, pairs = loop_radius_multiplicity(field, n)
     res = radius_spherical(field, n)
     assert np.array_equal(res.points.mask, union)
     assert res.accounting["sumSphereSizes"] == singles

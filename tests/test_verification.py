@@ -11,6 +11,8 @@ from conftest import norm
 from ffkakeya import (
     BadDimensionError,
     BudgetExceededError,
+    CircleSpec,
+    HypersphereSpec,
     KakeyaWitness,
     NonOddPrimeError,
     PointSet,
@@ -18,8 +20,10 @@ from ffkakeya import (
     SphereSpec,
     center_spherical,
     circular_lower_bounds,
+    circular_prime,
     diff_cover,
     exact_str,
+    hypersphere_ranks,
     hypersphere_union,
     intersection_lemma_bound,
     make_field,
@@ -27,6 +31,7 @@ from ffkakeya import (
     point_unrank,
     prime_power_decompose,
     radius_spherical,
+    sphere_ranks,
     spherical_kakeya_lower_bound,
     sum_cover,
     sum_two_squares_covers,
@@ -240,6 +245,77 @@ class TestWitnessAgainstExhaustive:
         entries = dict(res.witness.entries)
         entries[1], entries[2] = entries[2], entries[1]
         assert not witness_valid(f, res.points, KakeyaWitness("radius", entries))
+
+
+# each kind: the type of its entries, and whether its keys are centers
+# (all of F_q) or radii (all of F_q^*)
+KINDS = {
+    "radius": (SphereSpec, "radius"),
+    "center-coordinate": (SphereSpec, "center"),
+    "hypersphere": (HypersphereSpec, "radius"),
+    "circular-radius": (CircleSpec, "radius"),
+    "circular-center": (CircleSpec, "center"),
+}
+GENUINE = {
+    "radius": lambda: radius_spherical(make_field(5), 3),
+    "center-coordinate": lambda: center_spherical(make_field(5), 3),
+    "hypersphere": lambda: hypersphere_union(make_field(5), 3),
+    "circular-radius": lambda: circular_prime(13, "radius"),
+    "circular-center": lambda: circular_prime(13, "center"),
+}
+
+
+def keyed_entries(field, kind, spec_type):
+    """One entry of spec_type per key of the kind, each certifying its key:
+    centred at the key on the first axis for center kinds, of radius key
+    otherwise.  Circles live in F_q, spheres and hyper-spheres in F_q^3."""
+    by_center = KINDS[kind][1] == "center"
+
+    def entry(key):
+        a, r = (key, 1) if by_center else (0, key)
+        if spec_type is CircleSpec:
+            return CircleSpec(a, r)
+        if spec_type is SphereSpec:
+            return SphereSpec((a, 0, 0), r)
+        return HypersphereSpec((a, 0, 0), (1, 0, 0), r)
+    return {key: entry(key) for key in (field.elements() if by_center else field.units())}
+
+
+def object_ranks(field, spec):
+    if isinstance(spec, CircleSpec):
+        return [field.add(spec.center, spec.radius), field.sub(spec.center, spec.radius)]
+    if isinstance(spec, HypersphereSpec):
+        return hypersphere_ranks(field, spec)
+    return sphere_ranks(field, spec)
+
+
+class TestWitnessKinds:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("spec_type", [SphereSpec, HypersphereSpec, CircleSpec])
+    def test_every_kind_against_every_entry_type(self, kind, spec_type):
+        field = make_field(5)
+        witness = KakeyaWitness(kind, keyed_entries(field, kind, spec_type))
+        n = 1 if spec_type is CircleSpec else 3
+        fits = spec_type is KINDS[kind][0]
+        assert witness_valid(field, PointSet.full(field, n), witness) == fits
+        assert not witness_valid(field, PointSet.empty(field, n), witness)
+        # circles are one-dimensional, spheres are not
+        assert not witness_valid(field, PointSet.full(field, 4 - n), witness)
+        unknown = KakeyaWitness("bogus", witness.entries)
+        assert not witness_valid(field, PointSet.full(field, n), unknown)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_genuine_witness_missing_one_point(self, kind):
+        res = GENUINE[kind]()
+        field, points, witness = res.field, res.points, res.witness
+        assert witness.kind == kind and witness_valid(field, points, witness)
+        for other in KINDS.keys() - {kind}:
+            assert not witness_valid(field, points, KakeyaWitness(other, witness.entries))
+        for key, spec in witness.entries.items():
+            ranks = object_ranks(field, spec)
+            mask = points.mask.copy()
+            mask[ranks[key % len(ranks)]] = False
+            assert not witness_valid(field, PointSet(field, points.n, mask), witness), key
 
 
 class TestMonotonicity:
