@@ -1,0 +1,110 @@
+"""Alternating parent/change runs of bench/run.py, summarised into one file.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \
+        --seeds 301-310 --workloads spherical,exhaustive,fields,cli \
+        --pairs spherical=10 --out BENCH_14.json
+
+Each checkout runs its own bench/run.py from its own root, with the run
+length of BENCHMARK.json.  Pair i runs the parent first when i is even and
+the change first when it is odd, so drift of a shared machine falls on
+both sides alike.  A workload runs as many pairs as --pairs gives it (one
+by default), on the first seeds of --seeds, and then one traced pair on
+the first seed for its per-layer metrics.
+
+For each workload and each end-to-end metric the file holds every run, the
+median and quartiles of each side, the pairs the change won (better by the
+metric's direction, ties counting for neither) and whether the claim rule
+holds: wins in at least nine tenths of the pairs, and medians further apart
+than the parent's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarise(spec: dict, runs: dict) -> dict:
+    out = {}
+    for metric in spec["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        sides = {side: [r["metrics"][name] for r in runs[side]] for side in runs}
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(sides["parent"], sides["change"]))
+        parent, change = spread(sides["parent"]), spread(sides["change"])
+        gap = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
+        holds = wins * 10 >= 9 * len(sides["parent"]) and gap > parent["q3"] - parent["q1"]
+        out[name] = {
+            "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            "parent": parent, "change": change, "pairs": len(sides["parent"]),
+            "change_wins": wins,
+            "gain_holds": holds,
+            "change_vs_parent": change["median"] / parent["median"] - 1,
+        }
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
+    ap.add_argument("--change", type=Path, required=True, help="root of the changed checkout")
+    ap.add_argument("--seeds", required=True, help="seeds, e.g. 301-310 or 5,7,9")
+    ap.add_argument("--workloads", required=True, help="comma-separated workload names")
+    ap.add_argument("--pairs", default="", help="pairs per workload, e.g. spherical=10")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seeds = parse_seeds(args.seeds)
+    pairs = {w: int(k) for w, _, k in (p.partition("=") for p in args.pairs.split(",") if p)}
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    report = {"run_seconds": spec["run_seconds"], "workloads": {}}
+    for workload in args.workloads.split(","):
+        count = pairs.get(workload, 1)
+        if count > len(seeds):
+            raise SystemExit(f"{workload}: {count} pairs need {count} seeds")
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(seeds[:count]):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                runs[side].append(run(roots[side], workload, seed, spec["run_seconds"], 0))
+                print(f"{workload} seed {seed} {side}: {runs[side][-1]['metrics']}",
+                      file=sys.stderr, flush=True)
+        traced = {side: run(roots[side], workload, seeds[0], spec["run_seconds"], 1)["metrics"]
+                  for side in ("parent", "change")}
+        report["workloads"][workload] = {
+            "seeds": seeds[:count], "runs": runs, "summary": summarise(spec, runs),
+            "trace": {"seed": seeds[0], **traced},
+        }
+        args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

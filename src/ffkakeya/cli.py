@@ -110,25 +110,16 @@ def _cmd_construct(args) -> int:
 
 def _load_set_file(path):
     from .constructions import witness_from_json_dict
-    from .field import make_field
-    from .geometry import PointSet, json_int
+    from .geometry import PointSet
 
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or not isinstance(data.get("ranks"), list):
         raise UsageError(f"{path} is not a point set file")
-    where = f"set file {path}"
-    field = make_field(json_int(data, "p", where),
-                       json_int(data, "k", where) if "k" in data else 1)
-    if "q" in data and json_int(data, "q", where) != field.q:
-        raise UsageError("q in file does not match p^k")
-    n = json_int(data, "n", where)
-    if not all(isinstance(r, int) and not isinstance(r, bool) for r in data["ranks"]):
-        raise UsageError(f"{where}: ranks must be integers")
-    points = PointSet.from_ranks(field, n, data["ranks"])
+    points = PointSet.from_json_dict(data, f"set file {path}")
     witness = None
     if "witness" in data:
-        witness = witness_from_json_dict(data["witness"], field, n)
-    return field, points, witness
+        witness = witness_from_json_dict(data["witness"], points.field, points.n)
+    return points.field, points, witness
 
 
 def _cmd_verify(args) -> int:

@@ -183,8 +183,8 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
         M[v, x_0] = 1 + chi(4 x_0 + 1 - 4 v) - [v = -x_0^2]:
 
     one q x q sum, one gather of the character and one scatter of q
-    entries.  The set is M > 0 read through the origin norm profile of
-    F_q^(n-1), and with L_v = #{t : ||t|| = v} the level sizes, sum m =
+    entries.  The set is the union of the fibre levels where M > 0, and
+    with L_v = #{t : ||t|| = v} the level sizes, sum m =
     sum_(v, x_0) L_v M[v, x_0]; M <= 2, so sum m(m - 1) = 2 sum_v L_v
     #{x_0 : M[v, x_0] = 2}.  Nothing of size q^n is counted.
     """
@@ -192,7 +192,7 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
         raise BadDimensionError("radius construction needs dimension >= 2")
     q = field.q
     space_size(field, n)
-    field.require_array((q, q))  # M, and the witness check's index arrays
+    field.require_array((q, q))  # M, and the level table of the set
     tail = (0,) * (n - 1)
     entries = {r: SphereSpec((r,) + tail, r) for r in field.units()}
     _, offsets = level_order(field, n - 1)
@@ -207,8 +207,7 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     twice = np.count_nonzero(multiplicity == 2, axis=1)
     singles = int(level_sizes @ (np.count_nonzero(multiplicity, axis=1) + twice))
     pairs_ordered = 2 * int(level_sizes @ twice)
-    mask = (multiplicity > 0)[origin_norm_profile(field, n - 1)].ravel()
-    points = PointSet._adopt(field, n, mask)
+    points = PointSet.from_levels(field, n, multiplicity > 0)
     size = points.size
     witness = KakeyaWitness("radius", entries)
     report = spherical_kakeya_lower_bound(q, n)
@@ -238,7 +237,7 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
         raise BadDimensionError("center construction needs dimension >= 2")
     q = field.q
     space_size(field, n)
-    field.require_array((q, q))  # the witness check's index arrays
+    field.require_array((q, q))  # the level table of the set
     if r is None:
         r = field.smallest_nonsquare()
     if not is_rank(field, r):
@@ -247,8 +246,7 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
         raise NotANonsquareError(f"rank {r} is not a nonsquare in F_{q}")
     # (x, y) is in the set iff r - ||y|| is a square: one flag per level
     square_gap = field.char_arr[field.sub_arrays(r, np.arange(q))] >= 0
-    mask = np.repeat(square_gap[origin_norm_profile(field, n - 1)], q)
-    points = PointSet._adopt(field, n, mask)
+    points = PointSet.from_levels(field, n, np.broadcast_to(square_gap[:, None], (q, q)))
     size = points.size
     tail = (0,) * (n - 1)
     witness = KakeyaWitness(

@@ -24,9 +24,10 @@ scan of F_q^n.  Hyper-spheres are translates of level sets of S_r(0).
 
 A sphere centred at (a_0, 0, ..., 0), the only kind both spherical
 constructions use, is a union of whole fibre levels {(x_0, t) : ||t|| = v}.
-So one q x q table per point set, fibre_level_table, says which levels lie
-inside it, and each such sphere is then checked by q lookups, with no
-gather over F_q^n.
+So one q x q table per point set, its level_table, says which levels lie
+inside it, and each such sphere is checked by q lookups into it.  The sets
+of both constructions are unions of whole levels too, built from that
+table alone by PointSet.from_levels.
 
 Diagonal quadrics a_1 x_1^2 + ... + a_n x_n^2 = b are counted two ways:
 by the classical closed form, and directly, for every b at once, by a
@@ -150,33 +151,45 @@ class DiagonalEq:
 # ---- dense point sets ----
 
 class PointSet:
-    """Dense membership set over the ranked points of F_q^n.
-
-    Immutable after construction; union and intersection are exact set
-    operations on the underlying boolean mask.
+    """Membership set over the ranked points of F_q^n, immutable after
+    construction.  A set from from_levels keeps a q x q level table and
+    its size, and forms its q^n mask only when something reads it, once;
+    union, intersection and equality are exact operations on the masks.
     """
 
-    __slots__ = ("field", "n", "mask")
+    __slots__ = ("field", "n", "_mask", "_table", "_size")
 
     def __init__(self, field: Fq, n: int, mask):
         self._bind(field, n, np.array(mask, dtype=bool, copy=True))
 
     @classmethod
-    def _adopt(cls, field: Fq, n: int, mask: np.ndarray) -> "PointSet":
-        """The set of a fresh bool mask, taken over without a copy and made
-        read-only; no other reference to the mask may write to it."""
+    def _adopt(cls, field: Fq, n: int, mask, table=None, size=None) -> "PointSet":
+        """The set of a fresh bool mask, or of a level table and its size,
+        taken over without a copy and made read-only; no other reference to
+        them may write to them."""
         points = cls.__new__(cls)
-        points._bind(field, n, mask)
+        points._bind(field, n, mask, table, size)
         return points
 
-    def _bind(self, field: Fq, n: int, mask: np.ndarray) -> None:
-        size = space_size(field, n)
-        if mask.shape != (size,):
-            raise ValueError(f"mask must have shape ({size},)")
-        mask.setflags(write=False)
-        self.field = field
-        self.n = n
-        self.mask = mask
+    def _bind(self, field: Fq, n: int, mask, table=None, size=None) -> None:
+        if mask is not None and mask.shape != (space_size(field, n),):
+            raise ValueError(f"mask must have shape ({field.q ** n},)")
+        self.field, self.n, self._size = field, n, size
+        self._mask, self._table = (a if a is None else _read_only(a) for a in (mask, table))
+
+    @classmethod
+    def from_levels(cls, field: Fq, n: int, table) -> "PointSet":
+        """The union of the fibre levels {(x_0, t) : ||t|| = v} of F_q^n with
+        table[v, x_0] true, of size sum_v L_v #{x_0 : table[v, x_0]} with L_v
+        the level sizes of level_order(n - 1); empty levels are stored True."""
+        space_size(field, n)
+        table = np.array(table, dtype=bool, copy=True)
+        if table.shape != (field.q, field.q):
+            raise ValueError(f"level table must have shape ({field.q}, {field.q})")
+        level_sizes = np.diff(level_order(field, n - 1)[1])
+        table[level_sizes == 0] = True
+        size = sum(s * c for s, c in zip(level_sizes.tolist(), table.sum(axis=1).tolist()))
+        return cls._adopt(field, n, None, table, size)
 
     @classmethod
     def empty(cls, field: Fq, n: int) -> "PointSet":
@@ -200,8 +213,26 @@ class PointSet:
         return cls._adopt(field, n, mask)
 
     @property
+    def mask(self) -> np.ndarray:
+        """The read-only bool rank mask; row t of mask.reshape(-1, q) is
+        row ||t|| of the level table, for a set built from one."""
+        if self._mask is None:
+            self._mask = _read_only(
+                self._table[origin_norm_profile(self.field, self.n - 1)].ravel())
+        return self._mask
+
+    def level_table(self) -> np.ndarray:
+        """The read-only fibre_level_table of the set: stored for a
+        level-built set, computed from the mask once otherwise."""
+        if self._table is None:
+            self._table = _read_only(fibre_level_table(self.field, self.n, self._mask))
+        return self._table
+
+    @property
     def size(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        if self._size is None:
+            self._size = int(np.count_nonzero(self._mask))
+        return self._size
 
     def __len__(self) -> int:
         return self.size
@@ -252,14 +283,19 @@ class PointSet:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "PointSet":
-        """The set to_json_dict wrote: p, k, q and n integers and ranks a
-        list of them, or a ValueError that names the key."""
-        p, k, q, n = (json_int(data, key, "point set") for key in ("p", "k", "q", "n"))
-        ranks = json_point(data, "ranks", "point set")
-        field = make_field(p, k)
-        if field.q != q:
-            raise ValueError("q does not match p^k")
+    def from_json_dict(cls, data, where: str = "point set") -> "PointSet":
+        """The set to_json_dict wrote: integers p and n, k (1 if absent), q
+        (if present, equal to p^k) and a list of integer ranks, or else a
+        UsageError that names what is wrong, after where."""
+        ranks = _json_value(data, "ranks", where)
+        field = make_field(json_int(data, "p", where),
+                           json_int(data, "k", where) if "k" in data else 1)
+        if "q" in data and json_int(data, "q", where) != field.q:
+            raise UsageError("q in file does not match p^k")
+        n = json_int(data, "n", where)
+        if not (isinstance(ranks, list)
+                and all(isinstance(r, int) and not isinstance(r, bool) for r in ranks)):
+            raise UsageError(f"{where}: ranks must be integers")
         return cls.from_ranks(field, n, ranks)
 
 
@@ -338,6 +374,11 @@ def diagonal_count_closed(field: Fq, eq: DiagonalEq) -> int:
 
 # ---- spheres and hyper-spheres, from the origin profile and its levels ----
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @functools.lru_cache(maxsize=None)
 def origin_norm_profile(field: Fq, n: int) -> np.ndarray:
     """Rank of ||x|| for every point rank x of F_q^n, in the smallest
@@ -354,8 +395,7 @@ def origin_norm_profile(field: Fq, n: int) -> np.ndarray:
         lower = origin_norm_profile(field, n - 1)
         levels = field.add_arrays(field.sq_arr[:, None], np.arange(int(lower.max()) + 1))
         values = levels.astype(dtype).take(lower, axis=1).ravel()
-    values.setflags(write=False)
-    return values
+    return _read_only(values)
 
 
 def is_rank(field: Fq, v) -> bool:
@@ -410,9 +450,7 @@ def level_order(field: Fq, m: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(profile, kind="stable")
     order = order.astype(np.int32 if order.size < 2 ** 31 else np.int64)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(profile, minlength=field.q))))
-    for a in (order, offsets):
-        a.setflags(write=False)
-    return order, offsets
+    return _read_only(order), _read_only(offsets)
 
 
 def _norm_class_representatives(field: Fq, n: int) -> list[tuple[int, ...]]:

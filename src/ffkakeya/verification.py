@@ -38,7 +38,6 @@ from .geometry import (
     PointSet,
     SphereSpec,
     _norm_class_representatives,
-    fibre_level_table,
     hypersphere_ranks,
     is_point,
     is_rank,
@@ -57,21 +56,20 @@ def _spheres_inside(field: Fq, points: PointSet, spheres: list) -> bool:
         S_r(a_0, 0, ..., 0) = {(a_0 + y_0, t) : y_0 in F_q, ||t|| = r - y_0^2},
 
     so such a sphere lies inside the set iff H[r - y_0^2, a_0 + y_0] holds
-    for every y_0, with H = fibre_level_table of the set.  They are all
-    checked at once by q lookups each into the one q x q table; spheres
-    with any other center are gathered one by one."""
-    n, mask = points.n, points.mask
-    if not all(is_point(field, n, s.center) for s in spheres):
+    for every y_0, with H = points.level_table().  They are checked by q
+    lookups each into the one q x q table, in blocks of at most 2^18
+    lookups up to the first that fails; other spheres are gathered."""
+    if not all(is_point(field, points.n, s.center) for s in spheres):
         return False
-    on_axis = [s for s in spheres if not any(s.center[1:])]
-    if on_axis:
-        a0, r = np.array([(s.center[0], s.radius) for s in on_axis],
-                         dtype=np.int64).T[:, :, None]
-        table = fibre_level_table(field, n, mask)
-        if not table[field.sub_arrays(r, field.sq_arr),
-                     field.add_arrays(a0, np.arange(field.q))].all():
+    on_axis = np.array([(s.center[0], s.radius) for s in spheres if not any(s.center[1:])],
+                       dtype=np.int64).reshape(-1, 2)
+    step, y0 = max(1, (1 << 18) // field.q), np.arange(field.q)
+    for i in range(0, len(on_axis), step):
+        a0, r = on_axis[i:i + step].T[:, :, None]
+        flat = field.sub_arrays(r, field.sq_arr) * field.q + field.add_arrays(a0, y0)
+        if not points.level_table().ravel()[flat].all():
             return False
-    return all(mask[sphere_ranks(field, s)].all() for s in spheres if any(s.center[1:]))
+    return all(points.mask[sphere_ranks(field, s)].all() for s in spheres if any(s.center[1:]))
 
 
 def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list) -> bool:

@@ -19,6 +19,7 @@ from ffkakeya import (
     PointSet,
     SizeCapError,
     SphereSpec,
+    UsageError,
     ZeroCoefficientError,
     ZeroDirectionError,
     ZeroRadiusError,
@@ -458,11 +459,23 @@ class TestPointSet:
             assert PointSet.from_ranks(f, 1, ranks).ranks().tolist() == [1, 2]
         assert PointSet.from_ranks(f, 1, []).size == 0
 
-    @pytest.mark.parametrize("key", ["p", "k", "q", "n", "ranks"])
+    @pytest.mark.parametrize("key", ["p", "n", "ranks"])
     def test_json_names_a_missing_key(self, key):
         d = PointSet.from_ranks(make_field(3), 2, [1]).to_json_dict()
         del d[key]
         with pytest.raises(ValueError, match=repr(key)):
+            PointSet.from_json_dict(d)
+
+    def test_json_defaults_k_to_one_and_takes_q_as_optional(self):
+        # the rules of the command line's set files, which this loader reads
+        a = PointSet.from_ranks(make_field(7), 2, [1, 30])
+        for key in ("k", "q"):
+            d = a.to_json_dict()
+            del d[key]
+            assert PointSet.from_json_dict(d) == a
+        d = PointSet.from_ranks(make_field(3, 2), 2, [1]).to_json_dict()
+        del d["k"]
+        with pytest.raises(UsageError, match="q in file does not match p\\^k"):
             PointSet.from_json_dict(d)
 
     @pytest.mark.parametrize("key,value", [
@@ -473,7 +486,8 @@ class TestPointSet:
         # the command line's loader rejects each of these too
         d = PointSet.from_ranks(make_field(7), 2, [1]).to_json_dict()
         d[key] = value
-        with pytest.raises(ValueError, match=repr(key)):
+        message = "ranks must be integers" if key == "ranks" else repr(key)
+        with pytest.raises(UsageError, match=message):
             PointSet.from_json_dict(d)
 
     def test_eq_and_spaces(self):

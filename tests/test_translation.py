@@ -6,11 +6,14 @@ spirit: a fresh norm profile per sphere, the rescan of the origin profile
 and its n-dim translate per sphere, the per-center hyper-sphere loop,
 pairwise sphere masks, the q^n multiplicity scatter and the per-radius
 q x q multiplicity loop of the radius construction, the per-sphere
-gathers of the witness check, the all-pairs intersection scan, the
-(0, c) pair scan of the intersection lemma, the dense-table circle
-certificates and the (center, non-member) pair scan of the exhaustive
-verifiers.
+gathers of the witness check, the q^n masks of the two spherical
+constructions, the all-pairs intersection scan, the (0, c) pair scan of
+the intersection lemma, the dense-table circle certificates and the
+(center, non-member) pair scan of the exhaustive verifiers.
 """
+
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,8 +47,8 @@ from ffkakeya import (
     verify_radius_kakeya,
     witness_valid,
 )
-from ffkakeya.constructions import KakeyaWitness
-from ffkakeya.exact import DEFAULT_BUDGET
+from ffkakeya.constructions import ConstructionResult, KakeyaWitness
+from ffkakeya.exact import DEFAULT_BUDGET, exact_str, spherical_kakeya_lower_bound
 from ffkakeya.geometry import (
     _fibres,
     _norm_class_representatives,
@@ -153,6 +156,78 @@ def loop_radius_multiplicity(field, n):
         multiplicity[levels, x0] = before + 1
     assert multiplicity.max() <= 2  # a quadratic in r has at most two roots
     return (multiplicity > 0)[origin_norm_profile(field, n - 1)].ravel(), singles, pairs
+
+
+def mask_radius_spherical(field, n):
+    """radius_spherical with its set gathered into a q^n mask through the
+    origin norm profile of F_q^(n-1)."""
+    q = field.q
+    tail = (0,) * (n - 1)
+    entries = {r: SphereSpec((r,) + tail, r) for r in field.units()}
+    _, offsets = level_order(field, n - 1)
+    level_sizes = np.diff(offsets).astype(np.int64)
+    x0 = np.arange(q)
+    two = field.add_arrays(x0, x0)
+    four = field.add_arrays(two, two)
+    multiplicity = 1 + field.char_arr[field.add_arrays(field.neg_arr[four][:, None],
+                                                       field.add_arrays(four, 1))]
+    multiplicity[field.neg_arr[field.sq_arr], x0] -= 1
+    twice = np.count_nonzero(multiplicity == 2, axis=1)
+    singles = int(level_sizes @ (np.count_nonzero(multiplicity, axis=1) + twice))
+    pairs_ordered = 2 * int(level_sizes @ twice)
+    mask = (multiplicity > 0)[origin_norm_profile(field, n - 1)].ravel()
+    points = PointSet._adopt(field, n, mask)
+    size = points.size
+    witness = KakeyaWitness("radius", entries)
+    report = spherical_kakeya_lower_bound(q, n)
+    return ConstructionResult(
+        field=field, n=n, name="radius-spherical", variant=None,
+        points=points, witness=witness, size=size,
+        main_terms=(Fraction(q ** n, 2), Fraction(q ** (n - 1), 2),
+                    Fraction(-(q ** (n - 2)))),
+        bound=report.value, bound_is_lower=True,
+        bound_met=size >= report.value,
+        witness_valid=witness_valid(field, points, witness),
+        accounting={
+            "sumSphereSizes": singles,
+            "sumPairwiseIntersectionsOrdered": pairs_ordered,
+            "inclusionExclusionSize": singles - pairs_ordered // 2,
+        })
+
+
+def mask_center_spherical(field, n):
+    """center_spherical at the least nonsquare radius, with its set
+    gathered into a q^n mask, one flag per level repeated q times."""
+    q = field.q
+    r = field.smallest_nonsquare()
+    square_gap = field.char_arr[field.sub_arrays(r, np.arange(q))] >= 0
+    mask = np.repeat(square_gap[origin_norm_profile(field, n - 1)], q)
+    points = PointSet._adopt(field, n, mask)
+    size = points.size
+    tail = (0,) * (n - 1)
+    witness = KakeyaWitness(
+        "center-coordinate",
+        {a: SphereSpec((a,) + tail, r) for a in field.elements()})
+    if n >= 5:
+        main_terms = (Fraction(q ** n, 2), Fraction(q ** (n - 1), 2))
+    else:
+        main_terms = (Fraction(q ** n, 2),)
+    gap = size - sum(main_terms)
+    report = spherical_kakeya_lower_bound(q, n)
+    accounting = {
+        "fixedNonsquareRadius": r,
+        "gapVsMainTerms": exact_str(gap),
+    }
+    if n >= 5:
+        accounting["errorConstantTimesQtoNminus2"] = exact_str(
+            Fraction(abs(gap)) / q ** (n - 2))
+    return ConstructionResult(
+        field=field, n=n, name="center-spherical", variant=None,
+        points=points, witness=witness, size=size, main_terms=main_terms,
+        bound=report.value, bound_is_lower=True,
+        bound_met=size >= report.value,
+        witness_valid=witness_valid(field, points, witness),
+        accounting=accounting)
 
 
 def gathered_witness_valid(field, points, witness):
@@ -374,6 +449,58 @@ def test_fibre_level_table_is_the_levelwise_all(q, n):
         want = np.array([[rows[profile == v, x0].all() for x0 in range(q)]
                          for v in range(q)])
         assert np.array_equal(fibre_level_table(field, n, mask), want)
+
+
+# ---- (d') level-built sets against their q^n masks ----
+
+LEVEL_SWEEP = [(q, n) for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
+               for n in range(2, 13) if q ** n <= 10 ** 6]
+
+
+@pytest.mark.parametrize("q,n", LEVEL_SWEEP)
+def test_level_built_constructions_equal_the_mask_oracles(q, n):
+    field = field_of(q)
+    built = [(radius_spherical(field, n), mask_radius_spherical(field, n)),
+             (center_spherical(field, n), mask_center_spherical(field, n))]
+    for res, want in built:
+        points = res.points
+        assert points._mask is None, res.name  # nothing so far formed the mask
+        assert res.size == points.size == want.size == int(np.count_nonzero(want.points.mask))
+        assert np.array_equal(points.level_table(),
+                              fibre_level_table(field, n, want.points.mask))
+        assert points._mask is None, res.name
+        assert np.array_equal(points.mask, want.points.mask)
+        assert not points.mask.flags.writeable and not points.level_table().flags.writeable
+        assert np.array_equal(points.ranks(), want.points.ranks())
+        assert res.accounting == want.accounting
+        assert json.dumps(res.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert res.witness_valid and want.witness_valid
+        assert witness_valid(field, want.points, res.witness)
+    # set operations on level-built sets agree with mask-built copies
+    rng = np.random.default_rng(q * 31 + n)
+    level = [res.points for res, _ in built] + [PointSet.from_levels(
+        field, n, rng.random((q, q)) < 0.5)]
+    copies = [PointSet(field, n, points.mask) for points in level]
+    for a, ac in zip(level, copies):
+        assert a == ac and ac == a and len(a) == len(ac)
+        assert a.complement() == ac.complement()
+        for b, bc in zip(level, copies):
+            assert (a | b) == (ac | bc) and (a & b) == (ac & bc)
+            assert a.issubset(b) == ac.issubset(bc) and (a == b) == (ac == bc)
+        for rank in rng.integers(0, q ** n, size=20):
+            point = point_unrank(field, n, int(rank))
+            assert (point in a) == (point in ac) == bool(ac.mask[rank])
+
+
+def test_level_table_rows_of_empty_levels_read_true():
+    # F_3^1 holds no t with ||t|| = 2, a nonsquare, so level 2 of F_3^2 is empty
+    field = make_field(3)
+    points = PointSet.from_levels(field, 2, np.zeros((3, 3), dtype=bool))
+    assert points.size == 0 and not points.mask.any()
+    assert points.level_table().tolist() == [[False] * 3, [False] * 3, [True] * 3]
+    assert np.array_equal(points.level_table(), fibre_level_table(field, 2, points.mask))
+    with pytest.raises(ValueError, match="shape"):
+        PointSet.from_levels(field, 2, np.zeros((3, 4), dtype=bool))
 
 
 def sweep_witnesses(field, n):

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -245,6 +246,22 @@ class TestWitnessAgainstExhaustive:
         entries = dict(res.witness.entries)
         entries[1], entries[2] = entries[2], entries[1]
         assert not witness_valid(f, res.points, KakeyaWitness("radius", entries))
+
+    def test_lookup_memory_is_bounded(self):
+        # one lookup for all q - 1 radii at once holds (q - 1) x q int64
+        # index arrays, 100 MB at q = 2053; blocks of 2^18 lookups hold a
+        # few MB, and the mask-built copy adds its q^n-byte table gather
+        f = make_field(2053)
+        res = radius_spherical(f, 2)
+        for points in (res.points, PointSet(f, 2, res.points.mask)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert witness_valid(f, points, res.witness)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2 ** 20, peak
 
 
 # each kind: the type of its entries, and whether its keys are centers
