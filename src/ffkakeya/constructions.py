@@ -49,7 +49,6 @@ from .geometry import (  # noqa: F401 (CircleSpec re-exported)
     json_point,
     level_order,
     origin_norm_profile,
-    origin_sphere_ranks,
     point_unrank,
     space_size,
 )
@@ -182,9 +181,9 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
 
         M[v, x_0] = 1 + chi(4 x_0 + 1 - 4 v) - [v = -x_0^2]:
 
-    one q x q sum, one gather of the character and one scatter of q
-    entries.  The set is the union of the fibre levels where M > 0, and
-    with L_v = #{t : ||t|| = v} the level sizes, sum m =
+    one q x q sum and one gather of the character, by blocks of rows, and
+    one scatter of q entries.  The set is the union of the fibre levels
+    where M > 0, and with L_v = #{t : ||t|| = v} the level sizes, sum m =
     sum_(v, x_0) L_v M[v, x_0]; M <= 2, so sum m(m - 1) = 2 sum_v L_v
     #{x_0 : M[v, x_0] = 2}.  Nothing of size q^n is counted.
     """
@@ -200,9 +199,14 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     x0 = np.arange(q)
     two = field.add_arrays(x0, x0)
     four = field.add_arrays(two, two)  # 4 x_0, and 4 v down the column
-    # the q x q discriminants are freed once the character is read
-    multiplicity = 1 + field.char_arr[field.add_arrays(field.neg_arr[four][:, None],
-                                                       field.add_arrays(four, 1))]
+    minus_four_v, four_x0_plus_one = field.neg_arr[four][:, None], field.add_arrays(four, 1)
+    # int8, filled by blocks of at most 2^18 discriminants, so the int64
+    # sums stay a few MB whatever q is
+    multiplicity = np.empty((q, q), dtype=np.int8)
+    rows = max(1, (1 << 18) // q)
+    for lo in range(0, q, rows):
+        disc = field.add_arrays(minus_four_v[lo:lo + rows], four_x0_plus_one)
+        np.add(field.char_arr[disc], 1, out=multiplicity[lo:lo + rows])
     multiplicity[field.neg_arr[field.sq_arr], x0] -= 1
     twice = np.count_nonzero(multiplicity == 2, axis=1)
     singles = int(level_sizes @ (np.count_nonzero(multiplicity, axis=1) + twice))
@@ -291,6 +295,13 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
     So the set is read off the cached origin norm profile, and
     objectsUsed = #{a : ||a|| != 0}.  The size is at most
     q^(n-1) + q^(n//2) - q^((n-1)//2).
+
+    The witness certifies radius r by H_a for the least rank a of the
+    sphere S_(-r)(0).  Every element of F_q is a sum of two squares, so for
+    n >= 3 every level {t : ||t|| = v} of F_q^(n-1) is nonempty, and the
+    least rank of S_v(0) has its last (most significant) coordinate 0: it
+    is the least rank of level v of F_q^(n-1), the first entry of that
+    level in the stable level_order, read with no sphere gathered.
     """
     if n < 3:
         raise BadDimensionError("hyper-sphere union needs dimension >= 3")
@@ -302,10 +313,10 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
     points = PointSet._adopt(field, n, union)
     size = points.size
     null_size = size + 1
+    order, offsets = level_order(field, n - 1)
     entries = {}
     for r in field.units():
-        a_rank = int(origin_sphere_ranks(field, n, field.neg(r))[0])
-        vec = point_unrank(field, n, a_rank)
+        vec = point_unrank(field, n, int(order[offsets[field.neg(r)]]))
         entries[r] = HypersphereSpec(vec, vec, r)
     witness = KakeyaWitness("hypersphere", entries)
     bound = q ** (n - 1) + q ** (n // 2) - q ** ((n - 1) // 2)

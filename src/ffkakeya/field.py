@@ -451,9 +451,13 @@ class Fq:
     def mul_table(self) -> np.ndarray:
         self.require_array((self.q, self.q))
         exp, log = self._logs
-        # row a in log order is the window exp[log a : log a + q]
-        rows = sliding_window_view(exp, self.q)[log]
-        out = np.take(rows, log, axis=1)
+        # row a in log order is the window exp[log a : log a + q], gathered
+        # into the one table by blocks of about 2^16 entries
+        windows = sliding_window_view(exp, self.q)
+        out = np.empty((self.q, self.q), dtype=exp.dtype)
+        rows = max(1, (1 << 16) // self.q)
+        for lo in range(0, self.q, rows):
+            np.take(windows[log[lo:lo + rows]], log, axis=1, out=out[lo:lo + rows])
         out[0, :] = 0
         out[:, 0] = 0
         return out

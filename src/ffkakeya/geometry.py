@@ -385,17 +385,21 @@ def origin_norm_profile(field: Fq, n: int) -> np.ndarray:
     unsigned dtype that holds a rank; F_q^0 is the point 0.  The last
     coordinate y is the most significant digit and ||(t, y)|| = y^2 + ||t||,
     so row y of the profile is the row y^2 + v, for v up to the largest
-    norm in F_q^(n-1), gathered at the (n-1)-dim profile.  Built through
-    this cache; cached per (field, n), read-only."""
+    norm in F_q^(n-1), gathered at the (n-1)-dim profile in blocks of at
+    most 2^16 entries, so the int64 index numpy makes of each block stays
+    small.  Built through this cache; cached per (field, n), read-only."""
     dtype = np.min_scalar_type(field.q - 1)
     if n == 0:
-        values = np.zeros(1, dtype=dtype)
-    else:
-        space_size(field, n)
-        lower = origin_norm_profile(field, n - 1)
-        levels = field.add_arrays(field.sq_arr[:, None], np.arange(int(lower.max()) + 1))
-        values = levels.astype(dtype).take(lower, axis=1).ravel()
-    return _read_only(values)
+        return _read_only(np.zeros(1, dtype=dtype))
+    space_size(field, n)
+    lower = origin_norm_profile(field, n - 1)
+    levels = field.add_arrays(field.sq_arr[:, None], np.arange(int(lower.max()) + 1))
+    levels = levels.astype(dtype)
+    values = np.empty((field.q, lower.size), dtype=dtype)
+    step = max(1, (1 << 16) // field.q)
+    for lo in range(0, lower.size, step):
+        values[:, lo:lo + step] = levels.take(lower[lo:lo + step], axis=1)
+    return _read_only(values.ravel())
 
 
 def is_rank(field: Fq, v) -> bool:

@@ -42,6 +42,7 @@ from .geometry import (
     is_point,
     is_rank,
     origin_norm_profile,
+    point_rank,
     space_size,
     sphere_ranks,
     translate,
@@ -73,10 +74,24 @@ def _spheres_inside(field: Fq, points: PointSet, spheres: list) -> bool:
 
 
 def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list) -> bool:
+    """The hyper-sphere union certifies with cone entries: center a equal
+    to the direction and radius -||a|| != 0.  Such an H_a lies in the null
+    quadric less the origin, N* = {x != 0 : ||x|| = 0} (the proof is in
+    constructions.hypersphere_union), so when the set holds all of N*,
+    which one pass over the origin norm profile tells, every cone entry
+    lies inside it.  Other entries, and cone entries when that pass fails
+    (N* inside the set is sufficient, not necessary), are gathered."""
     n, mask = points.n, points.mask
-    return (all(is_point(field, n, h.center) and is_point(field, n, h.direction)
-                for h in hyperspheres)
-            and all(mask[hypersphere_ranks(field, h)].all() for h in hyperspheres))
+    if not all(is_point(field, n, h.center) and is_point(field, n, h.direction)
+               for h in hyperspheres):
+        return False
+    norms = origin_norm_profile(field, n)
+    cone = [h.center == h.direction
+            and h.radius == field.neg(int(norms[point_rank(field, h.center)]))
+            for h in hyperspheres]
+    if any(cone) and (mask[1:] | (norms[1:] != 0)).all():
+        hyperspheres = [h for h, is_cone in zip(hyperspheres, cone) if not is_cone]
+    return all(mask[hypersphere_ranks(field, h)].all() for h in hyperspheres)
 
 
 def _circles_inside(field: Fq, points: PointSet, circles: list) -> bool:

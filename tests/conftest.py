@@ -10,6 +10,7 @@ temporary directory removed at exit, so no run writes .hypothesis/.
 
 import itertools
 import tempfile
+import tracemalloc
 
 import numpy as np
 from hypothesis import settings
@@ -73,6 +74,18 @@ def enumerated_counts_by_rhs(field, coeffs):
     recurrence of diagonal_counts_by_rhs."""
     values = sum_profile(field, [field.mul_table[c][field.sq_arr] for c in coeffs])
     return np.bincount(values, minlength=field.q).astype(np.int64)
+
+
+def traced_peak(fn) -> int:
+    """Bytes that fn's Python and numpy allocations held at their peak,
+    above what was held when it was called, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import norm, norm_profile
+from conftest import norm, norm_profile, traced_peak
 from ffkakeya import (
     BadDimensionError,
     CircleSpec,
@@ -113,6 +113,15 @@ class TestRadiusSpherical:
     def test_rejects_dimension_one(self):
         with pytest.raises(BadDimensionError):
             radius_spherical(make_field(3), 1)
+
+    def test_multiplicity_memory_is_bounded(self):
+        # the q x q discriminant in int64, beside the int64 temporary of its
+        # prime-field sum, took 65 MB at q = 2053; blocks of 2^18 entries
+        # leave the int8 table, the level table and the witness check's blocks
+        f = Fq(2053)
+        f._logs
+        peak = traced_peak(lambda: radius_spherical(f, 2))
+        assert peak < 32 * 2 ** 20, peak
 
 
 class TestCenterSpherical:

@@ -3,14 +3,17 @@
 Reference values here are either computed by the independent scalar
 oracles below or asserted directly when trivial.  The dense-table builders
 that the exp/log tables replaced are kept below as the oracle for them,
-and so is the reduction-row product, the oracle of Fq._poly_mul.
+and so are the one-expression exp/log product table, the oracle of its
+row blocks, and the reduction-row product, the oracle of Fq._poly_mul.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import traced_peak
 import ffkakeya.field as field_module
 from ffkakeya import (
     Fq,
@@ -133,6 +136,16 @@ def reduction_row_mul(field, a, b):
     for row, c in zip(reduction_rows(field), full[k:]):
         out = [o + c * r for o, r in zip(out, row)]
     return field.coeffs_to_element([o % p for o in out])
+
+
+def window_mul_table(field):
+    """The exp/log table as one expression: the windows of exp at the logs
+    of the rows, then a take along the columns, two q x q arrays at once."""
+    exp, log = field._logs
+    out = np.take(sliding_window_view(exp, field.q)[log], log, axis=1)
+    out[0, :] = 0
+    out[:, 0] = 0
+    return out
 
 
 def old_mul_table(field):
@@ -441,6 +454,19 @@ class TestTables:
         assert np.array_equal(f.mul_arrays(a[:, None], a), f.mul_table)
         assert f.mul_arrays(3, a).tolist() == f.mul_table[3].tolist()
         assert f.mul_arrays(0, 4) == 0 and f.mul_arrays(1, 4) == 4
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 4), (47, 2), (257, 1), (1009, 1)])
+    def test_mul_table_by_row_blocks_equals_the_window_expression(self, p, k):
+        f = Fq(p, k)
+        got, want = f.mul_table, window_mul_table(f)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_mul_table_peak_is_one_table(self):
+        # the window expression held two q x q int32 arrays, 36 MB at 3^7
+        f = Fq(3, 7)
+        f._logs
+        peak = traced_peak(lambda: f.mul_table)
+        assert peak < f.mul_table.nbytes + 2 * 2 ** 20, peak
 
     def test_array_cap_is_checked_before_allocating(self):
         f = Fq(3, 2)

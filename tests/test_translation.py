@@ -5,8 +5,8 @@ Each oracle below is the earlier implementation, kept here verbatim in
 spirit: a fresh norm profile per sphere, the rescan of the origin profile
 and its n-dim translate per sphere, the per-center hyper-sphere loop,
 pairwise sphere masks, the q^n multiplicity scatter and the per-radius
-q x q multiplicity loop of the radius construction, the per-sphere
-gathers of the witness check, the q^n masks of the two spherical
+q x q multiplicity loop of the radius construction, the per-sphere and
+per-hyper-sphere gathers of the witness check, the q^n masks of the two spherical
 constructions, the all-pairs intersection scan, the (0, c) pair scan of
 the intersection lemma, the dense-table circle certificates and the
 (center, non-member) pair scan of the exhaustive verifiers.
@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import norm, norm_profile, sum_profile
+from conftest import norm, norm_profile, sum_profile, traced_peak
 from ffkakeya import (
     BadDimensionError,
     BudgetExceededError,
@@ -692,6 +692,19 @@ def test_origin_profile_equals_the_enumeration(q, n):
     assert np.array_equal(got, want)
 
 
+def test_origin_profile_gathers_in_small_blocks():
+    # one take made an int64 index of the whole F_3^12 profile, 4.25 MB, to
+    # gather the 1.6 MB profile of F_3^13; blocks of 2^16 entries hold a
+    # few hundred KB beside the result
+    field = make_field(3)
+    want = norm_profile(field, 13).astype(np.uint8)
+    origin_norm_profile(field, 12)
+    got = []
+    peak = traced_peak(lambda: got.append(origin_norm_profile.__wrapped__(field, 13)))
+    assert got[0].dtype == want.dtype and np.array_equal(got[0], want)
+    assert peak < 3 ** 13 + 2 ** 19, peak
+
+
 def test_origin_profile_caches_every_lower_dimension_read_only():
     field = make_field(29)
     origin_norm_profile(field, 3)
@@ -943,3 +956,99 @@ def test_circle_witness_with_bad_ranks_is_false(kind, key, circle):
     assert witness_valid(field, full, KakeyaWitness(kind, entries))
     entries[key] = circle
     assert not witness_valid(field, full, KakeyaWitness(kind, entries))
+
+
+# ---- hyper-sphere witnesses: the cone check against the gathers ----
+
+def gathered_hyperspheres_inside(field, points, hyperspheres):
+    """The hyper-sphere containment check by one gather per entry."""
+    n, mask = points.n, points.mask
+    return (all(is_point(field, n, h.center) and is_point(field, n, h.direction)
+                for h in hyperspheres)
+            and all(mask[hypersphere_ranks(field, h)].all() for h in hyperspheres))
+
+
+def gathered_hypersphere_witness_valid(field, points, witness):
+    """The hyper-sphere witness check by one gather per entry (entries
+    assumed well formed)."""
+    return (set(witness.entries) == set(field.units())
+            and all(h.radius == key for key, h in witness.entries.items())
+            and gathered_hyperspheres_inside(field, points, list(witness.entries.values())))
+
+
+def hypersphere_cases(field, n):
+    """(set, witness, the verdict it must get or None) over the union's own
+    witness, entries with center == direction and a wrong radius, and
+    witnesses that mix cone entries with random hyper-spheres."""
+    q = field.q
+    rng = np.random.default_rng(q * 13 + n)
+    res = hypersphere_union(field, n)
+    entries, null = res.witness.entries, res.points.mask
+    witness = res.witness
+
+    def holed(mask, ranks):
+        out = mask.copy()
+        out[ranks[rng.integers(ranks.size)]] = False
+        return out
+
+    own = np.zeros(q ** n, dtype=bool)
+    for h in entries.values():
+        own[hypersphere_ranks(field, h)] = True
+    assert not (own & ~null).any()  # the witness's own union lies in N*
+    cases = [(null, witness, True),
+             (holed(null, hypersphere_ranks(field, entries[int(rng.integers(1, q))])),
+              witness, False),
+             (own, witness, True)]  # N* less some points: every entry gathered
+    # center == direction at the right key, but radius != -||center||: the
+    # cone entry of another radius, and an isotropic center
+    isotropic = point_unrank(field, n, int(np.flatnonzero(null)[0]))
+    wrong = dict(entries)
+    wrong[1] = HypersphereSpec(entries[q - 1].center, entries[q - 1].center, 1)
+    wrong[q - 1] = HypersphereSpec(isotropic, isotropic, q - 1)
+    # random hyper-spheres at every other key, cone entries at the rest
+    mixed = dict(entries)
+    for r in list(field.units())[::2]:
+        direction = tuple(int(c) for c in rng.integers(0, q, size=n))
+        direction = direction if any(direction) else (1,) + direction[1:]
+        mixed[r] = HypersphereSpec(tuple(int(c) for c in rng.integers(0, q, size=n)),
+                                   direction, r)
+    for changed in (wrong, mixed):
+        changed = KakeyaWitness("hypersphere", changed)
+        extra = np.zeros(q ** n, dtype=bool)
+        for h in changed.entries.values():
+            if h not in entries.values():
+                extra[hypersphere_ranks(field, h)] = True
+        cases += [(null, changed, None), (null | extra, changed, True),
+                  (own | extra, changed, True)]
+        others = np.flatnonzero(extra & ~null)
+        if others.size:
+            cases.append((holed(null | extra, others), changed, False))
+    return cases
+
+
+HYPERSPHERE_SWEEP = [(q, n) for q in ODD_PRIME_POWERS_27 for n in range(3, 11)
+                     if q ** n <= 10 ** 5]
+
+
+@pytest.mark.parametrize("q,n", HYPERSPHERE_SWEEP)
+def test_cone_check_equals_the_gathers(q, n):
+    field = field_of(q)
+    rng = np.random.default_rng(q + 7 * n)
+    level_built = radius_spherical(field, n).points
+    for mask, witness, verdict in hypersphere_cases(field, n):
+        points = PointSet(field, n, mask)
+        random = PointSet(field, n, mask & (rng.random(q ** n) < 0.99))
+        for candidate in (points, random, level_built,
+                          PointSet.full(field, n), PointSet.empty(field, n)):
+            want = gathered_hypersphere_witness_valid(field, candidate, witness)
+            assert witness_valid(field, candidate, witness) == want
+        if verdict is not None:
+            assert witness_valid(field, points, witness) == verdict
+
+
+@pytest.mark.parametrize("q,n", HYPERSPHERE_SWEEP + [(49, 3), (81, 3), (125, 3)])
+def test_hypersphere_witness_is_the_first_rank_of_each_sphere(q, n):
+    field = field_of(q)
+    for r, h in hypersphere_union(field, n).witness.entries.items():
+        assert h.center == h.direction and h.radius == r
+        assert point_rank(field, h.center) == origin_sphere_ranks(field, n, field.neg(r))[0]
