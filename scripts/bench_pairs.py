@@ -8,14 +8,17 @@ Each checkout runs its own bench/run.py from its own root, with the run
 length of BENCHMARK.json.  Pair i runs the parent first when i is even and
 the change first when it is odd, so drift of a shared machine falls on
 both sides alike.  A workload runs as many pairs as --pairs gives it (one
-by default), on the first seeds of --seeds, and then one traced pair on
-the first seed for its per-layer metrics.
+by default), on the first seeds of --seeds, and then TRACED_PAIRS traced
+pairs (fewer when --seeds has fewer seeds), in the same alternating order
+on the first seeds, for its per-layer metrics.
 
 For each workload and each end-to-end metric the file holds every run, the
 median and quartiles of each side, the pairs the change won (better by the
 metric's direction, ties counting for neither) and whether the claim rule
 holds: wins in at least nine tenths of the pairs, and medians further apart
-than the parent's quartiles.
+than the parent's quartiles.  For each per-layer metric it holds every
+traced value of each side, with their median and quartiles, so a
+per-layer change can be told from the spread of unchanged code.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+TRACED_PAIRS = 3  # traced pairs per workload, enough for a median and quartiles
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -51,6 +56,26 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
 def spread(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def pair_runs(roots: dict, workload: str, seeds: list[int], seconds: float,
+              trace: int) -> dict:
+    """One run per side and seed, the parent first on even pair indices."""
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(run(roots[side], workload, seed, seconds, trace))
+            print(f"{workload} seed {seed} {side}{' traced' if trace else ''}: "
+                  f"{runs[side][-1]['metrics']}", file=sys.stderr, flush=True)
+    return runs
+
+
+def summarise_trace(runs: dict) -> dict:
+    """Every traced metric of each side: its values, median and quartiles."""
+    return {side: {name: {**spread([r["metrics"][name] for r in side_runs]),
+                          "values": [r["metrics"][name] for r in side_runs]}
+                   for name in side_runs[0]["metrics"]}
+            for side, side_runs in runs.items()}
 
 
 def summarise(spec: dict, runs: dict) -> dict:
@@ -90,17 +115,11 @@ def main() -> int:
         count = pairs.get(workload, 1)
         if count > len(seeds):
             raise SystemExit(f"{workload}: {count} pairs need {count} seeds")
-        runs = {"parent": [], "change": []}
-        for i, seed in enumerate(seeds[:count]):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(run(roots[side], workload, seed, spec["run_seconds"], 0))
-                print(f"{workload} seed {seed} {side}: {runs[side][-1]['metrics']}",
-                      file=sys.stderr, flush=True)
-        traced = {side: run(roots[side], workload, seeds[0], spec["run_seconds"], 1)["metrics"]
-                  for side in ("parent", "change")}
+        runs = pair_runs(roots, workload, seeds[:count], spec["run_seconds"], 0)
+        traced = pair_runs(roots, workload, seeds[:TRACED_PAIRS], spec["run_seconds"], 1)
         report["workloads"][workload] = {
             "seeds": seeds[:count], "runs": runs, "summary": summarise(spec, runs),
-            "trace": {"seed": seeds[0], **traced},
+            "trace": {"seeds": seeds[:TRACED_PAIRS], **summarise_trace(traced)},
         }
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0

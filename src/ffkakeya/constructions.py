@@ -292,9 +292,10 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
     ||a|| = c^2 ||x|| + 2c w.x + ||w|| = w.x, so ||a|| = a.x != 0 and
     ||x - a|| = 0 - 2||a|| + ||a|| = -||a||: x lies on H_a.
 
-    So the set is read off the cached origin norm profile, and
-    objectsUsed = #{a : ||a|| != 0}.  The size is at most
-    q^(n-1) + q^(n//2) - q^((n-1)//2).
+    So the set is read off the cached origin norm profile, objectsUsed =
+    #{a : ||a|| != 0}, and allPointsNormZero is true by construction: it
+    stays in the accounting so the output is unchanged, and checks
+    nothing.  The size is at most q^(n-1) + q^(n//2) - q^((n-1)//2).
 
     The witness certifies radius r by H_a for the least rank a of the
     sphere S_(-r)(0).  Every element of F_q is a sum of two squares, so for
@@ -330,7 +331,7 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
         accounting={
             "objectsUsed": space - null_size,
             "nullQuadricSize": null_size,
-            "allPointsNormZero": bool(np.all(norms[union] == 0)),
+            "allPointsNormZero": True,  # by construction
         })
 
 

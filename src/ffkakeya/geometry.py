@@ -33,7 +33,10 @@ Diagonal quadrics a_1 x_1^2 + ... + a_n x_n^2 = b are counted two ways:
 by the classical closed form, and directly, for every b at once, by a
 recurrence over partial sums that adds one coordinate at a time from the
 number of square roots of each element, in O(n q^2) steps with no
-enumeration of F_q^n (diagonal_counts_by_rhs).
+enumeration of F_q^n (diagonal_counts_by_rhs).  The closed form also
+gives #{t : ||t|| = v, ||t - c|| = w} for every class of c under the
+orthogonal group (joint_norm_counts), so sphere intersections, and the
+scans of level-built sets, need no enumeration either.
 """
 
 from __future__ import annotations
@@ -152,12 +155,12 @@ class DiagonalEq:
 
 class PointSet:
     """Membership set over the ranked points of F_q^n, immutable after
-    construction.  A set from from_levels keeps a q x q level table and
-    its size, and forms its q^n mask only when something reads it, once;
-    union, intersection and equality are exact operations on the masks.
-    """
+    construction.  A set from from_levels is level_built: it keeps a q x q
+    level table and its size, and forms its q^n mask only when something
+    reads it, once; union, intersection and equality are exact operations
+    on the masks."""
 
-    __slots__ = ("field", "n", "_mask", "_table", "_size")
+    __slots__ = ("field", "n", "level_built", "_mask", "_table", "_size")
 
     def __init__(self, field: Fq, n: int, mask):
         self._bind(field, n, np.array(mask, dtype=bool, copy=True))
@@ -174,7 +177,7 @@ class PointSet:
     def _bind(self, field: Fq, n: int, mask, table=None, size=None) -> None:
         if mask is not None and mask.shape != (space_size(field, n),):
             raise ValueError(f"mask must have shape ({field.q ** n},)")
-        self.field, self.n, self._size = field, n, size
+        self.field, self.n, self._size, self.level_built = field, n, size, mask is None
         self._mask, self._table = (a if a is None else _read_only(a) for a in (mask, table))
 
     @classmethod
@@ -350,26 +353,24 @@ def diagonal_count_bruteforce(field: Fq, eq: DiagonalEq) -> int:
 
 def diagonal_count_closed(field: Fq, eq: DiagonalEq) -> int:
     """Exact solution count from the classical closed form for diagonal
-    quadrics: q^(n-1) plus a character correction of magnitude q^((n-1)//2)
-    for nonzero rhs, and (q-1) * q^(n/2-1) (n even) or zero (n odd) for
-    rhs = 0."""
+    quadrics (_quadric_counts), in Python integers at any size."""
     _check_equation(field, eq)
-    q = field.q
-    n = len(eq.coeffs)
-    delta = 1
-    for c in eq.coeffs:
-        delta = field.mul(delta, c)
-    minus_one = field.neg(1)
-    if n % 2 == 0:
-        sign = field.pow(minus_one, n // 2)
-        eta = field.char(field.mul(sign, delta))
-        v = q - 1 if eq.rhs == 0 else -1
-        return q ** (n - 1) + v * q ** (n // 2 - 1) * eta
-    if eq.rhs == 0:
-        return q ** (n - 1)
-    sign = field.pow(minus_one, (n - 1) // 2)
-    eta = field.char(field.mul(field.mul(sign, eq.rhs), delta))
-    return q ** (n - 1) + q ** ((n - 1) // 2) * eta
+    return _quadric_counts(field.q, len(eq.coeffs),
+                           field.char(functools.reduce(field.mul, eq.coeffs)), field.char(eq.rhs))
+
+
+def _quadric_counts(q: int, d: int, eta_delta, eta_x):
+    """Solutions of a diagonal quadric of d nonzero coefficients of product
+    delta at rhs x, from chi(delta) and chi(x) alone: q^(d-1) plus a
+    correction of magnitude q^((d-1)//2) for x != 0, and (q-1) q^(d/2-1)
+    (d even) or 0 (d odd) for x = 0, signed by chi((-1)^(d//2) delta);
+    d = 0 gives [x = 0].  Exact in Python ints, broadcast over int64 arrays."""
+    if d == 0:
+        return 1 - abs(eta_x)
+    eta = (-1) ** ((q - 1) // 2 * (d // 2)) * eta_delta
+    if d % 2 == 0:
+        return q ** (d - 1) + (q * (1 - abs(eta_x)) - 1) * q ** (d // 2 - 1) * eta
+    return q ** (d - 1) + q ** (d // 2) * eta * eta_x
 
 
 # ---- spheres and hyper-spheres, from the origin profile and its levels ----
@@ -385,20 +386,23 @@ def origin_norm_profile(field: Fq, n: int) -> np.ndarray:
     unsigned dtype that holds a rank; F_q^0 is the point 0.  The last
     coordinate y is the most significant digit and ||(t, y)|| = y^2 + ||t||,
     so row y of the profile is the row y^2 + v, for v up to the largest
-    norm in F_q^(n-1), gathered at the (n-1)-dim profile in blocks of at
-    most 2^16 entries, so the int64 index numpy makes of each block stays
-    small.  Built through this cache; cached per (field, n), read-only."""
+    norm in F_q^(n-1), gathered at the (n-1)-dim profile.  The table is
+    built in the profile dtype by row blocks, each gathered in blocks, of
+    at most about 2^16 entries, so it and numpy's int64 index stay small.
+    Built through this cache; cached per (field, n), read-only."""
     dtype = np.min_scalar_type(field.q - 1)
     if n == 0:
         return _read_only(np.zeros(1, dtype=dtype))
     space_size(field, n)
     lower = origin_norm_profile(field, n - 1)
-    levels = field.add_arrays(field.sq_arr[:, None], np.arange(int(lower.max()) + 1))
-    levels = levels.astype(dtype)
+    width = int(lower.max()) + 1
     values = np.empty((field.q, lower.size), dtype=dtype)
-    step = max(1, (1 << 16) // field.q)
-    for lo in range(0, lower.size, step):
-        values[:, lo:lo + step] = levels.take(lower[lo:lo + step], axis=1)
+    rows = max(1, (1 << 16) // width)
+    for y in range(0, field.q, rows):
+        levels = field.add_arrays(field.sq_arr[y:y + rows, None], np.arange(width)).astype(dtype)
+        step = max(1, (1 << 16) // len(levels))
+        for lo in range(0, lower.size, step):
+            values[y:y + rows, lo:lo + step] = levels.take(lower[lo:lo + step], axis=1)
     return _read_only(values.ravel())
 
 
@@ -457,21 +461,47 @@ def level_order(field: Fq, m: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(order), _read_only(offsets)
 
 
-def _norm_class_representatives(field: Fq, n: int) -> list[tuple[int, ...]]:
-    """The least nonzero point of each nonempty norm class of F_q^n, read
-    from level_order: at most q points, one per orbit of the orthogonal
-    group O of the norm form on the nonzero vectors.
+def _joint_counts(field: Fq, m: int, gamma, v, w) -> np.ndarray:
+    """J_c(v, w) of joint_norm_counts for any c != 0 of norm gamma, over
+    broadcast rank arrays: gamma a scalar 0 (c isotropic) or nonzero."""
+    q, chi = field.q, field.char_arr.astype(np.int64)
+    if np.ndim(gamma) == 0 and gamma == 0:
+        return np.where(np.equal(v, w), q * _quadric_counts(q, m - 2, chi[field.neg(1)], chi[v]),
+                        q ** (m - 2))
+    four = field.mul(field.add(1, 1), field.add(1, 1))
+    s = field.add_arrays(field.sub_arrays(v, w), gamma)  # 2 lambda gamma
+    z = field.sub_arrays(field.mul_arrays(field.mul_arrays(four, gamma), v), field.sq_arr[s])
+    return _quadric_counts(q, m - 1, chi[gamma], chi[gamma] * chi[z])
 
-    Witt's extension theorem: in a nondegenerate quadratic space of odd
-    characteristic, an isometry between two subspaces extends to one of
-    the whole space.  For nonzero u, v with ||u|| = ||v||, a u -> a v is an
-    isometry of the line <u> onto <v>, isotropic or not, so some g in O has
-    g u = v.  Each g is linear, so it fixes 0 and ||g x - g c|| = ||x - c||:
-    it maps S_r(0) & S_s(c) onto S_r(0) & S_s(g c).  So |S_r(0) & S_s(c)|
-    depends only on ||c|| for c != 0."""
-    order, offsets = level_order(field, n)
-    starts = offsets[:-1] + (np.arange(field.q) == 0)  # the origin heads level 0
-    return [point_unrank(field, n, int(order[i])) for i in starts[starts < offsets[1:]]]
+
+def joint_norm_counts(field: Fq, m: int) -> np.ndarray:
+    """J[i, v, w] = #{t in F_q^m : ||t|| = v, ||t - c_i|| = w} in int64, for
+    c_0 = 0 and one c_i per nonempty norm class of nonzero vectors, by norm
+    (isotropic first): at most q + 1 closed-form q x q slices, O(q^3) steps.
+
+    J_c depends only on the class of c: by Witt's theorem c -> c' (equal
+    norms) extends to a linear isometry of F_q^m.  By ||t - c|| = ||t|| -
+    2 t.c + ||c||, with N_D of _quadric_counts:
+    - c = 0: J = [v = w] N_(1^m)(v).
+    - ||c|| = gamma != 0: t = lambda c + u with u in c^perp (dimension
+      m - 1, discriminant gamma), so lambda = (v + gamma - w) / (2 gamma)
+      and J = N_D(x), x = v - lambda^2 gamma, D of m - 1 coefficients of
+      product gamma; chi(x) = chi(gamma z), z = 4 gamma v - (2 lambda gamma)^2.
+    - c != 0 isotropic, in a hyperbolic plane <c, d> (||d|| = 0, c.d = 1)
+      whose complement has dimension m - 2 and discriminant -1: with
+      t = alpha c + beta d + u, beta = (v - w) / 2 and ||t|| =
+      2 alpha beta + ||u||, so J = q^(m-2) if v != w (alpha fixed by u),
+      and q N_(1^(m-3), -1)(v) if v = w (alpha free).
+    Nonzero isotropic vectors exist iff N_(1^m)(0) > 1."""
+    space_size(field, m)
+    v = np.arange(field.q)
+    levels = _quadric_counts(field.q, m, 1, field.char_arr.astype(np.int64))  # #{t : ||t|| = v}
+    gammas = np.flatnonzero(levels - (v == 0))  # norms of nonzero vectors
+    slices = [np.diag(levels)[None]]
+    if gammas[0] == 0:
+        slices.append(_joint_counts(field, m, 0, v[:, None], v)[None])
+    slices.append(_joint_counts(field, m, gammas[gammas > 0][:, None, None], v[:, None], v))
+    return np.concatenate(slices)
 
 
 def _fibres(field: Fq, m: int, radius, heads, scale: int) -> np.ndarray:
@@ -573,16 +603,22 @@ def hypersphere_points(field: Fq, h: HypersphereSpec) -> PointSet:
 
 
 def sphere_intersection_size(field: Fq, s1: SphereSpec, s2: SphereSpec) -> int:
-    """Number of common points of two distinct spheres.
-
-    Two spheres with the same center and different radii are disjoint; any
-    two distinct spheres meet in at most q^(n-2) + q^((n-1)//2) points.
-    """
+    """Number of common points of two distinct spheres, |S_r(a) & S_s(a + c)|
+    = J_c(r, s) of joint_norm_counts, for the class of c alone: 0 for c = 0,
+    and at most q^(n-2) + q^((n-1)//2) for any two distinct spheres."""
     if s1 == s2:
         raise IdenticalSpheresError("spheres are identical")
-    if len(s1.center) != len(s2.center):
+    n = len(s1.center)
+    if len(s2.center) != n:
         raise ValueError("dimension mismatch")
-    return int(np.count_nonzero(sphere_points(field, s1).mask[sphere_ranks(field, s2)]))
+    space_size(field, n)
+    if not all(is_point(field, n, s.center) and is_rank(field, s.radius) for s in (s1, s2)):
+        raise ValueError(f"{s1}, {s2}: not spheres of F_{field.q}^{n}")
+    c = field.sub_arrays(s2.center, s1.center).tolist()
+    if not any(c):
+        return 0
+    gamma = functools.reduce(field.add, (field.mul(x, x) for x in c))
+    return int(_joint_counts(field, n, gamma, s1.radius, s2.radius))
 
 
 def sum_two_squares_covers(field: Fq) -> bool:

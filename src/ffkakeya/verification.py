@@ -7,12 +7,14 @@ difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 (sums of two distinct elements).
 
 Witness mode checks a certificate against the set through one table of
-its kinds, WITNESS_KINDS, which the reader of saved witnesses also reads;
-exhaustive mode needs none: it counts the points outside every candidate
-sphere, exactly, in about n * q^(n+2) steps whatever the set holds,
-within a work budget.
-The intersection-lemma scan takes one center per norm class, in about
-n * q^(n+1) steps.
+its kinds, WITNESS_KINDS, which the reader of saved witnesses also reads.
+Exhaustive mode needs none: within a work budget it counts exactly the
+points outside every candidate sphere, from the level table and the joint
+norm counts per Witt class (geometry.joint_norm_counts) in about
+(q + 1) q^3 steps for a set built by PointSet.from_levels with n >= 3,
+and one coordinate at a time in about n * q^(n+2) steps for any other
+set.  The
+intersection-lemma maximum is read from the joint norm counts of F_q^n.
 The size lower bounds live in exact, which needs no numpy; they are
 re-exported here.
 """
@@ -37,15 +39,14 @@ from .geometry import (
     HypersphereSpec,
     PointSet,
     SphereSpec,
-    _norm_class_representatives,
     hypersphere_ranks,
     is_point,
     is_rank,
+    joint_norm_counts,
     origin_norm_profile,
     point_rank,
     space_size,
     sphere_ranks,
-    translate,
 )
 
 # ---- witness checking ----
@@ -172,18 +173,53 @@ def _complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     return acc.reshape(space, q)
 
 
+def _level_hit_counts(points: PointSet, budget: int) -> np.ndarray:
+    """G[i, a_0, r] = #{x not in the set : ||x - a|| = r} for the centers
+    a = (a_0, a') of a level-built set with a' in class i of the
+    joint_norm_counts J of F_q^(n-1); G depends on a' only through it.
+    The points outside are the levels (a_0 + y, t) with not H[||t||, a_0 + y]
+    (H the level table), at norm-distance y^2 + ||t - a'||, so
+
+        G[i, a_0, r] = sum_y M[i, a_0 + y, r - y^2],  M[i] = (not H)^T J[i]:
+
+    about (q + 1) q^3 work whatever n is, and no q^n mask."""
+    field, q = points.field, points.field.q
+    estimate = (q + 1) * q ** 3
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+    joint = joint_norm_counts(field, points.n - 1)
+    outside = np.matmul((~points.level_table()).T.astype(np.int64), joint).reshape(len(joint), -1)
+    y = np.arange(q)
+    flat = (field.add_arrays(y[:, None], y)[:, :, None] * q
+            + field.sub_arrays(y, field.sq_arr[:, None]))  # [a_0, y, r]
+    blocks = range(0, len(joint), max(1, (1 << 20) // q ** 3))  # gathers of about 2^20
+    return np.concatenate([outside[i:i + blocks.step, flat].sum(axis=2) for i in blocks])
+
+
+def _spheres_found(points: PointSet, budget: int) -> np.ndarray:
+    """found[g, a_0, r - 1]: whether some S_r(a) with a = (a_0, a') and a'
+    in group g lies inside the set; a group is a nonempty class of a'
+    (_level_hit_counts) for a level-built set with n >= 3, else one a'
+    (center rank a_0 + q * rank(a')) of _complement_hit_counts.  At n = 2
+    the (q + 1) / 2 classes of F_q^1 save at most half of the q tails a',
+    and the recurrence, about as fast there, is kept."""
+    q = points.field.q
+    hits = (_level_hit_counts(points, budget) if points.level_built and points.n >= 3
+            else _complement_hit_counts(points, budget).reshape(-1, q, q))
+    return hits[..., 1:] == 0
+
+
 def verify_radius_kakeya(points: PointSet, witness=None, *,
                          budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the set contains a sphere of every radius in F_q^*.
 
     With a witness, checks the certificate; otherwise counts the points
-    outside every sphere exhaustively (about n * q^(n+2) work)."""
+    outside every sphere exhaustively (_spheres_found)."""
     if points.n < 2:
         raise BadDimensionError("spherical verification needs dimension >= 2")
     if witness is not None:
         return witness.kind == "radius" and witness_valid(points.field, points, witness)
-    hits = _complement_hit_counts(points, budget)
-    return bool((hits[:, 1:] == 0).any(axis=0).all())
+    return bool(_spheres_found(points, budget).any(axis=(0, 1)).all())
 
 
 def verify_center_kakeya(points: PointSet, witness=None, *,
@@ -193,42 +229,26 @@ def verify_center_kakeya(points: PointSet, witness=None, *,
     as the radius verifier does, or else counts exhaustively in the same way."""
     if points.n < 2:
         raise BadDimensionError("spherical verification needs dimension >= 2")
-    field = points.field
     if witness is not None:
-        return witness.kind == "center-coordinate" and witness_valid(field, points, witness)
-    hits = _complement_hit_counts(points, budget)
-    ok_center = (hits[:, 1:] == 0).any(axis=1)
-    # center rank a = a_1 + q * (the rest), so column a_1 of the reshape
-    return bool(ok_center.reshape(-1, field.q).any(axis=0).all())
+        return witness.kind == "center-coordinate" and witness_valid(points.field, points, witness)
+    return bool(_spheres_found(points, budget).any(axis=(0, 2)).all())
 
 
 def verify_intersection_lemma(field: Fq, n: int, *,
                               budget: int = DEFAULT_BUDGET) -> int:
     """Maximum intersection size over all pairs of distinct spheres in
-    F_q^n, by one scan per norm class of the center difference.
-
-    S_r(a) and S_s(b) meet in the translate by a of S_r(0) and S_s(b - a),
-    and same-center pairs with different radii are disjoint, so the pairs
-    centred at 0 and at c != 0 cover every pair.  By Witt's theorem (see
-    _norm_class_representatives) |S_r(0) & S_s(c)| depends only on ||c||:
-    one count of the joint (||x||, ||x - c||) per norm class, at most q of
-    them, about n * q^(n+1) work.  The maximum never exceeds
-    q^(n-2) + q^((n-1)//2).
-    """
+    F_q^n: |S_r(a) & S_s(b)| = J_(b-a)(r, s) of joint_norm_counts, and
+    same-center pairs are disjoint, so it is the maximum of J over the
+    classes c != 0 and r, s != 0, in about (q + 1) q^2 steps.  It never
+    exceeds q^(n-2) + q^((n-1)//2)."""
     if n < 2:
         raise BadDimensionError("sphere pairs need dimension >= 2")
     q = field.q
-    space = space_size(field, n)
-    estimate = n * q ** (n + 1)
+    space_size(field, n)
+    estimate = (q + 1) * q ** 2
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    norms = origin_norm_profile(field, n).astype(np.int64)
-    best = 0
-    for c in _norm_class_representatives(field, n):
-        shifted = translate(field, n, np.arange(space), [field.neg(v) for v in c])  # x - c
-        counts = np.bincount(norms * q + norms[shifted], minlength=q * q)
-        best = max(best, int(counts.reshape(q, q)[1:, 1:].max()))
-    return best
+    return int(joint_norm_counts(field, n)[1:, 1:, 1:].max())
 
 
 def intersection_lemma_bound(q: int, n: int) -> int:

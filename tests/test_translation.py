@@ -8,8 +8,10 @@ pairwise sphere masks, the q^n multiplicity scatter and the per-radius
 q x q multiplicity loop of the radius construction, the per-sphere and
 per-hyper-sphere gathers of the witness check, the q^n masks of the two spherical
 constructions, the all-pairs intersection scan, the (0, c) pair scan of
-the intersection lemma, the dense-table circle certificates and the
-(center, non-member) pair scan of the exhaustive verifiers.
+the intersection lemma and its scan of one center per norm class (now the
+oracle of the closed-form joint norm counts), the gathered sphere
+intersection, the dense-table circle certificates and the (center,
+non-member) pair scan of the exhaustive verifiers.
 """
 
 import json
@@ -25,6 +27,7 @@ from ffkakeya import (
     CircleSpec,
     HypersphereSpec,
     PointSet,
+    SizeCapError,
     SphereSpec,
     center_spherical,
     circular_odd_power,
@@ -33,12 +36,14 @@ from ffkakeya import (
     hypersphere_points,
     hypersphere_ranks,
     hypersphere_union,
+    intersection_lemma_bound,
     make_field,
     origin_norm_profile,
     point_rank,
     point_unrank,
     prime_power_decompose,
     radius_spherical,
+    sphere_intersection_size,
     sphere_points,
     sphere_ranks,
     translate,
@@ -51,14 +56,14 @@ from ffkakeya.constructions import ConstructionResult, KakeyaWitness
 from ffkakeya.exact import DEFAULT_BUDGET, exact_str, spherical_kakeya_lower_bound
 from ffkakeya.geometry import (
     _fibres,
-    _norm_class_representatives,
     fibre_level_table,
     is_point,
+    joint_norm_counts,
     level_order,
     origin_sphere_ranks,
     space_size,
 )
-from ffkakeya.verification import _complement_hit_counts
+from ffkakeya.verification import _complement_hit_counts, _level_hit_counts
 
 
 def field_of(q):
@@ -295,6 +300,37 @@ def pair_scan_intersection_lemma(field, n: int, *,
         counts = np.bincount(joint.reshape(-1), minlength=centers.size * qq)
         best = max(best, int(counts.reshape(-1, q, q)[:, 1:, 1:].max()))
     return best
+
+
+def norm_class_representatives(field, n: int) -> list[tuple[int, ...]]:
+    """The least nonzero point of each nonempty norm class of F_q^n, read
+    from level_order: at most q points, one per orbit of the orthogonal
+    group O of the norm form on the nonzero vectors (Witt's theorem, see
+    geometry.joint_norm_counts)."""
+    order, offsets = level_order(field, n)
+    starts = offsets[:-1] + (np.arange(field.q) == 0)  # the origin heads level 0
+    return [point_unrank(field, n, int(order[i])) for i in starts[starts < offsets[1:]]]
+
+
+def class_scan_joint_counts(field, n: int) -> np.ndarray:
+    """The per-class body of the former verify_intersection_lemma: the
+    joint (||x||, ||x - c||) counted over F_q^n by one translate and one
+    bincount, for c = 0 and for one c per norm class."""
+    q = field.q
+    space = space_size(field, n)
+    norms = origin_norm_profile(field, n).astype(np.int64)
+    joint = []
+    for c in [(0,) * n] + norm_class_representatives(field, n):
+        shifted = translate(field, n, np.arange(space), [field.neg(v) for v in c])  # x - c
+        counts = np.bincount(norms * q + norms[shifted], minlength=q * q)
+        joint.append(counts.reshape(q, q))
+    return np.stack(joint)
+
+
+def gathered_intersection_size(field, s1, s2) -> int:
+    """The former sphere_intersection_size: one sphere gathered at the
+    mask of the other."""
+    return int(np.count_nonzero(sphere_points(field, s1).mask[sphere_ranks(field, s2)]))
 
 
 def old_circular_witness(field, ks, variant):
@@ -588,12 +624,66 @@ def test_one_representative_per_norm_class():
     for q, n in LEMMA_SWEEP:
         field = field_of(q)
         norms = origin_norm_profile(field, n)
-        reps = [point_rank(field, c) for c in _norm_class_representatives(field, n)]
+        reps = [point_rank(field, c) for c in norm_class_representatives(field, n)]
         assert 0 not in reps and reps == sorted(set(reps), key=lambda c: norms[c])
         # the least nonzero rank of every norm that a nonzero point takes
         want = {int(v): int(np.flatnonzero(norms[1:] == v)[0]) + 1
                 for v in np.unique(norms[1:])}
         assert {int(norms[c]): c for c in reps} == want, (q, n)
+
+
+# ---- joint norm counts in closed form, one per Witt class ----
+
+JOINT_SWEEP = [(q, m) for q in (3, 5, 7, 9, 11, 13, 25, 27) for m in range(1, 6)
+               if q ** m <= 3 * 10 ** 5]
+
+
+@pytest.mark.parametrize("q,m", JOINT_SWEEP)
+def test_joint_counts_equal_the_class_scan(q, m):
+    field = field_of(q)
+    joint = joint_norm_counts(field, m)
+    assert joint.dtype == np.int64
+    assert np.array_equal(joint, class_scan_joint_counts(field, m))
+
+
+def test_lemma_maximum_against_its_bound_inside_the_point_cap():
+    # it meets q^(n-2) + q^((n-1)//2) except at q = 3, where it falls short
+    # by 3^(n/2 - 1) whenever 4 divides n (3, 27, 243, ... at n = 4, 8, 12)
+    for q in (3, 5, 7, 9, 11, 13):
+        field = field_of(q)
+        for n in range(2, 41):
+            if q ** n > 2 ** 40:
+                break
+            short = 3 ** (n // 2 - 1) if q == 3 and n % 4 == 0 else 0
+            best = verify_intersection_lemma(field, n)
+            assert best == intersection_lemma_bound(q, n) - short, (q, n)
+    assert verify_intersection_lemma(make_field(11), 4) == 132
+    with pytest.raises(SizeCapError):
+        verify_intersection_lemma(make_field(3), 26)
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 7, 9, 13, 25, 27) for n in (2, 3, 4)
+                                 if q ** n <= 20_000])
+def test_sphere_intersection_is_one_joint_count(q, n):
+    field = field_of(q)
+    rng = np.random.default_rng(q * 7 + n)
+    for c in [(0,) * n] + norm_class_representatives(field, n):
+        for _ in range(4):
+            a = tuple(int(x) for x in rng.integers(0, q, n))
+            b = tuple(field.add(x, y) for x, y in zip(a, c))
+            s1, s2 = (SphereSpec(center, int(r))
+                      for center, r in zip((a, b), rng.integers(1, q, 2)))
+            if s1 != s2:
+                assert (sphere_intersection_size(field, s1, s2)
+                        == gathered_intersection_size(field, s1, s2)), (s1, s2)
+    for bad in (SphereSpec((q,) + (0,) * (n - 1), 1), SphereSpec((0,) * n, q)):
+        with pytest.raises(ValueError):
+            sphere_intersection_size(field, SphereSpec((0,) * n, 1), bad)
+    # past the point cap: just past it, and past int64
+    for big in (next(m for m in range(n, 41) if q ** m > 2 ** 40), 40):
+        with pytest.raises(SizeCapError):
+            sphere_intersection_size(field, SphereSpec((0,) * big, 1),
+                                     SphereSpec((1,) + (0,) * (big - 1), 1))
 
 
 # ---- exhaustive scans by the coordinate recurrence ----
@@ -635,6 +725,56 @@ def test_exhaustive_scan_equals_the_pair_scan(q, n):
         assert verify_radius_kakeya(points) == radius_ok, name
         assert verify_center_kakeya(points) == center_ok, name
     assert not verify_radius_kakeya(sets["one radius missing"])
+
+
+def level_scan_sets(field, n):
+    """The radius and center sets, two seeded random level-built sets, and
+    each of the four with one cell of a nonempty level flipped."""
+    q = field.q
+    rng = np.random.default_rng(q * 100 + n)
+    sets = [radius_spherical(field, n).points, center_spherical(field, n).points]
+    sets += [PointSet.from_levels(field, n, rng.random((q, q)) < p) for p in (0.5, 0.9)]
+    nonempty = np.flatnonzero(np.diff(level_order(field, n - 1)[1]))
+    for points in list(sets):
+        table = points.level_table().copy()
+        v, x0 = int(rng.choice(nonempty)), int(rng.integers(q))
+        table[v, x0] = not table[v, x0]
+        sets.append(PointSet.from_levels(field, n, table))
+    return sets
+
+
+LEVEL_SCAN_SWEEP = [(q, n) for q in (3, 5, 7, 9, 11, 25, 27) for n in range(2, 6)
+                    if n * q ** (n + 2) <= 2 * 10 ** 7]
+
+
+@pytest.mark.parametrize("q,n", LEVEL_SCAN_SWEEP)
+def test_level_scan_equals_the_recurrence_at_class_representatives(q, n):
+    field = field_of(q)
+    tails = [0] + [point_rank(field, c) for c in norm_class_representatives(field, n - 1)]
+    for points in level_scan_sets(field, n):
+        hits = _level_hit_counts(points, 10 ** 12)
+        radius_ok, center_ok = verify_radius_kakeya(points), verify_center_kakeya(points)
+        # no q^n mask formed for n >= 3; at n = 2 the verifiers take the recurrence
+        assert points.level_built and (points._mask is None) == (n >= 3)
+        copy = PointSet(field, n, points.mask)
+        want = _complement_hit_counts(copy, 10 ** 12).reshape(-1, q, q)
+        assert np.array_equal(hits, want[tails])
+        assert radius_ok == verify_radius_kakeya(copy)
+        assert center_ok == verify_center_kakeya(copy)
+
+
+def test_a_mask_set_with_a_cached_level_table_takes_the_recurrence():
+    # spheres centred off the first axis: a radius set that is no union of
+    # levels, so its level table (levels wholly inside) holds no such sphere
+    for q, n in [(3, 3), (5, 3), (7, 3), (5, 4)]:
+        field = make_field(q)
+        center = (0, 1) + (0,) * (n - 2)
+        points = PointSet.from_ranks(field, n, np.concatenate(
+            [sphere_ranks(field, SphereSpec(center, r)) for r in field.units()]))
+        table = points.level_table()
+        assert not points.level_built
+        assert verify_radius_kakeya(points)
+        assert not verify_radius_kakeya(PointSet.from_levels(field, n, table))
 
 
 # ---- circle certificates without dense tables ----
@@ -703,6 +843,19 @@ def test_origin_profile_gathers_in_small_blocks():
     peak = traced_peak(lambda: got.append(origin_norm_profile.__wrapped__(field, 13)))
     assert got[0].dtype == want.dtype and np.array_equal(got[0], want)
     assert peak < 3 ** 13 + 2 ** 19, peak
+
+
+def test_origin_profile_builds_its_level_table_in_row_blocks():
+    # the q x q table of y^2 + v was built in int64 and then cast: at
+    # q = 4099 a 256 MB peak for the 32 MB uint16 profile of F_q^2
+    field = make_field(4099)
+    origin_norm_profile(field, 1)
+    got = []
+    peak = traced_peak(lambda: got.append(origin_norm_profile.__wrapped__(field, 2)))
+    squares = np.arange(field.q, dtype=np.int64) ** 2 % field.q
+    want = (squares[:, None] + squares) % field.q  # [x_1, x_0], rank x_0 + q x_1
+    assert got[0].dtype == np.uint16 and np.array_equal(got[0], want.ravel())
+    assert peak <= 2 * got[0].nbytes, peak
 
 
 def test_origin_profile_caches_every_lower_dimension_read_only():

@@ -383,16 +383,35 @@ class TestBudgets:
         assert info.value.budget == 1249
         assert not verify_radius_kakeya(empty, budget=1250)
 
+    def test_level_built_estimate_and_threshold(self):
+        # a set from from_levels is scanned by classes, (q + 1) q^3 for any n >= 3
+        f = make_field(5)
+        for n in (3, 5):
+            points = radius_spherical(f, n).points
+            with pytest.raises(BudgetExceededError) as info:
+                verify_radius_kakeya(points, budget=749)
+            assert info.value.estimate == 750  # (q + 1) q^3
+            assert info.value.budget == 749
+            assert verify_radius_kakeya(points, budget=750)
+            assert not verify_center_kakeya(points, budget=750)
+            assert points._mask is None  # the q^n mask was never formed
+        # at n = 2 a level-built set takes the recurrence, n q^(n+2)
+        points = radius_spherical(f, 2).points
+        with pytest.raises(BudgetExceededError) as info:
+            verify_radius_kakeya(points, budget=1249)
+        assert info.value.estimate == 1250
+        assert verify_radius_kakeya(points, budget=1250)
+
     def test_lemma_budget(self):
         f = make_field(3)
         with pytest.raises(BudgetExceededError):
             verify_intersection_lemma(f, 2, budget=10)
         f = make_field(5)
         with pytest.raises(BudgetExceededError) as info:
-            verify_intersection_lemma(f, 3, budget=1874)
-        assert info.value.estimate == 3 * 5 ** 4  # n * q^(n+1)
-        assert info.value.budget == 1874
-        assert verify_intersection_lemma(f, 3, budget=1875) == 10
+            verify_intersection_lemma(f, 3, budget=149)
+        assert info.value.estimate == 6 * 5 ** 2  # (q + 1) q^2, the joint norm counts
+        assert info.value.budget == 149
+        assert verify_intersection_lemma(f, 3, budget=150) == 10
 
 
 class TestIntersectionLemma:
