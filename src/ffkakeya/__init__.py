@@ -35,9 +35,8 @@ _HOMES = {
     "geometry": (
         "CircleSpec", "DiagonalEq", "HypersphereSpec", "PointSet", "SphereSpec",
         "diagonal_count_bruteforce", "diagonal_count_closed", "diagonal_counts_by_rhs",
-        "hypersphere_points", "hypersphere_ranks", "origin_norm_profile", "point_rank",
-        "point_unrank", "sphere_intersection_size", "sphere_points", "sphere_ranks",
-        "sum_two_squares_covers", "translate",
+        "hypersphere_ranks", "origin_norm_profile", "point_rank", "point_unrank",
+        "sphere_intersection_size", "sphere_ranks", "translate",
     ),
     "search": ("SearchOutcome", "greedy_circular", "minimal_circular_exact"),
     "verification": (

@@ -48,6 +48,7 @@ from .geometry import (  # noqa: F401 (CircleSpec re-exported)
     json_int,
     json_point,
     level_order,
+    level_sizes,
     origin_norm_profile,
     point_unrank,
     space_size,
@@ -194,8 +195,7 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     field.require_array((q, q))  # M, and the level table of the set
     tail = (0,) * (n - 1)
     entries = {r: SphereSpec((r,) + tail, r) for r in field.units()}
-    _, offsets = level_order(field, n - 1)
-    level_sizes = np.diff(offsets).astype(np.int64)
+    sizes = level_sizes(field, n - 1)
     x0 = np.arange(q)
     two = field.add_arrays(x0, x0)
     four = field.add_arrays(two, two)  # 4 x_0, and 4 v down the column
@@ -209,8 +209,8 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
         np.add(field.char_arr[disc], 1, out=multiplicity[lo:lo + rows])
     multiplicity[field.neg_arr[field.sq_arr], x0] -= 1
     twice = np.count_nonzero(multiplicity == 2, axis=1)
-    singles = int(level_sizes @ (np.count_nonzero(multiplicity, axis=1) + twice))
-    pairs_ordered = 2 * int(level_sizes @ twice)
+    singles = int(sizes @ (np.count_nonzero(multiplicity, axis=1) + twice))
+    pairs_ordered = 2 * int(sizes @ twice)
     points = PointSet.from_levels(field, n, multiplicity > 0)
     size = points.size
     witness = KakeyaWitness("radius", entries)

@@ -23,11 +23,11 @@ point of F_q^(n-1), gives every sphere in O(q + |sphere|) steps with no
 scan of F_q^n.  Hyper-spheres are translates of level sets of S_r(0).
 
 A sphere centred at (a_0, 0, ..., 0), the only kind both spherical
-constructions use, is a union of whole fibre levels {(x_0, t) : ||t|| = v}.
-So one q x q table per point set, its level_table, says which levels lie
-inside it, and each such sphere is checked by q lookups into it.  The sets
-of both constructions are unions of whole levels too, built from that
-table alone by PointSet.from_levels.
+constructions use, is a union of whole fibre levels {(x_0, t) : ||t|| = v},
+and so is the set of either construction: PointSet.from_levels builds it
+from a q x q table of the levels it holds, sized by the closed form
+(level_sizes), and keeps that table, its level_table, where each such
+sphere is checked by q lookups.
 
 Diagonal quadrics a_1 x_1^2 + ... + a_n x_n^2 = b are counted two ways:
 by the classical closed form, and directly, for every b at once, by a
@@ -155,12 +155,12 @@ class DiagonalEq:
 
 class PointSet:
     """Membership set over the ranked points of F_q^n, immutable after
-    construction.  A set from from_levels is level_built: it keeps a q x q
-    level table and its size, and forms its q^n mask only when something
-    reads it, once; union, intersection and equality are exact operations
-    on the masks."""
+    construction.  A set from from_levels is level_built: it keeps the
+    q x q level table it was built from and its size, and forms its q^n
+    mask only when something reads it, once; any other set is its mask.
+    Union, intersection and equality are exact operations on the masks."""
 
-    __slots__ = ("field", "n", "level_built", "_mask", "_table", "_size")
+    __slots__ = ("field", "n", "_mask", "_table", "_size")
 
     def __init__(self, field: Fq, n: int, mask):
         self._bind(field, n, np.array(mask, dtype=bool, copy=True))
@@ -177,22 +177,21 @@ class PointSet:
     def _bind(self, field: Fq, n: int, mask, table=None, size=None) -> None:
         if mask is not None and mask.shape != (space_size(field, n),):
             raise ValueError(f"mask must have shape ({field.q ** n},)")
-        self.field, self.n, self._size, self.level_built = field, n, size, mask is None
+        self.field, self.n, self._size = field, n, size
         self._mask, self._table = (a if a is None else _read_only(a) for a in (mask, table))
 
     @classmethod
     def from_levels(cls, field: Fq, n: int, table) -> "PointSet":
         """The union of the fibre levels {(x_0, t) : ||t|| = v} of F_q^n with
         table[v, x_0] true, of size sum_v L_v #{x_0 : table[v, x_0]} with L_v
-        the level sizes of level_order(n - 1); empty levels are stored True."""
+        = level_sizes(n - 1); empty levels are stored True."""
         space_size(field, n)
         table = np.array(table, dtype=bool, copy=True)
         if table.shape != (field.q, field.q):
             raise ValueError(f"level table must have shape ({field.q}, {field.q})")
-        level_sizes = np.diff(level_order(field, n - 1)[1])
-        table[level_sizes == 0] = True
-        size = sum(s * c for s, c in zip(level_sizes.tolist(), table.sum(axis=1).tolist()))
-        return cls._adopt(field, n, None, table, size)
+        sizes = level_sizes(field, n - 1)
+        table[sizes == 0] = True
+        return cls._adopt(field, n, None, table, int(sizes @ np.count_nonzero(table, axis=1)))
 
     @classmethod
     def empty(cls, field: Fq, n: int) -> "PointSet":
@@ -224,11 +223,13 @@ class PointSet:
                 self._table[origin_norm_profile(self.field, self.n - 1)].ravel())
         return self._mask
 
-    def level_table(self) -> np.ndarray:
-        """The read-only fibre_level_table of the set: stored for a
-        level-built set, computed from the mask once otherwise."""
-        if self._table is None:
-            self._table = _read_only(fibre_level_table(self.field, self.n, self._mask))
+    @property
+    def level_built(self) -> bool:
+        return self._table is not None
+
+    def level_table(self) -> np.ndarray | None:
+        """The read-only table the set was built from by from_levels, or
+        None for a set given by its mask."""
         return self._table
 
     @property
@@ -474,6 +475,12 @@ def _joint_counts(field: Fq, m: int, gamma, v, w) -> np.ndarray:
     return _quadric_counts(q, m - 1, chi[gamma], chi[gamma] * chi[z])
 
 
+def level_sizes(field: Fq, m: int) -> np.ndarray:
+    """L_v = #{t in F_q^m : ||t|| = v} for every v, in int64, from the
+    closed form (_quadric_counts); F_q^0 is the point 0."""
+    return _quadric_counts(field.q, m, 1, field.char_arr.astype(np.int64))
+
+
 def joint_norm_counts(field: Fq, m: int) -> np.ndarray:
     """J[i, v, w] = #{t in F_q^m : ||t|| = v, ||t - c_i|| = w} in int64, for
     c_0 = 0 and one c_i per nonempty norm class of nonzero vectors, by norm
@@ -495,7 +502,7 @@ def joint_norm_counts(field: Fq, m: int) -> np.ndarray:
     Nonzero isotropic vectors exist iff N_(1^m)(0) > 1."""
     space_size(field, m)
     v = np.arange(field.q)
-    levels = _quadric_counts(field.q, m, 1, field.char_arr.astype(np.int64))  # #{t : ||t|| = v}
+    levels = level_sizes(field, m)
     gammas = np.flatnonzero(levels - (v == 0))  # norms of nonzero vectors
     slices = [np.diag(levels)[None]]
     if gammas[0] == 0:
@@ -519,23 +526,6 @@ def _fibres(field: Fq, m: int, radius, heads, scale: int) -> np.ndarray:
     np.multiply(order[out], scale, out=out, dtype=np.int64)  # no int32 overflow
     out += np.repeat(heads, sizes)
     return out
-
-
-def fibre_level_table(field: Fq, n: int, mask) -> np.ndarray:
-    """H[v, x0]: whether every point (x0, t) of F_q x F_q^(n-1) with
-    ||t|| = v lies in the set of the boolean rank mask; empty levels read
-    True.  Row t of mask.reshape(-1, q) is the line {(x0, t) : x0 in F_q},
-    so one gather puts the rows in level order and one reduction per
-    nonempty level gives the table, in O(q^n) steps and q^n bytes."""
-    q = field.q
-    order, offsets = level_order(field, n - 1)
-    full = offsets[:-1] < offsets[1:]
-    table = np.ones((q, q), dtype=bool)
-    # consecutive nonempty starts bound each level: the empty ones between
-    # them hold no rows, and reduceat would return a row, not True, for them
-    table[full] = np.logical_and.reduceat(mask.reshape(-1, q).take(order, axis=0),
-                                          offsets[:-1][full], axis=0)
-    return table
 
 
 def origin_sphere_ranks(field: Fq, n: int, radius: int) -> np.ndarray:
@@ -594,14 +584,6 @@ def hypersphere_ranks(field: Fq, h: HypersphereSpec) -> np.ndarray:
     return translate(field, n, y[dots == 0], h.center)
 
 
-def sphere_points(field: Fq, sphere: SphereSpec) -> PointSet:
-    return PointSet.from_ranks(field, len(sphere.center), sphere_ranks(field, sphere))
-
-
-def hypersphere_points(field: Fq, h: HypersphereSpec) -> PointSet:
-    return PointSet.from_ranks(field, len(h.center), hypersphere_ranks(field, h))
-
-
 def sphere_intersection_size(field: Fq, s1: SphereSpec, s2: SphereSpec) -> int:
     """Number of common points of two distinct spheres, |S_r(a) & S_s(a + c)|
     = J_c(r, s) of joint_norm_counts, for the class of c alone: 0 for c = 0,
@@ -619,11 +601,3 @@ def sphere_intersection_size(field: Fq, s1: SphereSpec, s2: SphereSpec) -> int:
         return 0
     gamma = functools.reduce(field.add, (field.mul(x, x) for x in c))
     return int(_joint_counts(field, n, gamma, s1.radius, s2.radius))
-
-
-def sum_two_squares_covers(field: Fq) -> bool:
-    """Whether every element of F_q^* is a sum of two squares."""
-    sq = field.sq_arr
-    mask = np.zeros(field.q, dtype=bool)
-    mask[field.add_arrays(sq[:, None], sq[None, :])] = True
-    return bool(mask[1:].all())

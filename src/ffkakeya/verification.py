@@ -11,9 +11,8 @@ its kinds, WITNESS_KINDS, which the reader of saved witnesses also reads.
 Exhaustive mode needs none: within a work budget it counts exactly the
 points outside every candidate sphere, from the level table and the joint
 norm counts per Witt class (geometry.joint_norm_counts) in about
-(q + 1) q^3 steps for a set built by PointSet.from_levels with n >= 3,
-and one coordinate at a time in about n * q^(n+2) steps for any other
-set.  The
+(q + 1) q^3 steps for a set built by PointSet.from_levels, and one
+coordinate at a time in about n * q^(n+2) steps for any other set.  The
 intersection-lemma maximum is read from the joint norm counts of F_q^n.
 The size lower bounds live in exact, which needs no numpy; they are
 re-exported here.
@@ -57,21 +56,25 @@ def _spheres_inside(field: Fq, points: PointSet, spheres: list) -> bool:
 
         S_r(a_0, 0, ..., 0) = {(a_0 + y_0, t) : y_0 in F_q, ||t|| = r - y_0^2},
 
-    so such a sphere lies inside the set iff H[r - y_0^2, a_0 + y_0] holds
-    for every y_0, with H = points.level_table().  They are checked by q
-    lookups each into the one q x q table, in blocks of at most 2^18
-    lookups up to the first that fails; other spheres are gathered."""
+    so such a sphere lies inside a level-built set iff H[r - y_0^2, a_0 + y_0]
+    holds for every y_0, with H = points.level_table().  They are checked
+    by q lookups each into the one q x q table, in blocks of at most 2^18
+    lookups up to the first that fails.  Every other sphere, and every
+    sphere of a set given by its mask, is gathered at the mask."""
     if not all(is_point(field, points.n, s.center) for s in spheres):
         return False
-    on_axis = np.array([(s.center[0], s.radius) for s in spheres if not any(s.center[1:])],
-                       dtype=np.int64).reshape(-1, 2)
-    step, y0 = max(1, (1 << 18) // field.q), np.arange(field.q)
-    for i in range(0, len(on_axis), step):
-        a0, r = on_axis[i:i + step].T[:, :, None]
-        flat = field.sub_arrays(r, field.sq_arr) * field.q + field.add_arrays(a0, y0)
-        if not points.level_table().ravel()[flat].all():
-            return False
-    return all(points.mask[sphere_ranks(field, s)].all() for s in spheres if any(s.center[1:]))
+    table = points.level_table()
+    if table is not None:
+        on_axis = np.array([(s.center[0], s.radius) for s in spheres if not any(s.center[1:])],
+                           dtype=np.int64).reshape(-1, 2)
+        step, y0 = max(1, (1 << 18) // field.q), np.arange(field.q)
+        for i in range(0, len(on_axis), step):
+            a0, r = on_axis[i:i + step].T[:, :, None]
+            flat = field.sub_arrays(r, field.sq_arr) * field.q + field.add_arrays(a0, y0)
+            if not table.ravel()[flat].all():
+                return False
+        spheres = [s for s in spheres if any(s.center[1:])]
+    return all(points.mask[sphere_ranks(field, s)].all() for s in spheres)
 
 
 def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list) -> bool:
@@ -199,12 +202,10 @@ def _level_hit_counts(points: PointSet, budget: int) -> np.ndarray:
 def _spheres_found(points: PointSet, budget: int) -> np.ndarray:
     """found[g, a_0, r - 1]: whether some S_r(a) with a = (a_0, a') and a'
     in group g lies inside the set; a group is a nonempty class of a'
-    (_level_hit_counts) for a level-built set with n >= 3, else one a'
-    (center rank a_0 + q * rank(a')) of _complement_hit_counts.  At n = 2
-    the (q + 1) / 2 classes of F_q^1 save at most half of the q tails a',
-    and the recurrence, about as fast there, is kept."""
+    (_level_hit_counts) for a level-built set, else one a' (center rank
+    a_0 + q * rank(a')) of _complement_hit_counts."""
     q = points.field.q
-    hits = (_level_hit_counts(points, budget) if points.level_built and points.n >= 3
+    hits = (_level_hit_counts(points, budget) if points.level_built
             else _complement_hit_counts(points, budget).reshape(-1, q, q))
     return hits[..., 1:] == 0
 

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from ffkakeya import diff_cover, sum_cover
+from ffkakeya import PointSet, diff_cover, hypersphere_ranks, sphere_ranks, sum_cover
 
 acceptance_lines = []
 
@@ -56,6 +56,25 @@ def norm_profile(field, n: int) -> np.ndarray:
     """Rank of ||x|| for every point rank x of F_q^n, by enumeration: the
     oracle of origin_norm_profile."""
     return sum_profile(field, [field.sq_arr] * n)
+
+
+def sphere_points(field, sphere) -> PointSet:
+    """The sphere as a point set of F_q^n, from its gathered ranks."""
+    return PointSet.from_ranks(field, len(sphere.center), sphere_ranks(field, sphere))
+
+
+def hypersphere_points(field, h) -> PointSet:
+    """The hyper-sphere as a point set of F_q^n, from its gathered ranks."""
+    return PointSet.from_ranks(field, len(h.center), hypersphere_ranks(field, h))
+
+
+def unique_sum_two_squares_covers(field) -> bool:
+    """Whether every element of F_q^* is a sum of two squares, by np.unique
+    over the dense addition table: always so for odd q, since {x^2} and
+    {a - y^2} each have (q + 1) / 2 elements and so meet."""
+    sq = field.sq_arr
+    attained = np.unique(field.add_table[sq[:, None], sq[None, :]])
+    return set(range(1, field.q)) <= set(attained.tolist())
 
 
 def exhaustive_cover_exists(field, kind: str, size: int) -> bool:

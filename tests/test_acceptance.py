@@ -39,10 +39,8 @@ from ffkakeya import (
     prime_power_decompose,
     radius_spherical,
     sphere_intersection_size,
-    sphere_points,
     spherical_kakeya_lower_bound,
     sum_cover,
-    sum_two_squares_covers,
     verify_center_kakeya,
     verify_intersection_lemma,
     verify_radius_kakeya,
@@ -148,7 +146,7 @@ def test_criterion_4_radius_construction():
             assert verify_radius_kakeya(res.points)  # exhaustive, no witness
             acct = res.accounting
             assert res.size == acct["sumSphereSizes"] - acct["sumPairwiseIntersectionsOrdered"] // 2
-            masks = {r: sphere_points(field, spec)
+            masks = {r: conftest.sphere_points(field, spec)
                      for r, spec in res.witness.entries.items()}
             for a, b, c in itertools.combinations(field.units(), 3):
                 assert (masks[a] & masks[b] & masks[c]).size == 0
@@ -191,7 +189,7 @@ def test_criterion_6_hypersphere_union():
             assert res.bound_met and not res.bound_is_lower
     for q in ODD_PRIME_POWERS_81:
         field = make_field(*prime_power_decompose(q))
-        assert sum_two_squares_covers(field)
+        assert conftest.unique_sum_two_squares_covers(field)
 
 
 @criterion(7, "circular constructions cover all radii/centers at sqrt-scale size")

@@ -7,7 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import norm, norm_profile, traced_peak
+from conftest import (
+    hypersphere_points,
+    norm,
+    norm_profile,
+    sphere_points,
+    traced_peak,
+    unique_sum_two_squares_covers,
+)
 from ffkakeya import (
     BadDimensionError,
     CircleSpec,
@@ -26,15 +33,12 @@ from ffkakeya import (
     circular_prime,
     circular_square,
     diff_cover,
-    hypersphere_points,
     hypersphere_union,
     make_field,
     point_unrank,
     prime_power_decompose,
     radius_spherical,
-    sphere_points,
     sum_cover,
-    sum_two_squares_covers,
     verify_center_kakeya,
     verify_intersection_lemma,
     verify_radius_kakeya,
@@ -468,5 +472,5 @@ def test_constructions_and_verifiers_build_no_dense_table(p, k):
             (diff_cover if res.variant == "radius" else sum_cover)(field, res.points.ranks())
         assert not DENSE_TABLES & set(vars(field)), res.name
     assert verify_intersection_lemma(field, 2) == 2  # two circles meet in at most 2 points
-    assert sum_two_squares_covers(field)
     assert not DENSE_TABLES & set(vars(field))
+    assert unique_sum_two_squares_covers(field)  # the oracle reads the dense table

@@ -9,7 +9,14 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import enumerated_counts_by_rhs, norm, norm_profile
+from conftest import (
+    enumerated_counts_by_rhs,
+    hypersphere_points,
+    norm,
+    norm_profile,
+    sphere_points,
+    unique_sum_two_squares_covers,
+)
 from ffkakeya import (
     BadDimensionError,
     DiagonalEq,
@@ -26,14 +33,11 @@ from ffkakeya import (
     diagonal_count_bruteforce,
     diagonal_count_closed,
     diagonal_counts_by_rhs,
-    hypersphere_points,
     make_field,
     point_rank,
     point_unrank,
     prime_power_decompose,
     sphere_intersection_size,
-    sphere_points,
-    sum_two_squares_covers,
 )
 from ffkakeya.geometry import POINT_CAP, space_size
 
@@ -379,7 +383,7 @@ class TestSumTwoSquares:
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81])
     def test_every_element_is_a_sum_of_two_squares(self, q):
         f = make_field(*prime_power_decompose(q))
-        assert sum_two_squares_covers(f)
+        assert unique_sum_two_squares_covers(f)
         # scalar cross-check
         sums = {f.add(f.mul(a, a), f.mul(b, b)) for a in f.elements() for b in f.elements()}
         assert sums == set(f.elements())

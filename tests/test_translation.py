@@ -7,9 +7,10 @@ and its n-dim translate per sphere, the per-center hyper-sphere loop,
 pairwise sphere masks, the q^n multiplicity scatter and the per-radius
 q x q multiplicity loop of the radius construction, the per-sphere and
 per-hyper-sphere gathers of the witness check, the q^n masks of the two spherical
-constructions, the all-pairs intersection scan, the (0, c) pair scan of
-the intersection lemma and its scan of one center per norm class (now the
-oracle of the closed-form joint norm counts), the gathered sphere
+constructions, the level table read off a mask (fibre_level_table), the
+all-pairs intersection scan, the (0, c) pair scan of the intersection
+lemma and its scan of one center per norm class (now the oracle of the
+closed-form joint norm counts), the gathered sphere
 intersection, the dense-table circle certificates and the (center,
 non-member) pair scan of the exhaustive verifiers.
 """
@@ -20,7 +21,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import norm, norm_profile, sum_profile, traced_peak
+from conftest import (
+    hypersphere_points,
+    norm,
+    norm_profile,
+    sphere_points,
+    sum_profile,
+    traced_peak,
+)
 from ffkakeya import (
     BadDimensionError,
     BudgetExceededError,
@@ -33,7 +41,6 @@ from ffkakeya import (
     circular_odd_power,
     circular_prime,
     circular_square,
-    hypersphere_points,
     hypersphere_ranks,
     hypersphere_union,
     intersection_lemma_bound,
@@ -44,7 +51,6 @@ from ffkakeya import (
     prime_power_decompose,
     radius_spherical,
     sphere_intersection_size,
-    sphere_points,
     sphere_ranks,
     translate,
     verify_center_kakeya,
@@ -56,7 +62,6 @@ from ffkakeya.constructions import ConstructionResult, KakeyaWitness
 from ffkakeya.exact import DEFAULT_BUDGET, exact_str, spherical_kakeya_lower_bound
 from ffkakeya.geometry import (
     _fibres,
-    fibre_level_table,
     is_point,
     joint_norm_counts,
     level_order,
@@ -327,6 +332,21 @@ def class_scan_joint_counts(field, n: int) -> np.ndarray:
     return np.stack(joint)
 
 
+def fibre_level_table(field, n, mask):
+    """The former PointSet.level_table of a set given by its mask: H[v, x0],
+    whether every point (x0, t) with ||t|| = v lies in the set, empty
+    levels True, by one gather of the rows t of mask.reshape(-1, q) into
+    level order and one reduction per nonempty level."""
+    q = field.q
+    order, offsets = level_order(field, n - 1)
+    full = offsets[:-1] < offsets[1:]
+    table = np.ones((q, q), dtype=bool)
+    # reduceat would return a row, not True, for an empty level
+    table[full] = np.logical_and.reduceat(mask.reshape(-1, q).take(order, axis=0),
+                                          offsets[:-1][full], axis=0)
+    return table
+
+
 def gathered_intersection_size(field, s1, s2) -> int:
     """The former sphere_intersection_size: one sphere gathered at the
     mask of the other."""
@@ -539,6 +559,18 @@ def test_level_table_rows_of_empty_levels_read_true():
         PointSet.from_levels(field, 2, np.zeros((3, 4), dtype=bool))
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 3), (9, 4), (7, 5), (25, 3)])
+def test_level_built_sets_sort_no_profile(q, n):
+    # level sizes come from the closed form, and witnesses from table lookups
+    field = field_of(q)
+    level_order.cache_clear()
+    points = PointSet.from_levels(field, n, np.ones((q, q), dtype=bool))
+    assert points.size == q ** n
+    for res in (radius_spherical(field, n), center_spherical(field, n)):
+        assert res.witness_valid and res.points.level_built
+    assert level_order.cache_info().currsize == 0
+
+
 def sweep_witnesses(field, n):
     """Both constructions, a radius witness and a center witness whose
     spheres all have nonzero tails, and a mix of zero and nonzero tails;
@@ -599,6 +631,36 @@ def test_every_sphere_missing_one_point_is_rejected(q, n):
                 holed = PointSet(field, n, mask)
                 assert not witness_valid(field, holed, witness), (witness.kind, key, rank)
                 assert not gathered_witness_valid(field, holed, witness)
+
+
+@pytest.mark.parametrize("q,n", WITNESS_SWEEP)
+def test_a_witness_level_flipped_in_the_table_is_rejected(q, n):
+    # one cell (r - y_0^2, a_0 + y_0) of the witness sphere S_r(a_0, 0, ..., 0)
+    # of a level-built set, at a nonempty level, flipped in its table
+    field = field_of(q)
+    rng = np.random.default_rng(q * 5 + n)
+    nonempty = np.diff(level_order(field, n - 1)[1]) > 0
+    y0 = np.arange(q)
+    for res in (radius_spherical(field, n), center_spherical(field, n)):
+        for spec in res.witness.entries.values():
+            levels = field.sub_arrays(spec.radius, field.sq_arr)
+            y = int(rng.choice(y0[nonempty[levels]]))
+            table = res.points.level_table().copy()
+            cell = int(levels[y]), field.add(spec.center[0], y)
+            assert table[cell]
+            table[cell] = False
+            holed = PointSet.from_levels(field, n, table)
+            assert holed.size < res.size
+            assert not witness_valid(field, holed, res.witness), (res.name, spec)
+            assert not witness_valid(field, PointSet(field, n, holed.mask), res.witness)
+    # spheres off the first axis are gathered at the mask of a level-built set
+    holed = np.ones((q, q), dtype=bool)
+    holed[int(rng.integers(q)), int(rng.integers(q))] = False
+    for table in (np.ones((q, q), dtype=bool), holed):
+        points = PointSet.from_levels(field, n, table)
+        for _, witness in sweep_witnesses(field, n):
+            assert (witness_valid(field, points, witness)
+                    == gathered_witness_valid(field, points, witness))
 
 
 # ---- (e) intersection lemma: all pairs, pairs centred at 0, norm classes ----
@@ -754,8 +816,8 @@ def test_level_scan_equals_the_recurrence_at_class_representatives(q, n):
     for points in level_scan_sets(field, n):
         hits = _level_hit_counts(points, 10 ** 12)
         radius_ok, center_ok = verify_radius_kakeya(points), verify_center_kakeya(points)
-        # no q^n mask formed for n >= 3; at n = 2 the verifiers take the recurrence
-        assert points.level_built and (points._mask is None) == (n >= 3)
+        # the verifiers scan every level-built set by classes, with no q^n mask
+        assert points.level_built and points._mask is None
         copy = PointSet(field, n, points.mask)
         want = _complement_hit_counts(copy, 10 ** 12).reshape(-1, q, q)
         assert np.array_equal(hits, want[tails])
@@ -771,8 +833,8 @@ def test_a_mask_set_with_a_cached_level_table_takes_the_recurrence():
         center = (0, 1) + (0,) * (n - 2)
         points = PointSet.from_ranks(field, n, np.concatenate(
             [sphere_ranks(field, SphereSpec(center, r)) for r in field.units()]))
-        table = points.level_table()
-        assert not points.level_built
+        assert not points.level_built and points.level_table() is None
+        table = fibre_level_table(field, n, points.mask)
         assert verify_radius_kakeya(points)
         assert not verify_radius_kakeya(PointSet.from_levels(field, n, table))
 

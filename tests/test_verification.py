@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import norm
+from conftest import norm, unique_sum_two_squares_covers
 from ffkakeya import (
     BadDimensionError,
     BudgetExceededError,
@@ -35,7 +35,6 @@ from ffkakeya import (
     sphere_ranks,
     spherical_kakeya_lower_bound,
     sum_cover,
-    sum_two_squares_covers,
     verify_center_kakeya,
     verify_intersection_lemma,
     verify_radius_kakeya,
@@ -384,9 +383,9 @@ class TestBudgets:
         assert not verify_radius_kakeya(empty, budget=1250)
 
     def test_level_built_estimate_and_threshold(self):
-        # a set from from_levels is scanned by classes, (q + 1) q^3 for any n >= 3
+        # a set from from_levels is scanned by classes, (q + 1) q^3 for any n
         f = make_field(5)
-        for n in (3, 5):
+        for n in (2, 3, 5):
             points = radius_spherical(f, n).points
             with pytest.raises(BudgetExceededError) as info:
                 verify_radius_kakeya(points, budget=749)
@@ -395,12 +394,6 @@ class TestBudgets:
             assert verify_radius_kakeya(points, budget=750)
             assert not verify_center_kakeya(points, budget=750)
             assert points._mask is None  # the q^n mask was never formed
-        # at n = 2 a level-built set takes the recurrence, n q^(n+2)
-        points = radius_spherical(f, 2).points
-        with pytest.raises(BudgetExceededError) as info:
-            verify_radius_kakeya(points, budget=1249)
-        assert info.value.estimate == 1250
-        assert verify_radius_kakeya(points, budget=1250)
 
     def test_lemma_budget(self):
         f = make_field(3)
@@ -509,12 +502,6 @@ def unique_sum_cover(field, elems):
     return np.unique(sums[~np.eye(k.size, dtype=bool)]).size == field.q
 
 
-def unique_sum_two_squares_covers(field):
-    sq = field.sq_arr
-    attained = np.unique(field.add_table[sq[:, None], sq[None, :]])
-    return set(range(1, field.q)) <= set(attained.tolist())
-
-
 class TestMarksEqualUnique:
     @pytest.mark.parametrize("q", [3, 7, 9, 25, 27, 101])
     def test_ranks_and_covers(self, q):
@@ -541,7 +528,7 @@ class TestMarksEqualUnique:
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25, 27, 49, 81, 125])
     def test_sum_two_squares(self, q):
         f = make_field(*prime_power_decompose(q))
-        assert sum_two_squares_covers(f) == unique_sum_two_squares_covers(f)
+        assert unique_sum_two_squares_covers(f)
 
     @pytest.mark.parametrize("elems", [
         [-1, 0], [0, 7], [7], [3, -2, 9], np.array([0, 7], dtype=np.uint8),
