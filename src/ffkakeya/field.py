@@ -24,7 +24,7 @@ and mul_table are gathers from them, and so are the scalar mul, inv, pow
 and char of extension fields up to the byte cap; beyond it the scalar ops
 multiply the digit polynomials modulo the modulus.  One polynomial
 product, _poly_mulmod, and its power _poly_powmod serve those ops, the
-build of the logs and Rabin's irreducibility test alike.  Which g is used
+build of the logs and Ben-Or's irreducibility test alike.  Which g is used
 changes no output: only the tables and values derived from exp and log
 are visible; mul_arrays is a gather from them too.  add_arrays and
 sub_arrays add rank arrays for any q, and every other module adds through
@@ -101,42 +101,18 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test for the monic polynomial f of degree k over F_p: f is
-    irreducible iff t^(p^k) = t mod f and gcd(t^(p^(k/l)) - t, f) = 1 for
-    every prime l dividing k.  A common factor with t^(p^j) - t for any
-    j < k has degree dividing j, so it proves f reducible: testing every
-    j <= k/2 as well rejects a candidate with a factor of degree d after
-    d powers.
-
-    x -> x^p is F_p-linear on F_p[t]/(f), since c^p = c for c in F_p, so
-    (sum_i c_i t^i)^p = sum_i c_i t^(ip).  t^p is taken by square-and-
-    multiply; a candidate that survives j = 1 then gets the k rows t^(ip)
-    in k - 1 products, and each further power takes k^2 steps.  About
-    k^3 + k^2 log p steps in all, where trial division by every candidate
-    of degree up to k/2 takes about p^(k/2)."""
-    k = len(f) - 1
-    t = _poly_rem([0, 1], f, p)
-    gcd_at = set(range(1, k // 2 + 1)) | {k // ell for ell in _prime_factors(k)}
-    tp = x = _poly_powmod(t, p, f, p)
-    frobenius = [[1]]  # row i of frobenius: t^(ip) mod f
-    for j in range(1, k + 1):  # x = t^(p^j) mod f
-        if j > 1:
-            while len(frobenius) < k:  # once, for a candidate that survives j = 1
-                frobenius.append(_poly_mulmod(frobenius[-1], tp, f, p))
-            acc = [0] * k
-            for c, row in zip(x, frobenius):
-                if c:
-                    acc = [a + c * r for a, r in zip_longest(acc, row, fillvalue=0)]
-            x = [a % p for a in acc]
-            while x and x[-1] == 0:
-                x.pop()
-        if j < k and j in gcd_at:
-            diff = [(a - b) % p for a, b in zip_longest(x, t, fillvalue=0)]
-            while diff and diff[-1] == 0:
-                diff.pop()
-            if len(_poly_gcd(f, diff, p)) != 1:
-                return False
-    return x == t
+    """Ben-Or's test for the monic f of degree k over F_p: f is reducible
+    iff gcd(t^(p^j) - t, f) != 1 for some j <= k/2, since t^(p^j) - t is
+    the product of the monic irreducibles of degree dividing j.  A factor
+    of degree d rejects f after d powers, where trial division by every
+    candidate of degree up to k/2 takes about p^(k/2) steps."""
+    t = x = _poly_rem([0, 1], f, p)
+    for _ in range((len(f) - 1) // 2):  # x = t^(p^j) mod f for j = 1, 2, ...
+        x = _poly_powmod(x, p, f, p)
+        diff = _poly_rem([(a - b) % p for a, b in zip_longest(x, t, fillvalue=0)], f, p)
+        if len(_poly_gcd(f, diff, p)) != 1:  # diff has no trailing zeros, as _poly_gcd needs
+            return False
+    return True
 
 
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -145,7 +121,7 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     Candidate low coefficients (c_0, ..., c_{k-1}) are compared constant
     term first, so the scan fixes c_0 outermost.  For k >= 2 the codes
     below p^(k-1) are exactly the candidates with c_0 = 0, each divisible
-    by t, so the scan starts at p^(k-1).  Each candidate takes Rabin's
+    by t, so the scan starts at p^(k-1).  Each candidate takes Ben-Or's
     test, which is exact, so the modulus is the one trial division finds.
     """
     for code in range(p ** (k - 1) if k > 1 else 0, p ** k):
@@ -227,21 +203,19 @@ class Fq:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        rank = 0
-        for i in range(self.k):
-            step = p ** i
-            rank += ((a // step + b // step) % p) * step
-        return rank
+        return self._digitwise_scalar(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.p
-        p = self.p
-        rank = 0
-        for i in range(self.k):
-            step = p ** i
-            rank += ((a // step - b // step) % p) * step
+        return self._digitwise_scalar(a, b, -1)
+
+    def _digitwise_scalar(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b one base-p digit at a time, for k > 1."""
+        p, rank, step = self.p, 0, 1
+        for _ in range(self.k):
+            rank += (a // step + sign * (b // step)) % p * step
+            step *= p
         return rank
 
     def neg(self, a: int) -> int:
@@ -260,8 +234,6 @@ class Fq:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:

@@ -9,13 +9,14 @@ difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 Witness mode checks a certificate against the set through one table of
 its kinds, WITNESS_KINDS, which the reader of saved witnesses also reads.
 Exhaustive mode needs none: within a work budget it counts exactly the
-points outside every candidate sphere, from the level table and the joint
-norm counts per Witt class (geometry.joint_norm_counts) in about
-(q + 1) q^3 steps for a set built by PointSet.from_levels, and one
-coordinate at a time in about n * q^(n+2) steps for any other set.  The
-intersection-lemma maximum is read from the joint norm counts of F_q^n.
-The size lower bounds live in exact, which needs no numpy; they are
-re-exported here.
+points outside every candidate sphere, adding a squared coordinate by one
+gather, out[a, r] = sum_y X[a + y, r - y^2] (_add_square): once after a
+product of the level table and the joint norm counts per Witt class
+(geometry.joint_norm_counts) for a set built by PointSet.from_levels, in
+about (q + 1) q^3 steps, and once per coordinate, in about n * q^(n+2)
+steps, for any other set.  The intersection-lemma maximum is read from
+the joint norm counts of F_q^n.  The size lower bounds live in exact,
+which needs no numpy; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -144,35 +145,41 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
 
 # ---- exhaustive sphere scans ----
 
+def _add_square(field: Fq, acc: np.ndarray) -> np.ndarray:
+    """out[b, a, r] = sum_y acc[b, a + y, r - y^2] for acc of shape (B, q, q),
+    in flat gathers of about 2^20 entries: one squared coordinate added to
+    a partial norm r.  The sums stay in acc.dtype, which cannot overflow:
+    each counts points of F_q^n, at most q^n, and acc.dtype holds q^n."""
+    q = field.q
+    y = np.arange(q)
+    flat = (field.add_arrays(y[:, None], y)[:, :, None] * q
+            + field.sub_arrays(y, field.sq_arr[:, None]))  # [a, y, r]
+    rows = acc.reshape(len(acc), q * q)
+    step = max(1, (1 << 20) // q ** 3)
+    return np.concatenate([rows[i:i + step, flat].sum(axis=2, dtype=acc.dtype)
+                           for i in range(0, len(acc), step)])
+
+
 def _complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     """G[a, v] = #{x not in the set : ||x - a|| = v}; the sphere S_v(a)
     lies inside the set iff G[a, v] == 0.
 
     ||x - a|| sums one square per coordinate, so G is built one coordinate
     at a time in exact integers.  acc has one axis per coordinate and a
-    last axis for the partial norm; step i turns axis i from the point
-    digit x_i into the center digit a_i, adding (x_i - a_i)^2 to the
-    partial norm.  About n * q^(n+2) work and q^(n+1) counts of memory,
-    whatever the set holds.
-    """
-    field, n = points.field, points.n
-    q = field.q
+    last axis for the partial norm; each step turns the coordinate axis
+    next to it from point digits x_i into center digits a_i by _add_square
+    and moves it to the front.  About n * q^(n+2) work and q^(n+1) counts
+    of memory, whatever the set holds."""
+    field, n, q = points.field, points.n, points.field.q
     space = space_size(field, n)
     estimate = n * q ** (n + 2)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    sq, x = field.sq_arr, np.arange(q)
-    add, sub = field.add_arrays(x[:, None], x), field.sub_arrays(x[:, None], x)  # not per loop
     # C-order axes, most significant digit first, as the final reshape reads
     acc = np.zeros((q,) * n + (q,), dtype=np.min_scalar_type(space))
     acc[..., 0] = (~points.mask).reshape((q,) * n)
-    squares = np.flatnonzero(np.bincount(sq, minlength=q))
-    for axis in range(n):
-        nxt = np.zeros_like(acc)
-        for t in squares:
-            part = sum(acc.take(add[:, y], axis=axis) for y in np.flatnonzero(sq == t))
-            nxt += part[..., sub[:, t]] if t else part
-        acc = nxt
+    for _ in range(n):  # after n steps the axes are back in order
+        acc = np.moveaxis(_add_square(field, acc.reshape(-1, q, q)).reshape(acc.shape), -2, 0)
     return acc.reshape(space, q)
 
 
@@ -183,31 +190,31 @@ def _level_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     The points outside are the levels (a_0 + y, t) with not H[||t||, a_0 + y]
     (H the level table), at norm-distance y^2 + ||t - a'||, so
 
-        G[i, a_0, r] = sum_y M[i, a_0 + y, r - y^2],  M[i] = (not H)^T J[i]:
+        G[i, a_0, r] = sum_y M[i, a_0 + y, r - y^2],  M[i] = (not H)^T J[i],
 
-    about (q + 1) q^3 work whatever n is, and no q^n mask."""
+    one _add_square: about (q + 1) q^3 work whatever n is, and no q^n mask."""
     field, q = points.field, points.field.q
     estimate = (q + 1) * q ** 3
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
     joint = joint_norm_counts(field, points.n - 1)
-    outside = np.matmul((~points.level_table()).T.astype(np.int64), joint).reshape(len(joint), -1)
-    y = np.arange(q)
-    flat = (field.add_arrays(y[:, None], y)[:, :, None] * q
-            + field.sub_arrays(y, field.sq_arr[:, None]))  # [a_0, y, r]
-    blocks = range(0, len(joint), max(1, (1 << 20) // q ** 3))  # gathers of about 2^20
-    return np.concatenate([outside[i:i + blocks.step, flat].sum(axis=2) for i in blocks])
+    return _add_square(field, np.matmul((~points.level_table()).T.astype(np.int64), joint))
 
 
-def _spheres_found(points: PointSet, budget: int) -> np.ndarray:
-    """found[g, a_0, r - 1]: whether some S_r(a) with a = (a_0, a') and a'
-    in group g lies inside the set; a group is a nonempty class of a'
-    (_level_hit_counts) for a level-built set, else one a' (center rank
-    a_0 + q * rank(a')) of _complement_hit_counts."""
+def _verify_spherical(points: PointSet, witness, kind: str, axis: tuple, budget: int) -> bool:
+    """The body of both verifiers: the witness of this kind, or else the
+    scan.  found[g, a_0, r - 1]: some S_r(a), a = (a_0, a'), lies inside the
+    set for an a' in group g, a nonempty class of a' (_level_hit_counts) for
+    a level-built set, else one a' (center rank a_0 + q * rank(a'))."""
+    if points.n < 2:
+        raise BadDimensionError("spherical verification needs dimension >= 2")
+    if witness is not None:
+        return witness.kind == kind and witness_valid(points.field, points, witness)
     q = points.field.q
     hits = (_level_hit_counts(points, budget) if points.level_built
             else _complement_hit_counts(points, budget).reshape(-1, q, q))
-    return hits[..., 1:] == 0
+    found = hits[..., 1:] == 0
+    return bool(found.any(axis=axis).all())
 
 
 def verify_radius_kakeya(points: PointSet, witness=None, *,
@@ -215,12 +222,8 @@ def verify_radius_kakeya(points: PointSet, witness=None, *,
     """True iff the set contains a sphere of every radius in F_q^*.
 
     With a witness, checks the certificate; otherwise counts the points
-    outside every sphere exhaustively (_spheres_found)."""
-    if points.n < 2:
-        raise BadDimensionError("spherical verification needs dimension >= 2")
-    if witness is not None:
-        return witness.kind == "radius" and witness_valid(points.field, points, witness)
-    return bool(_spheres_found(points, budget).any(axis=(0, 1)).all())
+    outside every sphere exhaustively (_verify_spherical)."""
+    return _verify_spherical(points, witness, "radius", (0, 1), budget)
 
 
 def verify_center_kakeya(points: PointSet, witness=None, *,
@@ -228,11 +231,7 @@ def verify_center_kakeya(points: PointSet, witness=None, *,
     """True iff for every a1 in F_q the set contains a sphere (of some
     nonzero radius) whose center has first coordinate a1.  Checks a witness
     as the radius verifier does, or else counts exhaustively in the same way."""
-    if points.n < 2:
-        raise BadDimensionError("spherical verification needs dimension >= 2")
-    if witness is not None:
-        return witness.kind == "center-coordinate" and witness_valid(points.field, points, witness)
-    return bool(_spheres_found(points, budget).any(axis=(0, 2)).all())
+    return _verify_spherical(points, witness, "center-coordinate", (0, 2), budget)
 
 
 def verify_intersection_lemma(field: Fq, n: int, *,

@@ -5,7 +5,8 @@ replays them in the terminal summary so they are visible even under
 output capture.  One hypothesis profile is loaded for every run: it draws
 the same examples each time and keeps no example database.  Hypothesis's
 other files (a cache of the constants it reads from the source) go to a
-temporary directory removed at exit, so no run writes .hypothesis/.
+temporary directory removed when the session ends, so no run writes
+.hypothesis/ and no implicit cleanup warns at exit (CI runs with -W error).
 """
 
 import itertools
@@ -113,3 +114,7 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in acceptance_lines:
         terminalreporter.write_line(line)
+
+
+def pytest_unconfigure(config):
+    _hypothesis_home.cleanup()

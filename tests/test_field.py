@@ -8,6 +8,7 @@ row blocks, and the reduction-row product, the oracle of Fq._poly_mul.
 """
 
 import hashlib
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ffkakeya import (
     prime_power_decompose,
     smallest_irreducible,
 )
-from ffkakeya.field import ARRAY_CAP, CHUNK_ENTRIES, LOG_CAP_BYTES
+from ffkakeya.field import ARRAY_CAP, CHUNK_ENTRIES, FIELD_CAP, LOG_CAP_BYTES
 
 ODD_PRIME_POWERS_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
 
@@ -72,6 +73,35 @@ def trial_division_irreducible(f, p):
             if not field_module._poly_rem(f, g, p):
                 return False
     return True
+
+
+def rabin_irreducible(f, p):
+    """The replaced irreducibility test, Rabin's with a Frobenius-row matrix:
+    f is irreducible iff t^(p^k) = t mod f and gcd(t^(p^(k/l)) - t, f) = 1
+    for every prime l dividing k, with every j <= k/2 tested as well."""
+    k = len(f) - 1
+    t = field_module._poly_rem([0, 1], f, p)
+    gcd_at = set(range(1, k // 2 + 1)) | {k // ell for ell in field_module._prime_factors(k)}
+    tp = x = field_module._poly_powmod(t, p, f, p)
+    frobenius = [[1]]  # row i of frobenius: t^(ip) mod f
+    for j in range(1, k + 1):  # x = t^(p^j) mod f
+        if j > 1:
+            while len(frobenius) < k:  # once, for a candidate that survives j = 1
+                frobenius.append(field_module._poly_mulmod(frobenius[-1], tp, f, p))
+            acc = [0] * k
+            for c, row in zip(x, frobenius):
+                if c:
+                    acc = [a + c * r for a, r in zip_longest(acc, row, fillvalue=0)]
+            x = [a % p for a in acc]
+            while x and x[-1] == 0:
+                x.pop()
+        if j < k and j in gcd_at:
+            diff = [(a - b) % p for a, b in zip_longest(x, t, fillvalue=0)]
+            while diff and diff[-1] == 0:
+                diff.pop()
+            if len(field_module._poly_gcd(f, diff, p)) != 1:
+                return False
+    return x == t
 
 
 def full_scan_irreducible(p, k):
@@ -256,10 +286,28 @@ class TestModulus:
 
     @pytest.mark.parametrize("p,kmax", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
     def test_rabin_test_equals_trial_division_on_every_monic(self, p, kmax):
+        # both the Ben-Or test of the field and the Rabin oracle it replaced
         for k in range(1, kmax + 1):
             for code in range(p ** k):
                 f = [(code // p ** i) % p for i in range(k)] + [1]
-                assert field_module._is_irreducible(f, p) == trial_division_irreducible(f, p), f
+                want = trial_division_irreducible(f, p)
+                assert field_module._is_irreducible(f, p) == want, f
+                assert rabin_irreducible(f, p) == want, f
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_ben_or_equals_rabin_on_every_candidate_of_the_search(self, p):
+        # every degree k >= 2 with p^k <= 2^63: 1872 candidates over the five p
+        k = 2
+        while p ** k <= FIELD_CAP:
+            mod = smallest_irreducible(p, k)
+            for code in range(p ** (k - 1), p ** k):
+                f = [(code // p ** (k - 1 - i)) % p for i in range(k)] + [1]
+                verdict = field_module._is_irreducible(f, p)
+                assert verdict == rabin_irreducible(f, p), (k, f)
+                if verdict:
+                    break
+            assert tuple(f) == mod
+            k += 1
 
     def test_degree_20_modulus_is_found_fast(self):
         # the first irreducible by trial division, which took 2.6 s to find it

@@ -68,7 +68,7 @@ from ffkakeya.geometry import (
     origin_sphere_ranks,
     space_size,
 )
-from ffkakeya.verification import _complement_hit_counts, _level_hit_counts
+from ffkakeya.verification import _add_square, _complement_hit_counts, _level_hit_counts
 
 
 def field_of(q):
@@ -767,6 +767,30 @@ def without_radius(points, counts, r):
     for a in np.flatnonzero(counts[:, r] == 0):
         mask[sphere_ranks(field, SphereSpec(point_unrank(field, n, int(a)), r))] = False
     return PointSet(field, n, mask)
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 103])
+@pytest.mark.parametrize("dtype", ["recurrence", np.int64])
+def test_add_square_equals_its_definition(q, dtype):
+    # out[b, a, r] = sum_y acc[b, a + y, r - y^2] by scalar field ops, on
+    # counts of at most q (in the recurrence's dtype for q^2 points, which
+    # holds every sum) or 2^40; three gather blocks of about 2^20 entries,
+    # the last one short, which at q = 103 are one row each
+    field = field_of(q)
+    if dtype == "recurrence":
+        dtype, top = np.min_scalar_type(q ** 2), q
+    else:
+        top = 1 << 40
+    rows = 2 * max(1, (1 << 20) // q ** 3) + 1
+    acc = np.random.default_rng(q).integers(0, top + 1, (rows, q, q)).astype(dtype)
+    want = np.zeros_like(acc)
+    for y in range(q):
+        shift = [field.add(a, y) for a in range(q)]
+        drop = [field.sub(r, field.mul(y, y)) for r in range(q)]
+        want += acc[:, shift][:, :, drop]
+    got = _add_square(field, acc)
+    assert got.dtype == acc.dtype and got.shape == acc.shape
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 7, 9, 11, 25, 27) for n in (2, 3, 4)
