@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 # each public name, under the module that defines it
 _HOMES = {
     "constructions": (
-        "ConstructionResult", "KakeyaWitness", "center_spherical",
-        "circular_odd_power", "circular_prime", "circular_square",
-        "hypersphere_union", "radius_spherical", "witness_from_json_dict",
+        "ConstructionResult", "center_spherical", "circular_odd_power",
+        "circular_prime", "circular_square", "hypersphere_union", "radius_spherical",
     ),
     "errors": (
         "BadDimensionError", "BudgetExceededError", "IdenticalSpheresError",
@@ -40,8 +39,9 @@ _HOMES = {
     ),
     "search": ("SearchOutcome", "greedy_circular", "minimal_circular_exact"),
     "verification": (
-        "diff_cover", "intersection_lemma_bound", "sum_cover", "verify_center_kakeya",
-        "verify_intersection_lemma", "verify_radius_kakeya", "witness_valid",
+        "KakeyaWitness", "diff_cover", "intersection_lemma_bound", "sum_cover",
+        "verify_center_kakeya", "verify_intersection_lemma", "verify_radius_kakeya",
+        "witness_from_json_dict", "witness_valid",
     ),
 }
 

@@ -109,8 +109,8 @@ def _cmd_construct(args) -> int:
 
 
 def _load_set_file(path):
-    from .constructions import witness_from_json_dict
     from .geometry import PointSet
+    from .verification import witness_from_json_dict
 
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or not isinstance(data.get("ranks"), list):
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search", help="minimal circular covers")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--k", type=int, default=1)
-    s.add_argument("--kind", required=True, choices=("radius", "center"))
+    s.add_argument("--kind", required=True, choices=VARIANTS)
     s.add_argument("--method", choices=("exact", "greedy"), default="exact")
     s.add_argument("--limit", type=int, default=13)
     s.add_argument("--node-budget", type=int, default=100_000_000)
@@ -328,10 +328,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a size within the caps whose arrays do not fit
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KakeyaError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KakeyaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,13 +12,13 @@ distinct summands.  Three small covers are built: one for prime q, one
 for square q from a subfield pair, and one for odd prime powers
 q = p^(2m+1) from two digit blocks.
 
-Saved witnesses are written from each entry's fields and read back into
-the entry type that their kind names in verification.WITNESS_KINDS.
+A ConstructionResult writes the set's keys (PointSet.to_json_dict), its
+figures, and its witness, whose record and codec verification owns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import isqrt
 
@@ -45,27 +45,13 @@ from .geometry import (  # noqa: F401 (CircleSpec re-exported)
     PointSet,
     SphereSpec,
     is_rank,
-    json_int,
-    json_point,
     level_order,
     level_sizes,
     origin_norm_profile,
     point_unrank,
     space_size,
 )
-from .verification import WITNESS_KINDS, witness_valid
-
-
-@dataclass(frozen=True)
-class KakeyaWitness:
-    """Coverage certificate: one certified object per parameter value.
-
-    kind is a key of verification.WITNESS_KINDS, which names the type of
-    the entries; entries map the parameter (a radius or a center
-    coordinate) to the covering object."""
-
-    kind: str
-    entries: dict
+from .verification import KakeyaWitness, witness_valid
 
 
 @dataclass
@@ -84,13 +70,9 @@ class ConstructionResult:
     witness_valid: bool
     accounting: dict = dc_field(default_factory=dict)
 
-    def to_json_dict(self, include_points: bool = True,
-                     include_witness: bool = True) -> dict:
-        out = {
-            "q": self.field.q,
-            "p": self.field.p,
-            "k": self.field.k,
-            "n": self.n,
+    def to_json_dict(self) -> dict:
+        return {
+            **self.points.to_json_dict(),
             "construction": self.name,
             "variant": self.variant or "",
             "size": self.size,
@@ -100,64 +82,8 @@ class ConstructionResult:
             "boundMet": self.bound_met,
             "witnessValid": self.witness_valid,
             "accounting": dict(sorted(self.accounting.items())),
+            "witness": self.witness.to_json_dict(),
         }
-        if include_points:
-            out["ranks"] = [int(r) for r in self.points.ranks()]
-        if include_witness:
-            out["witness"] = {
-                "kind": self.witness.kind,
-                "entries": {str(k): _spec_to_dict(v)
-                            for k, v in sorted(self.witness.entries.items())},
-            }
-        return out
-
-
-def _spec_to_dict(spec) -> dict:
-    """The fields of a witness entry by name, each point as a list of ranks."""
-    values = ((f.name, getattr(spec, f.name)) for f in fields(spec))
-    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
-
-
-def _spec_from_dict(data, where: str, spec_type: type, field: Fq | None,
-                    n: int | None):
-    """The entry of spec_type stored in data, which must hold the type's
-    fields and no other key: a list of n ranks for each field the type
-    holds as a tuple (a point), one rank for each other field."""
-    names = [f.name for f in fields(spec_type)]
-    extra = [key for key in data if key not in names] if isinstance(data, dict) else []
-    if extra:
-        raise UsageError(f"{where} has {extra[0]!r}, which a {spec_type.__name__} has not")
-    return spec_type(**{
-        f.name: (json_point(data, f.name, where, field, n) if "tuple" in str(f.type)
-                 else json_int(data, f.name, where, field))
-        for f in fields(spec_type)})
-
-
-def witness_from_json_dict(data, field: Fq | None = None,
-                           n: int | None = None) -> KakeyaWitness:
-    """Parse a stored witness into entries of the type its kind names.
-    With the field (and dimension) of its set, every rank must lie in
-    [0, q) and every point have length n.  An unknown kind, an entry not of
-    that type, missing keys and bad ranks raise UsageError."""
-    if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
-        raise UsageError("witness has no 'entries' object")
-    kind = data.get("kind")
-    if not isinstance(kind, str):
-        raise UsageError("witness has no 'kind' string")
-    if kind not in WITNESS_KINDS:
-        raise UsageError(f"witness kind {kind!r} is not one of {', '.join(WITNESS_KINDS)}")
-    spec_type = WITNESS_KINDS[kind][0]
-    entries = {}
-    for key, value in data["entries"].items():
-        where = f"witness entry {key}"
-        try:
-            param = int(key)
-        except ValueError:
-            raise UsageError(f"{where}: key is not an integer") from None
-        if field is not None and not is_rank(field, param):
-            raise UsageError(f"{where}: key rank outside [0, {field.q})")
-        entries[param] = _spec_from_dict(value, where, spec_type, field, n)
-    return KakeyaWitness(kind, entries)
 
 
 # ---- spherical constructions ----

@@ -205,13 +205,7 @@ class PointSet:
     def from_ranks(cls, field: Fq, n: int, ranks) -> "PointSet":
         size = space_size(field, n)
         mask = np.zeros(size, dtype=bool)
-        idx = np.asarray(ranks if isinstance(ranks, np.ndarray) else list(ranks))
-        if idx.size:
-            if idx.dtype.kind not in "iu":
-                raise ValueError(f"ranks must be integers, got dtype {idx.dtype}")
-            if idx.min() < 0 or idx.max() >= size:
-                raise ValueError("rank out of range")
-            mask[idx] = True
+        mask[checked_ranks(ranks, size)] = True
         return cls._adopt(field, n, mask)
 
     @property
@@ -413,6 +407,17 @@ def is_rank(field: Fq, v) -> bool:
             and 0 <= v < field.q)
 
 
+def checked_ranks(ranks, top: int, what: str = "rank") -> np.ndarray:
+    """ranks (an array or any iterable) in int64, each in [0, top); else
+    ValueError for a non-integer dtype, or naming what is out of range."""
+    idx = np.asarray(ranks if isinstance(ranks, np.ndarray) else list(ranks))
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"ranks must be integers, got dtype {idx.dtype}")
+    if idx.size and not (0 <= idx.min() and idx.max() < top):
+        raise ValueError(f"{what} out of range")
+    return idx.astype(np.int64, copy=False)
+
+
 def json_int(data, key, where: str, field: Fq | None = None) -> int:
     """data[key] as an integer, and an element rank of the field if one is
     given; UsageError naming what is missing or wrong otherwise."""
@@ -528,12 +533,6 @@ def _fibres(field: Fq, m: int, radius, heads, scale: int) -> np.ndarray:
     return out
 
 
-def origin_sphere_ranks(field: Fq, n: int, radius: int) -> np.ndarray:
-    """Ranks of S_r(0) = {y : ||y|| = r}, ascending, for r in F_q^*: fibred
-    over the last coordinate, whose digit is the most significant."""
-    return _fibres(field, n - 1, radius, np.arange(field.q) * field.q ** (n - 1), 1)
-
-
 def translate(field: Fq, n: int, ranks, center) -> np.ndarray:
     """Ranks of center + y for each point rank y, one digit at a time."""
     center = tuple(center)
@@ -573,7 +572,7 @@ def hypersphere_ranks(field: Fq, h: HypersphereSpec) -> np.ndarray:
     n, q = len(h.center), field.q
     if not is_point(field, n, h.direction):
         raise ValueError(f"direction {h.direction} is not a point of F_{q}^{n}")
-    y = origin_sphere_ranks(field, n, h.radius)
+    y = sphere_ranks(field, SphereSpec((0,) * n, h.radius))
     rows = field.mul_arrays(np.array(h.direction)[:, None], np.arange(q))  # [i, a]: d_i a
     dots = np.zeros(y.shape, dtype=np.int64)
     step = 1

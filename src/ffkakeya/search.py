@@ -13,15 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .exact import circular_lower_bounds
+from .exact import VARIANT_RADIUS, VARIANTS, circular_lower_bounds
 from .field import Fq
 
 EXACT_LIMIT = 13
 DEFAULT_NODE_BUDGET = 100_000_000
-
-KIND_RADIUS = "radius"
-KIND_CENTER = "center"
-KINDS = (KIND_RADIUS, KIND_CENTER)
 
 
 @dataclass(frozen=True)
@@ -46,14 +42,14 @@ class SearchOutcome:
 
 
 def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+    if kind not in VARIANTS:
+        raise ValueError(f"kind must be one of {VARIANTS}")
 
 
 def _new_bits(field: Fq, kind: str, x: int, chosen: list[int]) -> int:
     """Bitmask of cover values gained by adding x to the chosen set."""
     bits = 0
-    if kind == KIND_RADIUS:
+    if kind == VARIANT_RADIUS:
         bits |= 1  # x - x
         for y in chosen:
             bits |= (1 << field.sub(x, y)) | (1 << field.sub(y, x))
@@ -66,7 +62,7 @@ def _new_bits(field: Fq, kind: str, x: int, chosen: list[int]) -> int:
 def _capacity(kind: str, have: int, slots: int) -> int:
     """Upper bound on the number of cover values that adding `slots` more
     elements to a set of size `have` can contribute."""
-    if kind == KIND_RADIUS:
+    if kind == VARIANT_RADIUS:
         return 2 * slots * have + slots * (slots - 1)
     return slots * have + slots * (slots - 1) // 2
 
@@ -82,7 +78,7 @@ def minimal_circular_exact(field: Fq, kind: str, *, limit: int = EXACT_LIMIT,
     if q > limit:
         raise BudgetExceededError(q, limit)
     full = (1 << q) - 1
-    lower = circular_lower_bounds(q)[0 if kind == KIND_RADIUS else 1]
+    lower = circular_lower_bounds(q)[0 if kind == VARIANT_RADIUS else 1]
     base = [0, 1]
     base_cov = _new_bits(field, kind, 0, []) | _new_bits(field, kind, 1, [0])
     nodes = 0
@@ -124,7 +120,7 @@ def greedy_circular(field: Fq, kind: str) -> SearchOutcome:
     _check_kind(kind)
     q = field.q
     ranks = np.arange(q, dtype=np.int64)
-    table = np.zeros((q, 1 if kind == KIND_RADIUS else 0), dtype=np.int64)
+    table = np.zeros((q, 1 if kind == VARIANT_RADIUS else 0), dtype=np.int64)
     covered = np.zeros(q, dtype=bool)
     member = np.zeros(q, dtype=bool)
     chosen: list[int] = []
@@ -139,7 +135,7 @@ def greedy_circular(field: Fq, kind: str) -> SearchOutcome:
         covered[table[best]] = True
         member[best] = True
         chosen.append(best)
-        if kind == KIND_RADIUS:
+        if kind == VARIANT_RADIUS:
             cols = [field.sub_arrays(ranks, best), field.sub_arrays(best, ranks)]
         else:
             cols = [field.add_arrays(ranks, best)]

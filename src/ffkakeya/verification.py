@@ -6,8 +6,8 @@ center has first coordinate a1.  The one-dimensional analogues are the
 difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 (sums of two distinct elements).
 
-Witness mode checks a certificate against the set through one table of
-its kinds, WITNESS_KINDS, which the reader of saved witnesses also reads.
+Witness mode checks a certificate (a KakeyaWitness) against the set
+through one table of its kinds, WITNESS_KINDS.
 Exhaustive mode needs none: within a work budget it counts exactly the
 points outside every candidate sphere, adding a squared coordinate by one
 gather, out[a, r] = sum_y X[a + y, r - y^2] (_add_square): once after a
@@ -17,15 +17,20 @@ about (q + 1) q^3 steps, and once per coordinate, in about n * q^(n+2)
 steps, for any other set.  The intersection-lemma maximum is read from
 the joint norm counts of F_q^n.  The size lower bounds live in exact,
 which needs no numpy; they are re-exported here.
+
+The witness record and its codec live here, next to WITNESS_KINDS: each
+entry is written field by field and read back into the type its kind
+names, so a process that only verifies a saved set loads no construction.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
 
-from .errors import BadDimensionError, BudgetExceededError
+from .errors import BadDimensionError, BudgetExceededError, UsageError
 from .exact import (  # noqa: F401 (re-exported)
     DEFAULT_BUDGET,
     BoundReport,
@@ -39,10 +44,13 @@ from .geometry import (
     HypersphereSpec,
     PointSet,
     SphereSpec,
+    checked_ranks,
     hypersphere_ranks,
     is_point,
     is_rank,
     joint_norm_counts,
+    json_int,
+    json_point,
     origin_norm_profile,
     point_rank,
     space_size,
@@ -143,21 +151,98 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
     return _INSIDE[spec_type](field, points, list(entries.values()))
 
 
+# ---- saved witnesses ----
+
+@dataclass(frozen=True)
+class KakeyaWitness:
+    """Coverage certificate: one certified object per parameter value.
+
+    kind is a key of WITNESS_KINDS, which names the type of the entries;
+    entries map the parameter (a radius or a center coordinate) to the
+    covering object."""
+
+    kind: str
+    entries: dict
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind,
+                "entries": {str(k): _spec_to_dict(v) for k, v in sorted(self.entries.items())}}
+
+
+def _spec_to_dict(spec) -> dict:
+    """The fields of a witness entry by name, each point as a list of ranks."""
+    values = ((f.name, getattr(spec, f.name)) for f in fields(spec))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
+
+
+def _spec_from_dict(data, where: str, spec_type: type, field: Fq | None,
+                    n: int | None):
+    """The entry of spec_type stored in data, which must hold the type's
+    fields and no other key: a list of n ranks for each field the type
+    holds as a tuple (a point), one rank for each other field."""
+    names = [f.name for f in fields(spec_type)]
+    extra = [key for key in data if key not in names] if isinstance(data, dict) else []
+    if extra:
+        raise UsageError(f"{where} has {extra[0]!r}, which a {spec_type.__name__} has not")
+    return spec_type(**{
+        f.name: (json_point(data, f.name, where, field, n) if "tuple" in str(f.type)
+                 else json_int(data, f.name, where, field))
+        for f in fields(spec_type)})
+
+
+def witness_from_json_dict(data, field: Fq | None = None,
+                           n: int | None = None) -> KakeyaWitness:
+    """Parse a stored witness into entries of the type its kind names.
+    With the field (and dimension) of its set, every rank must lie in
+    [0, q) and every point have length n.  An unknown kind, an entry not of
+    that type, missing keys and bad ranks raise UsageError."""
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
+        raise UsageError("witness has no 'entries' object")
+    kind = data.get("kind")
+    if not isinstance(kind, str):
+        raise UsageError("witness has no 'kind' string")
+    if kind not in WITNESS_KINDS:
+        raise UsageError(f"witness kind {kind!r} is not one of {', '.join(WITNESS_KINDS)}")
+    spec_type = WITNESS_KINDS[kind][0]
+    entries = {}
+    for key, value in data["entries"].items():
+        where = f"witness entry {key}"
+        try:
+            param = int(key)
+        except ValueError:
+            raise UsageError(f"{where}: key is not an integer") from None
+        if field is not None and not is_rank(field, param):
+            raise UsageError(f"{where}: key rank outside [0, {field.q})")
+        entries[param] = _spec_from_dict(value, where, spec_type, field, n)
+    return KakeyaWitness(kind, entries)
+
+
 # ---- exhaustive sphere scans ----
 
 def _add_square(field: Fq, acc: np.ndarray) -> np.ndarray:
-    """out[b, a, r] = sum_y acc[b, a + y, r - y^2] for acc of shape (B, q, q),
-    in flat gathers of about 2^20 entries: one squared coordinate added to
-    a partial norm r.  The sums stay in acc.dtype, which cannot overflow:
-    each counts points of F_q^n, at most q^n, and acc.dtype holds q^n."""
+    """out[b, a, r] = sum_y acc[b, a + y, r - y^2] for acc of shape (B, q, q):
+    one squared coordinate added to a partial norm r, summed in acc.dtype,
+    which holds q^n (each sum counts points of F_q^n).  Gathers of about
+    2^20 entries each index a block of rows b and of centres a; past
+    q = 101 the centre blocks fill one preallocated output."""
     q = field.q
     y = np.arange(q)
-    flat = (field.add_arrays(y[:, None], y)[:, :, None] * q
-            + field.sub_arrays(y, field.sq_arr[:, None]))  # [a, y, r]
+    drop = field.sub_arrays(y, field.sq_arr[:, None])  # [y, r]: r - y^2
     rows = acc.reshape(len(acc), q * q)
-    step = max(1, (1 << 20) // q ** 3)
-    return np.concatenate([rows[i:i + step, flat].sum(axis=2, dtype=acc.dtype)
-                           for i in range(0, len(acc), step)])
+
+    def centres(lo: int, count: int) -> np.ndarray:
+        flat = field.add_arrays(y[lo:lo + count, None], y)[:, :, None] * q + drop  # [a, y, r]
+        step = max(1, (1 << 20) // flat.size)
+        return np.concatenate([rows[i:i + step, flat].sum(axis=2, dtype=acc.dtype)
+                               for i in range(0, len(acc), step)])
+
+    block = max(1, (1 << 20) // q ** 2)
+    if block >= q:  # q <= 101: one index of all centres
+        return centres(0, q)
+    out = np.empty(acc.shape, dtype=acc.dtype)
+    for lo in range(0, q, block):
+        out[:, lo:lo + block] = centres(lo, block)
+    return out
 
 
 def _complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
@@ -261,14 +346,9 @@ def intersection_lemma_bound(q: int, n: int) -> int:
 
 def _clean_ranks(field: Fq, elems) -> np.ndarray:
     """The distinct ranks of elems, sorted; ValueError for non-integer or
-    out-of-range ranks.  It sorts the ranks given, so a small set in a
-    large field costs nothing of order q."""
-    idx = np.asarray(elems if isinstance(elems, np.ndarray) else list(elems))
-    if idx.size and idx.dtype.kind not in "iu":
-        raise ValueError(f"ranks must be integers, got dtype {idx.dtype}")
-    if idx.size and not (0 <= idx.min() and idx.max() < field.q):
-        raise ValueError("element rank out of range")
-    ks = np.sort(idx.astype(np.int64).ravel())
+    out-of-range ranks (checked_ranks).  It sorts the ranks given, so a
+    small set in a large field costs nothing of order q."""
+    ks = np.sort(checked_ranks(elems, field.q, "element rank").ravel())
     return ks[np.concatenate(([True], ks[1:] != ks[:-1]))] if ks.size else ks
 
 

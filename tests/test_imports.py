@@ -83,6 +83,18 @@ def test_verify_imports_no_masked_arrays(set_files, argv):
     assert "numpy.ma" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--file", "center.json", "--property", "center", "--mode", "witness"),
+    ("verify", "--file", "center.json", "--property", "center", "--mode", "exhaustive"),
+    ("verify", "--file", "cover.json", "--property", "diff-cover"),
+])
+def test_verify_skips_the_constructions(set_files, argv):
+    # the witness record and its reader live in verification
+    loaded = modules_after(set_files, *argv)
+    assert "ffkakeya.verification" in loaded
+    assert "ffkakeya.constructions" not in loaded
+
+
 def run_python(code):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=ENV)

@@ -65,7 +65,6 @@ from ffkakeya.geometry import (
     is_point,
     joint_norm_counts,
     level_order,
-    origin_sphere_ranks,
     space_size,
 )
 from ffkakeya.verification import _add_square, _complement_hit_counts, _level_hit_counts
@@ -775,7 +774,8 @@ def test_add_square_equals_its_definition(q, dtype):
     # out[b, a, r] = sum_y acc[b, a + y, r - y^2] by scalar field ops, on
     # counts of at most q (in the recurrence's dtype for q^2 points, which
     # holds every sum) or 2^40; three gather blocks of about 2^20 entries,
-    # the last one short, which at q = 103 are one row each
+    # the last one short, which at q = 103 are one row each of two blocks
+    # of centres, 98 and 5
     field = field_of(q)
     if dtype == "recurrence":
         dtype, top = np.min_scalar_type(q ** 2), q
@@ -791,6 +791,14 @@ def test_add_square_equals_its_definition(q, dtype):
     got = _add_square(field, acc)
     assert got.dtype == acc.dtype and got.shape == acc.shape
     assert np.array_equal(got, want)
+
+
+def test_add_square_memory_is_bounded_by_its_blocks():
+    # one (q, q, q) index and gather per row would take q^3 int64 entries
+    # twice, 150 MB at q = 211; blocks of centres keep each near 2^20
+    field = field_of(211)
+    acc = np.random.default_rng(211).integers(0, 1 << 40, (4, 211, 211))
+    assert traced_peak(lambda: _add_square(field, acc)) < 32 << 20
 
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 7, 9, 11, 25, 27) for n in (2, 3, 4)
@@ -980,11 +988,16 @@ def test_fibred_spheres_equal_the_translate_of_the_rescan(q, n, radii):
                 (center, r)
 
 
-@pytest.mark.parametrize("q,n,radii", SPHERE_SWEEP + [(3, 1, None), (9, 1, None), (31, 1, None)])
+def sorted_origin_sphere_ranks(field, n, radius):
+    """S_r(0) from the fibres over the first coordinate, sorted."""
+    return np.sort(sphere_ranks(field, SphereSpec((0,) * n, radius)))
+
+
+@pytest.mark.parametrize("q,n,radii", SPHERE_SWEEP)
 def test_origin_spheres_equal_the_rescan_element_for_element(q, n, radii):
     field = field_of(q)
     for r in sweep_radii(field, radii):
-        assert np.array_equal(origin_sphere_ranks(field, n, r),
+        assert np.array_equal(sorted_origin_sphere_ranks(field, n, r),
                               old_origin_sphere_ranks(field, n, r)), r
 
 
@@ -1022,11 +1035,9 @@ def test_centred_profile_oracle_matches_the_scalar_norm():
         assert prof[r] == norm(field, tuple(field.sub(x, c) for x, c in zip(vec, center)))
 
 
-def test_origin_sphere_ranks_ascend_and_partition_the_nonzero_norms():
+def test_origin_spheres_partition_the_nonzero_norms():
     field = make_field(5)
-    parts = [origin_sphere_ranks(field, 3, r) for r in field.units()]
-    for part in parts:
-        assert np.all(np.diff(part) > 0)
+    parts = [sorted_origin_sphere_ranks(field, 3, r) for r in field.units()]
     assert np.array_equal(np.sort(np.concatenate(parts)),
                           np.flatnonzero(norm_profile(field, 3) != 0))
 
@@ -1081,7 +1092,7 @@ def table_hypersphere_ranks(field, h):
     """center + {y in S_r(0) : d.y = 0}, d.y folded one coordinate at a
     time over add_table and rows of mul_table."""
     n = len(h.center)
-    y = origin_sphere_ranks(field, n, h.radius)
+    y = sorted_origin_sphere_ranks(field, n, h.radius)
     dots = np.zeros(y.shape, dtype=np.int32)
     step = 1
     for d in h.direction:
@@ -1127,7 +1138,8 @@ def test_hyperspheres_equal_the_table_fold(q, n):
             center = tuple(int(c) for c in rng.integers(0, q, size=n))
             h = HypersphereSpec(center, d, r)
             got = hypersphere_ranks(field, h)
-            assert np.array_equal(got, table_hypersphere_ranks(field, h)), (d, r)
+            assert np.array_equal(np.sort(got), np.sort(table_hypersphere_ranks(field, h))), \
+                (d, r)
             points += got.size
     assert points  # some of them are empty: an isotropic d at n = 3, r of one class
 
@@ -1290,4 +1302,5 @@ def test_hypersphere_witness_is_the_first_rank_of_each_sphere(q, n):
     field = field_of(q)
     for r, h in hypersphere_union(field, n).witness.entries.items():
         assert h.center == h.direction and h.radius == r
-        assert point_rank(field, h.center) == origin_sphere_ranks(field, n, field.neg(r))[0]
+        first = sorted_origin_sphere_ranks(field, n, field.neg(r))[0]
+        assert point_rank(field, h.center) == first
