@@ -222,26 +222,20 @@ def witness_from_json_dict(data, field: Fq | None = None,
 def _add_square(field: Fq, acc: np.ndarray) -> np.ndarray:
     """out[b, a, r] = sum_y acc[b, a + y, r - y^2] for acc of shape (B, q, q):
     one squared coordinate added to a partial norm r, summed in acc.dtype,
-    which holds q^n (each sum counts points of F_q^n).  Gathers of about
-    2^20 entries each index a block of rows b and of centres a; past
-    q = 101 the centre blocks fill one preallocated output."""
+    which holds q^n (each sum counts points of F_q^n).  Each gather of
+    about 2^20 entries indexes a block of centres a and a block of rows b
+    and is written into one preallocated output."""
     q = field.q
     y = np.arange(q)
     drop = field.sub_arrays(y, field.sq_arr[:, None])  # [y, r]: r - y^2
     rows = acc.reshape(len(acc), q * q)
-
-    def centres(lo: int, count: int) -> np.ndarray:
-        flat = field.add_arrays(y[lo:lo + count, None], y)[:, :, None] * q + drop  # [a, y, r]
-        step = max(1, (1 << 20) // flat.size)
-        return np.concatenate([rows[i:i + step, flat].sum(axis=2, dtype=acc.dtype)
-                               for i in range(0, len(acc), step)])
-
-    block = max(1, (1 << 20) // q ** 2)
-    if block >= q:  # q <= 101: one index of all centres
-        return centres(0, q)
     out = np.empty(acc.shape, dtype=acc.dtype)
+    block = max(1, (1 << 20) // q ** 2)
     for lo in range(0, q, block):
-        out[:, lo:lo + block] = centres(lo, block)
+        flat = field.add_arrays(y[lo:lo + block, None], y)[:, :, None] * q + drop  # [a, y, r]
+        step = max(1, (1 << 20) // flat.size)
+        for i in range(0, len(acc), step):
+            out[i:i + step, lo:lo + block] = rows[i:i + step, flat].sum(axis=2, dtype=acc.dtype)
     return out
 
 

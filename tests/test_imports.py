@@ -76,22 +76,13 @@ def test_count_and_search_skip_the_constructions(tmp_path):
     ("verify", "--file", "center.json", "--property", "center", "--mode", "exhaustive"),
     ("verify", "--file", "cover.json", "--property", "diff-cover"),
     ("verify", "--file", "sums.json", "--property", "sum-cover"),
+    ("verify", "--file", "center.json", "--property", "center", "--mode", "witness"),
 ])
 def test_verify_imports_no_masked_arrays(set_files, argv):
-    loaded = modules_after(set_files, *argv)
-    assert "ffkakeya.verification" in loaded
-    assert "numpy.ma" not in loaded
-
-
-@pytest.mark.parametrize("argv", [
-    ("verify", "--file", "center.json", "--property", "center", "--mode", "witness"),
-    ("verify", "--file", "center.json", "--property", "center", "--mode", "exhaustive"),
-    ("verify", "--file", "cover.json", "--property", "diff-cover"),
-])
-def test_verify_skips_the_constructions(set_files, argv):
     # the witness record and its reader live in verification
     loaded = modules_after(set_files, *argv)
     assert "ffkakeya.verification" in loaded
+    assert "numpy.ma" not in loaded
     assert "ffkakeya.constructions" not in loaded
 
 

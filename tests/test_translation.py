@@ -768,14 +768,15 @@ def without_radius(points, counts, r):
     return PointSet(field, n, mask)
 
 
-@pytest.mark.parametrize("q", [3, 9, 25, 27, 103])
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 103, 211])
 @pytest.mark.parametrize("dtype", ["recurrence", np.int64])
 def test_add_square_equals_its_definition(q, dtype):
     # out[b, a, r] = sum_y acc[b, a + y, r - y^2] by scalar field ops, on
     # counts of at most q (in the recurrence's dtype for q^2 points, which
     # holds every sum) or 2^40; three gather blocks of about 2^20 entries,
-    # the last one short, which at q = 103 are one row each of two blocks
-    # of centres, 98 and 5
+    # the last one short, which are one row each of two blocks of centres,
+    # 98 and 5, at q = 103 and of ten blocks, nine of 23 and one of 4, at
+    # q = 211
     field = field_of(q)
     if dtype == "recurrence":
         dtype, top = np.min_scalar_type(q ** 2), q
