@@ -16,9 +16,13 @@ For each workload and each end-to-end metric the file holds every run, the
 median and quartiles of each side, the pairs the change won (better by the
 metric's direction, ties counting for neither) and whether the claim rule
 holds: wins in at least nine tenths of the pairs, and medians further apart
-than the parent's quartiles.  For each per-layer metric it holds every
-traced value of each side, with their median and quartiles, so a
-per-layer change can be told from the spread of unchanged code.
+than the parent's quartiles.  Each run also keeps each case's cold and
+warm median, read from its bench_out/result-<workload>-<seed>-0.json, and
+for each side the file holds each case's median and quartiles over the
+runs, so a change can be traced to the cases that moved.  For each
+per-layer metric it holds every traced value of each side, with their
+median and quartiles, so a per-layer change can be told from the spread
+of unchanged code.
 """
 
 from __future__ import annotations
@@ -48,9 +52,26 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    out = {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+           "failed": result["failed"],
+           "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    if not trace:
+        out["cases"] = case_medians(root / "bench_out" / f"result-{workload}-{seed}-0.json")
+    return out
+
+
+def case_medians(path: Path) -> dict:
+    """Each case's cold and warm median in one run, as bench/run.py sums
+    them into cold_s and warm_s: the median of the measuring workers' first
+    passes, and of all their warm passes."""
+    cases: dict = {}
+    for worker in json.loads(path.read_text())["workers"]:
+        for name, case in worker["cases"].items():
+            times = cases.setdefault(name, {"cold_s": [], "warm_s": []})
+            times["cold_s"].append(case["cold_s"])
+            times["warm_s"].extend(case["warm_s"])
+    return {name: {k: statistics.median(v) for k, v in times.items()}
+            for name, times in cases.items()}
 
 
 def spread(values: list[float]) -> dict:
@@ -75,6 +96,14 @@ def summarise_trace(runs: dict) -> dict:
     return {side: {name: {**spread([r["metrics"][name] for r in side_runs]),
                           "values": [r["metrics"][name] for r in side_runs]}
                    for name in side_runs[0]["metrics"]}
+            for side, side_runs in runs.items()}
+
+
+def summarise_cases(runs: dict) -> dict:
+    """Each case's cold and warm medians over the runs of each side."""
+    return {side: {name: {k: spread([r["cases"][name][k] for r in side_runs])
+                          for k in ("cold_s", "warm_s")}
+                   for name in side_runs[0]["cases"]}
             for side, side_runs in runs.items()}
 
 
@@ -119,6 +148,7 @@ def main() -> int:
         traced = pair_runs(roots, workload, seeds[:TRACED_PAIRS], spec["run_seconds"], 1)
         report["workloads"][workload] = {
             "seeds": seeds[:count], "runs": runs, "summary": summarise(spec, runs),
+            "cases": summarise_cases(runs),
             "trace": {"seeds": seeds[:TRACED_PAIRS], **summarise_trace(traced)},
         }
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

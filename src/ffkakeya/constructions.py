@@ -283,10 +283,11 @@ def _circular_witness(field: Fq, ks: list[int], variant: str) -> KakeyaWitness:
     if missing.any():
         raise RuntimeError(f"no pair certifies {variant} {params[missing.argmax()]}")
     x1 = k[first[pos] // k.size]
-    shifted = field.sub_arrays(x1, params)  # the center x1 - r, or the radius x1 - a
-    circles = [CircleSpec(int(a), int(r)) for a, r in
-               (zip(shifted, params) if variant == VARIANT_RADIUS else zip(params, shifted))]
-    return KakeyaWitness(kind, dict(zip(params.tolist(), circles)))
+    # the center x1 - r, or the radius x1 - a; Python ints, not numpy scalars
+    shifted, params = field.sub_arrays(x1, params).tolist(), params.tolist()
+    circles = map(CircleSpec, *((shifted, params) if variant == VARIANT_RADIUS
+                                else (params, shifted)))
+    return KakeyaWitness(kind, dict(zip(params, circles)))
 
 
 def _circular_result(field: Fq, name: str, variant: str, ks,

@@ -17,6 +17,7 @@ from .errors import BadDimensionError, NonOddPrimeError, SizeCapError
 
 DEFAULT_BUDGET = 100_000_000
 DIGIT_CAP = 4300  # most decimal digits in an exact bound, Python's default str limit
+_DIGIT_LIMIT = 10 ** DIGIT_CAP  # the least numerator past the cap, formed once
 
 VARIANT_RADIUS = "radius"
 VARIANT_CENTER = "center"
@@ -129,12 +130,12 @@ def spherical_kakeya_lower_bound(q: int, n: int) -> BoundReport:
         raise too_large
     if n >= 4:
         e = (n - 1) // 2
-        value = (Fraction(q ** n, 2) + Fraction(q ** (n - 1), 2) - q ** (n - 2)
-                 - Fraction(q ** (e + 2), 2) + Fraction(q ** (e + 1), 2))
+        # q^n/2 + q^(n-1)/2 - q^(n-2) - q^(e+2)/2 + q^(e+1)/2 over one denominator
+        value = Fraction(q ** n + q ** (n - 1) - 2 * q ** (n - 2) - q ** (e + 2) + q ** (e + 1), 2)
         branch = "n>=4"
     else:
         value, branch = Fraction(q ** n - q ** (n - 2), 4), "n in {2,3}"
-    if value.numerator >= 10 ** DIGIT_CAP:
+    if value.numerator >= _DIGIT_LIMIT:
         raise too_large
     return BoundReport(q, n, branch, value)
 

@@ -519,17 +519,17 @@ def joint_norm_counts(field: Fq, m: int) -> np.ndarray:
 def _fibres(field: Fq, m: int, radius, heads, scale: int) -> np.ndarray:
     """heads[y] + scale * t for every point (y, t) of F_q x F_q^m with
     y^2 + ||t|| = radius: fibre by fibre in order of y, t ascending within
-    a fibre, in O(q + |sphere|) steps and few temporaries."""
-    if not (is_rank(field, radius) and radius):
-        raise ValueError(f"radius rank {radius!r} outside [1, {field.q})")
+    a fibre, in O(q + |sphere|) steps and few temporaries.  radius may also
+    be a column of ranks, each with its row of heads: the spheres one after
+    another.  The radii are not checked."""
     order, offsets = level_order(field, m)
-    levels = field.sub_arrays(radius, field.sq_arr)  # fibre y is level r - y^2
+    levels = field.sub_arrays(radius, field.sq_arr).ravel()  # fibre y is level r - y^2
     sizes = offsets[levels + 1] - offsets[levels]
     # index into order minus output position, constant within a fibre
     out = np.repeat(offsets[levels] - np.cumsum(sizes) + sizes, sizes)
     out += np.arange(out.size)
     np.multiply(order[out], scale, out=out, dtype=np.int64)  # no int32 overflow
-    out += np.repeat(heads, sizes)
+    out += np.repeat(np.ravel(heads), sizes)
     return out
 
 
@@ -560,6 +560,8 @@ def sphere_ranks(field: Fq, sphere: SphereSpec) -> np.ndarray:
     n, q = len(sphere.center), field.q
     if not is_point(field, n, sphere.center):
         raise ValueError(f"center {sphere.center} is not a point of F_{q}^{n}")
+    if not (is_rank(field, sphere.radius) and sphere.radius):
+        raise ValueError(f"radius rank {sphere.radius!r} outside [1, {q})")
     ranks = _fibres(field, n - 1, sphere.radius,
                     field.add_arrays(sphere.center[0], np.arange(q)), q)
     if any(sphere.center[1:]):

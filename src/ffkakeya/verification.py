@@ -7,7 +7,14 @@ difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 (sums of two distinct elements).
 
 Witness mode checks a certificate (a KakeyaWitness) against the set
-through one table of its kinds, WITNESS_KINDS.
+through one table of its kinds, WITNESS_KINDS, in a fixed number of
+C-level passes over its entries (map, set, min, max, compress), with no
+Python call per entry or per coordinate: one issubclass test per distinct
+type, one min and one max over all ranks, one map for the keys and one
+for the on-axis spheres.  numpy arrays carry only the lookups into the
+level table of a level-built set and the gathers at a mask, many spheres
+a gather; small witnesses, checked once each, spend their time in these
+passes more than in the arithmetic.
 Exhaustive mode needs none: within a work budget it counts exactly the
 points outside every candidate sphere, adding a squared coordinate by one
 gather, out[a, r] = sum_y X[a + y, r - y^2] (_add_square): once after a
@@ -26,7 +33,8 @@ names, so a process that only verifies a saved set loads no construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from itertools import chain, compress, repeat
+from operator import add, and_, attrgetter, eq, itemgetter, mul, not_
 
 import numpy as np
 
@@ -44,22 +52,85 @@ from .geometry import (
     HypersphereSpec,
     PointSet,
     SphereSpec,
+    _fibres,
     checked_ranks,
     hypersphere_ranks,
-    is_point,
     is_rank,
     joint_norm_counts,
     json_int,
     json_point,
+    level_order,
     origin_norm_profile,
-    point_rank,
     space_size,
-    sphere_ranks,
 )
 
 # ---- witness checking ----
 
-def _spheres_inside(field: Fq, points: PointSet, spheres: list) -> bool:
+def _fields(specs: list, name: str) -> list:
+    """Field name of every entry, by one map."""
+    return list(map(attrgetter(name), specs))
+
+
+def _all_ranks(field: Fq, values: list, low: int = 0) -> bool:
+    """Whether every value is an integer in [low, q), as is_rank asks of
+    one (low = 1 also asks nonzero): one issubclass test per distinct type
+    (bool is no rank), then one pass each of min and max.  values is
+    nonempty."""
+    return (all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+                for t in set(map(type, values)))
+            and bool(low <= min(values) and max(values) < field.q))
+
+
+def _point_coordinates(field: Fq, n: int, vecs: list) -> list | None:
+    """The coordinates of vecs in one list if every vec is a point of
+    F_q^n, as is_point asks of one (a tuple or list of n ranks), else None."""
+    if not (all(issubclass(t, (tuple, list)) for t in set(map(type, vecs)))
+            and set(map(len, vecs)) == {n}):
+        return None
+    flat = list(chain.from_iterable(vecs))
+    return flat if _all_ranks(field, flat) else None
+
+
+def _point_ranks(field: Fq, n: int, flat: list) -> list:
+    """point_rank of each point whose n coordinates follow one another in
+    flat: the sum of coordinate i times q^i, one map per coordinate index,
+    in Python ints (a numpy scalar coordinate could wrap)."""
+    flat = list(map(int, flat))
+    ranks = flat[0::n]
+    for i in range(1, n):
+        ranks = list(map(add, ranks, map(mul, flat[i::n], repeat(field.q ** i))))
+    return ranks
+
+
+def _gathered_inside(field: Fq, points: PointSet, spheres: list, radii: list) -> bool:
+    """Whether every sphere lies inside the set, by a gather at its mask
+    of the spheres of a block at once, about 2^18 points a block: the
+    fibres over the first coordinate (_fibres), then the tail digits of
+    each center added to its own points."""
+    if not spheres:
+        return True
+    q, n = field.q, points.n
+    centers = np.array(list(chain.from_iterable(_fields(spheres, "center"))),
+                       dtype=np.int64).reshape(-1, n)
+    radii = np.array(radii, dtype=np.int64)
+    sizes = np.diff(level_order(field, n - 1)[1])  # level sizes of F_q^(n-1)
+    block, y0 = max(1, (1 << 18) // q ** (n - 1)), np.arange(q)
+    for lo in range(0, len(centers), block):
+        c, r = centers[lo:lo + block], radii[lo:lo + block, None]
+        ranks = _fibres(field, n - 1, r, field.add_arrays(c[:, :1], y0), q)
+        owned = sizes[field.sub_arrays(r, field.sq_arr)].sum(axis=1)  # points a sphere
+        step = q
+        for digit in c.T[1:]:  # translate by the tails, one digit at a time
+            if digit.any():
+                x = ranks // step % q
+                ranks += (field.add_arrays(x, np.repeat(digit, owned)) - x) * step
+            step *= q
+        if not points.mask[ranks].all():
+            return False
+    return True
+
+
+def _spheres_inside(field: Fq, points: PointSet, spheres: list, radii: list) -> bool:
     """Both spherical constructions certify with spheres centred at
     (a_0, 0, ..., 0), which are unions of whole levels of the fibres:
 
@@ -69,62 +140,74 @@ def _spheres_inside(field: Fq, points: PointSet, spheres: list) -> bool:
     holds for every y_0, with H = points.level_table().  They are checked
     by q lookups each into the one q x q table, in blocks of at most 2^18
     lookups up to the first that fails.  Every other sphere, and every
-    sphere of a set given by its mask, is gathered at the mask."""
-    if not all(is_point(field, points.n, s.center) for s in spheres):
+    sphere of a set given by its mask, is gathered at the mask, many
+    spheres a gather (_gathered_inside)."""
+    centers = _fields(spheres, "center")
+    if _point_coordinates(field, points.n, centers) is None:
         return False
     table = points.level_table()
     if table is not None:
-        on_axis = np.array([(s.center[0], s.radius) for s in spheres if not any(s.center[1:])],
-                           dtype=np.int64).reshape(-1, 2)
+        on_axis = list(map(not_, map(any, map(itemgetter(slice(1, None)), centers))))
+        a0, r = np.array([list(compress(map(itemgetter(0), centers), on_axis)),
+                          list(compress(radii, on_axis))], dtype=np.int64)[:, :, None]
         step, y0 = max(1, (1 << 18) // field.q), np.arange(field.q)
-        for i in range(0, len(on_axis), step):
-            a0, r = on_axis[i:i + step].T[:, :, None]
-            flat = field.sub_arrays(r, field.sq_arr) * field.q + field.add_arrays(a0, y0)
+        for i in range(0, len(a0), step):
+            flat = (field.sub_arrays(r[i:i + step], field.sq_arr) * field.q
+                    + field.add_arrays(a0[i:i + step], y0))
             if not table.ravel()[flat].all():
                 return False
-        spheres = [s for s in spheres if any(s.center[1:])]
-    return all(points.mask[sphere_ranks(field, s)].all() for s in spheres)
+        spheres = list(compress(spheres, map(not_, on_axis)))
+        radii = list(compress(radii, map(not_, on_axis)))
+    return _gathered_inside(field, points, spheres, radii)
 
 
-def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list) -> bool:
+def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list,
+                         radii: list) -> bool:
     """The hyper-sphere union certifies with cone entries: center a equal
     to the direction and radius -||a|| != 0.  Such an H_a lies in the null
     quadric less the origin, N* = {x != 0 : ||x|| = 0} (the proof is in
     constructions.hypersphere_union), so when the set holds all of N*,
     which one pass over the origin norm profile tells, every cone entry
-    lies inside it.  Other entries, and cone entries when that pass fails
-    (N* inside the set is sufficient, not necessary), are gathered."""
-    n, mask = points.n, points.mask
-    if not all(is_point(field, n, h.center) and is_point(field, n, h.direction)
-               for h in hyperspheres):
+    lies inside it.  The cone entries are told by the point ranks of all
+    centers (_point_ranks) read in that profile.  Other entries, and cone
+    entries when that pass fails (N* inside the set is sufficient, not
+    necessary), are gathered."""
+    n = points.n
+    centers, directions = _fields(hyperspheres, "center"), _fields(hyperspheres, "direction")
+    flat = _point_coordinates(field, n, centers + directions)
+    if flat is None:
         return False
-    norms = origin_norm_profile(field, n)
-    cone = [h.center == h.direction
-            and h.radius == field.neg(int(norms[point_rank(field, h.center)]))
-            for h in hyperspheres]
+    mask, norms = points.mask, origin_norm_profile(field, n)
+    ranks = _point_ranks(field, n, flat[:n * len(centers)])
+    negs = map(field.neg_arr.item, map(norms.item, ranks))
+    cone = list(map(and_, map(eq, centers, directions), map(eq, radii, negs)))
     if any(cone) and (mask[1:] | (norms[1:] != 0)).all():
-        hyperspheres = [h for h, is_cone in zip(hyperspheres, cone) if not is_cone]
+        hyperspheres = list(compress(hyperspheres, map(not_, cone)))
     return all(mask[hypersphere_ranks(field, h)].all() for h in hyperspheres)
 
 
-def _circles_inside(field: Fq, points: PointSet, circles: list) -> bool:
+def _circles_inside(field: Fq, points: PointSet, circles: list, radii: list) -> bool:
     """Both points a + r and a - r of every circle, in one gather each."""
-    if points.n != 1 or not all(is_rank(field, c.center) for c in circles):
+    centers = _fields(circles, "center")
+    if points.n != 1 or not _all_ranks(field, centers):
         return False
-    a, r = np.array([(c.center, c.radius) for c in circles], dtype=np.int64).T
+    a, r = np.array([centers, radii], dtype=np.int64)
     return bool(points.mask[field.add_arrays(a, r)].all()
                 and points.mask[field.sub_arrays(a, r)].all())
 
 
-# kind -> (entry type, key set, the parameter of an entry that its key names)
+# kind -> (entry type, key set, the parameters that the keys of a list of
+# entries name, in its order)
 WITNESS_KINDS = {
-    "radius": (SphereSpec, Fq.units, attrgetter("radius")),
-    "center-coordinate": (SphereSpec, Fq.elements, lambda s: s.center[0]),
-    "hypersphere": (HypersphereSpec, Fq.units, attrgetter("radius")),
-    "circular-radius": (CircleSpec, Fq.units, attrgetter("radius")),
-    "circular-center": (CircleSpec, Fq.elements, attrgetter("center")),
+    "radius": (SphereSpec, Fq.units, lambda specs: _fields(specs, "radius")),
+    "center-coordinate": (SphereSpec, Fq.elements,
+                          lambda specs: list(map(itemgetter(0), _fields(specs, "center")))),
+    "hypersphere": (HypersphereSpec, Fq.units, lambda specs: _fields(specs, "radius")),
+    "circular-radius": (CircleSpec, Fq.units, lambda specs: _fields(specs, "radius")),
+    "circular-center": (CircleSpec, Fq.elements, lambda specs: _fields(specs, "center")),
 }
-# entry type -> whether its entries lie in F_q^n (circles in F_q) and in the set
+# entry type -> whether its entries, given with their radii, lie in F_q^n
+# (circles in F_q) and in the set
 _INSIDE = {SphereSpec: _spheres_inside, HypersphereSpec: _hyperspheres_inside,
            CircleSpec: _circles_inside}
 
@@ -140,15 +223,16 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
     """
     if witness.kind not in WITNESS_KINDS:
         return False
-    spec_type, keys, param = WITNESS_KINDS[witness.kind]
+    spec_type, keys, params = WITNESS_KINDS[witness.kind]
     entries = witness.entries
-    if set(entries) != set(keys(field)):
+    specs = list(entries.values())
+    if not (entries.keys() == set(keys(field))
+            and all(issubclass(t, spec_type) for t in set(map(type, specs)))):
         return False
-    for key, spec in entries.items():
-        if not (isinstance(spec, spec_type) and is_rank(field, spec.radius) and spec.radius
-                and param(spec) == key):
-            return False
-    return _INSIDE[spec_type](field, points, list(entries.values()))
+    radii = _fields(specs, "radius")
+    if not (_all_ranks(field, radii, low=1) and params(specs) == list(entries)):
+        return False
+    return _INSIDE[spec_type](field, points, specs, radii)
 
 
 # ---- saved witnesses ----

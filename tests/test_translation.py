@@ -11,10 +11,12 @@ constructions, the level table read off a mask (fibre_level_table), the
 all-pairs intersection scan, the (0, c) pair scan of the intersection
 lemma and its scan of one center per norm class (now the oracle of the
 closed-form joint norm counts), the gathered sphere
-intersection, the dense-table circle certificates and the (center,
-non-member) pair scan of the exhaustive verifiers.
+intersection, the dense-table circle certificates, the (center,
+non-member) pair scan of the exhaustive verifiers and the witness check
+one entry and one coordinate at a time.
 """
 
+import copy
 import json
 from fractions import Fraction
 
@@ -63,11 +65,17 @@ from ffkakeya.exact import DEFAULT_BUDGET, exact_str, spherical_kakeya_lower_bou
 from ffkakeya.geometry import (
     _fibres,
     is_point,
+    is_rank,
     joint_norm_counts,
     level_order,
     space_size,
 )
-from ffkakeya.verification import _add_square, _complement_hit_counts, _level_hit_counts
+from ffkakeya.verification import (
+    _add_square,
+    _complement_hit_counts,
+    _level_hit_counts,
+    _point_ranks,
+)
 
 
 def field_of(q):
@@ -251,6 +259,73 @@ def gathered_witness_valid(field, points, witness):
         if not points.mask[sphere_ranks(field, spec)].all():
             return False
     return True
+
+
+def per_entry_witness_valid(field, points, witness):
+    """The witness check one entry and one coordinate at a time: is_rank
+    and the key per entry, is_point per center, point_rank and neg per
+    cone entry, the on-axis spheres of a level-built set by table lookups
+    and one gather per other sphere."""
+    kinds = {
+        "radius": (SphereSpec, field.units, lambda s: s.radius),
+        "center-coordinate": (SphereSpec, field.elements, lambda s: s.center[0]),
+        "hypersphere": (HypersphereSpec, field.units, lambda s: s.radius),
+        "circular-radius": (CircleSpec, field.units, lambda s: s.radius),
+        "circular-center": (CircleSpec, field.elements, lambda s: s.center),
+    }
+    if witness.kind not in kinds:
+        return False
+    spec_type, keys, param = kinds[witness.kind]
+    entries = witness.entries
+    if set(entries) != set(keys()):
+        return False
+    for key, spec in entries.items():
+        if not (isinstance(spec, spec_type) and is_rank(field, spec.radius) and spec.radius
+                and param(spec) == key):
+            return False
+    inside = {SphereSpec: per_entry_spheres_inside,
+              HypersphereSpec: per_entry_hyperspheres_inside,
+              CircleSpec: per_entry_circles_inside}[spec_type]
+    return inside(field, points, list(entries.values()))
+
+
+def per_entry_spheres_inside(field, points, spheres):
+    if not all(is_point(field, points.n, s.center) for s in spheres):
+        return False
+    table = points.level_table()
+    if table is not None:
+        on_axis = np.array([(s.center[0], s.radius) for s in spheres if not any(s.center[1:])],
+                           dtype=np.int64).reshape(-1, 2)
+        step, y0 = max(1, (1 << 18) // field.q), np.arange(field.q)
+        for i in range(0, len(on_axis), step):
+            a0, r = on_axis[i:i + step].T[:, :, None]
+            flat = field.sub_arrays(r, field.sq_arr) * field.q + field.add_arrays(a0, y0)
+            if not table.ravel()[flat].all():
+                return False
+        spheres = [s for s in spheres if any(s.center[1:])]
+    return all(points.mask[sphere_ranks(field, s)].all() for s in spheres)
+
+
+def per_entry_hyperspheres_inside(field, points, hyperspheres):
+    n, mask = points.n, points.mask
+    if not all(is_point(field, n, h.center) and is_point(field, n, h.direction)
+               for h in hyperspheres):
+        return False
+    norms = origin_norm_profile(field, n)
+    cone = [h.center == h.direction
+            and h.radius == field.neg(int(norms[point_rank(field, h.center)]))
+            for h in hyperspheres]
+    if any(cone) and (mask[1:] | (norms[1:] != 0)).all():
+        hyperspheres = [h for h, is_cone in zip(hyperspheres, cone) if not is_cone]
+    return all(mask[hypersphere_ranks(field, h)].all() for h in hyperspheres)
+
+
+def per_entry_circles_inside(field, points, circles):
+    if points.n != 1 or not all(is_rank(field, c.center) for c in circles):
+        return False
+    a, r = np.array([(c.center, c.radius) for c in circles], dtype=np.int64).T
+    return bool(points.mask[field.add_arrays(a, r)].all()
+                and points.mask[field.sub_arrays(a, r)].all())
 
 
 def old_intersection_lemma(field, n):
@@ -1149,6 +1224,139 @@ def test_hyperspheres_equal_the_table_fold(q, n):
 def test_out_of_range_radius_is_rejected(radius):
     with pytest.raises(ValueError):
         sphere_ranks(make_field(7), SphereSpec((0, 0, 0), radius))
+
+
+# ---- witness checks in array passes against the per-entry checker ----
+
+def forced(spec, **changes):
+    """A copy of spec with changes that its constructor may reject."""
+    out = copy.copy(spec)
+    for name, value in changes.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+def spec_mutations(spec, q):
+    """(spec with one change, whether it still certifies): one rank
+    replaced by a bool, an np.int64, an np.uint8, a float, -1, q or 2^70
+    (only the numpy integers of the same value certify); a point one
+    coordinate too long or too short; a zero radius."""
+    out = [(forced(spec, radius=0), False)]
+    for name in ("center", "direction", "radius"):
+        if not hasattr(spec, name):
+            continue
+        value = getattr(spec, name)
+        if isinstance(value, tuple):
+            out += [(forced(spec, **{name: value + (0,)}), False),
+                    (forced(spec, **{name: value[:-1]}), False)]
+            positions = range(len(value))
+        else:
+            positions = [None]
+        for i in positions:
+            v = value if i is None else value[i]
+            for bad in (True, np.int64(v), np.uint8(v), float(v), -1, q, 2 ** 70):
+                new = bad if i is None else value[:i] + (bad,) + value[i + 1:]
+                out.append((forced(spec, **{name: new}), type(bad) in (np.int64, np.uint8)))
+    return out
+
+
+def witness_mutations(field, witness):
+    """(mutated witness, whether it still certifies): every spec mutation
+    at the first and last key, an entry of another type or a tuple there,
+    two entries swapped, and an entry moved to the key q."""
+    entries, q = witness.entries, field.q
+    keys = sorted(entries)
+    other = CircleSpec(1, 1) if not isinstance(entries[keys[0]], CircleSpec) else \
+        SphereSpec((1, 1), 1)
+    out = []
+    for key in (keys[0], keys[-1]):
+        for spec, valid in spec_mutations(entries[key], q) + [(other, False), ((key, 1), False)]:
+            out.append(({**entries, key: spec}, valid))
+    swapped = dict(entries)
+    swapped[keys[0]], swapped[keys[1]] = entries[keys[1]], entries[keys[0]]
+    moved = dict(entries)
+    moved[q] = moved.pop(keys[-1])
+    out += [(swapped, False), (moved, False)]
+    return [(KakeyaWitness(witness.kind, changed), valid) for changed, valid in out]
+
+
+def five_kind_cases():
+    """(field, set, genuine witness) for each of the five kinds; the
+    spherical kinds on their level-built sets and on mask copies."""
+    field = make_field(7)
+    cases = []
+    for res in (radius_spherical(field, 3), center_spherical(field, 3)):
+        cases += [(field, res.points, res.witness),
+                  (field, PointSet(field, 3, res.points.mask), res.witness)]
+    res = hypersphere_union(make_field(5), 3)
+    cases.append((res.field, res.points, res.witness))
+    for variant in ("radius", "center"):
+        res = circular_prime(13, variant)
+        cases.append((res.field, res.points, res.witness))
+    return cases
+
+
+def test_mutated_witnesses_get_the_per_entry_verdicts():
+    # bool ranks are rejected and numpy integer ranks accepted; floats,
+    # ranks -1, q and 2^70, points of the wrong length, a zero radius, a
+    # wrong key and an entry of the wrong type are rejected, by both checks
+    kinds = set()
+    for field, points, witness in five_kind_cases():
+        kinds.add(witness.kind)
+        assert witness_valid(field, points, witness) is True
+        assert per_entry_witness_valid(field, points, witness)
+        for mutant, valid in witness_mutations(field, witness):
+            assert bool(per_entry_witness_valid(field, points, mutant)) is valid
+            assert witness_valid(field, points, mutant) is valid, mutant.entries
+    assert len(kinds) == 5
+    # cone entries at the largest rank of each norm, in np.uint8 coordinates:
+    # the last one's rank term 6 * 7^2 passes 255 and must not wrap
+    res = hypersphere_union(make_field(7), 3)
+    norms = origin_norm_profile(res.field, 3)
+    entries = {}
+    for r in res.field.units():
+        a = tuple(map(np.uint8, point_unrank(
+            res.field, 3, int(np.flatnonzero(norms == res.field.neg(r))[-1]))))
+        entries[r] = HypersphereSpec(a, a, r)
+    assert all(h.center[2] == 6 for h in entries.values())
+    assert witness_valid(res.field, res.points, KakeyaWitness("hypersphere", entries)) is True
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (7, 3), (9, 4), (31, 4), (5, 7)])
+def test_point_ranks_equal_point_rank(q, n):
+    field = field_of(q)
+    rng = np.random.default_rng(q * 17 + n)
+    points = [tuple(int(c) for c in rng.integers(0, q, size=n)) for _ in range(20)]
+    points.append(tuple(map(np.uint8, points[0])))  # numpy scalars rank as ints
+    got = _point_ranks(field, n, [c for point in points for c in point])
+    assert got == [point_rank(field, tuple(map(int, point))) for point in points]
+
+
+MASK_GATHER_SWEEP = WITNESS_SWEEP + [(31, 4), (101, 3)]
+
+
+@pytest.mark.parametrize("q,n", MASK_GATHER_SWEEP)
+def test_batched_sphere_gather_equals_the_per_sphere_gather(q, n):
+    # mask copies of both constructions, whole and with one point removed:
+    # a point of a witness sphere (the last one, in the last block of the
+    # gather past q^n = 31^4) or a random point of the set
+    field = field_of(q)
+    rng = np.random.default_rng(q * 11 + n)
+    for res in (radius_spherical(field, n), center_spherical(field, n)):
+        masked = PointSet(field, n, res.points.mask)
+        assert witness_valid(field, masked, res.witness)
+        assert gathered_witness_valid(field, masked, res.witness)
+        spheres = list(res.witness.entries.values())
+        some = spheres[int(rng.integers(len(spheres)))]
+        for rank in (int(rng.choice(sphere_ranks(field, spheres[-1]))),
+                     int(rng.choice(sphere_ranks(field, some))),
+                     int(rng.choice(res.points.ranks()))):
+            mask = res.points.mask.copy()
+            mask[rank] = False
+            holed = PointSet(field, n, mask)
+            want = gathered_witness_valid(field, holed, res.witness)
+            assert witness_valid(field, holed, res.witness) == want
+            assert per_entry_witness_valid(field, holed, res.witness) == want
 
 
 # ---- witnesses with ranks outside [0, q) never verify ----

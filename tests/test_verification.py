@@ -81,6 +81,15 @@ def ref_verify_center(field, points):
     return seen_first == set(field.elements())
 
 
+def five_term_bound(q, n):
+    """The spherical lower bound as a sum of Fractions, term by term."""
+    if n < 4:
+        return Fraction(q ** n - q ** (n - 2), 4)
+    e = (n - 1) // 2
+    return (Fraction(q ** n, 2) + Fraction(q ** (n - 1), 2) - q ** (n - 2)
+            - Fraction(q ** (e + 2), 2) + Fraction(q ** (e + 1), 2))
+
+
 class TestLowerBound:
     @pytest.mark.parametrize("q,n,value", [
         (3, 2, 2), (5, 2, 6), (3, 3, 6), (7, 2, 12), (7, 3, 84),
@@ -96,6 +105,11 @@ class TestLowerBound:
         assert spherical_kakeya_lower_bound(5, 3).branch == "n in {2,3}"
         assert spherical_kakeya_lower_bound(5, 4).branch == "n>=4"
         assert spherical_kakeya_lower_bound(5, 7).branch == "n>=4"
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 31])
+    def test_one_fraction_equals_the_five_term_sum(self, q):
+        for n in range(2, 41):
+            assert spherical_kakeya_lower_bound(q, n).value == five_term_bound(q, n), n
 
     def test_formula_shape_for_high_dimension(self):
         for q in (3, 5, 9):
@@ -128,7 +142,10 @@ class TestLowerBound:
         with pytest.raises(BadDimensionError):
             spherical_kakeya_lower_bound(5, 1)
 
-    @pytest.mark.parametrize("q,last", [(3, 9012), (5, 6152), (4093, 1190)])
+    @pytest.mark.parametrize("q,last", [
+        (3, 9012), (5, 6152), (7, 5088), (9, 4506), (11, 4129), (13, 3860),
+        (25, 3076), (27, 3004), (31, 2883), (4093, 1190),
+    ])
     def test_digit_cap_is_on_the_value(self, q, last):
         # at (5, 6152) q^n already has 4301 digits and the value 4300
         def numerator(n):
@@ -137,6 +154,7 @@ class TestLowerBound:
 
         assert numerator(last) < 10 ** 4300 <= numerator(last + 1)
         assert spherical_kakeya_lower_bound(q, last).value == numerator(last)
+        assert numerator(last) == five_term_bound(q, last)
         with pytest.raises(SizeCapError, match="exceeds 4300 digits"):
             spherical_kakeya_lower_bound(q, last + 1)
 
