@@ -19,7 +19,9 @@ holds: wins in at least nine tenths of the pairs, and medians further apart
 than the parent's quartiles.  Each run also keeps each case's cold and
 warm median, read from its bench_out/result-<workload>-<seed>-0.json, and
 for each side the file holds each case's median and quartiles over the
-runs, so a change can be traced to the cases that moved.  For each
+runs, so a change can be traced to the cases that moved; its moved list
+names each case whose change-side warm median lies outside the parent-side
+warm quartiles, with both medians.  For each
 per-layer metric it holds every traced value of each side, with their
 median and quartiles, so a per-layer change can be told from the spread
 of unchanged code.
@@ -107,6 +109,19 @@ def summarise_cases(runs: dict) -> dict:
             for side, side_runs in runs.items()}
 
 
+def moved_cases(cases: dict) -> list:
+    """The cases whose change-side warm median lies outside the parent-side
+    warm quartiles, with both medians, from summarise_cases."""
+    moved = []
+    for name, parent in sorted(cases["parent"].items()):
+        if name not in cases["change"]:
+            continue
+        warm, change = parent["warm_s"], cases["change"][name]["warm_s"]["median"]
+        if not warm["q1"] <= change <= warm["q3"]:
+            moved.append({"case": name, "parent_warm_s": warm["median"], "change_warm_s": change})
+    return moved
+
+
 def summarise(spec: dict, runs: dict) -> dict:
     out = {}
     for metric in spec["end_to_end"]:
@@ -146,9 +161,10 @@ def main() -> int:
             raise SystemExit(f"{workload}: {count} pairs need {count} seeds")
         runs = pair_runs(roots, workload, seeds[:count], spec["run_seconds"], 0)
         traced = pair_runs(roots, workload, seeds[:TRACED_PAIRS], spec["run_seconds"], 1)
+        cases = summarise_cases(runs)
         report["workloads"][workload] = {
             "seeds": seeds[:count], "runs": runs, "summary": summarise(spec, runs),
-            "cases": summarise_cases(runs),
+            "cases": cases, "moved": moved_cases(cases),
             "trace": {"seeds": seeds[:TRACED_PAIRS], **summarise_trace(traced)},
         }
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

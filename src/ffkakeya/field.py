@@ -30,9 +30,13 @@ are visible; mul_arrays is a gather from them too.  add_arrays and
 sub_arrays add rank arrays for any q, and every other module adds through
 them: a chunk of c base-p digits of both operands indexes one cached
 p^c x p^c table of digitwise sums (at most CHUNK_ENTRIES entries), and an
-outer sum gathers whole rows of it.  The three, and the dense q x q
-tables add_table, sub_table and mul_table, refuse an array of more than
-ARRAY_CAP elements before allocating it.
+outer sum gathers whole rows of it.  Those chunk tables and the dense
+q x q add_table and sub_table come from one builder, _digit_table, which
+works by whole rows: the p x p digit table is copied from windows of a
+cycle of the digits, and each further digit adds one repeated row to a
+block of rows.  mul_table gathers windows of exp into the one table by
+row blocks.  The three array ops and the three dense tables refuse an
+array of more than ARRAY_CAP elements before allocating it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import NonOddPrimeError, SizeCapError
 from .exact import ceil_sqrt, is_prime, prime_power_decompose  # noqa: F401 (re-exported)
@@ -393,16 +397,32 @@ class Fq:
         return exp, log
 
     def _digit_table(self, sign: int, digits: int) -> np.ndarray:
-        """The p^digits square table of a + sign * b, one digit at a time:
-        with a = a_i p^i + a_lo, the table for digits 0..i is the broadcast
-        sum of the p x p digit table times p^i and the table for digits below i."""
+        """The p^digits square table of a + sign * b, int32, built by whole
+        rows.  Row a of the p x p digit table is the window at a of the
+        cycle 0, 1, ..., p-1, 0, ..., p-1 for sums, and the window at a + 1
+        reversed for differences.  With m = p^i, the rows with digit i zero
+        add the table for the digits below i to row 0 of the digit table
+        times m; the block of each other digit a_i adds to them the row
+        (digit[a_i] - digit[0]) * m, each entry repeated m times, several
+        blocks a call while their rows fit in about 2^14 entries."""
         p = self.p
-        x = np.arange(p, dtype=np.int32)
-        digit = (x[:, None] + sign * x[None, :]) % p
-        out = np.zeros((1, 1), dtype=np.int32)
-        for i in range(digits):
-            m = p ** i
-            out = ((digit * m)[:, None, :, None] + out[None, :, None, :]).reshape(p * m, p * m)
+        cycle = np.arange(2 * p, dtype=np.int32) % p
+        # the p + 1 windows of length p, the last ending at 2p - 1; the checks
+        # of sliding_window_view cost more than a small chunk table
+        windows = as_strided(cycle, (p + 1, p), cycle.strides * 2)
+        digit = (windows[:p] if sign == 1 else windows[1:, ::-1]).copy()
+        out = digit
+        for i in range(1, digits):
+            m, low = p ** i, out
+            out = np.empty((p * m, p * m), dtype=np.int32)
+            first = out[:m]
+            np.add(low[:, None, :], (digit[0] * m)[None, :, None], out=first.reshape(m, p, m))
+            shift = (digit - digit[0]) * m
+            step = max(1, (1 << 14) // (p * m))
+            for lo in range(1, p, step):
+                hi = min(lo + step, p)
+                np.add(first, np.repeat(shift[lo:hi, None, :], m, axis=2),
+                       out=out[lo * m:hi * m].reshape(hi - lo, m, p * m))
         return out
 
     @cached_property
@@ -424,12 +444,14 @@ class Fq:
         self.require_array((self.q, self.q))
         exp, log = self._logs
         # row a in log order is the window exp[log a : log a + q], gathered
-        # into the one table by blocks of about 2^16 entries
+        # into the one table by blocks of about 2^16 entries.  Every log is
+        # below q - 1, so mode="wrap" never wraps an index; unlike the
+        # default "raise" it writes into out without a buffer.
         windows = sliding_window_view(exp, self.q)
         out = np.empty((self.q, self.q), dtype=exp.dtype)
         rows = max(1, (1 << 16) // self.q)
         for lo in range(0, self.q, rows):
-            np.take(windows[log[lo:lo + rows]], log, axis=1, out=out[lo:lo + rows])
+            np.take(windows[log[lo:lo + rows]], log, axis=1, out=out[lo:lo + rows], mode="wrap")
         out[0, :] = 0
         out[:, 0] = 0
         return out

@@ -74,7 +74,7 @@ def point_rank(field: Fq, vec) -> int:
     for i, v in enumerate(vec):
         if not 0 <= v < field.q:
             raise ValueError(f"coordinate rank {v} outside [0, {field.q})")
-        rank += v * field.q ** i
+        rank += int(v) * field.q ** i  # a numpy scalar coordinate would wrap
     return rank
 
 

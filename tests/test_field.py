@@ -4,7 +4,9 @@ Reference values here are either computed by the independent scalar
 oracles below or asserted directly when trivial.  The dense-table builders
 that the exp/log tables replaced are kept below as the oracle for them,
 and so are the one-expression exp/log product table, the oracle of its
-row blocks, and the reduction-row product, the oracle of Fq._poly_mul.
+row blocks, the broadcast digit table, the oracle of the row-built
+Fq._digit_table, and the reduction-row product, the oracle of
+Fq._poly_mul.
 """
 
 import hashlib
@@ -137,6 +139,20 @@ def old_sub_table(field):
     d = _old_digits(field)
     diff = (d[:, None, :] - d[None, :, :]) % field.p
     return (diff @ _old_pvec(field)).astype(np.int32)
+
+
+def broadcast_digit_table(field, sign, digits):
+    """The p^digits square table of a + sign * b, one digit at a time:
+    with a = a_i p^i + a_lo, the table for digits 0..i is the 4-D broadcast
+    sum of the p x p digit table times p^i and the table for digits below i."""
+    p = field.p
+    x = np.arange(p, dtype=np.int32)
+    digit = (x[:, None] + sign * x[None, :]) % p
+    out = np.zeros((1, 1), dtype=np.int32)
+    for i in range(digits):
+        m = p ** i
+        out = ((digit * m)[:, None, :, None] + out[None, :, None, :]).reshape(p * m, p * m)
+    return out
 
 
 def reduction_rows(field):
@@ -515,6 +531,41 @@ class TestTables:
         f._logs
         peak = traced_peak(lambda: f.mul_table)
         assert peak < f.mul_table.nbytes + 2 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("q", _odd_prime_powers_up_to(729) + [1009, 47 ** 2, 257, 3 ** 7])
+    def test_row_built_digit_table_equals_the_broadcast(self, q):
+        f = Fq(*prime_power_decompose(q))
+        for sign in (1, -1):
+            got, want = f._digit_table(sign, f.k), broadcast_digit_table(f, sign, f.k)
+            assert got.dtype == want.dtype and np.array_equal(got, want), sign
+
+    # every width _chunks picks: 1..5 digits for p = 3, 1..3 for 5, 1..2 for
+    # 7..13, 1 for 17..251, alone or as one of several chunks
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (5, 1),
+                                     (5, 2), (5, 3), (5, 4), (7, 1), (7, 3), (11, 2),
+                                     (13, 2), (17, 2), (251, 2)])
+    def test_chunk_tables_equal_the_broadcast(self, p, k):
+        f = Fq(p, k)
+        m, tables = f._chunks
+        c = next(c for c in range(1, k + 1) if p ** c == m)
+        for sign in (1, -1):
+            got, want = f._digit_table(sign, c), broadcast_digit_table(f, sign, c)
+            assert got.dtype == want.dtype and np.array_equal(got, want), sign
+            assert tables[sign].dtype == np.int64 and np.array_equal(tables[sign], want), sign
+
+    @pytest.mark.parametrize("p,k", [(1009, 1), (47, 2)])
+    def test_sub_table_is_add_table_at_the_negatives(self, p, k):
+        f = Fq(p, k)
+        assert np.array_equal(f.sub_table, f.add_table[:, f.neg_arr])
+
+    @pytest.mark.parametrize("p,k", [(1009, 1), (47, 2)])
+    @pytest.mark.parametrize("name", ["add_table", "sub_table"])
+    def test_digit_table_peak_is_one_table(self, p, k, name):
+        # the broadcast build took an int32 % over all p^2 entries and two
+        # more full passes, 7.8 MB above the table at 1009
+        f = Fq(p, k)
+        peak = traced_peak(lambda: getattr(f, name))
+        assert peak < getattr(f, name).nbytes + 2 ** 20, peak
 
     def test_array_cap_is_checked_before_allocating(self):
         f = Fq(3, 2)

@@ -37,6 +37,7 @@ from ffkakeya import (
     point_rank,
     point_unrank,
     prime_power_decompose,
+    radius_spherical,
     sphere_intersection_size,
 )
 from ffkakeya.geometry import POINT_CAP, space_size
@@ -109,6 +110,23 @@ class TestRanks:
         assert point_rank(f, (2, 0, 0)) == 2
         assert point_rank(f, (0, 3, 0)) == 15
         assert point_unrank(f, 3, 17) == (2, 3, 0)
+
+    def test_numpy_scalar_coordinates_rank_in_python_ints(self):
+        # 5^4 = 625 does not fit a uint8: in the coordinate's own type it raised
+        assert point_rank(make_field(5), (np.uint8(4),) * 7) == 5 ** 7 - 1
+        assert point_rank(make_field(5), (np.int64(4),) * 7) == 5 ** 7 - 1
+
+    def test_membership_of_numpy_scalar_points_equals_python_ints(self):
+        f = make_field(5)
+        points = radius_spherical(f, 4).points
+        members = points.ranks()[-200:].tolist()
+        outside = np.flatnonzero(~points.mask)[-50:].tolist()
+        for r in members + outside:
+            point = point_unrank(f, 4, r)
+            want = r in members
+            assert (point in points) is want
+            for kind in (np.uint8, np.int64):
+                assert (tuple(map(kind, point)) in points) is want, (kind, point)
 
     def test_space_size_guards(self):
         f = make_field(3)
