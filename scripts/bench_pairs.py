@@ -25,12 +25,20 @@ warm quartiles, with both medians.  For each
 per-layer metric it holds every traced value of each side, with their
 median and quartiles, so a per-layer change can be told from the spread
 of unchanged code.
+
+Each run records its bytecode state under "bytecode": whether
+PYTHONDONTWRITEBYTECODE is set and whether its checkout held a bytecode
+cache of the package (src/ffkakeya/__pycache__/*.pyc) when it started.  A
+process without the cache spends several times as long importing the
+package, so each workload lists under bytecode_mismatch every pair, traced
+or not, whose two sides started in different states.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -47,7 +55,13 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def bytecode_state(root: Path) -> dict:
+    return {"dont_write": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "cached": any((root / "src" / "ffkakeya" / "__pycache__").glob("*.pyc"))}
+
+
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    bytecode = bytecode_state(root)
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -55,7 +69,7 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
         raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     out = {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
-           "failed": result["failed"],
+           "failed": result["failed"], "bytecode": bytecode,
            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
     if not trace:
         out["cases"] = case_medians(root / "bench_out" / f"result-{workload}-{seed}-0.json")
@@ -122,6 +136,13 @@ def moved_cases(cases: dict) -> list:
     return moved
 
 
+def bytecode_mismatch(runs: dict, traced: bool) -> list:
+    """The pairs whose two sides started in different bytecode states."""
+    return [{"seed": p["seed"], "traced": traced, "parent": p["bytecode"],
+             "change": c["bytecode"]}
+            for p, c in zip(runs["parent"], runs["change"]) if p["bytecode"] != c["bytecode"]]
+
+
 def summarise(spec: dict, runs: dict) -> dict:
     out = {}
     for metric in spec["end_to_end"]:
@@ -165,6 +186,7 @@ def main() -> int:
         report["workloads"][workload] = {
             "seeds": seeds[:count], "runs": runs, "summary": summarise(spec, runs),
             "cases": cases, "moved": moved_cases(cases),
+            "bytecode_mismatch": bytecode_mismatch(runs, False) + bytecode_mismatch(traced, True),
             "trace": {"seeds": seeds[:TRACED_PAIRS], **summarise_trace(traced)},
         }
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate, repeat
 from math import isqrt
 
 import numpy as np
@@ -120,7 +122,7 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     space_size(field, n)
     field.require_array((q, q))  # M, and the level table of the set
     tail = (0,) * (n - 1)
-    entries = {r: SphereSpec((r,) + tail, r) for r in field.units()}
+    entries = {r: SphereSpec._make(((r,) + tail, r)) for r in field.units()}
     sizes = level_sizes(field, n - 1)
     x0 = np.arange(q)
     two = field.add_arrays(x0, x0)
@@ -179,9 +181,8 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
     points = PointSet.from_levels(field, n, np.broadcast_to(square_gap[:, None], (q, q)))
     size = points.size
     tail = (0,) * (n - 1)
-    witness = KakeyaWitness(
-        "center-coordinate",
-        {a: SphereSpec((a,) + tail, r) for a in field.elements()})
+    witness = KakeyaWitness("center-coordinate",
+                            {a: SphereSpec._make(((a,) + tail, r)) for a in field.elements()})
     if n >= 5:
         main_terms = (Fraction(q ** n, 2), Fraction(q ** (n - 1), 2))
     else:
@@ -241,11 +242,9 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
     size = points.size
     null_size = size + 1
     order, offsets = level_order(field, n - 1)
-    entries = {}
-    for r in field.units():
-        vec = point_unrank(field, n, int(order[offsets[field.neg(r)]]))
-        entries[r] = HypersphereSpec(vec, vec, r)
-    witness = KakeyaWitness("hypersphere", entries)
+    vecs = map(partial(point_unrank, field, n), order[offsets[field.neg_arr[1:]]].tolist())
+    witness = KakeyaWitness("hypersphere", {r: HypersphereSpec._make((v, v, r))
+                                            for r, v in zip(field.units(), vecs)})
     bound = q ** (n - 1) + q ** (n // 2) - q ** ((n - 1) // 2)
     return ConstructionResult(
         field=field, n=n, name="hypersphere-union", variant=None,
@@ -285,8 +284,8 @@ def _circular_witness(field: Fq, ks: list[int], variant: str) -> KakeyaWitness:
     x1 = k[first[pos] // k.size]
     # the center x1 - r, or the radius x1 - a; Python ints, not numpy scalars
     shifted, params = field.sub_arrays(x1, params).tolist(), params.tolist()
-    circles = map(CircleSpec, *((shifted, params) if variant == VARIANT_RADIUS
-                                else (params, shifted)))
+    circles = map(CircleSpec._make, zip(*((shifted, params) if variant == VARIANT_RADIUS
+                                          else (params, shifted))))
     return KakeyaWitness(kind, dict(zip(params, circles)))
 
 
@@ -333,17 +332,16 @@ def circular_prime(p: int, variant: str = VARIANT_RADIUS) -> ConstructionResult:
 
 def circular_square(field: Fq, variant: str = VARIANT_RADIUS) -> ConstructionResult:
     """Cover of F_q, q = r^2, of size exactly 2r - 1: the subfield F_r
-    joined with t * F_r for the canonical generator t."""
+    joined with t * F_r for the canonical generator t.  F_r is 0 and the
+    powers of h = g^((q-1)/(r-1)), g primitive, whose order is r - 1; t is
+    not in F_r, so the two blocks meet only in 0."""
     if field.k % 2:
         raise NotASquareFieldError(f"q = {field.q} is not a perfect square")
     r = field.p ** (field.k // 2)
-    sub_ranks = [x for x in field.elements() if field.pow(x, r) == x]
-    if len(sub_ranks) != r:
-        raise RuntimeError("subfield enumeration failed")
+    h = field.pow(field.primitive, (field.q - 1) // (r - 1))
+    sub_ranks = [0, *accumulate(repeat(h, r - 2), field.mul, initial=1)]
     alpha = field.p  # rank of t
     ks = set(sub_ranks) | {field.mul(alpha, x) for x in sub_ranks}
-    if len(ks) != 2 * r - 1:
-        raise RuntimeError("subfield blocks overlap beyond zero")
     return _circular_result(
         field, "circular-square", variant, ks, 2 * r - 1,
         {"subfieldOrder": r, "generatorRank": alpha})

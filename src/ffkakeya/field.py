@@ -19,14 +19,15 @@ element by element.
 Multiplication is read from one pair of length-q arrays per field, built
 lazily while they fit in LOG_CAP_BYTES (12 bytes per element, so q up to
 about 5.6 million): exp[i] = g^i for the primitive element g of least
-rank, and its inverse log.  inv_arr, sq_arr, char_arr (4q bytes each)
-and mul_table are gathers from them, and so are the scalar mul, inv, pow
-and char of extension fields up to the byte cap; beyond it the scalar ops
-multiply the digit polynomials modulo the modulus.  One polynomial
-product, _poly_mulmod, and its power _poly_powmod serve those ops, the
-build of the logs and Ben-Or's irreducibility test alike.  Which g is used
-changes no output: only the tables and values derived from exp and log
-are visible; mul_arrays is a gather from them too.  add_arrays and
+rank (Fq.primitive), and its inverse log, built by doubling with the
+digit matrix of g^m, squared each step.  inv_arr, sq_arr, char_arr (4q
+bytes each) and mul_table are gathers from them, and so are the scalar
+mul, inv, pow and char of extension fields up to the byte cap; beyond it
+the scalar ops multiply the digit polynomials modulo the modulus.  One
+polynomial product, _poly_mulmod, and its power _poly_powmod serve those
+ops, the search for g and Ben-Or's irreducibility test alike.  Which g is
+used changes no output: only the tables and values derived from exp and
+log are visible; mul_arrays is a gather from them too.  add_arrays and
 sub_arrays add rank arrays for any q, and every other module adds through
 them: a chunk of c base-p digits of both operands indexes one cached
 p^c x p^c table of digitwise sums (at most CHUNK_ENTRIES entries), and an
@@ -155,12 +156,8 @@ class Fq:
     """The finite field with q = p^k elements, p an odd prime.
 
     All operations take and return element ranks (plain ints).  The
-    exp/log arrays and the length-q arrays gathered from them are built
-    lazily while 12q bytes fit LOG_CAP_BYTES; the rank-array operations
-    and the dense q x q tables form at most ARRAY_CAP elements, so the
-    tables need q <= 8192.  Up to the byte cap the scalar mul, inv, pow
-    and char read the logs, and beyond it they fall back to polynomial
-    arithmetic, so the scalar methods work for any supported q.
+    dense q x q tables need q <= 8192 (ARRAY_CAP); the scalar methods
+    work for any supported q, past LOG_CAP_BYTES by polynomial products.
     Instances are immutable; use make_field() for a cached instance.
     """
 
@@ -363,35 +360,40 @@ class Fq:
         return 12 * self.q <= LOG_CAP_BYTES
 
     @cached_property
+    def primitive(self) -> int:
+        """The least rank x with x^(order/l) != 1 for each prime l | order,
+        a generator of the unit group: from rank p when k > 1, since each
+        element of F_p has order dividing p - 1 < q - 1."""
+        order = self.q - 1
+        factors = _prime_factors(order)
+        return next(x for x in range(self.p if self.k > 1 else 1, self.q)
+                    if all(self._poly_pow(x, order // ell) != 1 for ell in factors))
+
+    @cached_property
     def _logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exp, log) with exp[i] = g^i for 0 <= i < 2(q-1), g the primitive
-        element of least rank, and log[exp[i]] = i for i < q-1.  exp is
-        twice the group order long, so exp[log[a] + log[b]] needs no mod.
-        log[0] is 0: every caller handles the zero element itself."""
+        """(exp, log) with exp[i] = g^i for 0 <= i < 2(q-1), g = primitive,
+        and log[exp[i]] = i for i < q-1.  exp is twice the group order
+        long, so exp[log[a] + log[b]] needs no mod.  log[0] is 0: every
+        caller handles the zero element itself.  exp doubles, exp[m:2m] =
+        exp[:m] * g^m, by the k x k matrix of multiplication by g^m on digit
+        vectors (row i the digits of g^m t^i), squared for g^(2m), so only
+        the matrix of g takes polynomial products."""
         if not self._logs_fit:
             raise SizeCapError(f"q = {self.q} exceeds the exp/log cap of "
                                f"{LOG_CAP_BYTES >> 20} MB")
-        p, k = self.p, self.k
-        order = self.q - 1
-        # x generates the unit group iff x^(order/l) != 1 for each prime l | order
-        factors = _prime_factors(order)
-        g = next(x for x in range(1, self.q)
-                 if all(self._poly_pow(x, order // ell) != 1 for ell in factors))
+        p, k, order = self.p, self.k, self.q - 1
         exp = np.empty(2 * order, dtype=np.int32)
-        exp[0] = 1
-        # doubling, exp[m:2m] = exp[:m] * g^m: multiplication by g^m is
-        # F_p-linear on digit vectors, row i of its matrix the digits of g^m t^i
+        exp[0] = m = 1
         pvec = p ** np.arange(k)
-        m, gm = 1, g
+        rows = np.array([self.element_to_coeffs(self._poly_mul(self.primitive, p ** i))
+                         for i in range(k)], dtype=np.int64)
         while m < exp.size:
-            rows = np.array([self.element_to_coeffs(self._poly_mul(gm, p ** i))
-                             for i in range(k)], dtype=np.int64)
             # in chunks, so the digit matrices stay small whatever q is
             for lo in range(0, min(m, exp.size - m), 1 << 16):
                 block = exp[lo:min(m, exp.size - m, lo + (1 << 16))]
                 digits = block[:, None] // pvec % p
                 exp[m + lo:m + lo + block.size] = digits @ rows % p @ pvec
-            m, gm = 2 * m, self._poly_mul(gm, gm)
+            m, rows = 2 * m, rows @ rows % p
         log = np.zeros(self.q, dtype=np.int32)
         log[exp[:order]] = np.arange(order, dtype=np.int32)
         return exp, log
@@ -437,7 +439,10 @@ class Fq:
 
     @cached_property
     def neg_arr(self) -> np.ndarray:
-        return self.sub_arrays(0, np.arange(self.q)).astype(np.int32)
+        """-a for every rank a, int32, one base-p digit negated a pass."""
+        self.require_array((self.q,))
+        ranks, p = np.arange(self.q, dtype=np.int32), self.p
+        return sum(-(ranks // p ** i) % p * p ** i for i in range(self.k))
 
     @cached_property
     def mul_table(self) -> np.ndarray:

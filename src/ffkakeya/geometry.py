@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,53 +88,51 @@ def point_unrank(field: Fq, n: int, rank: int) -> tuple[int, ...]:
 
 # ---- geometric object descriptors ----
 
-@dataclass(frozen=True)
-class SphereSpec:
+# Witness entries are named tuples: _make and _replace skip the checks of the constructors
+
+class SphereSpec(NamedTuple("SphereSpec", [("center", tuple), ("radius", int)])):
     """||x - center|| = radius, with radius in F_q^* and dimension >= 2."""
 
-    center: tuple[int, ...]
-    radius: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(self.center))
-        if len(self.center) < 2:
+    def __new__(cls, center, radius):
+        center = tuple(center)
+        if len(center) < 2:
             raise BadDimensionError("spheres need dimension >= 2")
-        if self.radius == 0:
+        if radius == 0:
             raise ZeroRadiusError("sphere radius must be nonzero")
+        return super().__new__(cls, center, radius)
 
 
-@dataclass(frozen=True)
-class HypersphereSpec:
+class HypersphereSpec(NamedTuple("HypersphereSpec", [("center", tuple), ("direction", tuple),
+                                                     ("radius", int)])):
     """||x - center|| = radius and direction . (x - center) = 0."""
 
-    center: tuple[int, ...]
-    direction: tuple[int, ...]
-    radius: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(self.center))
-        object.__setattr__(self, "direction", tuple(self.direction))
-        if len(self.center) < 2:
+    def __new__(cls, center, direction, radius):
+        center, direction = tuple(center), tuple(direction)
+        if len(center) < 2:
             raise BadDimensionError("hyper-spheres need dimension >= 2")
-        if len(self.direction) != len(self.center):
+        if len(direction) != len(center):
             raise ValueError("center and direction length mismatch")
-        if not any(self.direction):
+        if not any(direction):
             raise ZeroDirectionError("direction must be nonzero")
-        if self.radius == 0:
+        if radius == 0:
             raise ZeroRadiusError("hyper-sphere radius must be nonzero")
+        return super().__new__(cls, center, direction, radius)
 
 
-@dataclass(frozen=True)
-class CircleSpec:
+class CircleSpec(NamedTuple("CircleSpec", [("center", int), ("radius", int)])):
     """One-dimensional circle (x - center)^2 = radius^2, the point pair
     {center + radius, center - radius}."""
 
-    center: int
-    radius: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.radius == 0:
+    def __new__(cls, center, radius):
+        if radius == 0:
             raise ZeroRadiusError("circle radius must be nonzero")
+        return super().__new__(cls, center, radius)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ names, so a process that only verifies a saved set loads no construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import add, and_, attrgetter, eq, itemgetter, mul, not_
 
@@ -249,29 +249,27 @@ class KakeyaWitness:
     entries: dict
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind,
-                "entries": {str(k): _spec_to_dict(v) for k, v in sorted(self.entries.items())}}
-
-
-def _spec_to_dict(spec) -> dict:
-    """The fields of a witness entry by name, each point as a list of ranks."""
-    values = ((f.name, getattr(spec, f.name)) for f in fields(spec))
-    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
+        """The fields of each entry by name, each point as a list of ranks."""
+        return {"kind": self.kind, "entries": {
+            str(k): {name: list(v) if isinstance(v, tuple) else v
+                     for name, v in spec._asdict().items()}
+            for k, spec in sorted(self.entries.items())}}
 
 
 def _spec_from_dict(data, where: str, spec_type: type, field: Fq | None,
                     n: int | None):
     """The entry of spec_type stored in data, which must hold the type's
     fields and no other key: a list of n ranks for each field the type
-    holds as a tuple (a point), one rank for each other field."""
-    names = [f.name for f in fields(spec_type)]
-    extra = [key for key in data if key not in names] if isinstance(data, dict) else []
+    holds as a tuple (a point), one rank for each other field, as the
+    annotations of its named-tuple base give them."""
+    types = spec_type.__base__.__annotations__
+    extra = [key for key in data if key not in types] if isinstance(data, dict) else []
     if extra:
         raise UsageError(f"{where} has {extra[0]!r}, which a {spec_type.__name__} has not")
     return spec_type(**{
-        f.name: (json_point(data, f.name, where, field, n) if "tuple" in str(f.type)
-                 else json_int(data, f.name, where, field))
-        for f in fields(spec_type)})
+        name: (json_point(data, name, where, field, n) if types[name] is tuple
+               else json_int(data, name, where, field))
+        for name in spec_type._fields})
 
 
 def witness_from_json_dict(data, field: Fq | None = None,

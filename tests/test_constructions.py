@@ -45,7 +45,7 @@ from ffkakeya import (
     witness_from_json_dict,
     witness_valid,
 )
-from ffkakeya.field import ceil_sqrt
+from ffkakeya.field import ceil_sqrt, is_prime
 from ffkakeya.geometry import level_order, origin_norm_profile, space_size
 
 PRIMES_47 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -292,6 +292,29 @@ class TestCircularSquare:
             assert res.points.ranks().tolist() == want
             assert res.size == 161 and covers(f, want) and res.witness_valid
 
+    @pytest.mark.parametrize("q", sorted(p ** k for p in range(3, 82, 2) if is_prime(p)
+                                         for k in range(2, 9, 2) if p ** k <= 3 ** 8))
+    def test_subfield_equals_the_fixed_points_of_frobenius(self, q):
+        # F_r, r^2 = q, read from the powers of g^((q-1)/(r-1)), against the
+        # enumeration {x : x^r = x} it replaced
+        f = make_field(*prime_power_decompose(q))
+        r = ceil_sqrt(q)
+        sub = [x for x in f.elements() if f.pow(x, r) == x]
+        want = sorted(set(sub) | {f.mul(f.p, x) for x in sub})
+        assert circular_square(f).points.ranks().tolist() == want
+
+    def test_scalar_powers_per_call_do_not_grow_with_q(self, monkeypatch):
+        counts, power = [], Fq.pow
+
+        def counted(self, a, e):
+            counts[-1] += 1
+            return power(self, a, e)
+        monkeypatch.setattr(Fq, "pow", counted)
+        for p, k in ((3, 2), (3, 6), (3, 8), (5, 4)):
+            counts.append(0)
+            circular_square(make_field(p, k))
+        assert counts == [1] * 4, counts
+
     def test_frozen_f9_set(self):
         # subfield F_3 = {0, 1, 2} plus its multiples by the generator
         res = circular_square(make_field(3, 2))
@@ -395,6 +418,12 @@ class TestResultSerialization:
             f = res.field
             assert witness_valid(f, res.points, w)
 
+
+    def test_constructions_build_entries_of_their_types(self):
+        for res, spec_type in ((center_spherical(make_field(5), 3), SphereSpec),
+                               (hypersphere_union(make_field(5), 3), HypersphereSpec),
+                               (circular_prime(13, "radius"), CircleSpec)):
+            assert {type(v) for v in res.witness.entries.values()} == {spec_type}
 
     def test_witness_points_are_json_lists(self):
         for res in (radius_spherical(make_field(3), 2), hypersphere_union(make_field(3), 3),

@@ -5,8 +5,9 @@ oracles below or asserted directly when trivial.  The dense-table builders
 that the exp/log tables replaced are kept below as the oracle for them,
 and so are the one-expression exp/log product table, the oracle of its
 row blocks, the broadcast digit table, the oracle of the row-built
-Fq._digit_table, and the reduction-row product, the oracle of
-Fq._poly_mul.
+Fq._digit_table, the reduction-row product, the oracle of
+Fq._poly_mul, and the exp/log builder that searched for g from rank 1 and
+made polynomial products at every doubling step, the oracle of Fq._logs.
 """
 
 import hashlib
@@ -234,6 +235,32 @@ def old_char_arr(field, mul, neg):
     minus_one = int(neg[1])
     out = np.where(result == 1, 1, np.where(result == minus_one, -1, 0))
     return out.astype(np.int8)
+
+
+def old_logs(field):
+    """The replaced exp/log builder: the primitive element searched from
+    rank 1, and each doubling step's matrix rows made by k polynomial
+    products, with one more product for the next power of g."""
+    p, k, q = field.p, field.k, field.q
+    order = q - 1
+    factors = field_module._prime_factors(order)
+    g = next(x for x in range(1, q)
+             if all(field._poly_pow(x, order // ell) != 1 for ell in factors))
+    exp = np.empty(2 * order, dtype=np.int32)
+    exp[0] = 1
+    pvec = p ** np.arange(k)
+    m, gm = 1, g
+    while m < exp.size:
+        rows = np.array([field.element_to_coeffs(field._poly_mul(gm, p ** i))
+                         for i in range(k)], dtype=np.int64)
+        for lo in range(0, min(m, exp.size - m), 1 << 16):
+            block = exp[lo:min(m, exp.size - m, lo + (1 << 16))]
+            digits = block[:, None] // pvec % p
+            exp[m + lo:m + lo + block.size] = digits @ rows % p @ pvec
+        m, gm = 2 * m, field._poly_mul(gm, gm)
+    log = np.zeros(q, dtype=np.int32)
+    log[exp[:order]] = np.arange(order, dtype=np.int32)
+    return exp, log
 
 
 def ref_has_root(coeffs, p):
@@ -643,6 +670,42 @@ class TestTables:
                 assert f.char(a) == (1 if f._poly_pow(a, (f.q - 1) // 2) == 1 else -1)
         assert "_logs" in vars(f)
         assert not {"add_table", "sub_table", "mul_table", "char_arr"} & set(vars(f))
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 4), (47, 2), (1009, 1), (3, 5), (5, 7)])
+    def test_logs_equal_the_replaced_builder(self, p, k):
+        # 5^7: exp has 156248 entries, past the 2^16-entry blocks
+        f = Fq(p, k)
+        for got, want in zip(f._logs, old_logs(f)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_primitive_is_the_least_rank_generator(self):
+        assert Fq(5, 4).primitive == 30 and Fq(47, 2).primitive == 49
+        assert Fq(3, 2).primitive == 4 and Fq(7).primitive == 3
+
+    @pytest.mark.parametrize("p,k,calls", [(3, 5, 23), (7, 3, 75), (5, 4, 450), (3, 6, 49),
+                                           (47, 2, 62)])
+    def test_logs_polynomial_products_are_pinned(self, monkeypatch, p, k, calls):
+        # the builder that searched from rank 1 and made k + 1 products per
+        # doubling step made 101, 214, 549, 146 and 697
+        f, count = Fq(p, k), [0]  # the modulus search multiplies polynomials too
+        mulmod = field_module._poly_mulmod
+
+        def counted(*args):
+            count[0] += 1
+            return mulmod(*args)
+        monkeypatch.setattr(field_module, "_poly_mulmod", counted)
+        f._logs
+        assert count[0] == calls
+
+    def test_neg_arr_needs_no_chunk_table(self, monkeypatch):
+        f = Fq(3, 5)
+        assert f.neg_arr.dtype == np.int32
+        assert "_chunks" not in vars(f)
+        assert np.array_equal(f.neg_arr, f.sub_arrays(0, np.arange(f.q)))
+        monkeypatch.setattr(field_module, "ARRAY_CAP", 3 ** 7 - 1)
+        with pytest.raises(SizeCapError, match="array cap"):
+            Fq(3, 7).neg_arr
 
     def test_scalar_ops_past_the_log_byte_cap_multiply_polynomials(self, monkeypatch):
         monkeypatch.setattr(field_module, "LOG_CAP_BYTES", 12 * 3 ** 8 - 1)

@@ -19,6 +19,7 @@ from conftest import (
 )
 from ffkakeya import (
     BadDimensionError,
+    CircleSpec,
     DiagonalEq,
     Fq,
     HypersphereSpec,
@@ -157,6 +158,20 @@ class TestSpecValidation:
     def test_hypersphere_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             HypersphereSpec(center=(0, 0, 0), radius=1, direction=(1, 0))
+
+    def test_entries_are_immutable_named_tuples(self):
+        sphere = SphereSpec([1, 0], 2)
+        assert sphere == ((1, 0), 2) and sphere.center == (1, 0)
+        assert HypersphereSpec([1, 0], [0, 1], 2) == ((1, 0), (0, 1), 2)
+        assert CircleSpec(3, 1) == (3, 1) and CircleSpec(3, 1)._asdict() == {
+            "center": 3, "radius": 1}
+        with pytest.raises(AttributeError):
+            sphere.radius = 3
+        with pytest.raises(AttributeError):
+            sphere.note = 1
+        # _make and _replace build without the checks of the constructor
+        assert SphereSpec._make(((1, 0), 0)).radius == 0
+        assert type(sphere._replace(center=(1,))) is SphereSpec
 
     def test_diagonal_eq_rejects_zero_coefficient(self):
         with pytest.raises(ZeroCoefficientError):

@@ -16,7 +16,6 @@ non-member) pair scan of the exhaustive verifiers and the witness check
 one entry and one coordinate at a time.
 """
 
-import copy
 import json
 from fractions import Fraction
 
@@ -1229,11 +1228,9 @@ def test_out_of_range_radius_is_rejected(radius):
 # ---- witness checks in array passes against the per-entry checker ----
 
 def forced(spec, **changes):
-    """A copy of spec with changes that its constructor may reject."""
-    out = copy.copy(spec)
-    for name, value in changes.items():
-        object.__setattr__(out, name, value)
-    return out
+    """A copy of spec with changes that its constructor may reject:
+    _replace builds the named tuple without the constructor's checks."""
+    return spec._replace(**changes)
 
 
 def spec_mutations(spec, q):
