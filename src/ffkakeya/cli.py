@@ -119,7 +119,7 @@ def _load_set_file(path):
     witness = None
     if "witness" in data:
         witness = witness_from_json_dict(data["witness"], points.field, points.n)
-    return points.field, points, witness
+    return points, witness
 
 
 def _cmd_verify(args) -> int:
@@ -131,7 +131,7 @@ def _cmd_verify(args) -> int:
         witness_valid,
     )
 
-    field, points, witness = _load_set_file(args.file)
+    points, witness = _load_set_file(args.file)
     prop = args.property
     if prop in ("radius", "center"):
         fn = verify_radius_kakeya if prop == "radius" else verify_center_kakeya
@@ -145,13 +145,13 @@ def _cmd_verify(args) -> int:
         if points.n != 1:
             raise UsageError(f"{prop} applies to one-dimensional sets")
         ranks = [int(x) for x in points.ranks()]
-        verdict = (diff_cover if prop == "diff-cover" else sum_cover)(field, ranks)
+        verdict = (diff_cover if prop == "diff-cover" else sum_cover)(points.field, ranks)
     else:  # stored witness, whatever its kind
         if witness is None:
             raise UsageError("witness mode needs a witness in the file")
-        verdict = witness_valid(field, points, witness)
+        verdict = witness_valid(points.field, points, witness)
     out = {
-        "q": field.q, "p": field.p, "k": field.k, "n": points.n,
+        "q": points.field.q, "p": points.field.p, "k": points.field.k, "n": points.n,
         "property": prop, "mode": args.mode,
         "size": points.size, "verdict": verdict,
     }
@@ -160,11 +160,11 @@ def _cmd_verify(args) -> int:
     elif prop == "witness":
         out["witnessValid"] = verdict
     if points.n >= 2:
-        report = spherical_kakeya_lower_bound(field.q, points.n)
+        report = spherical_kakeya_lower_bound(points.field.q, points.n)
         out["lowerBound"] = exact_str(report.value)
         out["meetsLowerBound"] = points.size >= report.value
     else:
-        dmin, smin = circular_lower_bounds(field.q)
+        dmin, smin = circular_lower_bounds(points.field.q)
         out["diffCoverMin"] = dmin
         out["sumCoverMin"] = smin
     _write(args.out, _dumps(out))

@@ -46,20 +46,18 @@ from .geometry import (  # noqa: F401 (CircleSpec re-exported)
     HypersphereSpec,
     PointSet,
     SphereSpec,
-    is_rank,
     level_order,
     level_sizes,
     origin_norm_profile,
     point_unrank,
     space_size,
+    valid_ranks,
 )
 from .verification import KakeyaWitness, witness_valid
 
 
 @dataclass
 class ConstructionResult:
-    field: Fq
-    n: int
     name: str
     variant: str | None
     points: PointSet
@@ -71,6 +69,14 @@ class ConstructionResult:
     bound_met: bool
     witness_valid: bool
     accounting: dict = dc_field(default_factory=dict)
+
+    @property
+    def field(self) -> Fq:
+        return self.points.field
+
+    @property
+    def n(self) -> int:
+        return self.points.n
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,8 +150,7 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     witness = KakeyaWitness("radius", entries)
     report = spherical_kakeya_lower_bound(q, n)
     return ConstructionResult(
-        field=field, n=n, name="radius-spherical", variant=None,
-        points=points, witness=witness, size=size,
+        name="radius-spherical", variant=None, points=points, witness=witness, size=size,
         main_terms=(Fraction(q ** n, 2), Fraction(q ** (n - 1), 2),
                     Fraction(-(q ** (n - 2)))),
         bound=report.value, bound_is_lower=True,
@@ -172,8 +177,9 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
     field.require_array((q, q))  # the level table of the set
     if r is None:
         r = field.smallest_nonsquare()
-    if not is_rank(field, r):
+    if not valid_ranks([r], q):
         raise UsageError(f"radius rank {r!r} outside [0, {q})")
+    r = int(r)  # Fq.char and the JSON accounting take Python ints
     if field.char(r) != -1:
         raise NotANonsquareError(f"rank {r} is not a nonsquare in F_{q}")
     # (x, y) is in the set iff r - ||y|| is a square: one flag per level
@@ -197,7 +203,7 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
         accounting["errorConstantTimesQtoNminus2"] = exact_str(
             Fraction(abs(gap)) / q ** (n - 2))
     return ConstructionResult(
-        field=field, n=n, name="center-spherical", variant=None,
+        name="center-spherical", variant=None,
         points=points, witness=witness, size=size, main_terms=main_terms,
         bound=report.value, bound_is_lower=True,
         bound_met=size >= report.value,
@@ -247,8 +253,7 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
                                             for r, v in zip(field.units(), vecs)})
     bound = q ** (n - 1) + q ** (n // 2) - q ** ((n - 1) // 2)
     return ConstructionResult(
-        field=field, n=n, name="hypersphere-union", variant=None,
-        points=points, witness=witness, size=size,
+        name="hypersphere-union", variant=None, points=points, witness=witness, size=size,
         main_terms=(Fraction(q ** (n - 1)),),
         bound=Fraction(bound), bound_is_lower=False,
         bound_met=size <= bound,
@@ -303,8 +308,7 @@ def _circular_result(field: Fq, name: str, variant: str, ks,
     accounting = dict(accounting)
     accounting["nominalSize"] = nominal
     return ConstructionResult(
-        field=field, n=1, name=name, variant=variant,
-        points=points, witness=witness, size=size,
+        name=name, variant=variant, points=points, witness=witness, size=size,
         main_terms=(Fraction(nominal),),
         bound=Fraction(lower), bound_is_lower=True,
         bound_met=met,

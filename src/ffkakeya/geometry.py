@@ -5,7 +5,8 @@ A point of F_q^n is a tuple of n element ranks.  The rank of a point is
     rank(x) = sum_i rank(x_i) * q**i
 
 (the first coordinate is the least significant digit), a bijection between
-[0, q^n) and F_q^n that every dense point set uses as its index.
+[0, q^n) and F_q^n that every dense point set uses as its index; point_ranks
+computes it, and valid_ranks and point_coordinates check ranks and points.
 
 The norm of a vector is the sum of its squared coordinates, with no square
 root anywhere.  A sphere of radius r in F_q^* around a center a is the
@@ -20,7 +21,8 @@ The norm form is translation-covariant and a sum over coordinates, so a
 sphere splits into fibres over its first coordinate (see sphere_ranks):
 one cached level order of the (n-1)-dim origin norm profile, 4 bytes per
 point of F_q^(n-1), gives every sphere in O(q + |sphere|) steps with no
-scan of F_q^n.  Hyper-spheres are translates of level sets of S_r(0).
+scan of F_q^n, a block of spheres a gather (_sphere_block).
+Hyper-spheres are translates of level sets of S_r(0).
 
 A sphere centred at (a_0, 0, ..., 0), the only kind both spherical
 constructions use, is a union of whole fibre levels {(x_0, t) : ||t|| = v},
@@ -43,6 +45,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -71,19 +75,47 @@ def space_size(field: Fq, n: int) -> int:
 
 
 def point_rank(field: Fq, vec) -> int:
-    rank = 0
-    for i, v in enumerate(vec):
-        if not 0 <= v < field.q:
-            raise ValueError(f"coordinate rank {v} outside [0, {field.q})")
-        rank += int(v) * field.q ** i  # a numpy scalar coordinate would wrap
-    return rank
+    vec = list(vec)
+    if not valid_ranks(vec, field.q):  # name the first coordinate that is no rank
+        v = next(v for v in vec if not valid_ranks([v], field.q))
+        raise ValueError(f"coordinate rank {v} outside [0, {field.q})")
+    return point_ranks(field, len(vec), vec)[0] if vec else 0
 
 
 def point_unrank(field: Fq, n: int, rank: int) -> tuple[int, ...]:
     q = field.q
-    if not 0 <= rank < q ** n:
+    if not valid_ranks([rank], q ** n):
         raise ValueError(f"point rank {rank} outside [0, {q}^{n})")
-    return tuple((rank // q ** i) % q for i in range(n))
+    return tuple((int(rank) // q ** i) % q for i in range(n))
+
+
+def valid_ranks(values: list, top: int, low: int = 0) -> bool:
+    """Whether every value is an integer (not a bool) in [low, top), an
+    element rank for top = q: one issubclass test per distinct type, then
+    one pass each of min and max.  A single value is a list of one."""
+    return (all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+                for t in set(map(type, values)))
+            and (not values or bool(low <= min(values) and max(values) < top)))
+
+
+def point_coordinates(field: Fq, n: int, vecs: list) -> list | None:
+    """The coordinates of vecs in one list if every vec is a point of
+    F_q^n, a tuple or list of n element ranks, else None."""
+    if not (all(issubclass(t, (tuple, list)) for t in set(map(type, vecs)))
+            and set(map(len, vecs)) <= {n}):
+        return None
+    flat = list(chain.from_iterable(vecs))
+    return flat if valid_ranks(flat, field.q) else None
+
+
+def point_ranks(field: Fq, n: int, flat: list) -> list:
+    """The rank of each point whose n coordinates follow one another in flat,
+    one map per coordinate index, in Python ints (numpy scalars could wrap)."""
+    flat = list(map(int, flat))
+    ranks = flat[0::n]
+    for i in range(1, n):
+        ranks = list(map(add, ranks, map(mul, flat[i::n], repeat(field.q ** i))))
+    return ranks
 
 
 # ---- geometric object descriptors ----
@@ -238,9 +270,10 @@ class PointSet:
         return np.flatnonzero(self.mask)
 
     def __contains__(self, point) -> bool:
-        if not is_point(self.field, self.n, point):
+        flat = point_coordinates(self.field, self.n, [point])
+        if flat is None:
             raise ValueError(f"{point!r} is not a point of F_{self.field.q}^{self.n}")
-        return bool(self.mask[point_rank(self.field, point)])
+        return bool(self.mask[point_ranks(self.field, self.n, flat)[0]])
 
     def _check_same_space(self, other: "PointSet") -> None:
         if self.field != other.field or self.n != other.n:
@@ -299,7 +332,7 @@ class PointSet:
 # ---- diagonal equation counting ----
 
 def _check_equation(field: Fq, eq: DiagonalEq) -> None:
-    if not all(is_rank(field, v) for v in eq.coeffs + (eq.rhs,)):
+    if not valid_ranks([*eq.coeffs, eq.rhs], field.q):
         raise ValueError(f"equation ranks must lie in [0, {field.q}): {eq}")
 
 
@@ -400,12 +433,6 @@ def origin_norm_profile(field: Fq, n: int) -> np.ndarray:
     return _read_only(values.ravel())
 
 
-def is_rank(field: Fq, v) -> bool:
-    """Whether v is an element rank of the field: an integer in [0, q)."""
-    return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-            and 0 <= v < field.q)
-
-
 def checked_ranks(ranks, top: int, what: str = "rank") -> np.ndarray:
     """ranks (an array or any iterable) in int64, each in [0, top); else
     ValueError for a non-integer dtype, or naming what is out of range."""
@@ -442,15 +469,9 @@ def _json_value(data, key, where: str):
 def _json_rank(value, what: str, field: Fq | None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise UsageError(f"{what} must be an integer, got {value!r}")
-    if field is not None and not is_rank(field, value):
+    if field is not None and not 0 <= value < field.q:
         raise UsageError(f"{what} rank {value} outside [0, {field.q})")
     return value
-
-
-def is_point(field: Fq, n: int, vec) -> bool:
-    """Whether vec is a point of F_q^n: n element ranks, each in [0, q)."""
-    return (isinstance(vec, (tuple, list)) and len(vec) == n
-            and all(is_rank(field, v) for v in vec))
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,9 +539,8 @@ def joint_norm_counts(field: Fq, m: int) -> np.ndarray:
 def _fibres(field: Fq, m: int, radius, heads, scale: int) -> np.ndarray:
     """heads[y] + scale * t for every point (y, t) of F_q x F_q^m with
     y^2 + ||t|| = radius: fibre by fibre in order of y, t ascending within
-    a fibre, in O(q + |sphere|) steps and few temporaries.  radius may also
-    be a column of ranks, each with its row of heads: the spheres one after
-    another.  The radii are not checked."""
+    a fibre, in O(q + |sphere|) steps and few temporaries.  For a column of
+    radii, each with its row of heads, the spheres one after another; unchecked."""
     order, offsets = level_order(field, m)
     levels = field.sub_arrays(radius, field.sq_arr).ravel()  # fibre y is level r - y^2
     sizes = offsets[levels + 1] - offsets[levels]
@@ -532,20 +552,47 @@ def _fibres(field: Fq, m: int, radius, heads, scale: int) -> np.ndarray:
     return out
 
 
-def translate(field: Fq, n: int, ranks, center) -> np.ndarray:
-    """Ranks of center + y for each point rank y, one digit at a time."""
-    center = tuple(center)
-    if not is_point(field, n, center):
-        raise ValueError(f"center {center} is not a point of F_{field.q}^{n}")
+def _add_digits(field: Fq, ranks: np.ndarray, centers: np.ndarray, owner, first: int) -> None:
+    """Add in place to each rank the row of centers (B, n) that owns it,
+    digit by digit from digit first on, by a B x q table of the shifts
+    (c_i + x - x) q^i read at (row, x_i): flat at owner + x_i, with owner q
+    times the row.  A digit that is 0 in every row is skipped."""
     q, x = field.q, np.arange(field.q)
-    ranks = np.asarray(ranks, dtype=np.int64)
-    out = ranks.copy()
-    step = 1
-    for c in center:
-        if c:  # a zero coordinate leaves its digit as it is
-            out += ((field.add_arrays(x, c) - x) * step)[ranks // step % q]
+    step = q ** first
+    for digit in centers.T[first:]:
+        if digit.any():
+            at = ranks // step
+            at %= q
+            at += owner
+            ranks += ((field.add_arrays(digit[:, None], x) - x) * step).ravel()[at]
         step *= q
+
+
+def translate(field: Fq, n: int, ranks, center) -> np.ndarray:
+    """Ranks of center + y for each point rank y of F_q^n, one digit at a time."""
+    center = tuple(center)
+    if point_coordinates(field, n, [center]) is None:
+        raise ValueError(f"center {center} is not a point of F_{field.q}^{n}")
+    out = checked_ranks(ranks, field.q ** n).copy()
+    _add_digits(field, out, np.array([center], dtype=np.int64), 0, 0)
     return out
+
+
+def _sphere_block(field: Fq, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Point ranks of the spheres of radii (B,) around centers (B, n), one
+    after another in the order of sphere_ranks, unchecked: the fibres over
+    the first coordinate (_fibres), then the tails of the centers added."""
+    q, n = field.q, centers.shape[1]
+    radii = radii[:, None]
+    ranks = _fibres(field, n - 1, radii, field.add_arrays(centers[:, :1], np.arange(q)), q)
+    if centers[:, 1:].any():
+        owner = 0  # q times the sphere that owns each point; 0 for one sphere
+        if len(centers) > 1:
+            sizes = np.diff(level_order(field, n - 1)[1])  # level sizes of F_q^(n-1)
+            owned = sizes[field.sub_arrays(radii, field.sq_arr)].sum(axis=1)  # points a sphere
+            owner = np.repeat(np.arange(0, q * len(centers), q), owned)
+        _add_digits(field, ranks, centers, owner, 1)
+    return ranks
 
 
 def sphere_ranks(field: Fq, sphere: SphereSpec) -> np.ndarray:
@@ -554,24 +601,22 @@ def sphere_ranks(field: Fq, sphere: SphereSpec) -> np.ndarray:
 
         S_r(a) = {(a_0 + y_0) + q (a' + t) : y_0 in F_q, t in L_(r - y_0^2)},
 
-    in O(q + |S_r(a)|) steps; the tail digits are translated only when
-    a' != 0."""
+    in O(q + |S_r(a)|) steps: _sphere_block of one sphere, which shifts the
+    tail digits only when a' != 0."""
     n, q = len(sphere.center), field.q
-    if not is_point(field, n, sphere.center):
+    center = point_coordinates(field, n, [sphere.center])
+    if center is None:
         raise ValueError(f"center {sphere.center} is not a point of F_{q}^{n}")
-    if not (is_rank(field, sphere.radius) and sphere.radius):
+    if not valid_ranks([sphere.radius], q, low=1):
         raise ValueError(f"radius rank {sphere.radius!r} outside [1, {q})")
-    ranks = _fibres(field, n - 1, sphere.radius,
-                    field.add_arrays(sphere.center[0], np.arange(q)), q)
-    if any(sphere.center[1:]):
-        ranks = translate(field, n, ranks, (0,) + sphere.center[1:])
-    return ranks
+    return _sphere_block(field, np.array([center], dtype=np.int64),
+                         np.array([sphere.radius], dtype=np.int64))
 
 
 def hypersphere_ranks(field: Fq, h: HypersphereSpec) -> np.ndarray:
     """Point ranks of a hyper-sphere, as center + {y in S_r(0) : d.y = 0}."""
     n, q = len(h.center), field.q
-    if not is_point(field, n, h.direction):
+    if point_coordinates(field, n, [h.direction]) is None:
         raise ValueError(f"direction {h.direction} is not a point of F_{q}^{n}")
     y = sphere_ranks(field, SphereSpec((0,) * n, h.radius))
     rows = field.mul_arrays(np.array(h.direction)[:, None], np.arange(q))  # [i, a]: d_i a
@@ -594,7 +639,8 @@ def sphere_intersection_size(field: Fq, s1: SphereSpec, s2: SphereSpec) -> int:
     if len(s2.center) != n:
         raise ValueError("dimension mismatch")
     space_size(field, n)
-    if not all(is_point(field, n, s.center) and is_rank(field, s.radius) for s in (s1, s2)):
+    if not (point_coordinates(field, n, [s1.center, s2.center]) is not None
+            and valid_ranks([s1.radius, s2.radius], field.q)):
         raise ValueError(f"{s1}, {s2}: not spheres of F_{field.q}^{n}")
     c = field.sub_arrays(s2.center, s1.center).tolist()
     if not any(c):

@@ -9,12 +9,12 @@ difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 Witness mode checks a certificate (a KakeyaWitness) against the set
 through one table of its kinds, WITNESS_KINDS, in a fixed number of
 C-level passes over its entries (map, set, min, max, compress), with no
-Python call per entry or per coordinate: one issubclass test per distinct
-type, one min and one max over all ranks, one map for the keys and one
-for the on-axis spheres.  numpy arrays carry only the lookups into the
-level table of a level-built set and the gathers at a mask, many spheres
-a gather; small witnesses, checked once each, spend their time in these
-passes more than in the arithmetic.
+Python call per entry or per coordinate: geometry's batch validators (one
+issubclass test per distinct type, one min and one max over all ranks),
+one map for the keys and one for the on-axis spheres.  numpy arrays carry
+only the lookups into the level table of a level-built set and geometry's
+gathers at a mask, a block of spheres a gather; small witnesses, checked
+once each, spend their time in these passes more than in the arithmetic.
 Exhaustive mode needs none: within a work budget it counts exactly the
 points outside every candidate sphere, adding a squared coordinate by one
 gather, out[a, r] = sum_y X[a + y, r - y^2] (_add_square): once after a
@@ -33,8 +33,8 @@ names, so a process that only verifies a saved set loads no construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import add, and_, attrgetter, eq, itemgetter, mul, not_
+from itertools import chain, compress
+from operator import and_, attrgetter, eq, itemgetter, not_
 
 import numpy as np
 
@@ -52,16 +52,17 @@ from .geometry import (
     HypersphereSpec,
     PointSet,
     SphereSpec,
-    _fibres,
+    _sphere_block,
     checked_ranks,
     hypersphere_ranks,
-    is_rank,
     joint_norm_counts,
     json_int,
     json_point,
-    level_order,
     origin_norm_profile,
+    point_coordinates,
+    point_ranks,
     space_size,
+    valid_ranks,
 )
 
 # ---- witness checking ----
@@ -69,65 +70,6 @@ from .geometry import (
 def _fields(specs: list, name: str) -> list:
     """Field name of every entry, by one map."""
     return list(map(attrgetter(name), specs))
-
-
-def _all_ranks(field: Fq, values: list, low: int = 0) -> bool:
-    """Whether every value is an integer in [low, q), as is_rank asks of
-    one (low = 1 also asks nonzero): one issubclass test per distinct type
-    (bool is no rank), then one pass each of min and max.  values is
-    nonempty."""
-    return (all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
-                for t in set(map(type, values)))
-            and bool(low <= min(values) and max(values) < field.q))
-
-
-def _point_coordinates(field: Fq, n: int, vecs: list) -> list | None:
-    """The coordinates of vecs in one list if every vec is a point of
-    F_q^n, as is_point asks of one (a tuple or list of n ranks), else None."""
-    if not (all(issubclass(t, (tuple, list)) for t in set(map(type, vecs)))
-            and set(map(len, vecs)) == {n}):
-        return None
-    flat = list(chain.from_iterable(vecs))
-    return flat if _all_ranks(field, flat) else None
-
-
-def _point_ranks(field: Fq, n: int, flat: list) -> list:
-    """point_rank of each point whose n coordinates follow one another in
-    flat: the sum of coordinate i times q^i, one map per coordinate index,
-    in Python ints (a numpy scalar coordinate could wrap)."""
-    flat = list(map(int, flat))
-    ranks = flat[0::n]
-    for i in range(1, n):
-        ranks = list(map(add, ranks, map(mul, flat[i::n], repeat(field.q ** i))))
-    return ranks
-
-
-def _gathered_inside(field: Fq, points: PointSet, spheres: list, radii: list) -> bool:
-    """Whether every sphere lies inside the set, by a gather at its mask
-    of the spheres of a block at once, about 2^18 points a block: the
-    fibres over the first coordinate (_fibres), then the tail digits of
-    each center added to its own points."""
-    if not spheres:
-        return True
-    q, n = field.q, points.n
-    centers = np.array(list(chain.from_iterable(_fields(spheres, "center"))),
-                       dtype=np.int64).reshape(-1, n)
-    radii = np.array(radii, dtype=np.int64)
-    sizes = np.diff(level_order(field, n - 1)[1])  # level sizes of F_q^(n-1)
-    block, y0 = max(1, (1 << 18) // q ** (n - 1)), np.arange(q)
-    for lo in range(0, len(centers), block):
-        c, r = centers[lo:lo + block], radii[lo:lo + block, None]
-        ranks = _fibres(field, n - 1, r, field.add_arrays(c[:, :1], y0), q)
-        owned = sizes[field.sub_arrays(r, field.sq_arr)].sum(axis=1)  # points a sphere
-        step = q
-        for digit in c.T[1:]:  # translate by the tails, one digit at a time
-            if digit.any():
-                x = ranks // step % q
-                ranks += (field.add_arrays(x, np.repeat(digit, owned)) - x) * step
-            step *= q
-        if not points.mask[ranks].all():
-            return False
-    return True
 
 
 def _spheres_inside(field: Fq, points: PointSet, spheres: list, radii: list) -> bool:
@@ -140,10 +82,10 @@ def _spheres_inside(field: Fq, points: PointSet, spheres: list, radii: list) -> 
     holds for every y_0, with H = points.level_table().  They are checked
     by q lookups each into the one q x q table, in blocks of at most 2^18
     lookups up to the first that fails.  Every other sphere, and every
-    sphere of a set given by its mask, is gathered at the mask, many
-    spheres a gather (_gathered_inside)."""
+    sphere of a set given by its mask, is gathered at the mask, a block of
+    spheres of about 2^18 points a gather (geometry._sphere_block)."""
     centers = _fields(spheres, "center")
-    if _point_coordinates(field, points.n, centers) is None:
+    if point_coordinates(field, points.n, centers) is None:
         return False
     table = points.level_table()
     if table is not None:
@@ -156,9 +98,15 @@ def _spheres_inside(field: Fq, points: PointSet, spheres: list, radii: list) -> 
                     + field.add_arrays(a0[i:i + step], y0))
             if not table.ravel()[flat].all():
                 return False
-        spheres = list(compress(spheres, map(not_, on_axis)))
+        centers = list(compress(centers, map(not_, on_axis)))
         radii = list(compress(radii, map(not_, on_axis)))
-    return _gathered_inside(field, points, spheres, radii)
+    if not centers:
+        return True
+    centers = np.array(list(chain.from_iterable(centers)), dtype=np.int64).reshape(-1, points.n)
+    radii = np.array(radii, dtype=np.int64)
+    block = max(1, (1 << 18) // field.q ** (points.n - 1))
+    return all(points.mask[_sphere_block(field, centers[i:i + block], radii[i:i + block])].all()
+               for i in range(0, len(centers), block))
 
 
 def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list,
@@ -169,16 +117,16 @@ def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list,
     constructions.hypersphere_union), so when the set holds all of N*,
     which one pass over the origin norm profile tells, every cone entry
     lies inside it.  The cone entries are told by the point ranks of all
-    centers (_point_ranks) read in that profile.  Other entries, and cone
+    centers (point_ranks) read in that profile.  Other entries, and cone
     entries when that pass fails (N* inside the set is sufficient, not
     necessary), are gathered."""
     n = points.n
     centers, directions = _fields(hyperspheres, "center"), _fields(hyperspheres, "direction")
-    flat = _point_coordinates(field, n, centers + directions)
+    flat = point_coordinates(field, n, centers + directions)
     if flat is None:
         return False
     mask, norms = points.mask, origin_norm_profile(field, n)
-    ranks = _point_ranks(field, n, flat[:n * len(centers)])
+    ranks = point_ranks(field, n, flat[:n * len(centers)])
     negs = map(field.neg_arr.item, map(norms.item, ranks))
     cone = list(map(and_, map(eq, centers, directions), map(eq, radii, negs)))
     if any(cone) and (mask[1:] | (norms[1:] != 0)).all():
@@ -189,7 +137,7 @@ def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list,
 def _circles_inside(field: Fq, points: PointSet, circles: list, radii: list) -> bool:
     """Both points a + r and a - r of every circle, in one gather each."""
     centers = _fields(circles, "center")
-    if points.n != 1 or not _all_ranks(field, centers):
+    if points.n != 1 or not valid_ranks(centers, field.q):
         return False
     a, r = np.array([centers, radii], dtype=np.int64)
     return bool(points.mask[field.add_arrays(a, r)].all()
@@ -230,7 +178,7 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
             and all(issubclass(t, spec_type) for t in set(map(type, specs)))):
         return False
     radii = _fields(specs, "radius")
-    if not (_all_ranks(field, radii, low=1) and params(specs) == list(entries)):
+    if not (valid_ranks(radii, field.q, low=1) and params(specs) == list(entries)):
         return False
     return _INSIDE[spec_type](field, points, specs, radii)
 
@@ -293,7 +241,7 @@ def witness_from_json_dict(data, field: Fq | None = None,
             param = int(key)
         except ValueError:
             raise UsageError(f"{where}: key is not an integer") from None
-        if field is not None and not is_rank(field, param):
+        if field is not None and not 0 <= param < field.q:
             raise UsageError(f"{where}: key rank outside [0, {field.q})")
         entries[param] = _spec_from_dict(value, where, spec_type, field, n)
     return KakeyaWitness(kind, entries)

@@ -27,6 +27,20 @@ _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_hypothesis_home.name)
 
 
+def is_rank(field, v) -> bool:
+    """Whether v is an element rank of the field, an integer in [0, q): the
+    one-value check that geometry.valid_ranks replaced."""
+    return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            and 0 <= v < field.q)
+
+
+def is_point(field, n: int, vec) -> bool:
+    """Whether vec is a point of F_q^n, a tuple or list of n element ranks:
+    the one-value check that geometry.point_coordinates replaced."""
+    return (isinstance(vec, (tuple, list)) and len(vec) == n
+            and all(is_rank(field, v) for v in vec))
+
+
 def norm(field, vec) -> int:
     """Sum of squared coordinates, one scalar field operation at a time."""
     acc = 0

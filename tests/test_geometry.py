@@ -112,6 +112,31 @@ class TestRanks:
         assert point_rank(f, (0, 3, 0)) == 15
         assert point_unrank(f, 3, 17) == (2, 3, 0)
 
+    @pytest.mark.parametrize("vec,bad", [((1.5, 0), "1.5"), ((True, 2), "True"), (("1", 0), "1"),
+                                         ((0, np.True_), "True"), ((None, 0), "None"),
+                                         (((1,), 0), r"\(1,\)")])
+    def test_rank_rejects_coordinates_that_are_no_integers(self, vec, bad):
+        # (1.5, 0) ranked as 1, (True, 2) as 11, and ("1", 0) raised TypeError
+        with pytest.raises(ValueError, match=rf"^coordinate rank {bad} outside \[0, 5\)$"):
+            point_rank(make_field(5), vec)
+
+    @pytest.mark.parametrize("vec,bad", [((5, 0), 5), ((0, -1), -1), ((2 ** 70,), 2 ** 70),
+                                         ((np.uint8(9), 0), 9), ((1, 7, 9), 7)])
+    def test_rank_keeps_its_out_of_range_message(self, vec, bad):
+        with pytest.raises(ValueError, match=rf"^coordinate rank {bad} outside \[0, 5\)$"):
+            point_rank(make_field(5), vec)
+
+    @pytest.mark.parametrize("rank", [2.5, 2.0, True, np.True_, "7", None, [7]])
+    def test_unrank_takes_integer_ranks_only(self, rank):
+        # 2.5 gave (2.0, 0.0) and True gave (1, 0)
+        with pytest.raises(ValueError, match=r"outside \[0, 5\^2\)"):
+            point_unrank(make_field(5), 2, rank)
+
+    @pytest.mark.parametrize("rank", [7, np.int64(7), np.uint8(7)])
+    def test_unrank_returns_python_ints(self, rank):
+        vec = point_unrank(make_field(5), 2, rank)
+        assert vec == (2, 1) and all(type(v) is int for v in vec)
+
     def test_numpy_scalar_coordinates_rank_in_python_ints(self):
         # 5^4 = 625 does not fit a uint8: in the coordinate's own type it raised
         assert point_rank(make_field(5), (np.uint8(4),) * 7) == 5 ** 7 - 1

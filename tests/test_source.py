@@ -1,0 +1,83 @@
+"""Static checks of the package source, by the standard library's ast: no
+module imports a name it never uses (a re-export is marked
+`# noqa: F401`), and every module-level private name is referenced
+somewhere in the package.  A function moved to another module leaves
+either behind when its old home keeps the import or the helper."""
+
+import ast
+from pathlib import Path
+
+import ffkakeya
+
+SOURCES = {path.name: path.read_text()
+           for path in sorted(Path(ffkakeya.__file__).parent.glob("*.py"))}
+TREES = {name: ast.parse(text, name) for name, text in SOURCES.items()}
+
+
+def loaded_names(tree) -> set:
+    """Every name a module reads, and every attribute it reads of anything."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def unused_imports(text: str, tree) -> list:
+    """(line, name) of each name a module imports and never reads; the
+    lines of an import marked noqa: F401 are skipped, as is __future__."""
+    lines, used = text.splitlines(), loaded_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.partition(".")[0]
+            if bound not in used:
+                unused.append((node.lineno, bound))
+    return unused
+
+
+def private_definitions(tree) -> list:
+    """(line, name) of each function, class or variable a module defines at
+    its top level under a name with one leading underscore."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [t.id for t in (node.targets if isinstance(node, ast.Assign)
+                                      else [node.target]) if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [(node.lineno, t) for t in targets if t.startswith("_") and not t.startswith("__")]
+    return out
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {name: found for name, text in SOURCES.items()
+              if (found := unused_imports(text, TREES[name]))}
+    assert not unused
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    imported = {alias.name for tree in TREES.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    referenced = imported.union(*map(loaded_names, TREES.values()))
+    orphans = {name: [d for d in private_definitions(tree) if d[1] not in referenced]
+               for name, tree in TREES.items()}
+    assert not {name: found for name, found in orphans.items() if found}
+
+
+def test_the_checks_find_what_they_look_for():
+    text = ("import os\nfrom x import y  # noqa: F401\n_lost = 1\n\n\n"
+            "def _used():\n    return 1\n\n\nz = _used()\n")
+    tree = ast.parse(text)
+    assert unused_imports(text, tree) == [(1, "os")]
+    assert [d for d in private_definitions(tree) if d[1] not in loaded_names(tree)] == \
+        [(3, "_lost")]

@@ -24,6 +24,8 @@ import pytest
 
 from conftest import (
     hypersphere_points,
+    is_point,
+    is_rank,
     norm,
     norm_profile,
     sphere_points,
@@ -63,17 +65,16 @@ from ffkakeya.constructions import ConstructionResult, KakeyaWitness
 from ffkakeya.exact import DEFAULT_BUDGET, exact_str, spherical_kakeya_lower_bound
 from ffkakeya.geometry import (
     _fibres,
-    is_point,
-    is_rank,
+    _sphere_block,
     joint_norm_counts,
     level_order,
+    point_ranks,
     space_size,
 )
 from ffkakeya.verification import (
     _add_square,
     _complement_hit_counts,
     _level_hit_counts,
-    _point_ranks,
 )
 
 
@@ -197,7 +198,7 @@ def mask_radius_spherical(field, n):
     witness = KakeyaWitness("radius", entries)
     report = spherical_kakeya_lower_bound(q, n)
     return ConstructionResult(
-        field=field, n=n, name="radius-spherical", variant=None,
+        name="radius-spherical", variant=None,
         points=points, witness=witness, size=size,
         main_terms=(Fraction(q ** n, 2), Fraction(q ** (n - 1), 2),
                     Fraction(-(q ** (n - 2)))),
@@ -238,7 +239,7 @@ def mask_center_spherical(field, n):
         accounting["errorConstantTimesQtoNminus2"] = exact_str(
             Fraction(abs(gap)) / q ** (n - 2))
     return ConstructionResult(
-        field=field, n=n, name="center-spherical", variant=None,
+        name="center-spherical", variant=None,
         points=points, witness=witness, size=size, main_terms=main_terms,
         bound=report.value, bound_is_lower=True,
         bound_met=size >= report.value,
@@ -1137,6 +1138,20 @@ def test_translate_rejects_points_outside_the_space(center):
         translate(field, 3, [0, 1], center)
 
 
+@pytest.mark.parametrize("ranks", [[100], [-1], [0, 25], np.array([24, 25]), [1.0], [True],
+                                   np.array([0.5])])
+def test_translate_rejects_ranks_outside_the_space(ranks):
+    # translate(F_5, 2, [100], (1, 0)) returned [101], a rank outside F_5^2
+    with pytest.raises(ValueError, match="out of range|must be integers"):
+        translate(make_field(5), 2, ranks, (1, 0))
+
+
+def test_translate_leaves_its_input_ranks_as_they_are():
+    ranks = np.arange(25)
+    assert translate(make_field(5), 2, ranks, (1, 2)).tolist() != ranks.tolist()
+    assert ranks.tolist() == list(range(25))
+
+
 # ---- the dense-table expressions that add_arrays and mul_arrays replaced ----
 
 def table_origin_norm_profile(field, n):
@@ -1325,8 +1340,9 @@ def test_point_ranks_equal_point_rank(q, n):
     rng = np.random.default_rng(q * 17 + n)
     points = [tuple(int(c) for c in rng.integers(0, q, size=n)) for _ in range(20)]
     points.append(tuple(map(np.uint8, points[0])))  # numpy scalars rank as ints
-    got = _point_ranks(field, n, [c for point in points for c in point])
-    assert got == [point_rank(field, tuple(map(int, point))) for point in points]
+    want = [sum(int(v) * q ** i for i, v in enumerate(point)) for point in points]
+    assert point_ranks(field, n, [c for point in points for c in point]) == want
+    assert [point_rank(field, point) for point in points] == want
 
 
 MASK_GATHER_SWEEP = WITNESS_SWEEP + [(31, 4), (101, 3)]
@@ -1354,6 +1370,39 @@ def test_batched_sphere_gather_equals_the_per_sphere_gather(q, n):
             want = gathered_witness_valid(field, holed, res.witness)
             assert witness_valid(field, holed, res.witness) == want
             assert per_entry_witness_valid(field, holed, res.witness) == want
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (9, 3), (31, 4), (7, 5)])
+def test_sphere_block_equals_the_spheres_one_by_one(q, n):
+    # off-axis centers, so every tail digit is shifted, each by its own sphere
+    field = field_of(q)
+    rng = np.random.default_rng(q + n)
+    centers, radii = rng.integers(0, q, size=(12, n)), rng.integers(1, q, size=12)
+    specs = [SphereSpec(tuple(map(int, c)), int(r)) for c, r in zip(centers, radii)]
+    got = _sphere_block(field, centers, radii)
+    assert got.tolist() == np.concatenate([sphere_ranks(field, s) for s in specs]).tolist()
+    for s in specs:
+        assert np.array_equal(np.sort(sphere_ranks(field, s)), np.sort(old_sphere_ranks(field, s)))
+
+
+@pytest.mark.parametrize("q,n", [(7, 3), (31, 4)])
+def test_off_axis_witness_on_a_mask_set_over_several_blocks(q, n):
+    # 31^4 gathers 8 spheres a block: the 30 radii take four blocks
+    field = field_of(q)
+    rng = np.random.default_rng(5 * q + n)
+    entries = {r: SphereSpec(tuple(int(c) for c in rng.integers(0, q, size=n)), r)
+               for r in field.units()}
+    witness = KakeyaWitness("radius", entries)
+    mask = np.zeros(q ** n, dtype=bool)
+    for s in entries.values():
+        mask[old_sphere_ranks(field, s)] = True
+    assert witness_valid(field, PointSet(field, n, mask), witness) is True
+    for s in (entries[1], entries[q - 1]):  # in the first and the last block
+        holed = mask.copy()
+        holed[int(rng.choice(old_sphere_ranks(field, s)))] = False
+        points = PointSet(field, n, holed)
+        assert not gathered_witness_valid(field, points, witness)
+        assert witness_valid(field, points, witness) is False
 
 
 # ---- witnesses with ranks outside [0, q) never verify ----
