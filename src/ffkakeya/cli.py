@@ -18,6 +18,8 @@ from pathlib import Path
 from .errors import BudgetExceededError, KakeyaError, SizeCapError, UsageError
 from .exact import (
     DEFAULT_BUDGET,
+    DEFAULT_NODE_BUDGET,
+    EXACT_LIMIT,
     VARIANTS,
     circular_lower_bounds,
     exact_str,
@@ -291,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--kind", required=True, choices=VARIANTS)
     s.add_argument("--method", choices=("exact", "greedy"), default="exact")
-    s.add_argument("--limit", type=int, default=13)
-    s.add_argument("--node-budget", type=int, default=100_000_000)
+    s.add_argument("--limit", type=int, default=EXACT_LIMIT)
+    s.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     s.add_argument("--out", default=None)
     s.set_defaults(handler=_cmd_search)
 

@@ -12,15 +12,18 @@ distinct summands.  Three small covers are built: one for prime q, one
 for square q from a subfield pair, and one for odd prime powers
 q = p^(2m+1) from two digit blocks.
 
-A ConstructionResult writes the set's keys (PointSet.to_json_dict), its
-figures, and its witness, whose record and codec verification owns.
+Each construction hands its set, witness, main terms, bound and
+accounting to one builder, _result, which computes the figures a
+ConstructionResult reports: its size, whether the size meets the bound,
+and whether the witness holds.  A result writes the set's keys
+(PointSet.to_json_dict), those figures, and its witness, whose record and
+codec verification owns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, repeat
 from math import isqrt
 
@@ -49,7 +52,6 @@ from .geometry import (  # noqa: F401 (CircleSpec re-exported)
     level_order,
     level_sizes,
     origin_norm_profile,
-    point_unrank,
     space_size,
     valid_ranks,
 )
@@ -92,6 +94,22 @@ class ConstructionResult:
             "accounting": dict(sorted(self.accounting.items())),
             "witness": self.witness.to_json_dict(),
         }
+
+
+def _result(name: str, variant: str | None, points: PointSet, witness: KakeyaWitness,
+            main_terms: tuple[Fraction, ...], bound: Fraction, bound_is_lower: bool,
+            accounting: dict) -> ConstructionResult:
+    """The one maker of a ConstructionResult: its size is points.size, and
+    the bound is met by a size at least a lower bound or at most an upper
+    one; an n = 1 cover must also have sqrt(q) <= size < 6 sqrt(q), tested
+    in exact integers.  The witness is checked here, eagerly."""
+    field, size = points.field, points.size
+    met = size >= bound if bound_is_lower else size <= bound
+    if points.n == 1:
+        met = met and field.q <= size * size < 36 * field.q
+    return ConstructionResult(name, variant, points, witness, size, main_terms, bound,
+                              bound_is_lower, met, witness_valid(field, points, witness),
+                              accounting)
 
 
 # ---- spherical constructions ----
@@ -145,18 +163,12 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     twice = np.count_nonzero(multiplicity == 2, axis=1)
     singles = int(sizes @ (np.count_nonzero(multiplicity, axis=1) + twice))
     pairs_ordered = 2 * int(sizes @ twice)
-    points = PointSet.from_levels(field, n, multiplicity > 0)
-    size = points.size
-    witness = KakeyaWitness("radius", entries)
-    report = spherical_kakeya_lower_bound(q, n)
-    return ConstructionResult(
-        name="radius-spherical", variant=None, points=points, witness=witness, size=size,
-        main_terms=(Fraction(q ** n, 2), Fraction(q ** (n - 1), 2),
-                    Fraction(-(q ** (n - 2)))),
-        bound=report.value, bound_is_lower=True,
-        bound_met=size >= report.value,
-        witness_valid=witness_valid(field, points, witness),
-        accounting={
+    return _result(
+        "radius-spherical", None, PointSet.from_levels(field, n, multiplicity > 0),
+        KakeyaWitness("radius", entries),
+        (Fraction(q ** n, 2), Fraction(q ** (n - 1), 2), Fraction(-(q ** (n - 2)))),
+        spherical_kakeya_lower_bound(q, n).value, True,
+        {
             "sumSphereSizes": singles,
             "sumPairwiseIntersectionsOrdered": pairs_ordered,
             "inclusionExclusionSize": singles - pairs_ordered // 2,
@@ -179,13 +191,12 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
         r = field.smallest_nonsquare()
     if not valid_ranks([r], q):
         raise UsageError(f"radius rank {r!r} outside [0, {q})")
-    r = int(r)  # Fq.char and the JSON accounting take Python ints
+    r = int(r)  # the JSON accounting takes Python ints
     if field.char(r) != -1:
         raise NotANonsquareError(f"rank {r} is not a nonsquare in F_{q}")
     # (x, y) is in the set iff r - ||y|| is a square: one flag per level
     square_gap = field.char_arr[field.sub_arrays(r, np.arange(q))] >= 0
     points = PointSet.from_levels(field, n, np.broadcast_to(square_gap[:, None], (q, q)))
-    size = points.size
     tail = (0,) * (n - 1)
     witness = KakeyaWitness("center-coordinate",
                             {a: SphereSpec._make(((a,) + tail, r)) for a in field.elements()})
@@ -193,8 +204,7 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
         main_terms = (Fraction(q ** n, 2), Fraction(q ** (n - 1), 2))
     else:
         main_terms = (Fraction(q ** n, 2),)
-    gap = size - sum(main_terms)
-    report = spherical_kakeya_lower_bound(q, n)
+    gap = points.size - sum(main_terms)
     accounting = {
         "fixedNonsquareRadius": r,
         "gapVsMainTerms": exact_str(gap),
@@ -202,13 +212,8 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
     if n >= 5:
         accounting["errorConstantTimesQtoNminus2"] = exact_str(
             Fraction(abs(gap)) / q ** (n - 2))
-    return ConstructionResult(
-        name="center-spherical", variant=None,
-        points=points, witness=witness, size=size, main_terms=main_terms,
-        bound=report.value, bound_is_lower=True,
-        bound_met=size >= report.value,
-        witness_valid=witness_valid(field, points, witness),
-        accounting=accounting)
+    return _result("center-spherical", None, points, witness, main_terms,
+                   spherical_kakeya_lower_bound(q, n).value, True, accounting)
 
 
 def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
@@ -245,20 +250,17 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
     union = norms == 0
     union[0] = False
     points = PointSet._adopt(field, n, union)
-    size = points.size
-    null_size = size + 1
+    null_size = points.size + 1
     order, offsets = level_order(field, n - 1)
-    vecs = map(partial(point_unrank, field, n), order[offsets[field.neg_arr[1:]]].tolist())
+    # ranks below q^(n-1) from level_order, unranked with no rank check
+    places = [q ** i for i in range(n)]
+    vecs = [tuple(a // w % q for w in places) for a in order[offsets[field.neg_arr[1:]]].tolist()]
     witness = KakeyaWitness("hypersphere", {r: HypersphereSpec._make((v, v, r))
                                             for r, v in zip(field.units(), vecs)})
-    bound = q ** (n - 1) + q ** (n // 2) - q ** ((n - 1) // 2)
-    return ConstructionResult(
-        name="hypersphere-union", variant=None, points=points, witness=witness, size=size,
-        main_terms=(Fraction(q ** (n - 1)),),
-        bound=Fraction(bound), bound_is_lower=False,
-        bound_met=size <= bound,
-        witness_valid=witness_valid(field, points, witness),
-        accounting={
+    return _result(
+        "hypersphere-union", None, points, witness, (Fraction(q ** (n - 1)),),
+        Fraction(q ** (n - 1) + q ** (n // 2) - q ** ((n - 1) // 2)), False,
+        {
             "objectsUsed": space - null_size,
             "nullQuadricSize": null_size,
             "allPointsNormZero": True,  # by construction
@@ -299,39 +301,27 @@ def _circular_result(field: Fq, name: str, variant: str, ks,
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     ks = sorted(ks)
-    points = PointSet.from_ranks(field, 1, ks)
-    size = points.size
-    witness = _circular_witness(field, ks, variant)
     lower = circular_lower_bounds(field.q)[0 if variant == VARIANT_RADIUS else 1]
-    # sqrt(q) <= size < 6 sqrt(q), in exact integer arithmetic
-    met = lower <= size and field.q <= size * size < 36 * field.q
-    accounting = dict(accounting)
-    accounting["nominalSize"] = nominal
-    return ConstructionResult(
-        name=name, variant=variant, points=points, witness=witness, size=size,
-        main_terms=(Fraction(nominal),),
-        bound=Fraction(lower), bound_is_lower=True,
-        bound_met=met,
-        witness_valid=witness_valid(field, points, witness),
-        accounting=accounting)
+    return _result(name, variant, PointSet.from_ranks(field, 1, ks),
+                   _circular_witness(field, ks, variant), (Fraction(nominal),),
+                   Fraction(lower), True, {**accounting, "nominalSize": nominal})
+
+
+def _prime_cover(p: int, variant: str) -> set[int]:
+    """The interval {0, ..., floor(sqrt(p))} joined with the multiples
+    {i * ceil(sqrt(p))} (negated for the radius variant), as ranks of F_p."""
+    fl = isqrt(p)
+    k0 = {i * (fl + 1) % p for i in range(1, fl + 1)}
+    return set(range(fl + 1)) | ({-x % p for x in k0} if variant == VARIANT_RADIUS else k0)
 
 
 def circular_prime(p: int, variant: str = VARIANT_RADIUS) -> ConstructionResult:
-    """Cover of F_p (p prime) of size at most 2*floor(sqrt(p)) + 1:
-    the interval {0, ..., floor(sqrt(p))} joined with the multiples
-    {i * ceil(sqrt(p))} (negated for the radius variant)."""
-    field = make_field(p, 1)
-    fl = isqrt(p)
-    ce = fl + 1
-    base = set(range(fl + 1))
-    k0 = {(i * ce) % p for i in range(1, fl + 1)}
-    if variant == VARIANT_RADIUS:
-        ks = base | {(-x) % p for x in k0}
-    else:
-        ks = base | k0
+    """The cover _prime_cover of F_p (p prime), of size at most
+    2*floor(sqrt(p)) + 1."""
+    field, fl = make_field(p, 1), isqrt(p)
     return _circular_result(
-        field, "circular-prime", variant, ks, 2 * fl + 1,
-        {"floorSqrt": fl, "ceilSqrt": ce})
+        field, "circular-prime", variant, _prime_cover(p, variant), 2 * fl + 1,
+        {"floorSqrt": fl, "ceilSqrt": fl + 1})
 
 
 def circular_square(field: Fq, variant: str = VARIANT_RADIUS) -> ConstructionResult:
@@ -359,12 +349,9 @@ def circular_odd_power(field: Fq, variant: str = VARIANT_RADIUS) -> Construction
         raise WrongDegreeError(f"q = {field.q} is not an odd power p^(2m+1), m >= 1")
     p = field.p
     m = (field.k - 1) // 2
-    kp = circular_prime(p, variant)
-    kp_ranks = [int(x) for x in kp.points.ranks()]
+    kp_ranks = _prime_cover(p, variant)
     pm = p ** m
-    k1 = {a0 + p * t for a0 in kp_ranks for t in range(pm)}
-    k2 = {a0 + p ** (m + 1) * t for a0 in kp_ranks for t in range(pm)}
-    ks = k1 | k2
+    ks = {a0 + step * t for step in (p, p ** (m + 1)) for a0 in kp_ranks for t in range(pm)}
     expected = (2 * pm - 1) * len(kp_ranks)
     if len(ks) != expected:
         raise RuntimeError("digit blocks overlap beyond the prime cover")

@@ -16,6 +16,8 @@ from fractions import Fraction
 from .errors import BadDimensionError, NonOddPrimeError, SizeCapError
 
 DEFAULT_BUDGET = 100_000_000
+EXACT_LIMIT = 13  # largest q the exact cover search takes by default
+DEFAULT_NODE_BUDGET = 100_000_000
 DIGIT_CAP = 4300  # most decimal digits in an exact bound, Python's default str limit
 _DIGIT_LIMIT = 10 ** DIGIT_CAP  # the least numerator past the cap, formed once
 

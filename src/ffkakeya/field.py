@@ -46,6 +46,7 @@ import functools
 import math
 from functools import cached_property
 from itertools import zip_longest
+from operator import index
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -238,6 +239,7 @@ class Fq:
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
+        a, e = index(a), index(e)  # Python ints: pow(a, e, p) takes no numpy integer
         if e < 0:
             return self.pow(self.inv(a), -e)
         if self.k == 1:

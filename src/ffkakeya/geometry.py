@@ -382,8 +382,8 @@ def diagonal_count_closed(field: Fq, eq: DiagonalEq) -> int:
     """Exact solution count from the classical closed form for diagonal
     quadrics (_quadric_counts), in Python integers at any size."""
     _check_equation(field, eq)
-    return _quadric_counts(field.q, len(eq.coeffs),
-                           field.char(functools.reduce(field.mul, eq.coeffs)), field.char(eq.rhs))
+    delta = functools.reduce(field.mul, map(int, eq.coeffs))  # numpy ints would wrap in Fq.mul
+    return _quadric_counts(field.q, len(eq.coeffs), field.char(delta), field.char(eq.rhs))
 
 
 def _quadric_counts(q: int, d: int, eta_delta, eta_x):

@@ -13,11 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .exact import VARIANT_RADIUS, VARIANTS, circular_lower_bounds
+from .exact import (
+    DEFAULT_NODE_BUDGET,
+    EXACT_LIMIT,
+    VARIANT_RADIUS,
+    VARIANTS,
+    circular_lower_bounds,
+)
 from .field import Fq
-
-EXACT_LIMIT = 13
-DEFAULT_NODE_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)

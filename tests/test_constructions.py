@@ -3,6 +3,7 @@ and circular (prime, square, odd prime power)."""
 
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,8 +46,10 @@ from ffkakeya import (
     witness_from_json_dict,
     witness_valid,
 )
+from ffkakeya.constructions import _circular_witness, _result
 from ffkakeya.field import ceil_sqrt, is_prime
 from ffkakeya.geometry import level_order, origin_norm_profile, space_size
+from test_translation import per_entry_witness_valid
 
 PRIMES_47 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 DENSE_TABLES = {"add_table", "sub_table", "mul_table"}
@@ -389,6 +392,92 @@ class TestCircularWitnesses:
                 assert spec.radius == key
             else:
                 assert spec.center == key
+
+
+# the six constructions over prime and extension fields, both variants
+# where they apply
+BUILDS = {
+    "radius 7^3": lambda: radius_spherical(make_field(7), 3),
+    "radius 9^2": lambda: radius_spherical(make_field(3, 2), 2),
+    "center 5^4": lambda: center_spherical(make_field(5), 4),
+    "center 9^5": lambda: center_spherical(make_field(3, 2), 5),
+    "hypersphere 7^3": lambda: hypersphere_union(make_field(7), 3),
+    "hypersphere 9^4": lambda: hypersphere_union(make_field(3, 2), 4),
+    **{f"{name} {variant}": lambda b=build, v=variant: b(v)
+       for name, build in (("prime 13", lambda v: circular_prime(13, v)),
+                           ("square 5^2", lambda v: circular_square(make_field(5, 2), v)),
+                           ("square 3^4", lambda v: circular_square(make_field(3, 4), v)),
+                           ("odd power 3^3", lambda v: circular_odd_power(make_field(3, 3), v)),
+                           ("odd power 5^3", lambda v: circular_odd_power(make_field(5, 3), v)))
+       for variant in ("radius", "center")},
+}
+
+
+def bound_rule(size: int, q: int, bound, bound_is_lower: bool, circular: bool) -> bool:
+    """At least a lower bound or at most an upper one; a circular cover
+    also claims sqrt(q) <= size < 6 sqrt(q)."""
+    met = size >= bound if bound_is_lower else size <= bound
+    return met and (not circular or q <= size * size < 36 * q)
+
+
+class TestResultBuilder:
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
+    def test_figures_are_recomputed_from_the_set_and_witness(self, build):
+        res = build()
+        assert res.size == res.points.size
+        assert res.bound_met is bound_rule(res.size, res.field.q, res.bound, res.bound_is_lower,
+                                           res.name.startswith("circular-"))
+        assert res.bound_met
+        assert res.witness_valid is bool(per_entry_witness_valid(res.field, res.points,
+                                                                 res.witness)) is True
+
+    @pytest.mark.parametrize("bound_is_lower", [True, False])
+    def test_a_bound_is_met_on_its_side_only(self, bound_is_lower):
+        res = hypersphere_union(make_field(5), 3)
+        for bound in (res.size - 1, res.size, res.size + 1):
+            got = _result(res.name, None, res.points, res.witness, res.main_terms,
+                          Fraction(bound), bound_is_lower, {})
+            assert got.bound_met is ((bound <= res.size) if bound_is_lower
+                                     else (bound >= res.size))
+
+    @pytest.mark.parametrize("q", [13, 37, 41])
+    def test_a_cover_outside_the_sqrt_window_misses_the_bound(self, q):
+        # all of F_q meets the lower bound, but q^2 >= 36 q once q >= 36
+        f = make_field(q)
+        witness = _circular_witness(f, list(range(q)), "radius")
+        got = _result("circular-prime", "radius", PointSet.full(f, 1), witness,
+                      (Fraction(q),), Fraction(ceil_sqrt(q)), True, {})
+        assert got.witness_valid and got.size == q
+        assert got.bound_met is (q < 36)
+        # {0, 1} is below sqrt(q) for q > 4: not met even under a bound of 1
+        pair = _result("circular-prime", "radius", PointSet.from_ranks(f, 1, [0, 1]), witness,
+                       (Fraction(2),), Fraction(1), True, {})
+        assert not pair.bound_met and not pair.witness_valid
+
+    @pytest.mark.parametrize("p,k", [(3, 3), (3, 5), (5, 3), (7, 3)])
+    @pytest.mark.parametrize("variant", ["radius", "center"])
+    def test_odd_power_prime_block_is_the_prime_cover(self, monkeypatch, p, k, variant):
+        ranks = circular_odd_power(make_field(p, k), variant).points.ranks()
+        expected = circular_prime(p, variant).points.ranks()
+        assert np.array_equal(ranks[ranks < p], expected)
+
+        def no_prime_result(*args):
+            raise AssertionError("circular_odd_power built a circular_prime result")
+        monkeypatch.setattr("ffkakeya.constructions.circular_prime", no_prime_result)
+        assert np.array_equal(circular_odd_power(make_field(p, k), variant).points.ranks(), ranks)
+
+    @pytest.mark.parametrize("p,k,n", [(3, 1, 3), (5, 1, 3), (7, 1, 4), (3, 2, 3), (3, 2, 4),
+                                       (5, 1, 5)])
+    def test_hypersphere_centers_are_the_least_ranks_of_the_levels(self, p, k, n):
+        f = make_field(p, k)
+        res = hypersphere_union(f, n)
+        least = {}
+        for rank in range(f.q ** (n - 1)):
+            least.setdefault(norm(f, point_unrank(f, n - 1, rank)), rank)
+        for r, spec in res.witness.entries.items():
+            center = point_unrank(f, n, least[f.neg(r)])
+            assert spec.center == spec.direction == center
+            assert all(type(c) is int for c in spec.center)
 
 
 class TestResultSerialization:

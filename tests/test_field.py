@@ -471,6 +471,21 @@ class TestScalarArithmetic:
         assert f.pow(0, 0) == 1
         assert f.pow(0, 5) == 0
 
+    @pytest.mark.parametrize("p,k", [(7, 1), (13, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8])
+    def test_numpy_integer_operands_give_python_int_answers(self, p, k, kind):
+        """pow(a, e, p) at k = 1 takes no numpy integer; every rank check
+        accepts one, so pow, inv and char read their operands as ints."""
+        f = make_field(p, k)
+        for a in f.elements():
+            got = (f.pow(kind(a), kind(5)), f.pow(kind(a), -1) if a else None,
+                   f.inv(kind(a)) if a else None, f.char(kind(a)))
+            assert got == (f.pow(a, 5), f.pow(a, -1) if a else None,
+                           f.inv(a) if a else None, f.char(a)), a
+            assert all(type(v) is int for v in got if v is not None)
+        with pytest.raises(TypeError):
+            f.pow(1.5, 2)
+
     @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2)])
     def test_coeff_codec_round_trip(self, p, k):
         f = make_field(p, k)

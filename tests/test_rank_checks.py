@@ -8,7 +8,10 @@ and a rejection raises the exception type and message in REJECTED, which
 were recorded from the one-value checks: such a message is the command
 line's exit-2 error line.  One recorded outcome changed on purpose:
 center_spherical took a numpy integer radius and then raised TypeError in
-Fq.char; it now reads it as a Python int and builds the set.
+Fq.char; it now reads it as a Python int and builds the set.  The closed
+count shares the bruteforce count's equation check, so its rejections are
+the bruteforce ones; it used to raise TypeError in Fq.pow on a numpy
+integer the check accepts, and now counts as the bruteforce count does.
 """
 
 import numpy as np
@@ -22,6 +25,7 @@ from ffkakeya import (
     SphereSpec,
     center_spherical,
     diagonal_count_bruteforce,
+    diagonal_count_closed,
     hypersphere_ranks,
     make_field,
     sphere_intersection_size,
@@ -82,6 +86,10 @@ RANK_SITES = {
                              lambda v: is_rank(F, v)),
     "equation rhs": (lambda v: diagonal_count_bruteforce(F, equation((1, 1), v)),
                      lambda v: is_rank(F, v)),
+    "closed equation coefficient": (lambda v: diagonal_count_closed(F, equation((v, 1), 1)),
+                                    lambda v: is_rank(F, v)),
+    "closed equation rhs": (lambda v: diagonal_count_closed(F, equation((1, 1), v)),
+                            lambda v: is_rank(F, v)),
     "json_int": (lambda v: json_int({"v": v}, "v", "entry", F), json_rank),
     "sphere radius": (lambda v: sphere_ranks(F, SphereSpec._make(((1, 2), v))),
                       lambda v: is_rank(F, v) and v != 0),
@@ -484,3 +492,19 @@ REJECTED = {
     ('intersection center', 'int'):
         ('TypeError', "object of type 'int' has no len()"),
 }
+# diagonal_count_closed runs the bruteforce count's equation check first
+REJECTED.update({("closed " + site, label): REJECTED[site, label]
+                 for site, label in list(REJECTED) if site.startswith("equation ")})
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (251, 1), (3, 2), (3, 5)])
+def test_counts_of_numpy_integer_ranks_are_the_python_int_counts(p, k):
+    """Products of uint8 coefficients past 255 would wrap in Fq.mul."""
+    field = make_field(p, k)
+    rng = np.random.default_rng(p ** k)
+    for *coeffs, rhs in rng.integers(1, field.q, size=(10, 4)).tolist():
+        want = diagonal_count_bruteforce(field, DiagonalEq(tuple(coeffs), rhs))
+        for kind in (np.int64, np.uint8):
+            eq = DiagonalEq(tuple(map(kind, coeffs)), kind(rhs))
+            assert diagonal_count_closed(field, eq) == diagonal_count_bruteforce(field, eq) \
+                == want, (coeffs, rhs, kind)

@@ -2,7 +2,10 @@
 module imports a name it never uses (a re-export is marked
 `# noqa: F401`), and every module-level private name is referenced
 somewhere in the package.  A function moved to another module leaves
-either behind when its old home keeps the import or the helper."""
+either behind when its old home keeps the import or the helper.  A
+construction result is made in one place, constructions._result, so every
+construction reports its size, bound verdict and witness verdict by one
+rule."""
 
 import ast
 from pathlib import Path
@@ -59,6 +62,18 @@ def private_definitions(tree) -> list:
     return out
 
 
+def calls_by_owner(tree, callee: str) -> list:
+    """(owner, line) of each call to callee, by name or as an attribute;
+    the owner is the top-level function or class around the call, or None."""
+    calls = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        calls += [(owner, node.lineno) for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and callee in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    return calls
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = {name: found for name, text in SOURCES.items()
               if (found := unused_imports(text, TREES[name]))}
@@ -74,6 +89,12 @@ def test_every_private_name_is_referenced_in_the_package():
     assert not {name: found for name, found in orphans.items() if found}
 
 
+def test_construction_results_have_one_builder():
+    calls = [(name, owner) for name, tree in TREES.items()
+             for owner, _ in calls_by_owner(tree, "ConstructionResult")]
+    assert calls == [("constructions.py", "_result")]
+
+
 def test_the_checks_find_what_they_look_for():
     text = ("import os\nfrom x import y  # noqa: F401\n_lost = 1\n\n\n"
             "def _used():\n    return 1\n\n\nz = _used()\n")
@@ -81,3 +102,7 @@ def test_the_checks_find_what_they_look_for():
     assert unused_imports(text, tree) == [(1, "os")]
     assert [d for d in private_definitions(tree) if d[1] not in loaded_names(tree)] == \
         [(3, "_lost")]
+    text = ("R = Result(1)\n\n\ndef make():\n    return [Result(2), m.Result(3)]\n\n\n"
+            "class C:\n    def f(self):\n        return Result(4)\n")
+    assert calls_by_owner(ast.parse(text), "Result") == \
+        [(None, 1), ("make", 5), ("make", 5), ("C", 10)]
