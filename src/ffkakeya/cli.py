@@ -219,7 +219,7 @@ def _cmd_search(args) -> int:
         outcome = minimal_circular_exact(field, args.kind, limit=args.limit,
                                          node_budget=args.node_budget)
     else:
-        outcome = greedy_circular(field, args.kind)
+        outcome = greedy_circular(field, args.kind, node_budget=args.node_budget)
     _write(args.out, _dumps(outcome.to_json_dict()))
     return 0
 

@@ -112,35 +112,73 @@ def minimal_circular_exact(field: Fq, kind: str, *, limit: int = EXACT_LIMIT,
     raise RuntimeError("no cover found up to size q")  # unreachable for odd q >= 3
 
 
-def greedy_circular(field: Fq, kind: str) -> SearchOutcome:
+def greedy_circular(field: Fq, kind: str, *,
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Greedy baseline: repeatedly add the element covering the most
-    still-missing values, breaking ties toward the smallest rank.
+    still-missing values, breaking ties toward the smallest rank.  Each
+    step counts its q - |K| candidates as nodes; BudgetExceededError is
+    raised before a step would take the count past node_budget.
 
-    Every candidate's gain is computed at once: row x of the value table
-    holds the cover values x would add (x - y and y - x, or x + y, for each
-    chosen y, and x - x = 0 for 'radius'), so the gain is the number of
-    distinct uncovered values in the row.  Memory is O(q * |chosen|)."""
+    gain[x] is the number of distinct uncovered values that x would add
+    to the cover of the chosen set K (x - y and y - x for y in K, and
+    x - x, for 'radius'; x + y for 'center'); members are held at -1.
+    Adding b covers its new values N, and each v in N is subtracted once
+    from every x holding it: x in (K + v) | (K - v), or x = v - y.  Then
+    b's values are added to every x.  For 'radius' these are x - b and
+    b - x, both uncovered or both covered as K - K = -(K - K), and both
+    already held exactly when 2x - b is in K; for 'center' it is x + b,
+    never already held.  So a step's arrays have q or |N| x |K| entries.
+    0 = x - x starts covered: every first pick is rank 0, which covers it."""
     _check_kind(kind)
     q = field.q
+    field.require_array((q,))  # refuse a q past ARRAY_CAP before allocating
+    radius = kind == VARIANT_RADIUS
     ranks = np.arange(q, dtype=np.int64)
-    table = np.zeros((q, 1 if kind == VARIANT_RADIUS else 0), dtype=np.int64)
+    gain = np.zeros(q, dtype=np.int64)
     covered = np.zeros(q, dtype=bool)
     member = np.zeros(q, dtype=bool)
-    chosen: list[int] = []
+    chosen = np.empty(q, dtype=np.int64)  # K is chosen[:size], in order of choice
+    size = 0
+    if radius:
+        covered[0] = True
+        neg = field.neg_arr
+        twice = field.add_arrays(ranks, ranks)
+        half = np.empty(q, dtype=np.int64)
+        half[twice] = ranks
     nodes = 0
     while not covered.all():
-        candidates = np.flatnonzero(~member)
-        nodes += candidates.size
-        values = np.sort(table[candidates], axis=1)
-        new = ~covered[values]
-        new[:, 1:] &= values[:, 1:] != values[:, :-1]
-        best = int(candidates[np.argmax(new.sum(axis=1))])
-        covered[table[best]] = True
-        member[best] = True
-        chosen.append(best)
-        if kind == VARIANT_RADIUS:
-            cols = [field.sub_arrays(ranks, best), field.sub_arrays(best, ranks)]
+        if nodes + q - size > node_budget:
+            raise BudgetExceededError(nodes + q - size, node_budget)
+        nodes += q - size
+        b = int(np.argmax(gain))
+        ks = chosen[:size]
+        if radius:
+            shift = field.sub_arrays(ranks, b)  # x - b
+            diffs = shift[ks]
+            new = diffs[~covered[diffs]]
+            covered[new] = True
+            back = neg[new]
+            back = back[~covered[back]]
+            covered[back] = True
+            new = np.concatenate((new, back))
+            # rows v and -v of holders (N = -N) list K + v and K - v, so x
+            # counts twice its entries, less those where x + v is in K too
+            holders = field.add_arrays(np.concatenate((new, twice[new]))[:, None], ks)
+            holders, far = holders[:new.size], holders[new.size:]
+            gain -= np.bincount(np.concatenate((holders.ravel(), holders[~member[far]])),
+                                minlength=q)
+            fresh = ~covered
+            fresh[half[diffs]] = False  # x - b = (y - b) / 2: already held
+            gain += 2 * fresh[shift]
         else:
-            cols = [field.add_arrays(ranks, best)]
-        table = np.column_stack([table, *cols])
-    return SearchOutcome(q, kind, len(chosen), tuple(sorted(chosen)), nodes, False)
+            shift = field.add_arrays(ranks, b)  # x + b
+            new = shift[ks]
+            new = new[~covered[new]]
+            covered[new] = True
+            gain -= np.bincount(field.sub_arrays(new[:, None], ks).ravel(), minlength=q)
+            gain += ~covered[shift]
+        member[b] = True
+        chosen[size] = b
+        size += 1
+        gain[chosen[:size]] = -1
+    return SearchOutcome(q, kind, size, tuple(sorted(chosen[:size].tolist())), nodes, False)

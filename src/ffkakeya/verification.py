@@ -349,7 +349,10 @@ def verify_intersection_lemma(field: Fq, n: int, *,
     F_q^n: |S_r(a) & S_s(b)| = J_(b-a)(r, s) of joint_norm_counts, and
     same-center pairs are disjoint, so it is the maximum of J over the
     classes c != 0 and r, s != 0, in about (q + 1) q^2 steps.  It never
-    exceeds q^(n-2) + q^((n-1)//2)."""
+    exceeds q^(n-2) + q^((n-1)//2).  Observed, not proved: it equals that
+    bound for q = 5, 7, 9, 11, 13 and n = 2..12 wherever q^n <= 2^40, and
+    for q = 3 at every such n but 4, 8 and 12, where it falls short by
+    3^(n/2 - 1)."""
     if n < 2:
         raise BadDimensionError("sphere pairs need dimension >= 2")
     q = field.q

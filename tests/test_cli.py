@@ -447,6 +447,15 @@ class TestSearch:
     def test_limit_exceeded_exits_three(self):
         assert run("search", "--p", "17", "--kind", "radius").returncode == 3
 
+    @pytest.mark.parametrize("kind", ["radius", "center"])
+    def test_greedy_node_budget_exits_three(self, kind):
+        args = ("search", "--p", "13", "--kind", kind, "--method", "greedy")
+        nodes = json.loads(run(*args).stdout)["nodesExplored"]
+        assert json.loads(run(*args, "--node-budget", str(nodes)).stdout)["nodesExplored"] == nodes
+        r = run(*args, "--node-budget", str(nodes - 1))
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr == f"error: estimated work {nodes} exceeds budget {nodes - 1}\n"
+
     @pytest.mark.parametrize("flag", ["--limit", "--node-budget"])
     def test_negative_bound_is_usage_error(self, flag):
         r = run("search", "--p", "7", "--kind", "radius", flag, "-1")

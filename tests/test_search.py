@@ -1,14 +1,24 @@
 """Minimal one-dimensional cover search: exact DFS, certification, greedy.
 
-The scalar greedy that the vectorized one replaced is kept below as its
-oracle.
+greedy_circular keeps one gain counter per element and updates it by the
+values each step covers.  Two greedies it replaced are kept below as its
+oracles, and every oracle returns an equal SearchOutcome (size, example
+and nodes):
+- the scalar greedy, one bitmask of cover values per candidate, for
+  q <= 1009;
+- the sort-based greedy, which re-stacks its q x |K| value table and
+  re-sorts every candidate row at each step, for q up to 4093.
 """
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from conftest import exhaustive_cover_exists
 from ffkakeya import (
     BudgetExceededError,
+    SizeCapError,
     circular_lower_bounds,
     diff_cover,
     greedy_circular,
@@ -17,6 +27,7 @@ from ffkakeya import (
     prime_power_decompose,
     sum_cover,
 )
+from ffkakeya.field import ARRAY_CAP
 from ffkakeya.search import SearchOutcome
 
 SMALL_Q = [3, 5, 7, 9, 11, 13]
@@ -61,6 +72,37 @@ def old_greedy_circular(field, kind):
         covered |= old_new_bits(field, kind, best_x, chosen)
         chosen.append(best_x)
         member[best_x] = True
+    return SearchOutcome(q, kind, len(chosen), tuple(sorted(chosen)), nodes, False)
+
+
+# ---- oracle: the sort-based greedy, one row of cover values per candidate ----
+
+def sorted_greedy_circular(field, kind):
+    """Row x of the value table holds the cover values x would add, so a
+    candidate's gain is the number of distinct uncovered values in its
+    sorted row.  O(q * |K|) memory and O(q * |K|^2 * log |K|) time."""
+    q = field.q
+    ranks = np.arange(q, dtype=np.int64)
+    table = np.zeros((q, 1 if kind == "radius" else 0), dtype=np.int64)
+    covered = np.zeros(q, dtype=bool)
+    member = np.zeros(q, dtype=bool)
+    chosen = []
+    nodes = 0
+    while not covered.all():
+        candidates = np.flatnonzero(~member)
+        nodes += candidates.size
+        values = np.sort(table[candidates], axis=1)
+        new = ~covered[values]
+        new[:, 1:] &= values[:, 1:] != values[:, :-1]
+        best = int(candidates[np.argmax(new.sum(axis=1))])
+        covered[table[best]] = True
+        member[best] = True
+        chosen.append(best)
+        if kind == "radius":
+            cols = [field.sub_arrays(ranks, best), field.sub_arrays(best, ranks)]
+        else:
+            cols = [field.add_arrays(ranks, best)]
+        table = np.column_stack([table, *cols])
     return SearchOutcome(q, kind, len(chosen), tuple(sorted(chosen)), nodes, False)
 
 
@@ -170,6 +212,48 @@ class TestGreedy:
     def test_equals_the_scalar_greedy(self, q, kind):
         f = make_field(*prime_power_decompose(q))
         assert greedy_circular(f, kind) == old_greedy_circular(f, kind)
+
+    @pytest.mark.parametrize("q", [2187, 2401, 4093])
+    @pytest.mark.parametrize("kind", ["radius", "center"])
+    def test_equals_the_sort_based_greedy(self, q, kind):
+        f = make_field(*prime_power_decompose(q))
+        assert greedy_circular(f, kind) == sorted_greedy_circular(f, kind)
+
+    @pytest.mark.parametrize("kind", ["radius", "center"])
+    def test_node_budget_guard(self, kind):
+        f = make_field(13)
+        nodes = greedy_circular(f, kind).nodes
+        assert greedy_circular(f, kind, node_budget=nodes).nodes == nodes
+        with pytest.raises(BudgetExceededError) as info:
+            greedy_circular(f, kind, node_budget=nodes - 1)
+        assert info.value.estimate == nodes  # the last step, not a partial one
+        assert info.value.budget == nodes - 1
+        with pytest.raises(BudgetExceededError) as info:
+            greedy_circular(f, kind, node_budget=12)
+        assert info.value.estimate == 13  # the first step has q candidates
+
+    def test_refuses_a_q_past_the_array_cap_at_once(self):
+        f = make_field(ARRAY_CAP + 15)  # a prime
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError):
+                greedy_circular(f, "center")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_memory_at_q10007(self):
+        # the sort-based greedy's value table peaked at about 100 MB here
+        f = make_field(10007)
+        tracemalloc.start()
+        try:
+            out = greedy_circular(f, "radius")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert diff_cover(f, list(out.example))
 
 
 class TestOutcomeSerialization:

@@ -439,6 +439,16 @@ class TestIntersectionLemma:
         best = verify_intersection_lemma(make_field(11), 4)
         assert best == 132 == intersection_lemma_bound(11, 4)
 
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+    def test_maximum_against_the_bound(self, q):
+        # observed: the bound is reached except at q = 3, n = 4, 8, 12
+        f = make_field(*prime_power_decompose(q))
+        for n in range(2, 13):
+            if q ** n > 1 << 40:
+                break
+            shortfall = 3 ** (n // 2 - 1) if q == 3 and n % 4 == 0 else 0
+            assert verify_intersection_lemma(f, n) == intersection_lemma_bound(q, n) - shortfall
+
     def test_bound_values(self):
         assert intersection_lemma_bound(3, 2) == 1 + 1
         assert intersection_lemma_bound(5, 3) == 5 + 5
