@@ -4,6 +4,11 @@ Subcommands: construct, verify, count, bound, search, report.  All output
 is deterministic (sorted JSON keys, fixed CSV columns, no timestamps) and
 exact (integers, or rationals rendered as num/den).  Exit codes: 0 success
 or verdict true, 1 verdict false, 2 usage error, 3 budget or size cap.
+
+Each --which name is its builder's name in constructions with dashes for
+underscores (radius-spherical runs constructions.radius_spherical).  A
+circular builder takes the field (p for circular-prime) and the variant,
+a spherical one the field and n (and r for center-spherical).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from .errors import BudgetExceededError, KakeyaError, SizeCapError, UsageError
@@ -50,11 +56,9 @@ def _write(out_path, text: str) -> None:
 
 
 def _result_row(res) -> list[str]:
-    terms = [exact_str(t) for t in res.main_terms][:3]
-    terms += [""] * (3 - len(terms))
+    terms = ([exact_str(t) for t in res.main_terms] + ["", "", ""])[:3]
     return [str(res.field.q), str(res.field.p), str(res.field.k), str(res.n),
-            res.name, res.variant or "", str(res.size),
-            terms[0], terms[1], terms[2],
+            res.name, res.variant or "", str(res.size), *terms,
             exact_str(res.bound), str(res.bound_met).lower(),
             str(res.witness_valid).lower()]
 
@@ -67,46 +71,34 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _circular_minima(q: int) -> dict:
+    return dict(zip(("diffCoverMin", "sumCoverMin"), circular_lower_bounds(q)))
+
+
 def _build_construction(which, p, k, n, variant, r):
-    from .constructions import (
-        center_spherical,
-        circular_odd_power,
-        circular_prime,
-        circular_square,
-        hypersphere_union,
-        radius_spherical,
-    )
     from .field import make_field
 
+    # not `from . import constructions`: that asks the package's __getattr__,
+    # which binds every public name and so imports every module
+    build = getattr(import_module(".constructions", __package__), which.replace("-", "_"))
     if which in CIRCULAR:
         if n not in (None, 1):
             raise UsageError(f"{which} is one-dimensional; omit --n or pass 1")
-        if which == "circular-prime":
-            if k != 1:
-                raise UsageError("circular-prime needs k = 1")
-            return circular_prime(p, variant)
-        field = make_field(p, k)
-        if which == "circular-square":
-            return circular_square(field, variant)
-        return circular_odd_power(field, variant)
+        if which != "circular-prime":
+            return build(make_field(p, k), variant)
+        if k != 1:
+            raise UsageError("circular-prime needs k = 1")
+        return build(p, variant)
     if n is None:
         raise UsageError(f"{which} needs --n")
     field = make_field(p, k)
-    if which == "radius-spherical":
-        return radius_spherical(field, n)
-    if which == "center-spherical":
-        return center_spherical(field, n, r)
-    return hypersphere_union(field, n)
+    return build(field, n, r) if which == "center-spherical" else build(field, n)
 
 
 def _cmd_construct(args) -> int:
-    res = _build_construction(args.which, args.p, args.k, args.n,
-                              args.variant, args.r)
-    if args.format == "json":
-        text = _dumps(res.to_json_dict())
-    else:
-        text = _csv_text([_result_row(res)])
-    _write(args.out, text)
+    res = _build_construction(args.which, args.p, args.k, args.n, args.variant, args.r)
+    _write(args.out, _dumps(res.to_json_dict()) if args.format == "json"
+           else _csv_text([_result_row(res)]))
     return 0
 
 
@@ -118,9 +110,8 @@ def _load_set_file(path):
     if not isinstance(data, dict) or not isinstance(data.get("ranks"), list):
         raise UsageError(f"{path} is not a point set file")
     points = PointSet.from_json_dict(data, f"set file {path}")
-    witness = None
-    if "witness" in data:
-        witness = witness_from_json_dict(data["witness"], points.field, points.n)
+    witness = (witness_from_json_dict(data["witness"], points.field, points.n)
+               if "witness" in data else None)
     return points, witness
 
 
@@ -134,41 +125,33 @@ def _cmd_verify(args) -> int:
     )
 
     points, witness = _load_set_file(args.file)
-    prop = args.property
-    if prop in ("radius", "center"):
-        fn = verify_radius_kakeya if prop == "radius" else verify_center_kakeya
-        if args.mode == "witness":
-            if witness is None:
-                raise UsageError("witness mode needs a witness in the file")
-            verdict = fn(points, witness)
-        else:
-            verdict = fn(points, budget=args.budget)
-    elif prop in ("diff-cover", "sum-cover"):
+    prop, mode, field = args.property, args.mode, points.field
+    key = "witnessValid"
+    if prop in ("diff-cover", "sum-cover"):
         if points.n != 1:
             raise UsageError(f"{prop} applies to one-dimensional sets")
-        ranks = [int(x) for x in points.ranks()]
-        verdict = (diff_cover if prop == "diff-cover" else sum_cover)(points.field, ranks)
-    else:  # stored witness, whatever its kind
-        if witness is None:
-            raise UsageError("witness mode needs a witness in the file")
-        verdict = witness_valid(points.field, points, witness)
-    out = {
-        "q": points.field.q, "p": points.field.p, "k": points.field.k, "n": points.n,
-        "property": prop, "mode": args.mode,
-        "size": points.size, "verdict": verdict,
-    }
-    if prop in ("radius", "center"):
-        out["witnessValid" if args.mode == "witness" else "exhaustiveValid"] = verdict
-    elif prop == "witness":
-        out["witnessValid"] = verdict
+        cover = diff_cover if prop == "diff-cover" else sum_cover
+        verdict, key = cover(field, points.ranks()), None
+    elif witness is None and "witness" in (prop, mode):
+        raise UsageError("witness mode needs a witness in the file")
+    elif prop == "witness":  # stored witness, whatever its kind
+        verdict = witness_valid(field, points, witness)
+    else:
+        verify = verify_radius_kakeya if prop == "radius" else verify_center_kakeya
+        if mode == "witness":
+            verdict = verify(points, witness)
+        else:
+            verdict, key = verify(points, budget=args.budget), "exhaustiveValid"
+    out = {"q": field.q, "p": field.p, "k": field.k, "n": points.n, "property": prop,
+           "mode": mode, "size": points.size, "verdict": verdict}
+    if key:
+        out[key] = verdict
     if points.n >= 2:
-        report = spherical_kakeya_lower_bound(points.field.q, points.n)
+        report = spherical_kakeya_lower_bound(field.q, points.n)
         out["lowerBound"] = exact_str(report.value)
         out["meetsLowerBound"] = points.size >= report.value
     else:
-        dmin, smin = circular_lower_bounds(points.field.q)
-        out["diffCoverMin"] = dmin
-        out["sumCoverMin"] = smin
+        out.update(_circular_minima(field.q))
     _write(args.out, _dumps(out))
     return 0 if verdict else 1
 
@@ -182,10 +165,8 @@ def _cmd_count(args) -> int:
         raise UsageError("--n does not match the number of coefficients")
     field = make_field(args.p, args.k)
     eq = DiagonalEq(coeffs, args.rhs)
-    out = {
-        "q": field.q, "p": field.p, "k": field.k, "n": len(coeffs),
-        "coeffs": list(coeffs), "rhs": args.rhs,
-    }
+    out = {"q": field.q, "p": field.p, "k": field.k, "n": len(coeffs),
+           "coeffs": list(coeffs), "rhs": args.rhs}
     if args.method in ("closed", "both"):
         out["closed"] = diagonal_count_closed(field, eq)
     if args.method in ("bruteforce", "both"):
@@ -193,15 +174,12 @@ def _cmd_count(args) -> int:
     if args.method == "both":
         out["agree"] = out["closed"] == out["bruteforce"]
     _write(args.out, _dumps(out))
-    if args.method == "both" and not out["agree"]:
-        return 1
-    return 0
+    return 0 if out.get("agree", True) else 1
 
 
 def _cmd_bound(args) -> int:
     if args.n == 1:
-        dmin, smin = circular_lower_bounds(args.q)
-        out = {"q": args.q, "n": 1, "diffCoverMin": dmin, "sumCoverMin": smin}
+        out = {"q": args.q, "n": 1, **_circular_minima(args.q)}
     else:
         report = spherical_kakeya_lower_bound(args.q, args.n)
         out = {"q": args.q, "n": args.n, "branch": report.branch,
@@ -227,18 +205,15 @@ def _cmd_search(args) -> int:
 def _cmd_report(args) -> int:
     qs = sorted({int(x) for x in args.q_list.split(",") if x.strip()})
     ns = sorted({int(x) for x in args.n_list.split(",") if x.strip()})
-    variants = list(VARIANTS) if args.variant == "both" else [args.variant]
+    if args.which in CIRCULAR:
+        cells = [(None, v) for v in (VARIANTS if args.variant == "both" else [args.variant])]
+    else:
+        cells = [(n, None) for n in ns]
     rows = []
     for q in qs:
-        p, k = prime_power_decompose(q)
-        if args.which in CIRCULAR:
-            for variant in variants:
-                res = _build_construction(args.which, p, k, None, variant, None)
-                rows.append(_result_row(res))
-        else:
-            for n in ns:
-                res = _build_construction(args.which, p, k, n, None, args.r)
-                rows.append(_result_row(res))
+        p, k = prime_power_decompose(q)  # even a q with no cells is checked
+        rows += (_result_row(_build_construction(args.which, p, k, n, variant, args.r))
+                 for n, variant in cells)
     _write(args.out, _csv_text(rows))
     return 0
 
@@ -248,17 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ffkakeya",
         description="Spherical and circular Kakeya sets over odd finite fields")
     sub = parser.add_subparsers(dest="command", required=True)
+    field_args = argparse.ArgumentParser(add_help=False)
+    field_args.add_argument("--p", type=int, required=True)
+    field_args.add_argument("--k", type=int, default=1)
 
-    c = sub.add_parser("construct", help="build a Kakeya set")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--k", type=int, default=1)
+    c = sub.add_parser("construct", parents=[field_args], help="build a Kakeya set")
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--which", required=True, choices=SPHERICAL + CIRCULAR)
     c.add_argument("--variant", choices=VARIANTS, default="radius")
     c.add_argument("--r", type=int, default=None,
                    help="nonsquare radius rank for center-spherical")
     c.add_argument("--format", choices=("json", "csv"), default="json")
-    c.add_argument("--out", default=None)
     c.set_defaults(handler=_cmd_construct)
 
     v = sub.add_parser("verify", help="verify a saved point set")
@@ -267,35 +242,29 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("radius", "center", "diff-cover", "sum-cover", "witness"))
     v.add_argument("--mode", choices=("witness", "exhaustive"), default="exhaustive")
     v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    v.add_argument("--out", default=None)
     v.set_defaults(handler=_cmd_verify)
 
-    t = sub.add_parser("count", help="count diagonal equation solutions")
-    t.add_argument("--p", type=int, required=True)
-    t.add_argument("--k", type=int, default=1)
+    t = sub.add_parser("count", parents=[field_args],
+                       help="count diagonal equation solutions")
     t.add_argument("--n", type=int, default=None)
     t.add_argument("--coeffs", required=True,
                    help="comma-separated coefficient ranks")
     t.add_argument("--rhs", type=int, required=True)
     t.add_argument("--method", choices=("closed", "bruteforce", "both"),
                    default="both")
-    t.add_argument("--out", default=None)
     t.set_defaults(handler=_cmd_count)
 
     b = sub.add_parser("bound", help="exact size bounds")
     b.add_argument("--q", type=int, required=True)
     b.add_argument("--n", type=int, required=True)
-    b.add_argument("--out", default=None)
     b.set_defaults(handler=_cmd_bound)
 
-    s = sub.add_parser("search", help="minimal circular covers")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--k", type=int, default=1)
+    s = sub.add_parser("search", parents=[field_args], help="minimal circular covers")
     s.add_argument("--kind", required=True, choices=VARIANTS)
     s.add_argument("--method", choices=("exact", "greedy"), default="exact")
-    s.add_argument("--limit", type=int, default=EXACT_LIMIT)
+    s.add_argument("--limit", type=int, default=EXACT_LIMIT,
+                   help="largest q for --method exact; greedy ignores it")
     s.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    s.add_argument("--out", default=None)
     s.set_defaults(handler=_cmd_search)
 
     r = sub.add_parser("report", help="sweep constructions into a CSV table")
@@ -304,9 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--n-list", default="", help="comma-separated dimensions")
     r.add_argument("--variant", choices=VARIANTS + ("both",), default="both")
     r.add_argument("--r", type=int, default=None)
-    r.add_argument("--out", default=None)
     r.set_defaults(handler=_cmd_report)
 
+    for command in sub.choices.values():
+        command.add_argument("--out", default=None)
     return parser
 
 

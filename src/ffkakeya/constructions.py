@@ -44,7 +44,7 @@ from .exact import (
     spherical_kakeya_lower_bound,
 )
 from .field import Fq, make_field
-from .geometry import (  # noqa: F401 (CircleSpec re-exported)
+from .geometry import (
     CircleSpec,
     HypersphereSpec,
     PointSet,

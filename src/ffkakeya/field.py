@@ -56,7 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import NonOddPrimeError, SizeCapError
-from .exact import ceil_sqrt, is_prime, prime_power_decompose  # noqa: F401 (re-exported)
+from .exact import is_prime
 
 FIELD_CAP = 1 << 63  # largest accepted q = p^k
 LOG_CAP_BYTES = 64 << 20  # largest exp/log pair, 12 bytes per element

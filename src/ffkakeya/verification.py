@@ -23,7 +23,7 @@ product of the level table and the joint norm counts per Witt class
 about (q + 1) q^3 steps, and once per coordinate, in about n * q^(n+2)
 steps, for any other set.  The intersection-lemma maximum is read from
 the joint norm counts of F_q^n.  The size lower bounds live in exact,
-which needs no numpy; they are re-exported here.
+which needs no numpy.
 
 The witness record and its codec live here, next to WITNESS_KINDS: each
 entry is written field by field and read back into the type its kind
@@ -39,13 +39,7 @@ from operator import and_, attrgetter, eq, itemgetter, not_
 import numpy as np
 
 from .errors import BadDimensionError, BudgetExceededError, UsageError
-from .exact import (  # noqa: F401 (re-exported)
-    DEFAULT_BUDGET,
-    BoundReport,
-    circular_lower_bounds,
-    exact_str,
-    spherical_kakeya_lower_bound,
-)
+from .exact import DEFAULT_BUDGET
 from .field import Fq
 from .geometry import (
     CircleSpec,

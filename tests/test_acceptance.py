@@ -46,7 +46,7 @@ from ffkakeya import (
     verify_radius_kakeya,
     witness_valid,
 )
-from ffkakeya.field import ceil_sqrt
+from ffkakeya.exact import ceil_sqrt
 
 SWEEP_Q = [3, 5, 7, 9, 11, 13, 25, 27]
 SWEEP_N = [1, 2, 3, 4]

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through real subprocesses: output formats,
-exit codes, determinism."""
+exit codes, determinism.  The help texts, pinned byte for byte, and the
+name-to-builder rule are checked in-process."""
 
 import copy
 import json
@@ -10,7 +11,99 @@ import sys
 
 import pytest
 
+import ffkakeya
+from ffkakeya.cli import CIRCULAR, SPHERICAL, build_parser
+
 CMD = [sys.executable, "-m", "ffkakeya"]
+
+
+# `ffkakeya <command> --help` at COLUMNS=80
+HELP = {
+    "construct": """\
+usage: ffkakeya construct [-h] --p P [--k K] [--n N] --which
+                          {radius-spherical,center-spherical,hypersphere-union,circular-prime,circular-square,circular-odd-power}
+                          [--variant {radius,center}] [--r R]
+                          [--format {json,csv}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --p P
+  --k K
+  --n N
+  --which {radius-spherical,center-spherical,hypersphere-union,circular-prime,circular-square,circular-odd-power}
+  --variant {radius,center}
+  --r R                 nonsquare radius rank for center-spherical
+  --format {json,csv}
+  --out OUT
+""",
+    "verify": """\
+usage: ffkakeya verify [-h] --file FILE --property
+                       {radius,center,diff-cover,sum-cover,witness}
+                       [--mode {witness,exhaustive}] [--budget BUDGET]
+                       [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --file FILE
+  --property {radius,center,diff-cover,sum-cover,witness}
+  --mode {witness,exhaustive}
+  --budget BUDGET
+  --out OUT
+""",
+    "count": """\
+usage: ffkakeya count [-h] --p P [--k K] [--n N] --coeffs COEFFS --rhs RHS
+                      [--method {closed,bruteforce,both}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --p P
+  --k K
+  --n N
+  --coeffs COEFFS       comma-separated coefficient ranks
+  --rhs RHS
+  --method {closed,bruteforce,both}
+  --out OUT
+""",
+    "bound": """\
+usage: ffkakeya bound [-h] --q Q --n N [--out OUT]
+
+options:
+  -h, --help  show this help message and exit
+  --q Q
+  --n N
+  --out OUT
+""",
+    "search": """\
+usage: ffkakeya search [-h] --p P [--k K] --kind {radius,center}
+                       [--method {exact,greedy}] [--limit LIMIT]
+                       [--node-budget NODE_BUDGET] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --p P
+  --k K
+  --kind {radius,center}
+  --method {exact,greedy}
+  --limit LIMIT         largest q for --method exact; greedy ignores it
+  --node-budget NODE_BUDGET
+  --out OUT
+""",
+    "report": """\
+usage: ffkakeya report [-h] --which
+                       {radius-spherical,center-spherical,hypersphere-union,circular-prime,circular-square,circular-odd-power}
+                       [--q-list Q_LIST] [--n-list N_LIST]
+                       [--variant {radius,center,both}] [--r R] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --which {radius-spherical,center-spherical,hypersphere-union,circular-prime,circular-square,circular-odd-power}
+  --q-list Q_LIST       comma-separated prime powers
+  --n-list N_LIST       comma-separated dimensions
+  --variant {radius,center,both}
+  --r R
+  --out OUT
+""",
+}
 
 
 def run(*args, **kwargs):
@@ -65,6 +158,12 @@ class TestConstruct:
     def test_circular_prime_rejects_extension_field(self):
         r = run("construct", "--p", "3", "--k", "2", "--which", "circular-prime")
         assert r.returncode == 2
+
+    def test_every_which_names_a_builder(self):
+        for which in SPHERICAL + CIRCULAR:
+            name = which.replace("-", "_")
+            assert name in ffkakeya._HOMES["constructions"]
+            assert callable(getattr(ffkakeya, name)), which
 
     def test_unknown_construction_is_argparse_error(self):
         r = run("construct", "--p", "3", "--n", "2", "--which", "nonsense")
@@ -506,12 +605,28 @@ class TestReport:
             "q,p,k,n,construction,variant,size,mainTerm1,mainTerm2,mainTerm3,"
             "bound,boundMet,witnessValid"]
 
+    def test_even_q_without_dimensions_is_usage_error(self):
+        # each q is decomposed before its rows, so an empty --n-list checks it too
+        r = run("report", "--which", "radius-spherical", "--q-list", "10", "--n-list", "")
+        assert r.returncode == 2
+        assert r.stderr == "error: 10 is even\n"
+
     def test_single_variant(self):
         r = run("report", "--which", "circular-square", "--q-list", "9,25",
                 "--variant", "radius")
         lines = r.stdout.splitlines()
         assert len(lines) == 3
         assert all(line.split(",")[5] == "radius" for line in lines[1:])
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args([command, "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
 
 
 class TestModuleEntry:

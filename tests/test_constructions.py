@@ -47,7 +47,7 @@ from ffkakeya import (
     witness_valid,
 )
 from ffkakeya.constructions import _circular_witness, _result
-from ffkakeya.field import ceil_sqrt, is_prime
+from ffkakeya.exact import ceil_sqrt, is_prime
 from ffkakeya.geometry import level_order, origin_norm_profile, space_size
 from test_translation import per_entry_witness_valid
 

@@ -1,8 +1,9 @@
 """Static checks of the package source, by the standard library's ast: no
-module imports a name it never uses (a re-export is marked
-`# noqa: F401`), and every module-level private name is referenced
-somewhere in the package.  A function moved to another module leaves
-either behind when its old home keeps the import or the helper.  A
+module imports a name it never uses (each public name has one home, the
+module _HOMES names, so no module re-exports one and no import is
+exempt), and every module-level private name is referenced somewhere in
+the package.  A function moved to another module leaves either behind
+when its old home keeps the import or the helper.  A
 construction result is made in one place, constructions._result, so every
 construction reports its size, bound verdict and witness verdict by one
 rule."""
@@ -28,16 +29,14 @@ def loaded_names(tree) -> set:
     return names
 
 
-def unused_imports(text: str, tree) -> list:
-    """(line, name) of each name a module imports and never reads; the
-    lines of an import marked noqa: F401 are skipped, as is __future__."""
-    lines, used = text.splitlines(), loaded_names(tree)
+def unused_imports(tree) -> list:
+    """(line, name) of each name a module imports and never reads, other
+    than from __future__."""
+    used = loaded_names(tree)
     unused = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
                 isinstance(node, ast.ImportFrom) and node.module == "__future__"):
-            continue
-        if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
             continue
         for alias in node.names:
             bound = alias.asname or alias.name.partition(".")[0]
@@ -75,9 +74,12 @@ def calls_by_owner(tree, callee: str) -> list:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    unused = {name: found for name, text in SOURCES.items()
-              if (found := unused_imports(text, TREES[name]))}
+    unused = {name: found for name, tree in TREES.items() if (found := unused_imports(tree))}
     assert not unused
+
+
+def test_no_module_exempts_an_import():
+    assert not [name for name, text in SOURCES.items() if "noqa: F401" in text]
 
 
 def test_every_private_name_is_referenced_in_the_package():
@@ -99,7 +101,7 @@ def test_the_checks_find_what_they_look_for():
     text = ("import os\nfrom x import y  # noqa: F401\n_lost = 1\n\n\n"
             "def _used():\n    return 1\n\n\nz = _used()\n")
     tree = ast.parse(text)
-    assert unused_imports(text, tree) == [(1, "os")]
+    assert unused_imports(tree) == [(1, "os"), (2, "y")]  # noqa exempts nothing
     assert [d for d in private_definitions(tree) if d[1] not in loaded_names(tree)] == \
         [(3, "_lost")]
     text = ("R = Result(1)\n\n\ndef make():\n    return [Result(2), m.Result(3)]\n\n\n"
