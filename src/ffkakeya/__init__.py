@@ -30,13 +30,14 @@ _HOMES = {
         "BoundReport", "ceil_sqrt", "circular_lower_bounds", "exact_str",
         "prime_power_decompose", "spherical_kakeya_lower_bound",
     ),
-    "field": ("Fq", "make_field", "smallest_irreducible"),
+    "field": ("Fq", "make_field"),
     "geometry": (
-        "CircleSpec", "DiagonalEq", "HypersphereSpec", "PointSet", "SphereSpec",
-        "diagonal_count_bruteforce", "diagonal_count_closed", "diagonal_counts_by_rhs",
+        "CircleSpec", "HypersphereSpec", "PointSet", "SphereSpec",
+        "diagonal_count_bruteforce", "diagonal_counts_by_rhs",
         "hypersphere_ranks", "origin_norm_profile", "point_rank", "point_unrank",
         "sphere_intersection_size", "sphere_ranks", "translate",
     ),
+    "scalar": ("DiagonalEq", "ScalarField", "diagonal_count_closed", "smallest_irreducible"),
     "search": ("SearchOutcome", "greedy_circular", "minimal_circular_exact"),
     "verification": (
         "KakeyaWitness", "diff_cover", "intersection_lemma_bound", "sum_cover",

@@ -33,8 +33,8 @@ from .exact import (
     spherical_kakeya_lower_bound,
 )
 
-# Each subcommand imports the modules it runs, so `bound` never loads numpy
-# and `count` never loads the constructions.
+# Each subcommand imports the modules it runs: `bound`, `count --method closed`
+# and `search --method exact` load no numpy, and `count` no constructions.
 
 SPHERICAL = ("radius-spherical", "center-spherical", "hypersphere-union")
 CIRCULAR = ("circular-prime", "circular-square", "circular-odd-power")
@@ -156,20 +156,29 @@ def _cmd_verify(args) -> int:
     return 0 if verdict else 1
 
 
-def _cmd_count(args) -> int:
+def _field(p: int, k: int, scalar: bool):
+    """F_(p^k): the numpy-free ScalarField for scalar answers, else an Fq."""
+    if scalar:
+        from .scalar import ScalarField
+        return ScalarField(p, k)
     from .field import make_field
-    from .geometry import DiagonalEq, diagonal_count_bruteforce, diagonal_count_closed
+    return make_field(p, k)
+
+
+def _cmd_count(args) -> int:
+    from .scalar import DiagonalEq, diagonal_count_closed
 
     coeffs = tuple(int(x) for x in args.coeffs.split(",") if x.strip())
     if args.n is not None and args.n != len(coeffs):
         raise UsageError("--n does not match the number of coefficients")
-    field = make_field(args.p, args.k)
+    field = _field(args.p, args.k, args.method == "closed")
     eq = DiagonalEq(coeffs, args.rhs)
     out = {"q": field.q, "p": field.p, "k": field.k, "n": len(coeffs),
            "coeffs": list(coeffs), "rhs": args.rhs}
     if args.method in ("closed", "both"):
         out["closed"] = diagonal_count_closed(field, eq)
     if args.method in ("bruteforce", "both"):
+        from .geometry import diagonal_count_bruteforce
         out["bruteforce"] = diagonal_count_bruteforce(field, eq)
     if args.method == "both":
         out["agree"] = out["closed"] == out["bruteforce"]
@@ -189,10 +198,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .field import make_field
     from .search import greedy_circular, minimal_circular_exact
 
-    field = make_field(args.p, args.k)
+    field = _field(args.p, args.k, args.method == "exact")
     if args.method == "exact":
         outcome = minimal_circular_exact(field, args.kind, limit=args.limit,
                                          node_budget=args.node_budget)

@@ -53,8 +53,8 @@ from .geometry import (
     level_sizes,
     origin_norm_profile,
     space_size,
-    valid_ranks,
 )
+from .scalar import valid_ranks
 from .verification import KakeyaWitness, witness_valid
 
 

@@ -1,20 +1,10 @@
-"""Arithmetic and canonical enumeration for F_q, q = p^k with p an odd prime.
+"""Rank arrays and tables for F_q, q = p^k with p an odd prime.
 
-Field elements are plain integers.  The *rank* of an element is an integer
-in [0, q); the base-p digits of the rank, least significant digit first,
-are the coefficients of the residue polynomial in the generator t:
-
-    a_0 + a_1*t + ... + a_{k-1}*t^(k-1)   <->   a_0 + a_1*p + ... + a_{k-1}*p^(k-1)
-
-Rank 0 is the zero element and rank 1 the one element; for k > 1 rank p is
-the generator t itself.  For k = 1 the rank is simply the least nonnegative
-residue mod p.  Every enumeration loop, the "smallest nonsquare" choice and
-all set serialization rely on this rank order.
-
-Extension fields reduce modulo the lexicographically smallest monic
-irreducible polynomial of degree k over F_p, comparing coefficient tuples
-constant term first, so two independent builds of the same (p, k) agree
-element by element.
+Fq is scalar.ScalarField, whose module fixes the rank order and the
+modulus and owns the scalar ops, plus the arrays that vectorized callers
+read.  Of the scalar ops Fq overrides only mul and pow: they read the
+exp/log pair while it fits, and take ScalarField's polynomial products
+beyond it.
 
 Multiplication is read from one pair of length-q arrays per field, built
 lazily while they fit in LOG_CAP_BYTES (12 bytes per element, so q up to
@@ -23,12 +13,9 @@ rank (Fq.primitive), and its inverse log, built by doubling with the
 digit matrix of g^m, squared each step.  The digit matrices of
 multiplication (_mul_matrices) also test a batch of candidates for g at
 once.  inv_arr and sq_arr (int32, 4q bytes each), char_arr (int8) and
-mul_table are gathers from exp and log, and so are the scalar mul, inv,
-pow and char of extension fields up to the byte cap; beyond it the scalar
-ops multiply the digit polynomials modulo the modulus.  One polynomial
-product, _poly_mulmod, and its power _poly_powmod serve those ops and
-Ben-Or's irreducibility test alike.  Which g is used changes no output:
-only the tables and values derived from exp and log are visible;
+mul_table are gathers from exp and log, and so are the scalar mul, inv
+and pow of extension fields up to the byte cap.  Which g is used changes
+no output: only the tables and values derived from exp and log are visible;
 mul_arrays is a gather from them too.  add_arrays and sub_arrays add rank
 arrays for any q, and every other module adds through them: a chunk of c
 base-p digits of both operands indexes one cached p^c x p^c table of
@@ -49,100 +36,20 @@ from __future__ import annotations
 import functools
 import math
 from functools import cached_property
-from itertools import zip_longest
 from operator import index
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import NonOddPrimeError, SizeCapError
-from .exact import is_prime
+from .errors import SizeCapError
+from .scalar import ScalarField
 
-FIELD_CAP = 1 << 63  # largest accepted q = p^k
 LOG_CAP_BYTES = 64 << 20  # largest exp/log pair, 12 bytes per element
 ARRAY_CAP = 1 << 26  # most elements in one rank array or dense table (512 MB of int64)
 CHUNK_ENTRIES = 1 << 16  # most entries in one digit-chunk table of add/sub_arrays
 # dtype of the dense q x q tables: ARRAY_CAP lets them exist only for
 # q <= isqrt(ARRAY_CAP) = 8192, so every entry is a rank below 8192
 TABLE_DTYPE = np.int16
-
-
-# ---- polynomial helpers over F_p (coefficient lists, constant term first) ----
-
-def _poly_rem(a: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial m, trailing zeros stripped."""
-    a = list(a)
-    dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a * b modulo the monic polynomial f."""
-    prod = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _poly_rem([c % p for c in prod], f, p)
-
-
-def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a^e modulo the monic polynomial f, for e >= 0, by square-and-multiply."""
-    result = [1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, a, f, p)
-        e >>= 1
-        if e:
-            a = _poly_mulmod(a, a, f, p)
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """A greatest common divisor of a and b, by Euclid's algorithm."""
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        a, b = b, _poly_rem(a, [c * inv % p for c in b], p)
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Ben-Or's test for the monic f of degree k over F_p: f is reducible
-    iff gcd(t^(p^j) - t, f) != 1 for some j <= k/2, since t^(p^j) - t is
-    the product of the monic irreducibles of degree dividing j.  A factor
-    of degree d rejects f after d powers, where trial division by every
-    candidate of degree up to k/2 takes about p^(k/2) steps."""
-    t = x = _poly_rem([0, 1], f, p)
-    for _ in range((len(f) - 1) // 2):  # x = t^(p^j) mod f for j = 1, 2, ...
-        x = _poly_powmod(x, p, f, p)
-        diff = _poly_rem([(a - b) % p for a, b in zip_longest(x, t, fillvalue=0)], f, p)
-        if len(_poly_gcd(f, diff, p)) != 1:  # diff has no trailing zeros, as _poly_gcd needs
-            return False
-    return True
-
-
-def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree k over F_p.
-
-    Candidate low coefficients (c_0, ..., c_{k-1}) are compared constant
-    term first, so the scan fixes c_0 outermost.  For k >= 2 the codes
-    below p^(k-1) are exactly the candidates with c_0 = 0, each divisible
-    by t, so the scan starts at p^(k-1).  Each candidate takes Ben-Or's
-    test, which is exact, so the modulus is the one trial division finds.
-    """
-    for code in range(p ** (k - 1) if k > 1 else 0, p ** k):
-        low = [(code // p ** (k - 1 - i)) % p for i in range(k)]
-        f = low + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
-    raise RuntimeError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -160,124 +67,30 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-class Fq:
-    """The finite field with q = p^k elements, p an odd prime.
+class Fq(ScalarField):
+    """F_q with rank arrays and tables for vectorized callers.  The dense
+    q x q tables need q <= 8192 (ARRAY_CAP); the scalar methods work for
+    any supported q.  Use make_field() for a cached instance."""
 
-    All operations take and return element ranks (plain ints).  The
-    dense q x q tables need q <= 8192 (ARRAY_CAP); the scalar methods
-    work for any supported q, past LOG_CAP_BYTES by polynomial products.
-    Instances are immutable; use make_field() for a cached instance.
-    """
-
-    zero = 0
-    one = 1
-
-    def __init__(self, p: int, k: int = 1):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"extension degree must be a positive integer, got {k}")
-        if not isinstance(p, int) or p == 2 or not is_prime(p):
-            raise NonOddPrimeError(f"{p} is not an odd prime")
-        if k >= 40 or p ** k > FIELD_CAP:  # p >= 3: past it for k >= 40, tested before p^k
-            raise SizeCapError(f"q = {p}^{k} exceeds the field size cap 2^63")
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        self.modulus = smallest_irreducible(p, k) if k > 1 else None
-
-    # ---- element codecs ----
-
-    def element_to_coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of the rank, constant term first, length k."""
-        p = self.p
-        return tuple((a // p ** i) % p for i in range(self.k))
-
-    def coeffs_to_element(self, coeffs) -> int:
-        if len(coeffs) > self.k:
-            raise ValueError("too many coefficients")
-        rank = 0
-        for i, c in enumerate(coeffs):
-            if not 0 <= c < self.p:
-                raise ValueError(f"coefficient {c} outside [0, {self.p})")
-            rank += c * self.p ** i
-        return rank
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def units(self) -> range:
-        return range(1, self.q)
-
-    # ---- scalar arithmetic on ranks ----
-
-    # the scalar ops read their operands as Python ints, so narrow numpy
-    # integers (a uint8, an int16 table entry) do not wrap
-    def add(self, a: int, b: int) -> int:
-        a, b = index(a), index(b)
-        if self.k == 1:
-            return (a + b) % self.p
-        return self._digitwise_scalar(a, b, 1)
-
-    def sub(self, a: int, b: int) -> int:
-        a, b = index(a), index(b)
-        if self.k == 1:
-            return (a - b) % self.p
-        return self._digitwise_scalar(a, b, -1)
-
-    def _digitwise_scalar(self, a: int, b: int, sign: int) -> int:
-        """a + sign * b one base-p digit at a time, for k > 1."""
-        p, rank, step = self.p, 0, 1
-        for _ in range(self.k):
-            rank += (a // step + sign * (b // step)) % p * step
-            step *= p
-        return rank
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
+    # ---- scalar mul and pow read from the logs while they fit ----
 
     def mul(self, a: int, b: int) -> int:
+        if self.k == 1 or not self._logs_fit:
+            return super().mul(a, b)
         a, b = index(a), index(b)
-        if self.k == 1:
-            return a * b % self.p
-        if not self._logs_fit:
-            return self._poly_mul(a, b)
         if a == 0 or b == 0:
             return 0
         exp, log = self._logs
         return int(exp[log[a] + log[b]])
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
-
     def pow(self, a: int, e: int) -> int:
-        a, e = index(a), index(e)  # Python ints: pow(a, e, p) takes no numpy integer
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.k == 1:
-            return pow(a, e, self.p)
-        if not self._logs_fit:
-            return self._poly_pow(a, e)
+        a, e = index(a), index(e)
+        if e < 0 or self.k == 1 or not self._logs_fit:
+            return super().pow(a, e)
         if a == 0:
             return 0 if e else 1
         exp, log = self._logs
         return int(exp[int(log[a]) * e % (self.q - 1)])
-
-    # ---- polynomial arithmetic: beyond LOG_CAP_BYTES ----
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        """a * b by the product of the digit polynomials modulo the modulus."""
-        if self.k == 1:
-            return a * b % self.p
-        return self.coeffs_to_element(_poly_mulmod(
-            self.element_to_coeffs(a), self.element_to_coeffs(b), self.modulus, self.p))
-
-    def _poly_pow(self, a: int, e: int) -> int:
-        """a^e for e >= 0 by square-and-multiply of the digit polynomial."""
-        if self.k == 1:
-            return pow(a, e, self.p)
-        return self.coeffs_to_element(_poly_powmod(
-            self.element_to_coeffs(a), e, self.modulus, self.p))
 
     # ---- elementwise arithmetic on rank arrays ----
 
@@ -352,18 +165,6 @@ class Fq:
                 out += part
             step *= m
         return out
-
-    # ---- quadratic character ----
-
-    def char(self, a: int) -> int:
-        """Quadratic character: x^((q-1)/2) mapped to {-1, 0, +1}."""
-        if a == 0:
-            return 0
-        return 1 if self.pow(a, (self.q - 1) // 2) == 1 else -1
-
-    def smallest_nonsquare(self) -> int:
-        """The nonsquare of least rank; half the units are nonsquares."""
-        return next(a for a in self.units() if self.char(a) == -1)
 
     # ---- length-q arrays and dense q x q tables (vectorized callers) ----
 
@@ -535,28 +336,6 @@ class Fq:
         chi = (1 - 2 * (log & 1)).astype(np.int8)
         chi[0] = 0
         return chi
-
-    # ---- identity ----
-
-    def __repr__(self) -> str:
-        if self.k == 1:
-            return f"Fq({self.p})"
-        terms = []
-        for i, c in enumerate(self.modulus):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c) + "*"
-                terms.append(f"{head}t^{i}" if i > 1 else f"{head}t")
-        return f"Fq({self.q}, modulus={' + '.join(terms)})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Fq) and (self.p, self.k) == (other.p, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k))
 
 
 @functools.lru_cache(maxsize=None)

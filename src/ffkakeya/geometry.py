@@ -6,7 +6,7 @@ A point of F_q^n is a tuple of n element ranks.  The rank of a point is
 
 (the first coordinate is the least significant digit), a bijection between
 [0, q^n) and F_q^n that every dense point set uses as its index; point_ranks
-computes it, and valid_ranks and point_coordinates check ranks and points.
+computes it; scalar.valid_ranks and point_coordinates check ranks and points.
 
 The norm of a vector is the sum of its squared coordinates, with no square
 root anywhere.  A sphere of radius r in F_q^* around a center a is the
@@ -32,7 +32,7 @@ from a q x q table of the levels it holds, sized by the closed form
 sphere is checked by q lookups.
 
 Diagonal quadrics a_1 x_1^2 + ... + a_n x_n^2 = b are counted two ways:
-by the classical closed form, and directly, for every b at once, by a
+by the classical closed form (in scalar), and directly, for every b at once, by a
 recurrence over partial sums that adds one coordinate at a time from the
 number of square roots of each element, in O(n q^2) steps with no
 enumeration of F_q^n (diagonal_counts_by_rhs).  The closed form also
@@ -44,7 +44,6 @@ scans of level-built sets, need no enumeration either.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, mul
 from typing import NamedTuple
@@ -56,11 +55,11 @@ from .errors import (
     IdenticalSpheresError,
     SizeCapError,
     UsageError,
-    ZeroCoefficientError,
     ZeroDirectionError,
     ZeroRadiusError,
 )
 from .field import Fq, make_field
+from .scalar import DiagonalEq, _check_equation, _quadric_counts, valid_ranks
 
 POINT_CAP = 1 << 40  # largest supported q^n
 
@@ -87,15 +86,6 @@ def point_unrank(field: Fq, n: int, rank: int) -> tuple[int, ...]:
     if not valid_ranks([rank], q ** n):
         raise ValueError(f"point rank {rank} outside [0, {q}^{n})")
     return tuple((int(rank) // q ** i) % q for i in range(n))
-
-
-def valid_ranks(values: list, top: int, low: int = 0) -> bool:
-    """Whether every value is an integer (not a bool) in [low, top), an
-    element rank for top = q: one issubclass test per distinct type, then
-    one pass each of min and max.  A single value is a list of one."""
-    return (all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
-                for t in set(map(type, values)))
-            and (not values or bool(low <= min(values) and max(values) < top)))
 
 
 def point_coordinates(field: Fq, n: int, vecs: list) -> list | None:
@@ -165,21 +155,6 @@ class CircleSpec(NamedTuple("CircleSpec", [("center", int), ("radius", int)])):
         if radius == 0:
             raise ZeroRadiusError("circle radius must be nonzero")
         return super().__new__(cls, center, radius)
-
-
-@dataclass(frozen=True)
-class DiagonalEq:
-    """a_1 x_1^2 + ... + a_n x_n^2 = rhs with every a_i nonzero."""
-
-    coeffs: tuple[int, ...]
-    rhs: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
-            raise BadDimensionError("at least one coefficient required")
-        if any(c == 0 for c in self.coeffs):
-            raise ZeroCoefficientError("diagonal coefficients must be nonzero")
 
 
 # ---- dense point sets ----
@@ -331,11 +306,6 @@ class PointSet:
 
 # ---- diagonal equation counting ----
 
-def _check_equation(field: Fq, eq: DiagonalEq) -> None:
-    if not valid_ranks([*eq.coeffs, eq.rhs], field.q):
-        raise ValueError(f"equation ranks must lie in [0, {field.q}): {eq}")
-
-
 def diagonal_counts_by_rhs(field: Fq, coeffs) -> np.ndarray:
     """Solution counts of a_1 x_1^2 + ... + a_n x_n^2 = b for every rhs b
     at once, exact in int64 (q^n <= POINT_CAP), by a recurrence over the
@@ -376,28 +346,6 @@ def diagonal_count_bruteforce(field: Fq, eq: DiagonalEq) -> int:
     coordinate without enumerating them."""
     _check_equation(field, eq)
     return int(diagonal_counts_by_rhs(field, eq.coeffs)[eq.rhs])
-
-
-def diagonal_count_closed(field: Fq, eq: DiagonalEq) -> int:
-    """Exact solution count from the classical closed form for diagonal
-    quadrics (_quadric_counts), in Python integers at any size."""
-    _check_equation(field, eq)
-    delta = functools.reduce(field.mul, eq.coeffs)
-    return _quadric_counts(field.q, len(eq.coeffs), field.char(delta), field.char(eq.rhs))
-
-
-def _quadric_counts(q: int, d: int, eta_delta, eta_x):
-    """Solutions of a diagonal quadric of d nonzero coefficients of product
-    delta at rhs x, from chi(delta) and chi(x) alone: q^(d-1) plus a
-    correction of magnitude q^((d-1)//2) for x != 0, and (q-1) q^(d/2-1)
-    (d even) or 0 (d odd) for x = 0, signed by chi((-1)^(d//2) delta);
-    d = 0 gives [x = 0].  Exact in Python ints, broadcast over int64 arrays."""
-    if d == 0:
-        return 1 - abs(eta_x)
-    eta = (-1) ** ((q - 1) // 2 * (d // 2)) * eta_delta
-    if d % 2 == 0:
-        return q ** (d - 1) + (q * (1 - abs(eta_x)) - 1) * q ** (d // 2 - 1) * eta
-    return q ** (d - 1) + q ** (d // 2) * eta * eta_x
 
 
 # ---- spheres and hyper-spheres, from the origin profile and its levels ----

@@ -4,13 +4,15 @@ kind 'radius' asks for K - K = F_q, kind 'center' for K (+) K = F_q with
 distinct summands.  Both cover properties are invariant under affine maps
 K -> c*K + d (c != 0), so the exact search fixes 0 and 1 in K; that loses
 no generality and shrinks the tree.
+
+The exact search reads only the scalar add and sub of a field, so on a
+numpy-free ScalarField it loads no numpy.  The greedy search gathers from
+the rank arrays of an Fq, and imports numpy itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BudgetExceededError
 from .exact import (
@@ -20,7 +22,7 @@ from .exact import (
     VARIANTS,
     circular_lower_bounds,
 )
-from .field import Fq
+from .scalar import ScalarField
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {VARIANTS}")
 
 
-def _new_bits(field: Fq, kind: str, x: int, chosen: list[int]) -> int:
+def _new_bits(field: ScalarField, kind: str, x: int, chosen: list[int]) -> int:
     """Bitmask of cover values gained by adding x to the chosen set."""
     bits = 0
     if kind == VARIANT_RADIUS:
@@ -70,7 +72,7 @@ def _capacity(kind: str, have: int, slots: int) -> int:
     return slots * have + slots * (slots - 1) // 2
 
 
-def minimal_circular_exact(field: Fq, kind: str, *, limit: int = EXACT_LIMIT,
+def minimal_circular_exact(field: ScalarField, kind: str, *, limit: int = EXACT_LIMIT,
                            node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Exact minimum cover size with a witness set, by depth-first search
     over sets containing {0, 1}, increasing the candidate size from the
@@ -112,10 +114,10 @@ def minimal_circular_exact(field: Fq, kind: str, *, limit: int = EXACT_LIMIT,
     raise RuntimeError("no cover found up to size q")  # unreachable for odd q >= 3
 
 
-def greedy_circular(field: Fq, kind: str, *,
+def greedy_circular(field: ScalarField, kind: str, *,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
-    """Greedy baseline: repeatedly add the element covering the most
-    still-missing values, breaking ties toward the smallest rank.  Each
+    """Greedy baseline, on an Fq: repeatedly add the element covering the
+    most still-missing values, breaking ties toward the smallest rank.  Each
     step counts its q - |K| candidates as nodes; BudgetExceededError is
     raised before a step would take the count past node_budget.
 
@@ -129,6 +131,8 @@ def greedy_circular(field: Fq, kind: str, *,
     already held exactly when 2x - b is in K; for 'center' it is x + b,
     never already held.  So a step's arrays have q or |N| x |K| entries.
     0 = x - x starts covered: every first pick is rank 0, which covers it."""
+    import numpy as np
+
     _check_kind(kind)
     q = field.q
     field.require_array((q,))  # refuse a q past ARRAY_CAP before allocating

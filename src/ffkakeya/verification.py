@@ -56,8 +56,8 @@ from .geometry import (
     point_coordinates,
     point_ranks,
     space_size,
-    valid_ranks,
 )
+from .scalar import valid_ranks
 
 # ---- witness checking ----
 

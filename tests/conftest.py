@@ -29,7 +29,7 @@ set_hypothesis_home_dir(_hypothesis_home.name)
 
 def is_rank(field, v) -> bool:
     """Whether v is an element rank of the field, an integer in [0, q): the
-    one-value check that geometry.valid_ranks replaced."""
+    one-value check that scalar.valid_ranks replaced."""
     return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
             and 0 <= v < field.q)
 

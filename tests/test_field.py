@@ -6,7 +6,7 @@ that the exp/log tables replaced are kept below as the oracle for them,
 and so are the one-expression exp/log product table, the oracle of its
 row blocks, the broadcast digit table, the oracle of the row-built
 Fq._digit_table, the reduction-row product, the oracle of
-Fq._poly_mul, the exp/log builder that searched for g from rank 1 and
+ScalarField.mul, the exp/log builder that searched for g from rank 1 and
 made polynomial products at every doubling step, the oracle of Fq._logs,
 and the search for g one candidate at a time, the oracle of Fq.primitive.
 """
@@ -22,17 +22,20 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import traced_peak
 import ffkakeya.field as field_module
+import ffkakeya.scalar as scalar_module
 from ffkakeya import (
     Fq,
     KakeyaError,
     NonOddPrimeError,
+    ScalarField,
     SizeCapError,
     ceil_sqrt,
     make_field,
     prime_power_decompose,
     smallest_irreducible,
 )
-from ffkakeya.field import ARRAY_CAP, CHUNK_ENTRIES, FIELD_CAP, LOG_CAP_BYTES, TABLE_DTYPE
+from ffkakeya.field import ARRAY_CAP, CHUNK_ENTRIES, LOG_CAP_BYTES, TABLE_DTYPE
+from ffkakeya.scalar import FIELD_CAP
 
 ODD_PRIME_POWERS_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
 DENSE_TABLES = ("add_table", "sub_table", "mul_table")
@@ -77,7 +80,7 @@ def trial_division_irreducible(f, p):
     for d in range(1, k // 2 + 1):
         for code in range(p ** d):
             g = [(code // p ** i) % p for i in range(d)] + [1]
-            if not field_module._poly_rem(f, g, p):
+            if not scalar_module._poly_rem(f, g, p):
                 return False
     return True
 
@@ -87,14 +90,14 @@ def rabin_irreducible(f, p):
     f is irreducible iff t^(p^k) = t mod f and gcd(t^(p^(k/l)) - t, f) = 1
     for every prime l dividing k, with every j <= k/2 tested as well."""
     k = len(f) - 1
-    t = field_module._poly_rem([0, 1], f, p)
+    t = scalar_module._poly_rem([0, 1], f, p)
     gcd_at = set(range(1, k // 2 + 1)) | {k // ell for ell in field_module._prime_factors(k)}
-    tp = x = field_module._poly_powmod(t, p, f, p)
+    tp = x = scalar_module._poly_powmod(t, p, f, p)
     frobenius = [[1]]  # row i of frobenius: t^(ip) mod f
     for j in range(1, k + 1):  # x = t^(p^j) mod f
         if j > 1:
             while len(frobenius) < k:  # once, for a candidate that survives j = 1
-                frobenius.append(field_module._poly_mulmod(frobenius[-1], tp, f, p))
+                frobenius.append(scalar_module._poly_mulmod(frobenius[-1], tp, f, p))
             acc = [0] * k
             for c, row in zip(x, frobenius):
                 if c:
@@ -106,7 +109,7 @@ def rabin_irreducible(f, p):
             diff = [(a - b) % p for a, b in zip_longest(x, t, fillvalue=0)]
             while diff and diff[-1] == 0:
                 diff.pop()
-            if len(field_module._poly_gcd(f, diff, p)) != 1:
+            if len(scalar_module._poly_gcd(f, diff, p)) != 1:
                 return False
     return x == t
 
@@ -248,7 +251,7 @@ def scalar_primitive(field):
     order = field.q - 1
     factors = field_module._prime_factors(order)
     return next(x for x in range(field.p if field.k > 1 else 1, field.q)
-                if all(field._poly_pow(x, order // ell) != 1 for ell in factors))
+                if all(ScalarField.pow(field, x, order // ell) != 1 for ell in factors))
 
 
 def old_logs(field):
@@ -259,19 +262,19 @@ def old_logs(field):
     order = q - 1
     factors = field_module._prime_factors(order)
     g = next(x for x in range(1, q)
-             if all(field._poly_pow(x, order // ell) != 1 for ell in factors))
+             if all(ScalarField.pow(field, x, order // ell) != 1 for ell in factors))
     exp = np.empty(2 * order, dtype=np.int32)
     exp[0] = 1
     pvec = p ** np.arange(k)
     m, gm = 1, g
     while m < exp.size:
-        rows = np.array([field.element_to_coeffs(field._poly_mul(gm, p ** i))
+        rows = np.array([field.element_to_coeffs(ScalarField.mul(field, gm, p ** i))
                          for i in range(k)], dtype=np.int64)
         for lo in range(0, min(m, exp.size - m), 1 << 16):
             block = exp[lo:min(m, exp.size - m, lo + (1 << 16))]
             digits = block[:, None] // pvec % p
             exp[m + lo:m + lo + block.size] = digits @ rows % p @ pvec
-        m, gm = 2 * m, field._poly_mul(gm, gm)
+        m, gm = 2 * m, ScalarField.mul(field, gm, gm)
     log = np.zeros(q, dtype=np.int32)
     log[exp[:order]] = np.arange(order, dtype=np.int32)
     return exp, log
@@ -348,7 +351,7 @@ class TestModulus:
             for code in range(p ** k):
                 f = [(code // p ** i) % p for i in range(k)] + [1]
                 want = trial_division_irreducible(f, p)
-                assert field_module._is_irreducible(f, p) == want, f
+                assert scalar_module._is_irreducible(f, p) == want, f
                 assert rabin_irreducible(f, p) == want, f
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -359,7 +362,7 @@ class TestModulus:
             mod = smallest_irreducible(p, k)
             for code in range(p ** (k - 1), p ** k):
                 f = [(code // p ** (k - 1 - i)) % p for i in range(k)] + [1]
-                verdict = field_module._is_irreducible(f, p)
+                verdict = scalar_module._is_irreducible(f, p)
                 assert verdict == rabin_irreducible(f, p), (k, f)
                 if verdict:
                     break
@@ -385,25 +388,25 @@ class TestModulus:
 
 
 class TestPolynomialProduct:
-    """Fq._poly_mul and _poly_pow, the rank wrappers over the one polynomial
+    """ScalarField.mul and pow, the rank wrappers over the one polynomial
     product, against the reduction-row product they replaced."""
 
     @pytest.mark.parametrize("q", _odd_prime_powers_up_to(243))
     def test_poly_mul_equals_the_reduction_rows_on_all_pairs(self, q):
         f = Fq(*prime_power_decompose(q))
-        got = np.array([[f._poly_mul(a, b) for b in f.elements()] for a in f.elements()])
+        got = np.array([[ScalarField.mul(f, a, b) for b in f.elements()] for a in f.elements()])
         assert np.array_equal(got, old_mul_table(f))
 
     def test_poly_mul_and_pow_equal_the_reduction_rows_at_3_15(self):
         f = Fq(3, 15)
         rng = np.random.default_rng(315)
         for a, b in rng.integers(0, f.q, size=(500, 2)).tolist():
-            assert f._poly_mul(a, b) == reduction_row_mul(f, a, b), (a, b)
+            assert ScalarField.mul(f, a, b) == reduction_row_mul(f, a, b), (a, b)
         for a, e in zip(rng.integers(0, f.q, size=20).tolist(), (0, 1, 2, 3, 7, 8, 242) * 3):
             want = 1
             for _ in range(e):
                 want = reduction_row_mul(f, want, a)
-            assert f._poly_pow(a, e) == want, (a, e)
+            assert ScalarField.pow(f, a, e) == want, (a, e)
         assert "_logs" not in vars(f)
 
     def test_powmod_is_repeated_mulmod(self):
@@ -411,8 +414,8 @@ class TestPolynomialProduct:
         a = [1, 2, 1]
         want = [1]
         for e in range(30):
-            assert field_module._poly_powmod(a, e, f, p) == want, e
-            want = field_module._poly_mulmod(want, a, f, p)
+            assert scalar_module._poly_powmod(a, e, f, p) == want, e
+            want = scalar_module._poly_mulmod(want, a, f, p)
 
 
 class TestConstruction:
@@ -542,6 +545,50 @@ class TestScalarArithmetic:
             cs = f.element_to_coeffs(a)
             assert len(cs) == k
             assert f.coeffs_to_element(cs) == a
+
+
+class TestScalarFieldAgreesWithFq:
+    """The numpy-free ScalarField against make_field's Fq: the scalar ops,
+    whose mul, pow and inv read the exp/log pair on an Fq while it fits,
+    and the arrays of the Fq where they can be built (not past
+    LOG_CAP_BYTES, at 3^15)."""
+
+    @staticmethod
+    def agree(p, k, pairs):
+        s, f = ScalarField(p, k), make_field(p, k)
+        assert type(s) is ScalarField and s == f and s.modulus == f.modulus
+        a, b = np.array(pairs).T
+        want = {"add": f.add_arrays(a, b), "sub": f.sub_arrays(a, b)}
+        if f._logs_fit:
+            want["mul"] = f.mul_arrays(a, b)
+            assert s.smallest_nonsquare() == np.flatnonzero(f.char_arr == -1)[0]
+        for name, arr in want.items():
+            got = [getattr(s, name)(x, y) for x, y in pairs]
+            assert got == arr.tolist() == [getattr(f, name)(x, y) for x, y in pairs], name
+        assert s.smallest_nonsquare() == f.smallest_nonsquare()
+        for x, y in pairs:  # exponents from -q/2 to q/2, and past q - 1
+            for e in (y - s.q // 2, y + s.q):
+                if x or e >= 0:
+                    assert s.pow(x, e) == f.pow(x, e), (x, e)
+        for x in sorted(set(a.tolist())):
+            assert s.neg(x) == f.neg(x) == f.sub_arrays(0, x)
+            assert s.char(x) == (f.char_arr[x] if f._logs_fit else f.char(x)), x
+            if x:
+                assert s.inv(x) == f.inv(x) == (f.inv_arr[x] if f._logs_fit else f.inv(x))
+
+    @pytest.mark.parametrize("q", _odd_prime_powers_up_to(81))
+    def test_every_pair_up_to_81(self, q):
+        p, k = prime_power_decompose(q)
+        self.agree(p, k, [(x, y) for x in range(q) for y in range(q)])
+
+    @pytest.mark.parametrize("p,k", [(3, 7), (5, 5), (47, 2), (1009, 1), (4093, 1), (3, 15)])
+    def test_sampled_pairs(self, p, k):
+        pairs = np.random.default_rng(p ** k).integers(0, p ** k, size=(300, 2)).tolist()
+        self.agree(p, k, [(0, 0), (1, p ** k - 1)] + pairs)
+
+    def test_past_the_log_byte_cap(self):
+        f = make_field(3, 15)
+        assert not f._logs_fit and "_logs" not in vars(f)
 
 
 class TestTables:
@@ -709,12 +756,12 @@ class TestTables:
         q = f.q
         for a in f.elements():
             for e in (0, 1, 2, (q - 1) // 2, q - 1, 3 * q + 5):
-                assert f.pow(a, e) == f._poly_pow(a, e), (a, e)
+                assert f.pow(a, e) == ScalarField.pow(f, a, e), (a, e)
             if a:
-                assert f.inv(a) == f._poly_pow(a, q - 2)
+                assert f.inv(a) == ScalarField.pow(f, a, q - 2)
         rng = np.random.default_rng(q)
         for a, b in rng.integers(0, q, size=(200, 2)).tolist():
-            assert f.mul(a, b) == ref_mul(f, a, b) == f._poly_mul(a, b)
+            assert f.mul(a, b) == ref_mul(f, a, b) == ScalarField.mul(f, a, b)
 
     def test_scalar_ops_beyond_the_table_cap(self):
         f = Fq(3, 8)
@@ -734,12 +781,12 @@ class TestTables:
         assert f.q ** 2 > ARRAY_CAP and 12 * f.q <= LOG_CAP_BYTES
         rng = np.random.default_rng(38)
         for a, b in rng.integers(0, f.q, size=(300, 2)).tolist():
-            assert f.mul(a, b) == f._poly_mul(a, b)
+            assert f.mul(a, b) == ScalarField.mul(f, a, b)
             for e in (0, 1, 81, (f.q - 1) // 2, f.q - 2, 2 * f.q + 3):
-                assert f.pow(a, e) == f._poly_pow(a, e), (a, e)
+                assert f.pow(a, e) == ScalarField.pow(f, a, e), (a, e)
             if a:
-                assert f.inv(a) == f._poly_pow(a, f.q - 2)
-                assert f.char(a) == (1 if f._poly_pow(a, (f.q - 1) // 2) == 1 else -1)
+                assert f.inv(a) == ScalarField.pow(f, a, f.q - 2)
+                assert f.char(a) == (1 if ScalarField.pow(f, a, (f.q - 1) // 2) == 1 else -1)
         assert "_logs" in vars(f)
         assert not {"add_table", "sub_table", "mul_table", "char_arr"} & set(vars(f))
 
@@ -771,7 +818,7 @@ class TestTables:
         mats = f._mul_matrices(xs)
         assert mats.dtype == (np.int64 if p < 2 ** 31 else object)
         for x, mat in zip(xs, mats):
-            want = [list(f.element_to_coeffs(f._poly_mul(x, p ** i))) for i in range(k)]
+            want = [list(f.element_to_coeffs(ScalarField.mul(f, x, p ** i))) for i in range(k)]
             assert [[int(v) for v in row] for row in mat] == want, x
 
     @pytest.mark.parametrize("p,k", [(3, 5), (7, 3), (5, 4), (3, 6), (47, 2)])
@@ -781,12 +828,12 @@ class TestTables:
         # candidates for g by polynomial powers, and made k products for the
         # matrix of g, 23, 75, 450, 49 and 62
         f, count = Fq(p, k), [0]  # the modulus search multiplies polynomials too
-        mulmod = field_module._poly_mulmod
+        mulmod = scalar_module._poly_mulmod
 
         def counted(*args):
             count[0] += 1
             return mulmod(*args)
-        monkeypatch.setattr(field_module, "_poly_mulmod", counted)
+        monkeypatch.setattr(scalar_module, "_poly_mulmod", counted)
         f._logs
         assert count[0] == 0
 

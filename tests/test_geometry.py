@@ -25,6 +25,7 @@ from ffkakeya import (
     HypersphereSpec,
     IdenticalSpheresError,
     PointSet,
+    ScalarField,
     SizeCapError,
     SphereSpec,
     UsageError,
@@ -251,6 +252,15 @@ class TestCounting:
         f = make_field(5)
         assert diagonal_count_closed(f, DiagonalEq((1, 1, 1, 1), 1)) == 120
         assert diagonal_count_closed(f, DiagonalEq((1, 1, 1, 1), 0)) == 145
+
+    def test_closed_count_builds_no_logs(self):
+        # F_3^14: the exp/log pair would take 57 MB and seconds, for two
+        # products and two characters, which polynomial products take
+        f = make_field(3, 14)
+        assert diagonal_count_closed(f, DiagonalEq((1, 1, 2), 1)) == 22876797237930
+        assert "_logs" not in vars(f)
+        assert diagonal_count_closed(ScalarField(3, 14), DiagonalEq((1, 1, 2), 1)) == \
+            22876797237930
 
     @pytest.mark.parametrize("rhs", [9, -1, 1.0])
     def test_non_rank_rhs_raises(self, rhs):

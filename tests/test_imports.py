@@ -26,16 +26,23 @@ code = main(sys.argv[2:])
 with open(sys.argv[1], "w") as f:
     json.dump({"code": code, "modules": sorted(sys.modules)}, f)
 """
+# the same, with every import of numpy failing
+NO_NUMPY_PROBE = "import sys\nsys.modules['numpy'] = None\n" + CLI_PROBE
 
 
-def modules_after(tmp_path, *argv):
+def run_probe(tmp_path, argv, probe=CLI_PROBE):
+    """(stdout, loaded module names) of one command line run by the probe."""
     report = tmp_path / "modules.json"
-    proc = subprocess.run([sys.executable, "-c", CLI_PROBE, str(report), *map(str, argv)],
+    proc = subprocess.run([sys.executable, "-c", probe, str(report), *map(str, argv)],
                           capture_output=True, text=True, cwd=tmp_path, env=ENV)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(report.read_text())
     assert result["code"] == 0, proc.stderr
-    return set(result["modules"])
+    return proc.stdout, set(result["modules"])
+
+
+def modules_after(tmp_path, *argv):
+    return run_probe(tmp_path, argv)[1]
 
 
 @pytest.fixture(scope="module")
@@ -65,11 +72,44 @@ def test_bound_imports_no_dataclasses(tmp_path):
 
 
 def test_count_and_search_skip_the_constructions(tmp_path):
-    for argv in (("count", "--p", "3", "--k", "2", "--coeffs", "1,2,3", "--rhs", "1"),
-                 ("search", "--p", "7", "--kind", "center")):
+    # the default count runs both methods and loads numpy; the default
+    # search is the exact one, which does not
+    for argv, numpy in ((("count", "--p", "3", "--k", "2", "--coeffs", "1,2,3", "--rhs", "1"),
+                         True),
+                        (("search", "--p", "7", "--kind", "center"), False)):
         loaded = modules_after(tmp_path, *argv)
         assert "ffkakeya.constructions" not in loaded, argv
-        assert "numpy" in loaded, argv
+        assert ("numpy" in loaded) == numpy, argv
+
+
+SCALAR_COMMANDS = [
+    ("search", "--p", "11", "--kind", "radius", "--method", "exact"),
+    ("search", "--p", "11", "--kind", "center", "--method", "exact"),
+    ("search", "--p", "3", "--k", "2", "--kind", "radius", "--method", "exact"),
+    ("search", "--p", "3", "--k", "2", "--kind", "center", "--method", "exact"),
+    ("count", "--p", "3", "--k", "2", "--coeffs", "1,1,2", "--rhs", "1", "--method", "closed"),
+    ("count", "--p", "7", "--coeffs", "1,3,5,6", "--rhs", "0", "--method", "closed"),
+    ("bound", "--q", "9", "--n", "4"),
+    ("bound", "--q", "13", "--n", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", SCALAR_COMMANDS, ids=" ".join)
+def test_scalar_answers_print_the_same_bytes_without_numpy(tmp_path, argv):
+    plain = subprocess.run([sys.executable, "-m", "ffkakeya", *argv], capture_output=True,
+                           text=True, cwd=tmp_path, env=ENV, check=True).stdout
+    assert "numpy" not in modules_after(tmp_path, *argv)
+    stdout, loaded = run_probe(tmp_path, argv, NO_NUMPY_PROBE)
+    assert stdout == plain
+    assert not {"ffkakeya.field", "ffkakeya.geometry"} & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--p", "11", "--kind", "center", "--method", "greedy"),
+    ("count", "--p", "3", "--k", "2", "--coeffs", "1,1,2", "--rhs", "1", "--method", "both"),
+])
+def test_array_answers_load_numpy(tmp_path, argv):
+    assert {"numpy", "ffkakeya.field"} <= modules_after(tmp_path, *argv)
 
 
 @pytest.mark.parametrize("argv", [

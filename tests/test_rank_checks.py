@@ -1,6 +1,6 @@
 """The rank and point checks of every entry point that takes element ranks
 or points, against the one-value oracles is_rank and is_point (conftest)
-that geometry.valid_ranks and point_coordinates replaced.
+that scalar.valid_ranks and geometry.point_coordinates replaced.
 
 Each site is swept with the same inputs in place of one rank or one point.
 An input is accepted exactly when the oracle accepts what the site checks,

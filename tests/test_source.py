@@ -6,7 +6,9 @@ the package.  A function moved to another module leaves either behind
 when its old home keeps the import or the helper.  A
 construction result is made in one place, constructions._result, so every
 construction reports its size, bound verdict and witness verdict by one
-rule."""
+rule.  Scalar field arithmetic has one owner, scalar.py: field.py only
+overrides mul and pow to read its exp/log pair, and multiplies no
+polynomial."""
 
 import ast
 from pathlib import Path
@@ -73,6 +75,20 @@ def calls_by_owner(tree, callee: str) -> list:
     return calls
 
 
+# the scalar ops, the polynomial helpers and the modulus search
+SCALAR_OWNED = ("add", "sub", "neg", "mul", "pow", "inv", "char", "smallest_nonsquare",
+                "_digitwise_scalar", "element_to_coeffs", "coeffs_to_element",
+                "_poly_rem", "_poly_mulmod", "_poly_powmod", "_poly_gcd", "_is_irreducible",
+                "smallest_irreducible")
+LOG_OVERRIDES = ("mul", "pow")
+
+
+def functions(tree) -> dict:
+    """Each function a module defines, at any depth, by name."""
+    return {node.name: node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = {name: found for name, tree in TREES.items() if (found := unused_imports(tree))}
     assert not unused
@@ -97,6 +113,23 @@ def test_construction_results_have_one_builder():
     assert calls == [("constructions.py", "_result")]
 
 
+def test_scalar_arithmetic_has_one_owner():
+    homes = {name: sorted(module for module, tree in TREES.items() if name in functions(tree))
+             for name in SCALAR_OWNED}
+    assert homes == {name: ["field.py", "scalar.py"] if name in LOG_OVERRIDES else ["scalar.py"]
+                     for name in SCALAR_OWNED}
+    # the overrides read the logs and hand every other case to ScalarField
+    for name in LOG_OVERRIDES:
+        body = functions(TREES["field.py"])[name]
+        assert not [node for node in ast.walk(body) if isinstance(
+            node, (ast.For, ast.While, ast.comprehension))], name
+        assert "super" in loaded_names(body) and "_logs" in loaded_names(body), name
+    # and no module but scalar.py names a polynomial helper
+    assert {module for module, tree in TREES.items()
+            if any(n.startswith(("_poly_", "_is_irreducible", "_digitwise_scalar"))
+                   for n in loaded_names(tree))} == {"scalar.py"}
+
+
 def test_the_checks_find_what_they_look_for():
     text = ("import os\nfrom x import y  # noqa: F401\n_lost = 1\n\n\n"
             "def _used():\n    return 1\n\n\nz = _used()\n")
@@ -108,3 +141,4 @@ def test_the_checks_find_what_they_look_for():
             "class C:\n    def f(self):\n        return Result(4)\n")
     assert calls_by_owner(ast.parse(text), "Result") == \
         [(None, 1), ("make", 5), ("make", 5), ("C", 10)]
+    assert set(functions(ast.parse(text))) == {"make", "f"}
