@@ -9,12 +9,17 @@ Each --which name is its builder's name in constructions with dashes for
 underscores (radius-spherical runs constructions.radius_spherical).  A
 circular builder takes the field (p for circular-prime) and the variant,
 a spherical one the field and n (and r for center-spherical).
+
+run(), the process entry of `python -m ffkakeya` and the `ffkakeya` script,
+freezes the garbage collector once the command is done, so the exit skips
+walking numpy's objects; main(argv), the in-process API, leaves it alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -313,5 +318,10 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """Exit with main()'s code, every tracked object frozen into the permanent
+    generation, which the final collections skip (after argparse's exits too)."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

@@ -84,6 +84,22 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _poly_resultant(f: list[int], g: list[int], p: int) -> int:
+    """Res(f, g) mod p, deg f >= deg g, no trailing zeros: for a monic f the
+    norm of g in F_p[t]/(f).  Euclid's sequence, by Res(f, g) = (-1)^(deg f
+    deg g) lc(g)^(deg f - deg r) Res(g, r), r = f mod g; Res(f, c) = c^deg f."""
+    res = 1
+    while len(g) > 1:
+        lead = g[-1]
+        r = _poly_rem(f, [c * pow(lead, p - 2, p) % p for c in g], p)
+        if not r:
+            return 0
+        sign = -1 if (len(f) - 1) * (len(g) - 1) % 2 else 1
+        res = res * sign * pow(lead, len(f) - len(r), p) % p
+        f, g = g, r
+    return res * pow(g[0], len(f) - 1, p) % p if g else 0
+
+
 def _is_irreducible(f: list[int], p: int) -> bool:
     """Ben-Or's test for the monic f of degree k over F_p: f is reducible
     iff gcd(t^(p^j) - t, f) != 1 for some j <= k/2, since t^(p^j) - t is
@@ -210,11 +226,16 @@ class ScalarField:
         return self.pow(a, self.q - 2)
 
     def char(self, a: int) -> int:
-        """a^((q-1)/2) mapped to {-1, 0, +1}, by polynomial products on an
-        Fq too, which then builds no exp/log pair."""
+        """a^((q-1)/2) in {-1, 0, +1}, building no exp/log pair on an Fq: for
+        k > 1 the Legendre symbol of the norm a^((q-1)/(p-1)), the resultant
+        of the modulus and a's digits (_poly_rem strips zeros), O(k^2) steps."""
+        a = index(a)
         if a == 0:
             return 0
-        return 1 if ScalarField.pow(self, a, (self.q - 1) // 2) == 1 else -1
+        if self.k > 1:
+            digits = _poly_rem(self.element_to_coeffs(a), self.modulus, self.p)
+            a = _poly_resultant(self.modulus, digits, self.p)
+        return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
 
     def smallest_nonsquare(self) -> int:
         """The nonsquare of least rank; half the units are nonsquares."""

@@ -1,18 +1,25 @@
 """End-to-end CLI behavior through real subprocesses: output formats,
 exit codes, determinism.  The help texts, pinned byte for byte, and the
-name-to-builder rule are checked in-process."""
+name-to-builder rule are checked in-process.  The process entry freezes
+the garbage collector before the exit, and cli.main in-process does not;
+pinned invocations print the same bytes either way."""
 
+import ast
 import copy
+import gc
+import hashlib
 import json
 import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import ffkakeya
 from ffkakeya.cli import CIRCULAR, SPHERICAL, build_parser
+from test_cli_digests import DIGESTS, INVOCATIONS, call, write_set_files
 
 CMD = [sys.executable, "-m", "ffkakeya"]
 
@@ -629,8 +636,88 @@ class TestHelp:
         assert capsys.readouterr().out == HELP[command]
 
 
+# `python -m ffkakeya <args>` through runpy, with an atexit handler that
+# writes the collector's freeze count to the file the first argument names
+FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+from pathlib import Path
+path = Path(sys.argv.pop(1))
+atexit.register(lambda: path.write_text(str(gc.get_freeze_count())))
+runpy.run_module("ffkakeya", run_name="__main__", alter_sys=True)
+"""
+
+# pinned invocations that run as processes too: every kind of output and
+# an exit code other than 0
+PROCESS_PINS = ("construct radius-spherical 7^1 n=4 json",
+                "construct hypersphere-union 3^1 n=2 csv", "verify holed radius exhaustive",
+                "verify diff-cover", "verify budget 1000", "report circular", "count closed",
+                "bound spherical", "search exact")
+
+
+def pinned_argv(name, directory) -> list:
+    """The pinned invocation's argv, reading its set files from directory."""
+    return [a.replace("{dir}", str(directory)) for a in dict(INVOCATIONS)[name]]
+
+
 class TestModuleEntry:
+    @pytest.fixture(scope="class")
+    def set_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("sets")
+        write_set_files(directory)
+        return directory
+
     def test_no_arguments_shows_usage(self):
         r = run()
         assert r.returncode == 2
         assert "usage" in r.stderr
+
+    @pytest.mark.parametrize("args,code", [
+        (["bound", "--q", "9", "--n", "4"], 0),
+        (["bound", "--help"], 0),  # argparse's SystemExit
+        (["verify", "--file", "{dir}/holed.json", "--property", "radius"], 1),
+        (["bound", "--q", "9"], 2),  # argparse's usage error
+        (["bound", "--q", "12", "--n", "2"], 2),  # a KakeyaError
+        (["search", "--p", "17", "--kind", "radius"], 3),
+    ])
+    def test_the_process_exits_with_the_collector_frozen(self, args, code, set_dir, tmp_path):
+        probe = tmp_path / "freeze_count"
+        argv = [a.replace("{dir}", str(set_dir)) for a in args]
+        r = subprocess.run([sys.executable, "-c", FREEZE_PROBE, str(probe), *argv],
+                           capture_output=True, text=True)
+        assert r.returncode == code
+        assert int(probe.read_text()) > 0
+
+    def test_main_in_process_leaves_the_collector_alone(self, set_dir, capsys):
+        for name in PROCESS_PINS:
+            call(pinned_argv(name, set_dir))
+            assert gc.get_freeze_count() == 0 and gc.isenabled(), name
+        for argv in (["bound", "--help"], ["bound", "--q", "9"]):
+            with pytest.raises(SystemExit):
+                ffkakeya.cli.main(argv)
+            assert gc.get_freeze_count() == 0 and gc.isenabled(), argv
+        capsys.readouterr()
+
+    def test_processes_print_the_in_process_bytes(self, set_dir):
+        for name in PROCESS_PINS:
+            argv = pinned_argv(name, set_dir)
+            r = subprocess.run(CMD + argv, capture_output=True)
+            code, stdout = call(argv)
+            assert (r.returncode, r.stdout) == (code, stdout), name
+            assert (code, hashlib.sha256(stdout).hexdigest()) == DIGESTS[name], name
+
+    def test_an_out_file_is_whole_at_exit(self, tmp_path):
+        name = "construct radius-spherical 7^1 n=4 json"
+        out = tmp_path / "set.json"
+        r = run(*pinned_argv(name, tmp_path), "--out", str(out))
+        assert (r.returncode, r.stdout) == (0, "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name][1]
+
+    def test_the_script_runs_the_entry_that_python_m_runs(self):
+        # read as text: Python 3.10 has no tomllib
+        main = ast.parse(Path(ffkakeya.__file__).with_name("__main__.py").read_text())
+        (entry,) = [node for node in main.body if isinstance(node, ast.ImportFrom)]
+        calls = [node.func.id for node in ast.walk(main) if isinstance(node, ast.Call)]
+        assert entry.level == 1 and calls == [alias.name for alias in entry.names]
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        scripts = pyproject.partition("[project.scripts]\n")[2].partition("\n[")[0]
+        assert scripts.strip() == f'ffkakeya = "ffkakeya.{entry.module}:{calls[0]}"'

@@ -8,7 +8,8 @@ row blocks, the broadcast digit table, the oracle of the row-built
 Fq._digit_table, the reduction-row product, the oracle of
 ScalarField.mul, the exp/log builder that searched for g from rank 1 and
 made polynomial products at every doubling step, the oracle of Fq._logs,
-and the search for g one candidate at a time, the oracle of Fq.primitive.
+the search for g one candidate at a time, the oracle of Fq.primitive, and
+Euler's criterion a^((q-1)/2) by ScalarField.pow, the oracle of char.
 """
 
 import hashlib
@@ -904,6 +905,25 @@ class TestQuadraticCharacter:
         f = make_field(*prime_power_decompose(q))
         first = next(x for x in f.elements() if f.char(x) == -1)
         assert f.smallest_nonsquare() == first
+
+    @staticmethod
+    def euler(f, a):
+        """chi(a) = a^((q-1)/2) by polynomial products."""
+        return 0 if a == 0 else (1 if ScalarField.pow(f, a, (f.q - 1) // 2) == 1 else -1)
+
+    @pytest.mark.parametrize("q", [9, 27, 81, 243, 729, 25, 125, 625, 49, 343, 121, 169])
+    def test_norm_character_is_euler_on_every_element(self, q):
+        p, k = prime_power_decompose(q)
+        want = [self.euler(ScalarField(p, k), a) for a in range(q)]
+        for f in (ScalarField(p, k), make_field(p, k)):
+            assert [f.char(a) for a in range(q)] == want, type(f)
+
+    @pytest.mark.parametrize("k", [14, 15])  # 3^15 is past LOG_CAP_BYTES
+    def test_norm_character_is_euler_on_sampled_elements(self, k):
+        sample = np.random.default_rng(k).integers(1, 3 ** k, size=40).tolist()
+        for f in (ScalarField(3, k), make_field(3, k)):
+            assert [f.char(a) for a in sample] == [self.euler(f, a) for a in sample]
+        assert "_logs" not in vars(make_field(3, k))
 
     def test_minus_one_character_by_congruence(self):
         # chi(-1) = 1 iff q = 1 mod 4

@@ -8,7 +8,9 @@ construction result is made in one place, constructions._result, so every
 construction reports its size, bound verdict and witness verdict by one
 rule.  Scalar field arithmetic has one owner, scalar.py: field.py only
 overrides mul and pow to read its exp/log pair, and multiplies no
-polynomial."""
+polynomial.  Only the process entry, cli.run, touches the garbage
+collector or the way the process exits, so library calls and the
+in-process cli.main leave both alone."""
 
 import ast
 from pathlib import Path
@@ -78,9 +80,32 @@ def calls_by_owner(tree, callee: str) -> list:
 # the scalar ops, the polynomial helpers and the modulus search
 SCALAR_OWNED = ("add", "sub", "neg", "mul", "pow", "inv", "char", "smallest_nonsquare",
                 "_digitwise_scalar", "element_to_coeffs", "coeffs_to_element",
-                "_poly_rem", "_poly_mulmod", "_poly_powmod", "_poly_gcd", "_is_irreducible",
-                "smallest_irreducible")
+                "_poly_rem", "_poly_mulmod", "_poly_powmod", "_poly_gcd", "_poly_resultant",
+                "_is_irreducible", "smallest_irreducible")
 LOG_OVERRIDES = ("mul", "pow")
+
+
+# what only the process entry may call: it freezes the collector once the
+# command is done; turning the collector off or skipping the interpreter's
+# exit was measured and rejected
+PROCESS_ONLY = {("gc", "freeze"), ("gc", "disable"), ("os", "_exit")}
+
+
+def process_only_uses(tree) -> list:
+    """(owner, "module.name") of each use of a PROCESS_ONLY name, as an
+    attribute or imported by name; the owner is as in calls_by_owner."""
+    uses = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                pairs = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom):
+                pairs = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            uses += [(owner, ".".join(pair)) for pair in pairs if pair in PROCESS_ONLY]
+    return uses
 
 
 def functions(tree) -> dict:
@@ -130,6 +155,11 @@ def test_scalar_arithmetic_has_one_owner():
                    for n in loaded_names(tree))} == {"scalar.py"}
 
 
+def test_only_the_process_entry_freezes_the_collector():
+    uses = {name: found for name, tree in TREES.items() if (found := process_only_uses(tree))}
+    assert uses == {"cli.py": [("run", "gc.freeze")]}
+
+
 def test_the_checks_find_what_they_look_for():
     text = ("import os\nfrom x import y  # noqa: F401\n_lost = 1\n\n\n"
             "def _used():\n    return 1\n\n\nz = _used()\n")
@@ -142,3 +172,7 @@ def test_the_checks_find_what_they_look_for():
     assert calls_by_owner(ast.parse(text), "Result") == \
         [(None, 1), ("make", 5), ("make", 5), ("C", 10)]
     assert set(functions(ast.parse(text))) == {"make", "f"}
+    text = ("from os import _exit\n\n\ndef run():\n    gc.disable()\n    gc.freeze()\n"
+            "    gc.collect()\n    os._exit(0)\n")
+    assert process_only_uses(ast.parse(text)) == \
+        [(None, "os._exit"), ("run", "gc.disable"), ("run", "gc.freeze"), ("run", "os._exit")]
