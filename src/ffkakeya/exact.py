@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import count
 
 from .errors import BadDimensionError, NonOddPrimeError, SizeCapError
 
@@ -64,25 +65,42 @@ def _integer_root(m: int, k: int) -> int:
     return x
 
 
+def _may_be_power(m: int, ell: int) -> bool:
+    """False only if m is no perfect ell-th power, for a prime ell: for
+    the least prime r = 1 (mod 2 ell), m = x^ell gives m^((r - 1)/ell) =
+    x^(r - 1), which is 0 or 1 mod r.  A non-power passes about once in
+    ell tries, so a number of thousands of digits takes few integer roots."""
+    r = next(r for r in count(2 * ell + 1, 2 * ell) if is_prime(r))
+    return pow(m % r, (r - 1) // ell, r) <= 1
+
+
 def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Write q as p^k with p an odd prime, or raise NonOddPrimeError: the
-    first exact k-th root of q that is prime, for k = 1, 2, ... while
-    3^k <= q.  A composite verdict of is_prime is exact at every size, but
-    it vouches for a prime only below 2^64: a prime p past that raises
-    SizeCapError."""
+    """Write q as p^k with p an odd prime, or raise NonOddPrimeError.
+
+    A prime q below 2^64 answers by one test.  Otherwise q = b^k with b no
+    perfect power, by exact l-th roots for prime l alone, each l tried
+    until it fails while 3^l <= b (a root of a composite degree is a root
+    of a root), and taken only where _may_be_power lets it; then q is a
+    prime power iff b is prime.  A composite verdict of is_prime is exact
+    at every size, but it vouches for a prime only below 2^64: a b past
+    that raises SizeCapError before any test."""
     if not isinstance(q, int) or q < 3:
         raise NonOddPrimeError(f"{q} is not an odd prime power >= 3")
     if q % 2 == 0:
         raise NonOddPrimeError(f"{q} is even")
-    k = 1
-    while 3 ** k <= q:
-        p = _integer_root(q, k)
-        if p ** k == q and is_prime(p):
-            if p >> 64:
-                raise SizeCapError(f"{p} is past 2^64, where primality is not certified")
-            return p, k
-        k += 1
-    raise NonOddPrimeError(f"{q} is not a prime power")
+    if not q >> 64 and is_prime(q):  # the common case takes no root
+        return q, 1
+    p, k, ell = q, 1, 2
+    while 3 ** ell <= p:
+        if _may_be_power(p, ell) and (root := _integer_root(p, ell)) ** ell == p:
+            p, k = root, k * ell
+        else:
+            ell = next(m for m in count(ell + 1) if is_prime(m))
+    if p >> 64:
+        raise SizeCapError(f"{p} is past 2^64, where primality is not certified")
+    if k == 1 or not is_prime(p):  # at k = 1, q < 2^64 failed the test above
+        raise NonOddPrimeError(f"{q} is not a prime power")
+    return p, k
 
 
 def ceil_sqrt(m: int) -> int:

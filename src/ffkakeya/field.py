@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import SizeCapError
-from .scalar import ScalarField
+from .scalar import ScalarField, _rank_error
 
 LOG_CAP_BYTES = 64 << 20  # largest exp/log pair, 12 bytes per element
 ARRAY_CAP = 1 << 26  # most elements in one rank array or dense table (512 MB of int64)
@@ -78,6 +78,8 @@ class Fq(ScalarField):
         if self.k == 1 or not self._logs_fit:
             return super().mul(a, b)
         a, b = index(a), index(b)
+        if not 0 <= a < self.q > b >= 0:
+            raise _rank_error(self.q, a, b)
         if a == 0 or b == 0:
             return 0
         exp, log = self._logs
@@ -87,6 +89,8 @@ class Fq(ScalarField):
         a, e = index(a), index(e)
         if e < 0 or self.k == 1 or not self._logs_fit:
             return super().pow(a, e)
+        if not 0 <= a < self.q:
+            raise _rank_error(self.q, a)
         if a == 0:
             return 0 if e else 1
         exp, log = self._logs

@@ -132,6 +132,12 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
 
+def _rank_error(q: int, *ranks: int) -> ValueError:
+    """The one error of a scalar op given a rank outside [0, q)."""
+    bad = next(a for a in ranks if not 0 <= a < q)
+    return ValueError(f"element rank {bad} outside [0, {q})")
+
+
 class ScalarField:
     """F_q for scalar answers: every op takes and returns element ranks
     (plain ints), for any supported q.  Immutable, and equal to the same
@@ -151,6 +157,7 @@ class ScalarField:
         self.k = k
         self.q = p ** k
         self.modulus = smallest_irreducible(p, k) if k > 1 else None
+        self._steps = tuple(p ** i for i in range(k))  # the place value of each digit
 
     # ---- element codecs ----
 
@@ -178,25 +185,30 @@ class ScalarField:
     # ---- scalar arithmetic on ranks ----
 
     # the scalar ops read their operands as Python ints, so narrow numpy
-    # integers (a uint8, an int16 table entry) do not wrap
+    # integers (a uint8, an int16 table entry) do not wrap, and refuse a
+    # rank outside [0, q) (_rank_error) by one chained comparison, which
+    # reads self.q once: 0 <= a < q > b >= 0 holds iff both ranks lie in it
     def add(self, a: int, b: int) -> int:
         a, b = index(a), index(b)
+        if not 0 <= a < self.q > b >= 0:
+            raise _rank_error(self.q, a, b)
         if self.k == 1:
             return (a + b) % self.p
         return self._digitwise_scalar(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
         a, b = index(a), index(b)
+        if not 0 <= a < self.q > b >= 0:
+            raise _rank_error(self.q, a, b)
         if self.k == 1:
             return (a - b) % self.p
         return self._digitwise_scalar(a, b, -1)
 
     def _digitwise_scalar(self, a: int, b: int, sign: int) -> int:
         """a + sign * b one base-p digit at a time, for k > 1."""
-        p, rank, step = self.p, 0, 1
-        for _ in range(self.k):
+        p, rank = self.p, 0
+        for step in self._steps:
             rank += (a // step + sign * (b // step)) % p * step
-            step *= p
         return rank
 
     def neg(self, a: int) -> int:
@@ -205,6 +217,8 @@ class ScalarField:
     def mul(self, a: int, b: int) -> int:
         """a * b by the product of the digit polynomials modulo the modulus."""
         a, b = index(a), index(b)
+        if not 0 <= a < self.q > b >= 0:
+            raise _rank_error(self.q, a, b)
         if self.k == 1:
             return a * b % self.p
         return self.coeffs_to_element(_poly_mulmod(
@@ -213,6 +227,8 @@ class ScalarField:
     def pow(self, a: int, e: int) -> int:
         """a^e by square-and-multiply of the digit polynomial."""
         a, e = index(a), index(e)  # Python ints: pow(a, e, p) takes no numpy integer
+        if not 0 <= a < self.q:
+            raise _rank_error(self.q, a)
         if e < 0:
             return self.pow(self.inv(a), -e)
         if self.k == 1:
@@ -230,6 +246,8 @@ class ScalarField:
         k > 1 the Legendre symbol of the norm a^((q-1)/(p-1)), the resultant
         of the modulus and a's digits (_poly_rem strips zeros), O(k^2) steps."""
         a = index(a)
+        if not 0 <= a < self.q:
+            raise _rank_error(self.q, a)
         if a == 0:
             return 0
         if self.k > 1:

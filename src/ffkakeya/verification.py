@@ -16,9 +16,12 @@ only the lookups into the level table of a level-built set and geometry's
 gathers at a mask, a block of spheres a gather; small witnesses, checked
 once each, spend their time in these passes more than in the arithmetic.
 Exhaustive mode needs none: within a work budget it counts exactly the
-points outside every candidate sphere, adding a squared coordinate by one
-gather, out[a, r] = sum_y X[a + y, r - y^2] (_add_square): once after a
-product of the level table and the joint norm counts per Witt class
+points outside every candidate sphere, adding a squared coordinate by
+whole-row gathers, out[a, r, :] = sum_y X[a + y, r - y^2, :]
+(_add_square), with the centre and the partial norm leading and every
+other axis one contiguous trailing row, and the row index of (y, a, r)
+built once per scan (_square_rows): once after a product of the level
+table and the joint norm counts per Witt class
 (geometry.joint_norm_counts) for a set built by PointSet.from_levels, in
 about (q + 1) q^3 steps, and once per coordinate, in about n * q^(n+2)
 steps, for any other set.  The intersection-lemma maximum is read from
@@ -243,24 +246,40 @@ def witness_from_json_dict(data, field: Fq | None = None,
 
 # ---- exhaustive sphere scans ----
 
-def _add_square(field: Fq, acc: np.ndarray) -> np.ndarray:
-    """out[b, a, r] = sum_y acc[b, a + y, r - y^2] for acc of shape (B, q, q):
-    one squared coordinate added to a partial norm r, summed in acc.dtype,
-    which holds q^n (each sum counts points of F_q^n).  Each gather of
-    about 2^20 entries indexes a block of centres a and a block of rows b
-    and is written into one preallocated output."""
+def _square_rows(field: Fq) -> np.ndarray:
+    """rows[y, a * q + r] = (a + y) * q + (r - y^2), the row of an acc of
+    shape (q, q, ...) that _add_square adds for y into out[a, r], in the
+    least dtype that holds q^2 - 1: 2q^3 bytes while q < 256, never more
+    than the acc of either scan."""
     q = field.q
     y = np.arange(q)
-    drop = field.sub_arrays(y, field.sq_arr[:, None])  # [y, r]: r - y^2
-    rows = acc.reshape(len(acc), q * q)
-    out = np.empty(acc.shape, dtype=acc.dtype)
-    block = max(1, (1 << 20) // q ** 2)
-    for lo in range(0, q, block):
-        flat = field.add_arrays(y[lo:lo + block, None], y)[:, :, None] * q + drop  # [a, y, r]
-        step = max(1, (1 << 20) // flat.size)
-        for i in range(0, len(acc), step):
-            out[i:i + step, lo:lo + block] = rows[i:i + step, flat].sum(axis=2, dtype=acc.dtype)
-    return out
+    dtype = np.min_scalar_type(q * q - 1)
+    shift = field.add_arrays(y[:, None], y).astype(dtype) * dtype.type(q)  # [y, a]: (a + y) q
+    drop = field.sub_arrays(y, field.sq_arr[:, None]).astype(dtype)  # [y, r]: r - y^2
+    return np.add(shift[:, :, None], drop[:, None, :]).reshape(q, q * q)
+
+
+def _add_square(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[a, r, t] = sum_y acc[a + y, r - y^2, t] for acc of shape
+    (q, q, ...), every trailing axis read as one contiguous axis t, and
+    rows = _square_rows(field): one squared coordinate added to a partial
+    norm r, summed in acc.dtype, which holds q^n (each sum counts points
+    of F_q^n).  Each out[a, r] adds q whole rows of acc, one per y, in
+    blocks of about 2^16 cells: per y, one gather of the block's rows into
+    a buffer and one contiguous add, both in cache.  Returns shape
+    (q, q, t)."""
+    q = len(rows)
+    flat = np.ascontiguousarray(acc).reshape(q * q, -1)
+    out = np.empty_like(flat)
+    block = max(1, (1 << 16) // flat.shape[1])
+    buf = np.empty_like(out[:block])
+    for lo in range(0, q * q, block):
+        part = out[lo:lo + block]
+        take = buf[:len(part)]
+        flat.take(rows[0, lo:lo + block], axis=0, out=part, mode="clip")
+        for y in range(1, q):
+            part += flat.take(rows[y, lo:lo + block], axis=0, out=take, mode="clip")
+    return out.reshape(q, q, -1)
 
 
 def _complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
@@ -268,22 +287,25 @@ def _complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     lies inside the set iff G[a, v] == 0.
 
     ||x - a|| sums one square per coordinate, so G is built one coordinate
-    at a time in exact integers.  acc has one axis per coordinate and a
-    last axis for the partial norm; each step turns the coordinate axis
-    next to it from point digits x_i into center digits a_i by _add_square
-    and moves it to the front.  About n * q^(n+2) work and q^(n+1) counts
-    of memory, whatever the set holds."""
+    at a time in exact integers.  acc leads with the coordinate axis to
+    turn next and the partial-norm axis r, and holds every other
+    coordinate in one trailing axis; each step turns the leading point
+    digits x_i into centre digits a_i by _add_square, and one copy rotates
+    a_i to the end and the next coordinate to the front.  About n * q^(n+2)
+    work and q^(n+1) counts of memory, whatever the set holds."""
     field, n, q = points.field, points.n, points.field.q
     space = space_size(field, n)
     estimate = n * q ** (n + 2)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    # C-order axes, most significant digit first, as the final reshape reads
-    acc = np.zeros((q,) * n + (q,), dtype=np.min_scalar_type(space))
-    acc[..., 0] = (~points.mask).reshape((q,) * n)
-    for _ in range(n):  # after n steps the axes are back in order
-        acc = np.moveaxis(_add_square(field, acc.reshape(-1, q, q)).reshape(acc.shape), -2, 0)
-    return acc.reshape(space, q)
+    # C-order axes of the mask, most significant digit first, as G reads them
+    acc = np.zeros((q, q, q ** (n - 1)), dtype=np.min_scalar_type(space))
+    acc[:, 0] = (~points.mask).reshape(q, -1)
+    rows = _square_rows(field)
+    for _ in range(n):  # (a_i, r, x_(i+1), rest) -> (x_(i+1), r, rest, a_i), a view
+        acc = _add_square(acc, rows).reshape(q, q, q, -1).transpose(2, 1, 3, 0)
+    # (a_0, r, a_1 .. a_(n-2), a_(n-1)) -> (a_0 .. a_(n-1), r)
+    return np.ascontiguousarray(acc.transpose(0, 2, 3, 1)).reshape(space, q)
 
 
 def _level_hit_counts(points: PointSet, budget: int) -> np.ndarray:
@@ -293,15 +315,19 @@ def _level_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     The points outside are the levels (a_0 + y, t) with not H[||t||, a_0 + y]
     (H the level table), at norm-distance y^2 + ||t - a'||, so
 
-        G[i, a_0, r] = sum_y M[i, a_0 + y, r - y^2],  M[i] = (not H)^T J[i],
+        G[i, a_0, r] = sum_y M[a_0 + y, r - y^2, i],  M[., ., i] = (not H)^T J[i],
 
-    one _add_square: about (q + 1) q^3 work whatever n is, and no q^n mask."""
+    one _add_square on M, written by the product in (a_0, w, class) order,
+    and returned as a view in (class, a_0, r) order: about (q + 1) q^3 work
+    whatever n is, and no q^n mask."""
     field, q = points.field, points.field.q
     estimate = (q + 1) * q ** 3
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
     joint = joint_norm_counts(field, points.n - 1)
-    return _add_square(field, np.matmul((~points.level_table()).T.astype(np.int64), joint))
+    outside = np.empty((q, q, len(joint)), dtype=np.int64)  # M in (a_0, w, class) order
+    np.matmul((~points.level_table()).T.astype(np.int64), joint, out=outside.transpose(2, 0, 1))
+    return _add_square(outside, _square_rows(field)).transpose(2, 0, 1)
 
 
 def _verify_spherical(points: PointSet, witness, kind: str, axis: tuple, budget: int) -> bool:

@@ -518,6 +518,14 @@ class TestBound:
         assert r.returncode == 3 and r.stdout == ""
         assert r.stderr == f"error: {q} is past 2^64, where primality is not certified\n"
 
+    @pytest.mark.parametrize("q", [10 ** 4299 + 7, 2 ** 11213 - 1], ids=["composite", "prime"])
+    def test_huge_q_exits_three_at_once(self, q):
+        # no primality test past 2^64: the 4300-digit composite took 9 s to
+        # exit 2, and the 3376-digit Mersenne prime 38 s to exit 3
+        r = run("bound", "--q", str(q), "--n", "2", timeout=10)
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr == f"error: {q} is past 2^64, where primality is not certified\n"
+
     @pytest.mark.parametrize("n", [5000, 9012])
     def test_answers_up_to_the_digit_cap(self, n):
         r = run("bound", "--q", "3", "--n", str(n))

@@ -22,6 +22,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import traced_peak
+import ffkakeya.exact as exact_module
 import ffkakeya.field as field_module
 import ffkakeya.scalar as scalar_module
 from ffkakeya import (
@@ -35,6 +36,7 @@ from ffkakeya import (
     prime_power_decompose,
     smallest_irreducible,
 )
+from ffkakeya.exact import is_prime
 from ffkakeya.field import ARRAY_CAP, CHUNK_ENTRIES, LOG_CAP_BYTES, TABLE_DTYPE
 from ffkakeya.scalar import FIELD_CAP
 
@@ -286,7 +288,75 @@ def ref_has_root(coeffs, p):
                for x in range(p))
 
 
+def old_prime_power_decompose(q):
+    """The decomposition before prime exponents: the first exact k-th root
+    that is_prime passes, for k = 1, 2, ... while 3^k <= q, refused past
+    2^64 only once Miller-Rabin has passed it."""
+    if not isinstance(q, int) or q < 3:
+        raise NonOddPrimeError(f"{q} is not an odd prime power >= 3")
+    if q % 2 == 0:
+        raise NonOddPrimeError(f"{q} is even")
+    k = 1
+    while 3 ** k <= q:
+        p = exact_module._integer_root(q, k)
+        if p ** k == q and is_prime(p):
+            if p >> 64:
+                raise SizeCapError(f"{p} is past 2^64, where primality is not certified")
+            return p, k
+        k += 1
+    raise NonOddPrimeError(f"{q} is not a prime power")
+
+
+def decomposition(decompose, q):
+    """The answer, or the class and message of the error."""
+    try:
+        return decompose(q)
+    except KakeyaError as exc:
+        return type(exc), str(exc)
+
+
+def below_2_to_the_64():
+    """Every q below 5000, primes and their powers at the edges of 2^64,
+    perfect powers of composites, products of primes near 2^32, and seeded
+    random odd q and random perfect powers below 2^64."""
+    rng = np.random.default_rng(64)
+    edge_primes = [p for top in (2 ** 64, 2 ** 32, 2642246, 65536, 7132, 2 ** 10)
+                   for p in list(filter(is_prime, range(top - 1, top - 400, -2)))[:8]]
+    qs = list(range(-2, 5000)) + [2 ** 64 - 1, 2 ** 64 - 59, 3 ** 40, 3 ** 40 - 2, 5 ** 27]
+    qs += [p ** k for p in edge_primes for k in range(1, 64) if p ** k < 2 ** 64]
+    qs += [b ** k for b in (15, 45, 105, 3 * 7 ** 2, 4095) for k in range(2, 41) if b ** k < 2 ** 64]
+    qs += [4294967291 * 4294967279, 4294967291 ** 2 - 2, 2147483647 ** 2 * 3]
+    qs += [int(x) | 1 for x in rng.integers(1 << 40, (1 << 63) - 1, 2000, dtype=np.int64)]
+    bases = rng.integers(3, 200, 400)
+    qs += [int(b) ** int(e) for b, e in zip(bases, rng.integers(2, 41, 400)) if int(b) ** int(e) < 2 ** 64]
+    return qs
+
+
 class TestPrimePowerDecompose:
+    def test_equals_the_old_decomposition_below_2_to_the_64(self):
+        qs = below_2_to_the_64()
+        assert len(qs) > 7000 and max(qs) < 2 ** 64
+        for q in qs:
+            assert (decomposition(prime_power_decompose, q)
+                    == decomposition(old_prime_power_decompose, q)), q
+        assert prime_power_decompose(3 ** 5000) == (3, 5000)
+        assert prime_power_decompose(4294967291 ** 2) == (4294967291, 2)
+
+    @pytest.mark.parametrize("q", [10 ** 4299 + 7, 2 ** 11213 - 1, 3 ** 5000 * 5,
+                                   (2 ** 64 + 13) ** 3],
+                             ids=["composite", "prime", "smooth", "cube"])
+    def test_huge_q_takes_few_roots_and_no_test_past_2_to_the_64(self, q, monkeypatch):
+        # where the old loop took thousands of roots and a Miller-Rabin test
+        # of q: 9 s for the composite and 38 s for the Mersenne prime
+        roots, tested = [], []
+        root, prime = exact_module._integer_root, exact_module.is_prime
+        monkeypatch.setattr(exact_module, "_integer_root",
+                            lambda m, k: roots.append(k) or root(m, k))
+        monkeypatch.setattr(exact_module, "is_prime", lambda m: tested.append(m) or prime(m))
+        with pytest.raises(SizeCapError, match="past 2\\^64"):
+            prime_power_decompose(q)
+        assert len(roots) < 64 and max(tested) < 2 ** 64
+
     def test_primes_and_powers(self):
         assert prime_power_decompose(3) == (3, 1)
         assert prime_power_decompose(27) == (3, 3)
@@ -590,6 +660,38 @@ class TestScalarFieldAgreesWithFq:
     def test_past_the_log_byte_cap(self):
         f = make_field(3, 15)
         assert not f._logs_fit and "_logs" not in vars(f)
+
+
+class TestRanksOutsideTheField:
+    """Every scalar op refuses a rank outside [0, q) with one ValueError, on
+    ScalarField and on Fq, read from the logs (3^6) or by polynomial
+    products (3^15, past LOG_CAP_BYTES).  Unchecked, the digit loops kept
+    k digits of such a rank and the log tables raised IndexError."""
+
+    @pytest.mark.parametrize("build", [ScalarField, make_field])
+    @pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (3, 6), (3, 15)])
+    def test_every_op_refuses_a_rank_outside(self, build, p, k):
+        f = build(p, k)
+        q = f.q
+        for bad in (q, q + 5, 2 * q, -1, np.int64(q), np.min_scalar_type(q).type(q)):
+            calls = [("add", bad, 0), ("add", 0, bad), ("sub", bad, 1), ("sub", 1, bad),
+                     ("mul", bad, 1), ("mul", 1, bad), ("pow", bad, 2), ("pow", bad, -1),
+                     ("char", bad), ("neg", bad), ("inv", bad)]
+            for name, *args in calls:
+                with pytest.raises(ValueError, match=rf"^element rank {bad} outside \[0, {q}\)$"):
+                    getattr(f, name)(*args)
+        # the edges of [0, q) still answer
+        assert f.add(q - 1, f.neg(q - 1)) == f.sub(0, 0) == f.mul(0, q - 1) == f.char(0) == 0
+        assert f.pow(q - 1, q - 1) == f.mul(1, 1) == 1
+
+    def test_the_cases_that_answered(self):
+        # on F_3^6 these answered -1, 0 and 0; on F_9 mul raised IndexError
+        for f in (ScalarField(3, 6), make_field(3, 6)):
+            for call in (lambda: f.char(729), lambda: f.mul(729, 1), lambda: f.add(729, 0)):
+                with pytest.raises(ValueError, match=r"^element rank 729 outside \[0, 729\)$"):
+                    call()
+        with pytest.raises(ValueError, match=r"^element rank 9 outside \[0, 9\)$"):
+            make_field(3, 2).mul(9, 1)
 
 
 class TestTables:

@@ -12,8 +12,10 @@ all-pairs intersection scan, the (0, c) pair scan of the intersection
 lemma and its scan of one center per norm class (now the oracle of the
 closed-form joint norm counts), the gathered sphere
 intersection, the dense-table circle certificates, the (center,
-non-member) pair scan of the exhaustive verifiers and the witness check
-one entry and one coordinate at a time.
+non-member) pair scan of the exhaustive verifiers, the coordinate
+recurrence with the centre axis in the middle that the exhaustive scan
+used before its rows-last kernel, and the witness check one entry and
+one coordinate at a time.
 """
 
 import json
@@ -75,6 +77,7 @@ from ffkakeya.verification import (
     _add_square,
     _complement_hit_counts,
     _level_hit_counts,
+    _square_rows,
 )
 
 
@@ -483,6 +486,42 @@ def old_complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     return out
 
 
+def old_add_square(field, acc: np.ndarray) -> np.ndarray:
+    """out[b, a, r] = sum_y acc[b, a + y, r - y^2] for acc of shape (B, q, q),
+    in acc.dtype: gathers of about 2^20 single entries, each indexing a
+    block of centres a and a block of rows b."""
+    q = field.q
+    y = np.arange(q)
+    drop = field.sub_arrays(y, field.sq_arr[:, None])  # [y, r]: r - y^2
+    rows = acc.reshape(len(acc), q * q)
+    out = np.empty(acc.shape, dtype=acc.dtype)
+    block = max(1, (1 << 20) // q ** 2)
+    for lo in range(0, q, block):
+        flat = field.add_arrays(y[lo:lo + block, None], y)[:, :, None] * q + drop  # [a, y, r]
+        step = max(1, (1 << 20) // flat.size)
+        for i in range(0, len(acc), step):
+            out[i:i + step, lo:lo + block] = rows[i:i + step, flat].sum(axis=2, dtype=acc.dtype)
+    return out
+
+
+def old_recurrence_hit_counts(points: PointSet, budget: int) -> np.ndarray:
+    """G[a, v] = #{x not in the set : ||x - a|| = v} by the coordinate
+    recurrence with the partial norm last: acc has one axis per coordinate
+    and a last axis for the partial norm, and each step turns the
+    coordinate axis next to it from point digits into centre digits
+    (old_add_square) and moves it to the front."""
+    field, n, q = points.field, points.n, points.field.q
+    space = space_size(field, n)
+    estimate = n * q ** (n + 2)
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+    acc = np.zeros((q,) * n + (q,), dtype=np.min_scalar_type(space))
+    acc[..., 0] = (~points.mask).reshape((q,) * n)
+    for _ in range(n):
+        acc = np.moveaxis(old_add_square(field, acc.reshape(-1, q, q)).reshape(acc.shape), -2, 0)
+    return acc.reshape(space, q)
+
+
 # ---- (a) gathered spheres ----
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
@@ -846,35 +885,74 @@ def without_radius(points, counts, r):
 @pytest.mark.parametrize("q", [3, 9, 25, 27, 103, 211])
 @pytest.mark.parametrize("dtype", ["recurrence", np.int64])
 def test_add_square_equals_its_definition(q, dtype):
-    # out[b, a, r] = sum_y acc[b, a + y, r - y^2] by scalar field ops, on
+    # out[a, r, t] = sum_y acc[a + y, r - y^2, t] by scalar field ops, on
     # counts of at most q (in the recurrence's dtype for q^2 points, which
-    # holds every sum) or 2^40; three gather blocks of about 2^20 entries,
-    # the last one short, which are one row each of two blocks of centres,
-    # 98 and 5, at q = 103 and of ten blocks, nine of 23 and one of 4, at
-    # q = 211
+    # holds every sum) or 2^40; the second t is chosen so that the q^2 rows
+    # (a, r) go in about 2.5 blocks of 2^16 // t rows, the last one short:
+    # 32 rows of t = 2023 at q = 9 (81 = 32 + 32 + 17), 4096 of t = 16 at
+    # q = 103 and 16384 of t = 4 at q = 211
     field = field_of(q)
     if dtype == "recurrence":
         dtype, top = np.min_scalar_type(q ** 2), q
     else:
         top = 1 << 40
-    rows = 2 * max(1, (1 << 20) // q ** 3) + 1
-    acc = np.random.default_rng(q).integers(0, top + 1, (rows, q, q)).astype(dtype)
-    want = np.zeros_like(acc)
-    for y in range(q):
-        shift = [field.add(a, y) for a in range(q)]
-        drop = [field.sub(r, field.mul(y, y)) for r in range(q)]
-        want += acc[:, shift][:, :, drop]
-    got = _add_square(field, acc)
-    assert got.dtype == acc.dtype and got.shape == acc.shape
-    assert np.array_equal(got, want)
+    rows = _square_rows(field)
+    assert rows.shape == (q, q * q) and rows.dtype == np.min_scalar_type(q * q - 1)
+    rng = np.random.default_rng(q)
+    # t = 1 takes every row of every y in one gather while q^3 <= 2^16
+    for t in (1, -(-5 * (1 << 16) // (2 * q * q))):
+        acc = rng.integers(0, top + 1, (q, q, t)).astype(dtype)
+        want = np.zeros_like(acc)
+        for y in range(q):
+            shift = [field.add(a, y) for a in range(q)]
+            drop = [field.sub(r, field.mul(y, y)) for r in range(q)]
+            want += acc[shift][:, drop]
+        got = _add_square(acc, rows)
+        assert got.dtype == acc.dtype and got.shape == acc.shape
+        assert np.array_equal(got, want), t
+        # trailing axes read as one, a non-contiguous view of acc too
+        split = _add_square(acc.reshape(q, q, 1, t)[:, :, :, ::-1], rows)
+        assert np.array_equal(split, want[:, :, ::-1]), t
 
 
 def test_add_square_memory_is_bounded_by_its_blocks():
-    # one (q, q, q) index and gather per row would take q^3 int64 entries
-    # twice, 150 MB at q = 211; blocks of centres keep each near 2^20
+    # the row index takes 2 q^3 bytes (19 MB at q = 211); one (q, q, q)
+    # int64 index and the gather of every y at once would take about 75 MB
+    # and 300 MB, and blocks of 2^16 cells keep each gather near 0.5 MB
     field = field_of(211)
-    acc = np.random.default_rng(211).integers(0, 1 << 40, (4, 211, 211))
-    assert traced_peak(lambda: _add_square(field, acc)) < 32 << 20
+    acc = np.random.default_rng(211).integers(0, 1 << 40, (211, 211, 4))
+    assert traced_peak(lambda: _add_square(acc, _square_rows(field))) < 32 << 20
+
+
+def verdicts_from_counts(field, counts):
+    """The radius and centre verdicts read from G: some sphere of every
+    radius, and some sphere centred at every first coordinate (rank a mod q)."""
+    found = counts[:, 1:] == 0
+    first = np.arange(len(counts)) % field.q
+    return (bool(found.any(axis=0).all()),
+            set(first[found.any(axis=1)].tolist()) == set(field.elements()))
+
+
+RECURRENCE_SWEEP = [(13, 4), (27, 3), (7, 5), (9, 5), (3, 5), (3, 6), (9, 3), (27, 2), (5, 7)]
+
+
+@pytest.mark.parametrize("q,n", RECURRENCE_SWEEP)
+def test_exhaustive_scan_equals_the_old_recurrence(q, n):
+    # past the pair scan's reach, and at the dtype edges of G: q^n = 243
+    # (uint8), 729 (uint16, three ways) and 5^7 (uint32); complements of
+    # density 0, about 3 %, 1/2 and 1
+    field = field_of(q)
+    dtype = np.min_scalar_type(q ** n)
+    rng = np.random.default_rng(q * 1000 + n)
+    for density in (0, 0.03, 0.5, 1):
+        points = PointSet(field, n, rng.random(q ** n) >= density)
+        want = old_recurrence_hit_counts(points, 10 ** 12)
+        got = _complement_hit_counts(points, 10 ** 12)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape == (q ** n, q)
+        assert np.array_equal(got, want), density
+        radius_ok, center_ok = verdicts_from_counts(field, want)
+        assert verify_radius_kakeya(points) == radius_ok, density
+        assert verify_center_kakeya(points) == center_ok, density
 
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 7, 9, 11, 25, 27) for n in (2, 3, 4)
@@ -888,7 +966,9 @@ def test_exhaustive_scan_equals_the_pair_scan(q, n):
     for name, points in sets.items():
         want = (radius_counts if name == "radius"
                 else old_complement_hit_counts(points, 10 ** 12))
-        assert np.array_equal(_complement_hit_counts(points, 10 ** 12), want), name
+        got = _complement_hit_counts(points, 10 ** 12)
+        assert got.dtype == np.min_scalar_type(q ** n) and np.array_equal(got, want), name
+        assert np.array_equal(got, old_recurrence_hit_counts(points, 10 ** 12)), name
         found = want[:, 1:] == 0
         radius_ok = bool(found.any(axis=0).all())
         center_ok = set(first[found.any(axis=1)].tolist()) == set(field.elements())
