@@ -7,16 +7,18 @@ Each size runs verification._complement_hit_counts (mask/q^n, on a seeded
 random mask, about half of F_q^n) or verification._level_hit_counts
 (level/q^n, on the radius_spherical set) of one checkout in a fresh
 process, which imports the package from that checkout's src/.  A process
-times one call to warm up, then at least CALLS calls and as many more as
-fit in SECONDS.  Each of the --rounds rounds runs both sides, the parent
-first in even rounds and the change first in odd ones, so drift of a
-shared machine falls on both sides alike.
+times one first call, which builds the per-field tables the scan caches,
+then at least CALLS calls and as many more as fit in SECONDS.  Each of
+the --rounds rounds runs both sides, the parent first in even rounds and
+the change first in odd ones, so drift of a shared machine falls on both
+sides alike.
 
 For each size and side the file holds every call's time, their median and
-minimum, and the sha256 of the counts (shape, dtype and bytes) with the
-file the package was loaded from; per size it holds speed, the parent's
-minimum over the change's (above 1 means the change is faster), and
-whether both sides counted the same.
+minimum, each process's first call (first_s), and the sha256 of the
+counts (shape, dtype and bytes) with the file the package was loaded
+from; per size it holds speed, the parent's minimum over the change's
+(above 1 means the change is faster), and whether both sides counted the
+same.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ def worker(name: str) -> None:
     else:
         points = fk.radius_spherical(field, n).points
         scan = verification._level_hit_counts
-    counts = np.ascontiguousarray(scan(points, 1 << 62))
+    t0 = time.perf_counter()
+    counts = scan(points, 1 << 62)
+    first = time.perf_counter() - t0
+    counts = np.ascontiguousarray(counts)
     digest = hashlib.sha256(f"{counts.shape} {counts.dtype}".encode() + counts.tobytes())
     times: list[float] = []
     start = time.perf_counter()
@@ -69,7 +74,8 @@ def worker(name: str) -> None:
         t0 = time.perf_counter()
         scan(points, 1 << 62)
         times.append(time.perf_counter() - t0)
-    print(json.dumps({"times": times, "sha256": digest.hexdigest(), "package": fk.__file__}))
+    print(json.dumps({"first": first, "times": times, "sha256": digest.hexdigest(),
+                      "package": fk.__file__}))
 
 
 def run(root: Path, name: str) -> dict:
@@ -111,13 +117,16 @@ def main(argv=None) -> int:
         for side, results in runs.items():
             times = [t for r in results for t in r["times"]]
             entry[side] = {"median_s": statistics.median(times), "min_s": min(times),
-                           "times_s": times, "sha256": results[0]["sha256"],
+                           "times_s": times, "first_s": [r["first"] for r in results],
+                           "sha256": results[0]["sha256"],
                            "package": results[0]["package"]}
         entry["speed"] = entry["parent"]["min_s"] / entry["change"]["min_s"]
         entry["same_counts"] = len({r["sha256"] for rs in runs.values() for r in rs}) == 1
         report["sizes"][name] = entry
         print(f"{name}: parent {entry['parent']['min_s'] * 1e3:.2f} ms, change "
               f"{entry['change']['min_s'] * 1e3:.2f} ms (min), speed {entry['speed']:.2f}x, "
+              f"first call parent {min(entry['parent']['first_s']) * 1e3:.2f} ms, change "
+              f"{min(entry['change']['first_s']) * 1e3:.2f} ms (min), "
               f"same counts {entry['same_counts']}", flush=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if all(e["same_counts"] for e in report["sizes"].values()) else 1

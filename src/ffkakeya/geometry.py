@@ -454,10 +454,13 @@ def level_sizes(field: Fq, m: int) -> np.ndarray:
     return _quadric_counts(field.q, m, 1, field.char_arr.astype(np.int64))
 
 
+@functools.lru_cache(maxsize=None)
 def joint_norm_counts(field: Fq, m: int) -> np.ndarray:
     """J[i, v, w] = #{t in F_q^m : ||t|| = v, ||t - c_i|| = w} in int64, for
     c_0 = 0 and one c_i per nonempty norm class of nonzero vectors, by norm
     (isotropic first): at most q + 1 closed-form q x q slices, O(q^3) steps.
+    Cached per (field, m), read-only: 8 q^2 bytes per class, at most
+    8 (q + 1) q^2.
 
     J_c depends only on the class of c: by Witt's theorem c -> c' (equal
     norms) extends to a linear isometry of F_q^m.  By ||t - c|| = ||t|| -
@@ -481,7 +484,7 @@ def joint_norm_counts(field: Fq, m: int) -> np.ndarray:
     if gammas[0] == 0:
         slices.append(_joint_counts(field, m, 0, v[:, None], v)[None])
     slices.append(_joint_counts(field, m, gammas[gammas > 0][:, None, None], v[:, None], v))
-    return np.concatenate(slices)
+    return _read_only(np.concatenate(slices))
 
 
 def _fibres(field: Fq, m: int, radius, heads, scale: int) -> np.ndarray:

@@ -20,8 +20,8 @@ points outside every candidate sphere, adding a squared coordinate by
 whole-row gathers, out[a, r, :] = sum_y X[a + y, r - y^2, :]
 (_add_square), with the centre and the partial norm leading and every
 other axis one contiguous trailing row, and the row index of (y, a, r)
-built once per scan (_square_rows): once after a product of the level
-table and the joint norm counts per Witt class
+built once per field and cached (_square_rows): once after a product of
+the level table and the cached joint norm counts per Witt class
 (geometry.joint_norm_counts) for a set built by PointSet.from_levels, in
 about (q + 1) q^3 steps, and once per coordinate, in about n * q^(n+2)
 steps, for any other set.  The intersection-lemma maximum is read from
@@ -35,6 +35,7 @@ names, so a process that only verifies a saved set loads no construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import and_, attrgetter, eq, itemgetter, not_
@@ -49,6 +50,7 @@ from .geometry import (
     HypersphereSpec,
     PointSet,
     SphereSpec,
+    _read_only,
     _sphere_block,
     checked_ranks,
     hypersphere_ranks,
@@ -246,17 +248,18 @@ def witness_from_json_dict(data, field: Fq | None = None,
 
 # ---- exhaustive sphere scans ----
 
+@functools.lru_cache(maxsize=None)
 def _square_rows(field: Fq) -> np.ndarray:
     """rows[y, a * q + r] = (a + y) * q + (r - y^2), the row of an acc of
     shape (q, q, ...) that _add_square adds for y into out[a, r], in the
-    least dtype that holds q^2 - 1: 2q^3 bytes while q < 256, never more
-    than the acc of either scan."""
+    least dtype that holds q^2 - 1: q^3 entries, 2q^3 bytes while q < 256,
+    never more than the acc of either scan.  Cached per field, read-only."""
     q = field.q
     y = np.arange(q)
     dtype = np.min_scalar_type(q * q - 1)
     shift = field.add_arrays(y[:, None], y).astype(dtype) * dtype.type(q)  # [y, a]: (a + y) q
     drop = field.sub_arrays(y, field.sq_arr[:, None]).astype(dtype)  # [y, r]: r - y^2
-    return np.add(shift[:, :, None], drop[:, None, :]).reshape(q, q * q)
+    return _read_only(np.add(shift[:, :, None], drop[:, None, :]).reshape(q, q * q))
 
 
 def _add_square(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -49,7 +49,8 @@ from ffkakeya import (
 )
 from ffkakeya.constructions import _circular_witness, _result
 from ffkakeya.exact import ceil_sqrt, is_prime
-from ffkakeya.geometry import level_order, origin_norm_profile, space_size
+from ffkakeya.geometry import joint_norm_counts, level_order, origin_norm_profile, space_size
+from ffkakeya.verification import _square_rows
 from test_translation import per_entry_witness_valid
 
 PRIMES_47 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -61,6 +62,8 @@ def clear_geometry_caches():
     equal to a cached one would reuse work done with the cached one."""
     origin_norm_profile.cache_clear()
     level_order.cache_clear()
+    joint_norm_counts.cache_clear()
+    _square_rows.cache_clear()
 
 
 class TestRadiusSpherical:

@@ -918,9 +918,11 @@ def test_add_square_equals_its_definition(q, dtype):
 def test_add_square_memory_is_bounded_by_its_blocks():
     # the row index takes 2 q^3 bytes (19 MB at q = 211); one (q, q, q)
     # int64 index and the gather of every y at once would take about 75 MB
-    # and 300 MB, and blocks of 2^16 cells keep each gather near 0.5 MB
+    # and 300 MB, and blocks of 2^16 cells keep each gather near 0.5 MB.
+    # The index is cached, so it is dropped first to be built and traced here.
     field = field_of(211)
     acc = np.random.default_rng(211).integers(0, 1 << 40, (211, 211, 4))
+    _square_rows.cache_clear()
     assert traced_peak(lambda: _add_square(acc, _square_rows(field))) < 32 << 20
 
 
@@ -931,6 +933,15 @@ def verdicts_from_counts(field, counts):
     first = np.arange(len(counts)) % field.q
     return (bool(found.any(axis=0).all()),
             set(first[found.any(axis=1)].tolist()) == set(field.elements()))
+
+
+def cold_and_warm(scan, points):
+    """The counts of a scan with no per-field table cached, and then with
+    the tables that scan cached."""
+    joint_norm_counts.cache_clear()
+    _square_rows.cache_clear()
+    cold = scan(points, 10 ** 12)
+    return cold, scan(points, 10 ** 12)
 
 
 RECURRENCE_SWEEP = [(13, 4), (27, 3), (7, 5), (9, 5), (3, 5), (3, 6), (9, 3), (27, 2), (5, 7)]
@@ -947,9 +958,9 @@ def test_exhaustive_scan_equals_the_old_recurrence(q, n):
     for density in (0, 0.03, 0.5, 1):
         points = PointSet(field, n, rng.random(q ** n) >= density)
         want = old_recurrence_hit_counts(points, 10 ** 12)
-        got = _complement_hit_counts(points, 10 ** 12)
+        cold, got = cold_and_warm(_complement_hit_counts, points)
         assert got.dtype == want.dtype == dtype and got.shape == want.shape == (q ** n, q)
-        assert np.array_equal(got, want), density
+        assert np.array_equal(got, want) and np.array_equal(cold, want), density
         radius_ok, center_ok = verdicts_from_counts(field, want)
         assert verify_radius_kakeya(points) == radius_ok, density
         assert verify_center_kakeya(points) == center_ok, density
@@ -1002,7 +1013,8 @@ def test_level_scan_equals_the_recurrence_at_class_representatives(q, n):
     field = field_of(q)
     tails = [0] + [point_rank(field, c) for c in norm_class_representatives(field, n - 1)]
     for points in level_scan_sets(field, n):
-        hits = _level_hit_counts(points, 10 ** 12)
+        cold, hits = cold_and_warm(_level_hit_counts, points)
+        assert np.array_equal(cold, hits)
         radius_ok, center_ok = verify_radius_kakeya(points), verify_center_kakeya(points)
         # the verifiers scan every level-built set by classes, with no q^n mask
         assert points.level_built and points._mask is None
@@ -1011,6 +1023,29 @@ def test_level_scan_equals_the_recurrence_at_class_representatives(q, n):
         assert np.array_equal(hits, want[tails])
         assert radius_ok == verify_radius_kakeya(copy)
         assert center_ok == verify_center_kakeya(copy)
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (7, 4), (9, 4), (25, 3)])
+def test_scans_and_the_lemma_build_each_table_once_per_field(q, n):
+    # the lemma at n - 1 and the level scan at n read one J of F_q^(n-1),
+    # and both scans read one row index of F_q
+    field = field_of(q)
+    points = radius_spherical(field, n).points
+    mask_set = PointSet(field, n, points.mask)
+    joint_norm_counts.cache_clear()
+    _square_rows.cache_clear()
+    first = _level_hit_counts(points, 10 ** 12)
+    lemma = verify_intersection_lemma(field, n - 1)
+    for _ in range(3):
+        assert np.array_equal(_level_hit_counts(points, 10 ** 12), first)
+        assert verify_intersection_lemma(field, n - 1) == lemma
+        assert verify_radius_kakeya(points) and verify_radius_kakeya(mask_set)
+    assert joint_norm_counts.cache_info().misses == 1
+    assert _square_rows.cache_info().misses == 1
+    for table in (joint_norm_counts(field, n - 1), _square_rows(field)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 def test_a_mask_set_with_a_cached_level_table_takes_the_recurrence():
