@@ -30,8 +30,10 @@ from .errors import BudgetExceededError, KakeyaError, SizeCapError, UsageError
 from .exact import (
     DEFAULT_BUDGET,
     DEFAULT_NODE_BUDGET,
+    DIGIT_CAP,
     EXACT_LIMIT,
     VARIANTS,
+    _DIGIT_LIMIT,
     circular_lower_bounds,
     exact_str,
     prime_power_decompose,
@@ -111,7 +113,10 @@ def _load_set_file(path):
     from .geometry import PointSet
     from .verification import witness_from_json_dict
 
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise UsageError(f"{path} nests too deeply to be a point set file") from None
     if not isinstance(data, dict) or not isinstance(data.get("ranks"), list):
         raise UsageError(f"{path} is not a point set file")
     points = PointSet.from_json_dict(data, f"set file {path}")
@@ -182,6 +187,9 @@ def _cmd_count(args) -> int:
            "coeffs": list(coeffs), "rhs": args.rhs}
     if args.method in ("closed", "both"):
         out["closed"] = diagonal_count_closed(field, eq)
+        if out["closed"] >= _DIGIT_LIMIT:  # past it, JSON cannot write the int
+            raise SizeCapError(f"the closed count at q^n = {field.q}^{len(coeffs)} "
+                               f"exceeds {DIGIT_CAP} digits")
     if args.method in ("bruteforce", "both"):
         from .geometry import diagonal_count_bruteforce
         out["bruteforce"] = diagonal_count_bruteforce(field, eq)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import accumulate, repeat
 from math import isqrt
 
 import numpy as np
@@ -328,14 +327,18 @@ def circular_square(field: Fq, variant: str = VARIANT_RADIUS) -> ConstructionRes
     """Cover of F_q, q = r^2, of size exactly 2r - 1: the subfield F_r
     joined with t * F_r for the canonical generator t.  F_r is 0 and the
     powers of h = g^((q-1)/(r-1)), g primitive, whose order is r - 1; t is
-    not in F_r, so the two blocks meet only in 0."""
+    not in F_r, so the two blocks meet only in 0.  Both rows of powers,
+    from 1 and from t, are filled by Fq._fill_powers, so no exp/log pair
+    is built."""
     if field.k % 2:
         raise NotASquareFieldError(f"q = {field.q} is not a perfect square")
     r = field.p ** (field.k // 2)
     h = field.pow(field.primitive, (field.q - 1) // (r - 1))
-    sub_ranks = [0, *accumulate(repeat(h, r - 2), field.mul, initial=1)]
     alpha = field.p  # rank of t
-    ks = set(sub_ranks) | {field.mul(alpha, x) for x in sub_ranks}
+    powers = np.empty((2, r - 1), dtype=np.int64)
+    powers[:, 0] = 1, alpha
+    field._fill_powers(h, powers)
+    ks = {0, *powers.ravel().tolist()}
     return _circular_result(
         field, "circular-square", variant, ks, 2 * r - 1,
         {"subfieldOrder": r, "generatorRank": alpha})

@@ -2,21 +2,20 @@
 
 Fq is scalar.ScalarField, whose module fixes the rank order and the
 modulus and owns the scalar ops, plus the arrays that vectorized callers
-read.  Of the scalar ops Fq overrides only mul and pow: they read the
-exp/log pair while it fits, and take ScalarField's polynomial products
-beyond it.
+read.  Fq overrides no scalar op: every scalar answer is ScalarField's,
+and only the arrays read the logs.
 
-Multiplication is read from one pair of length-q arrays per field, built
-lazily while they fit in LOG_CAP_BYTES (12 bytes per element, so q up to
-about 5.6 million): exp[i] = g^i for the primitive element g of least
-rank (Fq.primitive), and its inverse log, built by doubling with the
-digit matrix of g^m, squared each step.  The digit matrices of
-multiplication (_mul_matrices) also test a batch of candidates for g at
-once.  inv_arr and sq_arr (int32, 4q bytes each), char_arr (int8) and
-mul_table are gathers from exp and log, and so are the scalar mul, inv
-and pow of extension fields up to the byte cap.  Which g is used changes
-no output: only the tables and values derived from exp and log are visible;
-mul_arrays is a gather from them too.  add_arrays and sub_arrays add rank
+Array multiplication is read from one pair of length-q arrays per field,
+built lazily while they fit in LOG_CAP_BYTES (12 bytes per element, so q
+up to about 5.6 million): exp[i] = g^i for the primitive element g of
+least rank (Fq.primitive), and its inverse log.  exp is filled by
+_fill_powers, which doubles a row of powers with the digit matrix of
+g^m, squared each step; circular_square lists the subfield by it too.
+The digit matrices of multiplication (_mul_matrices) also test a batch
+of candidates for g at once.  inv_arr and sq_arr (int32, 4q bytes each),
+char_arr (int8), mul_table and mul_arrays are gathers from exp and log.
+Which g is used changes no output: only the tables and values derived
+from exp and log are visible.  add_arrays and sub_arrays add rank
 arrays for any q, and every other module adds through them: a chunk of c
 base-p digits of both operands indexes one cached p^c x p^c table of
 digitwise sums (at most CHUNK_ENTRIES entries), and an outer sum gathers
@@ -36,13 +35,12 @@ from __future__ import annotations
 import functools
 import math
 from functools import cached_property
-from operator import index
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import SizeCapError
-from .scalar import ScalarField, _rank_error
+from .scalar import ScalarField
 
 LOG_CAP_BYTES = 64 << 20  # largest exp/log pair, 12 bytes per element
 ARRAY_CAP = 1 << 26  # most elements in one rank array or dense table (512 MB of int64)
@@ -71,30 +69,6 @@ class Fq(ScalarField):
     """F_q with rank arrays and tables for vectorized callers.  The dense
     q x q tables need q <= 8192 (ARRAY_CAP); the scalar methods work for
     any supported q.  Use make_field() for a cached instance."""
-
-    # ---- scalar mul and pow read from the logs while they fit ----
-
-    def mul(self, a: int, b: int) -> int:
-        if self.k == 1 or not self._logs_fit:
-            return super().mul(a, b)
-        a, b = index(a), index(b)
-        if not 0 <= a < self.q > b >= 0:
-            raise _rank_error(self.q, a, b)
-        if a == 0 or b == 0:
-            return 0
-        exp, log = self._logs
-        return int(exp[log[a] + log[b]])
-
-    def pow(self, a: int, e: int) -> int:
-        a, e = index(a), index(e)
-        if e < 0 or self.k == 1 or not self._logs_fit:
-            return super().pow(a, e)
-        if not 0 <= a < self.q:
-            raise _rank_error(self.q, a)
-        if a == 0:
-            return 0 if e else 1
-        exp, log = self._logs
-        return int(exp[int(log[a]) * e % (self.q - 1)])
 
     # ---- elementwise arithmetic on rank arrays ----
 
@@ -226,30 +200,36 @@ class Fq(ScalarField):
         digits = np.asarray(xs).astype(dtype)[:, None] // p ** np.arange(k) % p
         return (digits @ np.stack(powers).reshape(k, k * k) % p).reshape(-1, k, k)
 
+    def _fill_powers(self, x: int, out: np.ndarray) -> None:
+        """Set out[..., i] = out[..., 0] * x^i in place along the last axis.
+        It doubles, out[..., m:2m] = out[..., :m] * x^m, by the k x k matrix
+        of multiplication by x^m on digit vectors (row i the digits of
+        x^m t^i), squared for x^(2m), so no step takes a polynomial product."""
+        p, n = self.p, out.shape[-1]
+        pvec = p ** np.arange(self.k)
+        rows = self._mul_matrices([x])[0]
+        m = 1
+        while m < n:
+            # in chunks, so the digit matrices stay small whatever q is
+            for lo in range(0, min(m, n - m), 1 << 16):
+                block = out[..., lo:min(m, n - m, lo + (1 << 16))]
+                digits = block[..., None] // pvec % p
+                out[..., m + lo:m + lo + block.shape[-1]] = digits @ rows % p @ pvec
+            m, rows = 2 * m, rows @ rows % p
+
     @cached_property
     def _logs(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log) with exp[i] = g^i for 0 <= i < 2(q-1), g = primitive,
         and log[exp[i]] = i for i < q-1.  exp is twice the group order
         long, so exp[log[a] + log[b]] needs no mod.  log[0] is 0: every
-        caller handles the zero element itself.  exp doubles, exp[m:2m] =
-        exp[:m] * g^m, by the k x k matrix of multiplication by g^m on digit
-        vectors (row i the digits of g^m t^i), squared for g^(2m), so no step
-        takes a polynomial product."""
+        caller handles the zero element itself."""
         if not self._logs_fit:
             raise SizeCapError(f"q = {self.q} exceeds the exp/log cap of "
                                f"{LOG_CAP_BYTES >> 20} MB")
-        p, k, order = self.p, self.k, self.q - 1
+        order = self.q - 1
         exp = np.empty(2 * order, dtype=np.int32)
-        exp[0] = m = 1
-        pvec = p ** np.arange(k)
-        rows = self._mul_matrices([self.primitive])[0]
-        while m < exp.size:
-            # in chunks, so the digit matrices stay small whatever q is
-            for lo in range(0, min(m, exp.size - m), 1 << 16):
-                block = exp[lo:min(m, exp.size - m, lo + (1 << 16))]
-                digits = block[:, None] // pvec % p
-                exp[m + lo:m + lo + block.size] = digits @ rows % p @ pvec
-            m, rows = 2 * m, rows @ rows % p
+        exp[0] = 1
+        self._fill_powers(self.primitive, exp)
         log = np.zeros(self.q, dtype=np.int32)
         log[exp[:order]] = np.arange(order, dtype=np.int32)
         return exp, log

@@ -19,8 +19,9 @@ element by element.
 ScalarField has the scalar ops alone: add and sub digit by digit, and
 mul, pow, inv and char by products of digit polynomials modulo the
 modulus, by the one product _poly_mulmod that Ben-Or's test uses too.
-field.Fq subclasses it with rank arrays, and reads its mul and pow from
-exp/log arrays.  Nothing here, the closed count of a diagonal quadric
+field.Fq subclasses it with rank arrays and overrides no scalar op, so
+every scalar answer, on any field and at any q, is taken here and
+builds no array.  Nothing here, the closed count of a diagonal quadric
 and the rank validator included, imports numpy.
 """
 
@@ -242,9 +243,9 @@ class ScalarField:
         return self.pow(a, self.q - 2)
 
     def char(self, a: int) -> int:
-        """a^((q-1)/2) in {-1, 0, +1}, building no exp/log pair on an Fq: for
-        k > 1 the Legendre symbol of the norm a^((q-1)/(p-1)), the resultant
-        of the modulus and a's digits (_poly_rem strips zeros), O(k^2) steps."""
+        """a^((q-1)/2) in {-1, 0, +1}: for k > 1 the Legendre symbol of the
+        norm a^((q-1)/(p-1)), the resultant of the modulus and a's digits
+        (_poly_rem strips zeros), O(k^2) steps."""
         a = index(a)
         if not 0 <= a < self.q:
             raise _rank_error(self.q, a)
@@ -316,10 +317,9 @@ def _check_equation(field: ScalarField, eq: DiagonalEq) -> None:
 
 def diagonal_count_closed(field: ScalarField, eq: DiagonalEq) -> int:
     """Exact solution count from the classical closed form for diagonal
-    quadrics (_quadric_counts), in Python integers at any size, by
-    polynomial products on an Fq too, so it builds no exp/log pair."""
+    quadrics (_quadric_counts), in Python integers at any size."""
     _check_equation(field, eq)
-    delta = functools.reduce(functools.partial(ScalarField.mul, field), eq.coeffs)
+    delta = functools.reduce(field.mul, eq.coeffs)
     return _quadric_counts(field.q, len(eq.coeffs), field.char(delta), field.char(eq.rhs))
 
 

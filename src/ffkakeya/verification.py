@@ -397,9 +397,10 @@ def intersection_lemma_bound(q: int, n: int) -> int:
 def _clean_ranks(field: Fq, elems) -> np.ndarray:
     """The distinct ranks of elems, sorted; ValueError for non-integer or
     out-of-range ranks (checked_ranks).  It sorts the ranks given, so a
-    small set in a large field costs nothing of order q."""
+    small set in a large field costs nothing of order q.  Not np.unique,
+    which imports numpy.ma on its first call."""
     ks = np.sort(checked_ranks(elems, field.q, "element rank").ravel())
-    return ks[np.concatenate(([True], ks[1:] != ks[:-1]))] if ks.size else ks
+    return ks[np.diff(ks, prepend=-1) != 0]
 
 
 def diff_cover(field: Fq, elems) -> bool:

@@ -343,6 +343,15 @@ class TestMalformedSetFiles:
         edit(data)
         self.assert_usage_error(self.verify(tmp_path, data))
 
+    def test_deeply_nested_file(self, tmp_path):
+        # nesting past the recursion limit is malformed input, not a false
+        # verdict (exit 1)
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        r = run("verify", "--file", str(path), "--property", "radius", "--mode", "witness")
+        self.assert_usage_error(r)
+        assert "nests too deeply" in r.stderr
+
 
 class TestHugeDimension:
     """An n far past the point cap exits 3 at once: q^n is never formed."""
@@ -438,6 +447,20 @@ class TestCount:
     def test_n_mismatch_is_usage_error(self):
         r = run("count", "--p", "5", "--n", "3", "--coeffs", "1,1", "--rhs", "1")
         assert r.returncode == 2
+
+    def test_closed_count_past_the_digit_cap_exits_three(self):
+        # 3^9099 has 4342 digits, past what JSON may write; 3^8999 has 4294
+        r = run("count", "--p", "3", "--coeffs", ",".join(["1"] * 9100), "--rhs", "1",
+                "--method", "closed")
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr == "error: the closed count at q^n = 3^9100 exceeds 4300 digits\n"
+        r = run("count", "--p", "3", "--coeffs", ",".join(["1"] * 9000), "--rhs", "1",
+                "--method", "closed")
+        assert r.returncode == 0 and len(str(json.loads(r.stdout)["closed"])) == 4294
+        # the cap is the command's: the library still returns the count
+        count = ffkakeya.diagonal_count_closed(ffkakeya.ScalarField(3), ffkakeya.DiagonalEq(
+            (1,) * 9100, 1))
+        assert count >= 10 ** 4300 and abs(count - 3 ** 9099) == 3 ** 4549
 
     @pytest.mark.parametrize("method", ["bruteforce", "both"])
     def test_direct_count_at_3_to_the_20(self, method):

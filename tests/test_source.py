@@ -6,9 +6,9 @@ the package.  A function moved to another module leaves either behind
 when its old home keeps the import or the helper.  A
 construction result is made in one place, constructions._result, so every
 construction reports its size, bound verdict and witness verdict by one
-rule.  Scalar field arithmetic has one owner, scalar.py: field.py only
-overrides mul and pow to read its exp/log pair, and multiplies no
-polynomial.  Only the process entry, cli.run, touches the garbage
+rule.  Scalar field arithmetic has one owner, scalar.py: field.py
+overrides no scalar op and multiplies no polynomial, and only field.py
+reads the exp/log pair.  Only the process entry, cli.run, touches the garbage
 collector or the way the process exits, so library calls and the
 in-process cli.main leave both alone."""
 
@@ -16,6 +16,9 @@ import ast
 from pathlib import Path
 
 import ffkakeya
+from ffkakeya.constructions import circular_square
+from ffkakeya.exact import VARIANTS
+from ffkakeya.field import Fq
 
 SOURCES = {path.name: path.read_text()
            for path in sorted(Path(ffkakeya.__file__).parent.glob("*.py"))}
@@ -82,7 +85,6 @@ SCALAR_OWNED = ("add", "sub", "neg", "mul", "pow", "inv", "char", "smallest_nons
                 "_digitwise_scalar", "element_to_coeffs", "coeffs_to_element",
                 "_poly_rem", "_poly_mulmod", "_poly_powmod", "_poly_gcd", "_poly_resultant",
                 "_is_irreducible", "smallest_irreducible")
-LOG_OVERRIDES = ("mul", "pow")
 
 
 # what only the process entry may call: it freezes the collector once the
@@ -141,18 +143,21 @@ def test_construction_results_have_one_builder():
 def test_scalar_arithmetic_has_one_owner():
     homes = {name: sorted(module for module, tree in TREES.items() if name in functions(tree))
              for name in SCALAR_OWNED}
-    assert homes == {name: ["field.py", "scalar.py"] if name in LOG_OVERRIDES else ["scalar.py"]
-                     for name in SCALAR_OWNED}
-    # the overrides read the logs and hand every other case to ScalarField
-    for name in LOG_OVERRIDES:
-        body = functions(TREES["field.py"])[name]
-        assert not [node for node in ast.walk(body) if isinstance(
-            node, (ast.For, ast.While, ast.comprehension))], name
-        assert "super" in loaded_names(body) and "_logs" in loaded_names(body), name
-    # and no module but scalar.py names a polynomial helper
+    assert homes == {name: ["scalar.py"] for name in SCALAR_OWNED}
+    # no module but scalar.py names a polynomial helper
     assert {module for module, tree in TREES.items()
             if any(n.startswith(("_poly_", "_is_irreducible", "_digitwise_scalar"))
                    for n in loaded_names(tree))} == {"scalar.py"}
+
+
+def test_only_the_field_reads_its_logs():
+    assert {module for module, tree in TREES.items()
+            if {"_logs", "_logs_fit"} & loaded_names(tree)} == {"field.py"}
+    # circular_square lists the subfield by Fq._fill_powers, not from the logs
+    f = Fq(3, 8)
+    for variant in VARIANTS:
+        assert circular_square(f, variant).witness_valid
+    assert "_logs" not in vars(f)
 
 
 def test_only_the_process_entry_freezes_the_collector():
