@@ -1,11 +1,14 @@
-"""Alternating parent/change timings of the two exhaustive scans, by size.
+"""Alternating parent/change timings of the two exhaustive scans and of
+the prime circle cover, by size.
 
     python3 scripts/scan_sweep.py --parent ../parent --change . --out sweep.json
     python3 scripts/scan_sweep.py --parent . --change . --sizes mask/7^4 --out sweep.json
+    python3 scripts/scan_sweep.py --parent ../parent --change . --sizes circle/4093 --out sweep.json
 
 Each size runs verification._complement_hit_counts (mask/q^n, on a seeded
-random mask, about half of F_q^n) or verification._level_hit_counts
-(level/q^n, on the radius_spherical set) of one checkout in a fresh
+random mask, about half of F_q^n), verification._level_hit_counts
+(level/q^n, on the radius_spherical set) or circular_prime(p, "radius")
+(circle/p, its witness built and checked) of one checkout in a fresh
 process, which imports the package from that checkout's src/.  A process
 times one first call, which builds the per-field tables the scan caches,
 then at least CALLS calls and as many more as fit in SECONDS.  Each of
@@ -15,10 +18,11 @@ sides alike.
 
 For each size and side the file holds every call's time, their median and
 minimum, each process's first call (first_s), and the sha256 of the
-counts (shape, dtype and bytes) with the file the package was loaded
-from; per size it holds speed, the parent's minimum over the change's
-(above 1 means the change is faster), and whether both sides counted the
-same.
+counts (shape, dtype and bytes), or of the cover's JSON
+(json.dumps(to_json_dict(), sort_keys=True)), with the file the package
+was loaded from; per size it holds speed, the parent's minimum over the
+change's (above 1 means the change is faster), and whether both sides
+counted, or wrote, the same.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import time
 from pathlib import Path
 
 SIZES = ["mask/7^4", "mask/11^4", "mask/7^6", "mask/13^5", "mask/27^4",
-         "level/31^4", "level/27^4", "level/101^3"]
+         "level/31^4", "level/27^4", "level/101^3", "circle/4093"]
 CALLS = 3  # least timed calls per process
 SECONDS = 0.5  # least timed seconds per process
 
@@ -42,37 +46,53 @@ SECONDS = 0.5  # least timed seconds per process
 def parse_size(name: str) -> tuple[str, int, int]:
     kind, _, power = name.partition("/")
     q, _, n = power.partition("^")
+    if kind == "circle" and q.isdigit() and not n:
+        return kind, int(q), 1
     if kind not in ("mask", "level") or not (q.isdigit() and n.isdigit()):
-        raise SystemExit(f"size {name!r} is not mask/q^n or level/q^n")
+        raise SystemExit(f"size {name!r} is not mask/q^n, level/q^n or circle/p")
     return kind, int(q), int(n)
 
 
 def worker(name: str) -> None:
-    """Time one scan of the package on sys.path and print one JSON line."""
+    """Time one scan or cover of the package on sys.path and print one JSON
+    line."""
     import numpy as np
 
     import ffkakeya as fk
     from ffkakeya import verification
 
     kind, q, n = parse_size(name)
-    field = fk.make_field(*fk.prime_power_decompose(q))
-    if kind == "mask":
-        rng = np.random.default_rng(q * 100 + n)
-        points = fk.PointSet(field, n, rng.random(q ** n) < 0.5)
-        scan = verification._complement_hit_counts
+    if kind == "circle":
+        def call():
+            return fk.circular_prime(q, "radius")
+
+        def digest_of(res):
+            return hashlib.sha256(json.dumps(res.to_json_dict(), sort_keys=True).encode())
     else:
-        points = fk.radius_spherical(field, n).points
-        scan = verification._level_hit_counts
+        field = fk.make_field(*fk.prime_power_decompose(q))
+        if kind == "mask":
+            rng = np.random.default_rng(q * 100 + n)
+            points = fk.PointSet(field, n, rng.random(q ** n) < 0.5)
+            scan = verification._complement_hit_counts
+        else:
+            points = fk.radius_spherical(field, n).points
+            scan = verification._level_hit_counts
+
+        def call():
+            return scan(points, 1 << 62)
+
+        def digest_of(counts):
+            counts = np.ascontiguousarray(counts)
+            return hashlib.sha256(f"{counts.shape} {counts.dtype}".encode() + counts.tobytes())
     t0 = time.perf_counter()
-    counts = scan(points, 1 << 62)
+    out = call()
     first = time.perf_counter() - t0
-    counts = np.ascontiguousarray(counts)
-    digest = hashlib.sha256(f"{counts.shape} {counts.dtype}".encode() + counts.tobytes())
+    digest = digest_of(out)
     times: list[float] = []
     start = time.perf_counter()
     while len(times) < CALLS or time.perf_counter() - start < SECONDS:
         t0 = time.perf_counter()
-        scan(points, 1 << 62)
+        call()
         times.append(time.perf_counter() - t0)
     print(json.dumps({"first": first, "times": times, "sha256": digest.hexdigest(),
                       "package": fk.__file__}))
@@ -93,7 +113,7 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--sizes", default=",".join(SIZES),
-                    help="comma-separated mask/q^n and level/q^n (default: all eight)")
+                    help="comma-separated mask/q^n, level/q^n and circle/p (default: all nine)")
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--worker", metavar="SIZE", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

@@ -44,7 +44,6 @@ from .exact import (
 )
 from .field import Fq, make_field
 from .geometry import (
-    CircleSpec,
     HypersphereSpec,
     PointSet,
     SphereSpec,
@@ -272,27 +271,28 @@ def _circular_witness(field: Fq, ks: list[int], variant: str) -> KakeyaWitness:
     """Deterministic circle certificates from a covering set: the first
     pair (x1, x2) in row-major rank order with x1 - x2 = 2r certifies
     radius r by the circle around x1 - r; the first pair of distinct
-    elements with x1 + x2 = 2a certifies center a with radius x1 - a."""
-    k = np.asarray(ks, dtype=np.int64)
+    elements with x1 + x2 = 2a certifies center a with radius x1 - a.
+
+    The first pair of every value is one np.minimum.at of the flat pair
+    indices, the diagonal sent to the spare slot q, and the witness is its
+    int64 columns (param, centre, radius), with no object per circle."""
+    q, k = field.q, np.asarray(ks, dtype=np.int64)
     if variant == VARIANT_RADIUS:
-        kind, params = "circular-radius", np.arange(1, field.q, dtype=np.int64)
+        kind, params = "circular-radius", np.arange(1, q, dtype=np.int64)
         values = field.sub_arrays(k[:, None], k[None, :])
     else:
-        kind, params = "circular-center", np.arange(field.q, dtype=np.int64)
+        kind, params = "circular-center", np.arange(q, dtype=np.int64)
         values = field.add_arrays(k[:, None], k[None, :])
-        np.fill_diagonal(values, -1)
-    found, first = np.unique(values, return_index=True)
-    targets = field.add_arrays(params, params)
-    pos = np.minimum(np.searchsorted(found, targets), found.size - 1)
-    missing = found[pos] != targets
+        np.fill_diagonal(values, q)
+    first = np.full(q + 1, values.size, dtype=np.int64)
+    np.minimum.at(first, values.ravel(), np.arange(values.size))
+    pair = first[field.add_arrays(params, params)]
+    missing = pair == values.size
     if missing.any():
         raise RuntimeError(f"no pair certifies {variant} {params[missing.argmax()]}")
-    x1 = k[first[pos] // k.size]
-    # the center x1 - r, or the radius x1 - a; Python ints, not numpy scalars
-    shifted, params = field.sub_arrays(x1, params).tolist(), params.tolist()
-    circles = map(CircleSpec._make, zip(*((shifted, params) if variant == VARIANT_RADIUS
-                                          else (params, shifted))))
-    return KakeyaWitness(kind, dict(zip(params, circles)))
+    shifted = field.sub_arrays(k[pair // k.size], params)  # the center x1 - r, or the radius x1 - a
+    rows = (params, shifted, params) if variant == VARIANT_RADIUS else (params, params, shifted)
+    return KakeyaWitness._adopt(kind, np.stack(rows))
 
 
 def _circular_result(field: Fq, name: str, variant: str, ks,

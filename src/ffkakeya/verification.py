@@ -7,14 +7,18 @@ difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 (sums of two distinct elements).
 
 Witness mode checks a certificate (a KakeyaWitness) against the set
-through one table of its kinds, WITNESS_KINDS, in a fixed number of
-C-level passes over its entries (map, set, min, max, compress), with no
-Python call per entry or per coordinate: geometry's batch validators (one
-issubclass test per distinct type, one min and one max over all ranks),
-one map for the keys and one for the on-axis spheres.  numpy arrays carry
-only the lookups into the level table of a level-built set and geometry's
-gathers at a mask, a block of spheres a gather; small witnesses, checked
-once each, spend their time in these passes more than in the arithmetic.
+through one table of its kinds, WITNESS_KINDS.  Spheres and hyper-spheres
+are checked in a fixed number of C-level passes over their entries (map,
+set, min, max, compress), with no Python call per entry or per
+coordinate: geometry's batch validators (one issubclass test per distinct
+type, one min and one max over all ranks), one map for the keys and one
+for the on-axis spheres.  numpy arrays carry only the lookups into the
+level table of a level-built set and geometry's gathers at a mask, a
+block of spheres a gather; each entry costs q lookups or more.  Circles
+are checked on int64 columns (param, centre, radius): a circle costs two
+lookups, so an object per circle would cost more than its check.  A
+constructed circle witness is its columns; one given by entries is turned
+into columns on every check, after the same type and integer checks.
 Exhaustive mode needs none: within a work budget it counts exactly the
 points outside every candidate sphere, adding a squared coordinate by
 whole-row gathers, out[a, r, :] = sum_y X[a + y, r - y^2, :]
@@ -29,16 +33,18 @@ the joint norm counts of F_q^n.  The size lower bounds live in exact,
 which needs no numpy.
 
 The witness record and its codec live here, next to WITNESS_KINDS: each
-entry is written field by field and read back into the type its kind
-names, so a process that only verifies a saved set loads no construction.
+entry is written field by field (a circle witness's from its columns) and
+read back into the type its kind names, so a process that only verifies a
+saved set loads no construction.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from itertools import chain, compress
 from operator import and_, attrgetter, eq, itemgetter, not_
+from types import MappingProxyType
 
 import numpy as np
 
@@ -133,14 +139,41 @@ def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list,
     return all(mask[hypersphere_ranks(field, h)].all() for h in hyperspheres)
 
 
-def _circles_inside(field: Fq, points: PointSet, circles: list, radii: list) -> bool:
-    """Both points a + r and a - r of every circle, in one gather each."""
-    centers = _fields(circles, "center")
-    if points.n != 1 or not valid_ranks(centers, field.q):
+def _circle_columns(field: Fq, entries, params) -> np.ndarray | None:
+    """The (param, centre, radius) int64 columns of a witness given by
+    entries, or None unless every entry is a CircleSpec (one issubclass
+    test per distinct type) of integer ranks in [0, q) (valid_ranks) whose
+    certified parameter, as params names it, is its key.  Built on every
+    call: the caller's dict may change after a check."""
+    specs = list(entries.values())
+    if not all(issubclass(t, CircleSpec) for t in set(map(type, specs))):
+        return None
+    centers, radii = _fields(specs, "center"), _fields(specs, "radius")
+    keyed = params(specs)
+    if not (valid_ranks(centers, field.q) and valid_ranks(radii, field.q)
+            and keyed == list(entries)):
+        return None
+    return np.array([keyed, centers, radii], dtype=np.int64)
+
+
+def _circles_valid(field: Fq, points: PointSet, keys: range, row: int,
+                   columns: np.ndarray) -> bool:
+    """The one check of a circle witness, on its int64 columns (param,
+    centre, radius): the params are exactly the keys, every rank lies in
+    [0, q), every radius is nonzero, each param equals the row of its
+    entry that the kind certifies, and both points a + r and a - r of
+    every circle lie in the set, in one gather each."""
+    q = field.q
+    param, center, radius = columns
+    if not (points.n == 1 and param.size == len(keys) and columns.min() >= 0
+            and columns.max() < q and radius.min() > 0
+            and np.array_equal(param, columns[row])):
         return False
-    a, r = np.array([centers, radii], dtype=np.int64)
-    return bool(points.mask[field.add_arrays(a, r)].all()
-                and points.mask[field.sub_arrays(a, r)].all())
+    seen = np.zeros(q, dtype=bool)
+    seen[param] = True
+    mask = points.mask
+    return bool(seen[keys.start:].all() and mask[field.add_arrays(center, radius)].all()
+                and mask[field.sub_arrays(center, radius)].all())
 
 
 # kind -> (entry type, key set, the parameters that the keys of a list of
@@ -153,10 +186,11 @@ WITNESS_KINDS = {
     "circular-radius": (CircleSpec, Fq.units, lambda specs: _fields(specs, "radius")),
     "circular-center": (CircleSpec, Fq.elements, lambda specs: _fields(specs, "center")),
 }
-# entry type -> whether its entries, given with their radii, lie in F_q^n
-# (circles in F_q) and in the set
-_INSIDE = {SphereSpec: _spheres_inside, HypersphereSpec: _hyperspheres_inside,
-           CircleSpec: _circles_inside}
+# circle kind -> the row of its columns (param, centre, radius) that a param certifies
+_CIRCLE_ROWS = {"circular-radius": 2, "circular-center": 1}
+# sphere entry type -> whether its entries, given with their radii, lie in
+# F_q^n and in the set
+_INSIDE = {SphereSpec: _spheres_inside, HypersphereSpec: _hyperspheres_inside}
 
 
 def witness_valid(field: Fq, points: PointSet, witness) -> bool:
@@ -165,12 +199,20 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
     Its kind names in WITNESS_KINDS the type of the entries and the key
     set, which must be exact: all of F_q^* or all of F_q.  Every entry must
     be of that type, made of element ranks in [0, q) with a nonzero radius,
-    certify the parameter its key names, and lie inside the set.  Returns
-    False on any mismatch, an unknown kind included, instead of raising.
+    certify the parameter its key names, and lie inside the set.  A circle
+    witness is checked on its int64 columns, its own or built from its
+    entries (_circle_columns).  Returns False on any mismatch, an unknown
+    kind included, instead of raising.
     """
     if witness.kind not in WITNESS_KINDS:
         return False
     spec_type, keys, params = WITNESS_KINDS[witness.kind]
+    if spec_type is CircleSpec:
+        columns = witness.columns
+        if columns is None:
+            columns = _circle_columns(field, witness.entries, params)
+        return columns is not None and _circles_valid(
+            field, points, keys(field), _CIRCLE_ROWS[witness.kind], columns)
     entries = witness.entries
     specs = list(entries.values())
     if not (entries.keys() == set(keys(field))
@@ -184,19 +226,70 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
 
 # ---- saved witnesses ----
 
-@dataclass(frozen=True)
 class KakeyaWitness:
     """Coverage certificate: one certified object per parameter value.
 
     kind is a key of WITNESS_KINDS, which names the type of the entries;
     entries map the parameter (a radius or a center coordinate) to the
-    covering object."""
+    covering object.  A circle witness built by a construction holds no
+    entry objects but columns, a read-only (3, m) int64 array of rows
+    param, centre and radius, sorted by param; it forms entries, a
+    read-only mapping, the first time they are read, once.  Immutable,
+    and equal to any witness of the same kind and entries."""
 
-    kind: str
-    entries: dict
+    __slots__ = ("kind", "_entries", "columns")
+
+    def __init__(self, kind: str, entries) -> None:
+        self._bind(kind, entries, None)
+
+    @classmethod
+    def _adopt(cls, kind: str, columns: np.ndarray) -> "KakeyaWitness":
+        """The circle witness of a fresh (3, m) int64 array, taken over
+        without a copy and made read-only; no other reference to it may
+        write to it."""
+        witness = cls.__new__(cls)
+        witness._bind(kind, None, _read_only(columns))
+        return witness
+
+    def _bind(self, kind: str, entries, columns) -> None:
+        for name, value in (("kind", kind), ("_entries", entries), ("columns", columns)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            param, center, radius = self.columns.tolist()
+            object.__setattr__(self, "_entries", MappingProxyType(
+                dict(zip(param, map(CircleSpec._make, zip(center, radius))))))
+        return self._entries
+
+    def __eq__(self, other):
+        if not isinstance(other, KakeyaWitness):
+            return NotImplemented
+        return self.kind == other.kind and self.entries == other.entries
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"KakeyaWitness(kind={self.kind!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        if self.columns is None:
+            return KakeyaWitness, (self.kind, self._entries)
+        return KakeyaWitness._adopt, (self.kind, self.columns.copy())
 
     def to_json_dict(self) -> dict:
-        """The fields of each entry by name, each point as a list of ranks."""
+        """The fields of each entry by name, each point as a list of ranks;
+        a circle witness's straight from its columns."""
+        if self.columns is not None:
+            return {"kind": self.kind, "entries": {
+                str(k): {"center": a, "radius": r} for k, a, r in zip(*self.columns.tolist())}}
         return {"kind": self.kind, "entries": {
             str(k): {name: list(v) if isinstance(v, tuple) else v
                      for name, v in spec._asdict().items()}

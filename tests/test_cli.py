@@ -649,6 +649,13 @@ class TestReport:
         assert r.returncode == 2
         assert r.stderr == "error: 10 is even\n"
 
+    def test_circular_prime_at_a_million_and_three(self):
+        code, out = call(["report", "--which", "circular-prime", "--q-list", "1000003",
+                          "--variant", "both"])
+        assert code == 0 and out.decode().splitlines()[1:] == [
+            "1000003,1000003,1,1,circular-prime,radius,2000,2001,,,1001,true,true",
+            "1000003,1000003,1,1,circular-prime,center,2000,2001,,,1415,true,true"]
+
     def test_single_variant(self):
         r = run("report", "--which", "circular-square", "--q-list", "9,25",
                 "--variant", "radius")

@@ -51,6 +51,8 @@ INVOCATIONS = [
                             "--property", "radius", "--budget", "1000"]),
     ("verify diff-cover", ["verify", "--file", "{dir}/circular.json",
                            "--property", "diff-cover"]),
+    ("verify circular witness", ["verify", "--file", "{dir}/circular.json",
+                                 "--property", "witness"]),
     ("report radius", ["report", "--which", "radius-spherical",
                        "--q-list", "3,5,9", "--n-list", "2,3,4"]),
     ("report center", ["report", "--which", "center-spherical",
@@ -65,6 +67,12 @@ INVOCATIONS = [
     ("bound circular", ["bound", "--q", "7", "--n", "1"]),
     ("search exact", ["search", "--p", "13", "--kind", "radius"]),
     ("search greedy", ["search", "--p", "11", "--kind", "center", "--method", "greedy"]),
+] + [
+    (f"construct {which} {p}^{k} {variant}",
+     ["construct", "--p", p, "--k", k, "--which", which, "--variant", variant])
+    for which, p, k in [("circular-prime", "101", "1"), ("circular-square", "3", "4"),
+                        ("circular-odd-power", "3", "3")]
+    for variant in ("radius", "center")
 ]
 
 # name -> (exit code, sha256 of stdout)
@@ -143,6 +151,8 @@ DIGESTS = {
         (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify diff-cover":
         (0, "0ca1e89e45b269ac92e85fab99611bdc29f2f643e016efadfec9b074f4ace39d"),
+    "verify circular witness":
+        (0, "da2284312ee0035b5a5b63d789d3cb3ec8106029f8689d53603afbe009d41122"),
     "report radius":
         (0, "1f4c033a778139a2160b8231a79322812a785a93891d59a30812769d5a7e9ff6"),
     "report center":
@@ -163,6 +173,18 @@ DIGESTS = {
         (0, "52eb8fc0343ccd5147624d3a3f40b80ef6729fb39ef80e400ff5bb9f3bec0dc7"),
     "search greedy":
         (0, "b8e0c605de8fdb37194c002fc23eef696b96afc2f78014d435d0b010ed5451d5"),
+    "construct circular-prime 101^1 radius":
+        (0, "f7c41ad34118d648faed542c03d25689806337a93de8433f1f8b0bfed2e53496"),
+    "construct circular-prime 101^1 center":
+        (0, "e75c02c756b1ff7e765f38e5c1d37eda397b016dafaef70df09caef9170f458f"),
+    "construct circular-square 3^4 radius":
+        (0, "fc89f6105576403380b2aaa0f3329c0feee1b2e3648074c22f4fa3e2e63e4e36"),
+    "construct circular-square 3^4 center":
+        (0, "47e4e6381f6e86609ad03081ecd3533cbf3e57a8a5a9ba599882e658b66c6cfc"),
+    "construct circular-odd-power 3^3 radius":
+        (0, "ab895fa2d87795c8a14c228890cf6d03159f3072b98326b240ea8eb776845353"),
+    "construct circular-odd-power 3^3 center":
+        (0, "81ce9b1b46e8396936b300b84c8e56351e7596cf15dad9a13490450e657daf82"),
 }
 
 

@@ -3,6 +3,7 @@ and circular (prime, square, odd prime power)."""
 
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -396,6 +397,38 @@ class TestCircularWitnesses:
                 assert spec.radius == key
             else:
                 assert spec.center == key
+
+    @pytest.mark.parametrize("variant", ["radius", "center"])
+    def test_result_at_100003_keeps_under_4_mib(self, variant):
+        # the witness is three int64 columns of q entries, 2.3 MiB; one
+        # CircleSpec per circle in a dict kept about 17 MiB
+        circular_prime(100003, variant)  # per-field caches are not the result's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = circular_prime(100003, variant)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert res.witness_valid and kept < 4 * 2 ** 20, kept
+
+    @pytest.mark.parametrize("variant", ["radius", "center"])
+    def test_no_circle_object_until_entries_are_read(self, monkeypatch, variant):
+        made = []
+        make, new = CircleSpec._make, CircleSpec.__new__
+        monkeypatch.setattr(CircleSpec, "_make",
+                            classmethod(lambda cls, it: made.append(1) or make(it)))
+        monkeypatch.setattr(CircleSpec, "__new__",
+                            lambda cls, *a: made.append(1) or new(cls, *a))
+        res = circular_prime(101, variant)
+        witness = res.witness
+        assert res.witness_valid and witness_valid(res.field, res.points, witness)
+        witness.to_json_dict()
+        assert made == [] and witness.columns.shape == (3, len(witness.columns[0]))
+        entries = witness.entries
+        assert len(made) == len(entries) and witness.entries is entries
+        assert entries == {int(k): (v["center"], v["radius"])
+                           for k, v in witness.to_json_dict()["entries"].items()}
 
 
 # the six constructions over prime and extension fields, both variants

@@ -21,7 +21,9 @@ from ffkakeya import (
     SphereSpec,
     center_spherical,
     circular_lower_bounds,
+    circular_odd_power,
     circular_prime,
+    circular_square,
     diff_cover,
     exact_str,
     hypersphere_ranks,
@@ -38,6 +40,7 @@ from ffkakeya import (
     verify_center_kakeya,
     verify_intersection_lemma,
     verify_radius_kakeya,
+    witness_from_json_dict,
     witness_valid,
 )
 from ffkakeya.exact import DEFAULT_BUDGET
@@ -581,3 +584,85 @@ class TestHypersphereWitnessPath:
         entries = dict(res.witness.entries)
         del entries[1]
         assert not witness_valid(f, res.points, KakeyaWitness("hypersphere", entries))
+
+
+# ---- circle witnesses: columns, entries and JSON agree ----
+
+CIRCLE_QS = [3, 5, 7, 11, 13, 101, 3 ** 2, 3 ** 4, 3 ** 3, 5 ** 3, 7 ** 3]
+
+
+def circular_build(q):
+    """The circular construction that applies at q, as variant -> result."""
+    p, k = prime_power_decompose(q)
+    if k == 1:
+        return lambda v: circular_prime(p, v)
+    build = circular_square if k % 2 == 0 else circular_odd_power
+    return lambda v: build(make_field(p, k), v)
+
+
+def as_entries(kind, columns):
+    """The witness of plain dict entries that the columns (param, centre,
+    radius) spell; a param repeated keeps its last entry."""
+    return KakeyaWitness(kind, {key: CircleSpec._make((a, r))
+                                for key, a, r in zip(*columns.tolist())})
+
+
+def circle_tampers(field, points, kind, columns):
+    """(name, tampered columns) for single changes that no cover survives:
+    a key dropped or repeated, an entry copied under another key, the free
+    field moved off the set, a zero radius, each field at rank q and -1,
+    and the certified field changed."""
+    q, certified = field.q, 2 if kind == "circular-radius" else 1
+    free, mask, last = 3 - certified, points.mask, columns.shape[1] - 1
+
+    def changed(column, row, value):
+        out = columns.copy()
+        out[row, column] = value
+        return out
+
+    out = [("drop", np.delete(columns, last, axis=1)),
+           ("repeat key", changed(0, slice(None), columns[:, last])),
+           ("copied entry", changed(0, slice(1, None), columns[1:, last])),
+           ("zero radius", changed(0, 2, 0)),
+           ("certified changed", changed(0, certified, columns[certified, last]))]
+    out += [(f"row {row} at {value}", changed(i, row, value))
+            for row in range(3) for value in (q, -1) for i in (0, last)]
+    for x in field.elements():  # the free field of entry 0 moved off the set
+        a, r = (x, columns[2, 0]) if free == 1 else (columns[1, 0], x)
+        if r and not (mask[field.add(a, r)] and mask[field.sub(a, r)]):
+            out.append(("off the set", changed(0, free, x)))
+            break
+    return out
+
+
+@pytest.mark.parametrize("q", CIRCLE_QS)
+@pytest.mark.parametrize("variant", ["radius", "center"])
+def test_circle_witness_forms_agree_and_every_tamper_fails(q, variant):
+    res = circular_build(q)(variant)
+    field, points, witness = res.field, res.points, res.witness
+    kind, columns = witness.kind, witness.columns
+    assert not columns.flags.writeable and columns.dtype == np.int64
+    assert (np.diff(columns[0]) > 0).all()  # sorted by param
+    json_dict = witness.to_json_dict()
+    plain = KakeyaWitness(kind, dict(witness.entries))
+    loaded = witness_from_json_dict(json_dict, field, 1)
+    for form in (witness, plain, loaded, pickle.loads(pickle.dumps(witness))):
+        assert form == witness and form.to_json_dict() == json_dict
+        assert witness_valid(field, points, form) is True
+    assert witness.entries == plain.entries == dict(witness.entries)
+    with pytest.raises(TypeError):
+        witness.entries[0] = witness.entries[1]
+    tampers = circle_tampers(field, points, kind, columns)
+    assert {"off the set"} < {name for name, _ in tampers} or points.size == field.q
+    for name, tampered in tampers:
+        for form in (KakeyaWitness._adopt(kind, tampered), as_entries(kind, tampered)):
+            assert witness_valid(field, points, form) is False, name
+    entries = dict(witness.entries)
+    for wrong in (tuple(entries[columns[0, 0]]), SphereSpec((0, 0), 1)):  # not a CircleSpec
+        tampered = KakeyaWitness(kind, {**entries, int(columns[0, 0]): wrong})
+        assert witness_valid(field, points, tampered) is False
+    other = "circular-center" if kind == "circular-radius" else "circular-radius"
+    for wrong in (other, "radius", "center-coordinate", "hypersphere", "bogus"):
+        for form in (KakeyaWitness._adopt(wrong, columns.copy()),
+                     KakeyaWitness(wrong, dict(witness.entries))):
+            assert witness_valid(field, points, form) is False, wrong
