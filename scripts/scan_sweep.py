@@ -1,26 +1,29 @@
-"""Alternating parent/change timings of the two exhaustive scans and of
-the prime circle cover, by size.
+"""Alternating parent/change timings of the two exhaustive scans, of the
+prime circle cover and of the two spherical constructions, by size.
 
     python3 scripts/scan_sweep.py --parent ../parent --change . --out sweep.json
     python3 scripts/scan_sweep.py --parent . --change . --sizes mask/7^4 --out sweep.json
     python3 scripts/scan_sweep.py --parent ../parent --change . --sizes circle/4093 --out sweep.json
+    python3 scripts/scan_sweep.py --parent ../parent --change . --sizes sphere/31^4 --out sweep.json
 
 Each size runs verification._complement_hit_counts (mask/q^n, on a seeded
 random mask, about half of F_q^n), verification._level_hit_counts
-(level/q^n, on the radius_spherical set) or circular_prime(p, "radius")
-(circle/p, its witness built and checked) of one checkout in a fresh
-process, which imports the package from that checkout's src/.  A process
-times one first call, which builds the per-field tables the scan caches,
-then at least CALLS calls and as many more as fit in SECONDS.  Each of
+(level/q^n, on the radius_spherical set), circular_prime(p, "radius")
+(circle/p, its witness built and checked) or radius_spherical and
+center_spherical of F_q^n (sphere/q^n, both witnesses built and checked)
+of one checkout in a fresh process, which imports the package from that
+checkout's src/.  A process times one first call, which builds the
+per-field tables the scan caches, then at least CALLS calls and as many
+more as fit in SECONDS.  Each of
 the --rounds rounds runs both sides, the parent first in even rounds and
 the change first in odd ones, so drift of a shared machine falls on both
 sides alike.
 
 For each size and side the file holds every call's time, their median and
 minimum, each process's first call (first_s), and the sha256 of the
-counts (shape, dtype and bytes), or of the cover's JSON
-(json.dumps(to_json_dict(), sort_keys=True)), with the file the package
-was loaded from; per size it holds speed, the parent's minimum over the
+counts (shape, dtype and bytes), or of the results' JSON (json.dumps of
+the list of their to_json_dict(), sort_keys=True), with the file the
+package was loaded from; per size it holds speed, the parent's minimum over the
 change's (above 1 means the change is faster), and whether both sides
 counted, or wrote, the same.
 """
@@ -38,7 +41,7 @@ import time
 from pathlib import Path
 
 SIZES = ["mask/7^4", "mask/11^4", "mask/7^6", "mask/13^5", "mask/27^4",
-         "level/31^4", "level/27^4", "level/101^3", "circle/4093"]
+         "level/31^4", "level/27^4", "level/101^3", "circle/4093", "sphere/31^4"]
 CALLS = 3  # least timed calls per process
 SECONDS = 0.5  # least timed seconds per process
 
@@ -48,28 +51,31 @@ def parse_size(name: str) -> tuple[str, int, int]:
     q, _, n = power.partition("^")
     if kind == "circle" and q.isdigit() and not n:
         return kind, int(q), 1
-    if kind not in ("mask", "level") or not (q.isdigit() and n.isdigit()):
-        raise SystemExit(f"size {name!r} is not mask/q^n, level/q^n or circle/p")
+    if kind not in ("mask", "level", "sphere") or not (q.isdigit() and n.isdigit()):
+        raise SystemExit(f"size {name!r} is not mask/q^n, level/q^n, circle/p or sphere/q^n")
     return kind, int(q), int(n)
 
 
 def worker(name: str) -> None:
-    """Time one scan or cover of the package on sys.path and print one JSON
-    line."""
+    """Time one scan, cover or pair of constructions of the package on
+    sys.path and print one JSON line."""
     import numpy as np
 
     import ffkakeya as fk
     from ffkakeya import verification
 
     kind, q, n = parse_size(name)
-    if kind == "circle":
+    field = None if kind == "circle" else fk.make_field(*fk.prime_power_decompose(q))
+    if kind in ("circle", "sphere"):
         def call():
-            return fk.circular_prime(q, "radius")
+            if kind == "circle":
+                return [fk.circular_prime(q, "radius")]
+            return [fk.radius_spherical(field, n), fk.center_spherical(field, n)]
 
-        def digest_of(res):
-            return hashlib.sha256(json.dumps(res.to_json_dict(), sort_keys=True).encode())
+        def digest_of(results):
+            return hashlib.sha256(json.dumps([res.to_json_dict() for res in results],
+                                             sort_keys=True).encode())
     else:
-        field = fk.make_field(*fk.prime_power_decompose(q))
         if kind == "mask":
             rng = np.random.default_rng(q * 100 + n)
             points = fk.PointSet(field, n, rng.random(q ** n) < 0.5)
@@ -113,7 +119,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--sizes", default=",".join(SIZES),
-                    help="comma-separated mask/q^n, level/q^n and circle/p (default: all nine)")
+                    help="comma-separated mask/q^n, level/q^n, circle/p and sphere/q^n "
+                         "(default: all ten)")
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--worker", metavar="SIZE", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

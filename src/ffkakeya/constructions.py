@@ -44,9 +44,7 @@ from .exact import (
 )
 from .field import Fq, make_field
 from .geometry import (
-    HypersphereSpec,
     PointSet,
-    SphereSpec,
     level_order,
     level_sizes,
     origin_norm_profile,
@@ -143,8 +141,8 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     q = field.q
     space_size(field, n)
     field.require_array((q, q))  # M, and the level table of the set
-    tail = (0,) * (n - 1)
-    entries = {r: SphereSpec._make(((r,) + tail, r)) for r in field.units()}
+    spheres = np.zeros((n + 2, q - 1), dtype=np.int64)  # S_r(r, 0, ..., 0) as columns
+    spheres[[0, 1, -1]] = np.arange(1, q)
     sizes = level_sizes(field, n - 1)
     x0 = np.arange(q)
     two = field.add_arrays(x0, x0)
@@ -163,7 +161,7 @@ def radius_spherical(field: Fq, n: int) -> ConstructionResult:
     pairs_ordered = 2 * int(sizes @ twice)
     return _result(
         "radius-spherical", None, PointSet.from_levels(field, n, multiplicity > 0),
-        KakeyaWitness("radius", entries),
+        KakeyaWitness._adopt("radius", spheres),
         (Fraction(q ** n, 2), Fraction(q ** (n - 1), 2), Fraction(-(q ** (n - 2)))),
         spherical_kakeya_lower_bound(q, n).value, True,
         {
@@ -195,9 +193,9 @@ def center_spherical(field: Fq, n: int, r: int | None = None) -> ConstructionRes
     # (x, y) is in the set iff r - ||y|| is a square: one flag per level
     square_gap = field.char_arr[field.sub_arrays(r, np.arange(q))] >= 0
     points = PointSet.from_levels(field, n, np.broadcast_to(square_gap[:, None], (q, q)))
-    tail = (0,) * (n - 1)
-    witness = KakeyaWitness("center-coordinate",
-                            {a: SphereSpec._make(((a,) + tail, r)) for a in field.elements()})
+    spheres = np.zeros((n + 2, q), dtype=np.int64)  # S_r(a, 0, ..., 0) as columns
+    spheres[:2], spheres[-1] = np.arange(q), r
+    witness = KakeyaWitness._adopt("center-coordinate", spheres)
     if n >= 5:
         main_terms = (Fraction(q ** n, 2), Fraction(q ** (n - 1), 2))
     else:
@@ -251,10 +249,9 @@ def hypersphere_union(field: Fq, n: int) -> ConstructionResult:
     null_size = points.size + 1
     order, offsets = level_order(field, n - 1)
     # ranks below q^(n-1) from level_order, unranked with no rank check
-    places = [q ** i for i in range(n)]
-    vecs = [tuple(a // w % q for w in places) for a in order[offsets[field.neg_arr[1:]]].tolist()]
-    witness = KakeyaWitness("hypersphere", {r: HypersphereSpec._make((v, v, r))
-                                            for r, v in zip(field.units(), vecs)})
+    digits = order[offsets[field.neg_arr[1:]]] // q ** np.arange(n)[:, None] % q
+    units = np.arange(1, q)[None]
+    witness = KakeyaWitness._adopt("hypersphere", np.concatenate([units, digits, digits, units]))
     return _result(
         "hypersphere-union", None, points, witness, (Fraction(q ** (n - 1)),),
         Fraction(q ** (n - 1) + q ** (n // 2) - q ** ((n - 1) // 2)), False,
@@ -273,21 +270,25 @@ def _circular_witness(field: Fq, ks: list[int], variant: str) -> KakeyaWitness:
     radius r by the circle around x1 - r; the first pair of distinct
     elements with x1 + x2 = 2a certifies center a with radius x1 - a.
 
-    The first pair of every value is one np.minimum.at of the flat pair
-    indices, the diagonal sent to the spare slot q, and the witness is its
+    The first pair of every value is np.minimum.at of the flat pair
+    indices, by blocks of rows of about 2^18 pairs so that the values,
+    their indices and the field op's temporaries stay a few MB whatever
+    |K| is, the diagonal sent to the spare slot q, and the witness is its
     int64 columns (param, centre, radius), with no object per circle."""
     q, k = field.q, np.asarray(ks, dtype=np.int64)
     if variant == VARIANT_RADIUS:
-        kind, params = "circular-radius", np.arange(1, q, dtype=np.int64)
-        values = field.sub_arrays(k[:, None], k[None, :])
+        kind, params, op = "circular-radius", np.arange(1, q, dtype=np.int64), field.sub_arrays
     else:
-        kind, params = "circular-center", np.arange(q, dtype=np.int64)
-        values = field.add_arrays(k[:, None], k[None, :])
-        np.fill_diagonal(values, q)
-    first = np.full(q + 1, values.size, dtype=np.int64)
-    np.minimum.at(first, values.ravel(), np.arange(values.size))
+        kind, params, op = "circular-center", np.arange(q, dtype=np.int64), field.add_arrays
+    first = np.full(q + 1, k.size ** 2, dtype=np.int64)
+    block = max(1, (1 << 18) // k.size)
+    for lo in range(0, k.size, block):
+        values = op(k[lo:lo + block, None], k)
+        if variant != VARIANT_RADIUS:
+            np.fill_diagonal(values[:, lo:], q)
+        np.minimum.at(first, values.ravel(), np.arange(lo * k.size, lo * k.size + values.size))
     pair = first[field.add_arrays(params, params)]
-    missing = pair == values.size
+    missing = pair == k.size ** 2
     if missing.any():
         raise RuntimeError(f"no pair certifies {variant} {params[missing.argmax()]}")
     shifted = field.sub_arrays(k[pair // k.size], params)  # the center x1 - r, or the radius x1 - a

@@ -111,9 +111,8 @@ def point_ranks(field: Fq, n: int, flat: list) -> list:
 # ---- geometric object descriptors ----
 
 # Witness entries are named tuples: _make and _replace skip the checks of
-# the constructors.  A constructed circle witness holds int64 columns and
-# forms its CircleSpec entries only when they are read
-# (verification.KakeyaWitness)
+# the constructors.  A constructed witness of any kind holds int64 columns
+# and forms its entries only when they are read (verification.KakeyaWitness)
 
 class SphereSpec(NamedTuple("SphereSpec", [("center", tuple), ("radius", int)])):
     """||x - center|| = radius, with radius in F_q^* and dimension >= 2."""

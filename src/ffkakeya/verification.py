@@ -7,18 +7,17 @@ difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 (sums of two distinct elements).
 
 Witness mode checks a certificate (a KakeyaWitness) against the set
-through one table of its kinds, WITNESS_KINDS.  Spheres and hyper-spheres
-are checked in a fixed number of C-level passes over their entries (map,
-set, min, max, compress), with no Python call per entry or per
-coordinate: geometry's batch validators (one issubclass test per distinct
-type, one min and one max over all ranks), one map for the keys and one
-for the on-axis spheres.  numpy arrays carry only the lookups into the
-level table of a level-built set and geometry's gathers at a mask, a
-block of spheres a gather; each entry costs q lookups or more.  Circles
-are checked on int64 columns (param, centre, radius): a circle costs two
-lookups, so an object per circle would cost more than its check.  A
-constructed circle witness is its columns; one given by entries is turned
-into columns on every check, after the same type and integer checks.
+through one table of its kinds, WITNESS_KINDS, on int64 columns for every
+kind: a row param, the n digit rows of the center (and of the direction,
+for hyper-spheres) and a row radius.  A constructed witness is its
+columns; one given by entries is turned into columns on every check,
+after the type and integer checks.  One row count, one min and max and
+one comparison of the params with the keys then hold for every kind, and
+one inside test per entry type: two gathers for circles; for spheres, q
+lookups per sphere into the level table of a level-built set when every
+center lies on the first axis, and geometry's gathers at the mask
+otherwise, a block of spheres a gather; for hyper-spheres, one pass over
+the null quadric for the cone entries and a gather for the others.
 Exhaustive mode needs none: within a work budget it counts exactly the
 points outside every candidate sphere, adding a squared coordinate by
 whole-row gathers, out[a, r, :] = sum_y X[a + y, r - y^2, :]
@@ -33,17 +32,15 @@ the joint norm counts of F_q^n.  The size lower bounds live in exact,
 which needs no numpy.
 
 The witness record and its codec live here, next to WITNESS_KINDS: each
-entry is written field by field (a circle witness's from its columns) and
-read back into the type its kind names, so a process that only verifies a
-saved set loads no construction.
+entry is written field by field (a constructed witness's from its
+columns) and read back into the type its kind names, so a process that
+only verifies a saved set loads no construction.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import FrozenInstanceError
-from itertools import chain, compress
-from operator import and_, attrgetter, eq, itemgetter, not_
 from types import MappingProxyType
 
 import numpy as np
@@ -65,132 +62,105 @@ from .geometry import (
     json_point,
     origin_norm_profile,
     point_coordinates,
-    point_ranks,
     space_size,
 )
 from .scalar import valid_ranks
 
 # ---- witness checking ----
 
-def _fields(specs: list, name: str) -> list:
-    """Field name of every entry, by one map."""
-    return list(map(attrgetter(name), specs))
+def _entry_columns(field: Fq, n: int, spec_type: type, entries) -> np.ndarray | None:
+    """The int64 columns of a witness given by entries: the keys, then each
+    field of spec_type in order, a point as its n digit rows and a rank as
+    one row.  None unless every entry is a spec_type (one issubclass test
+    per distinct type), every point is a tuple or list of n coordinates
+    (point_coordinates) and every key and rank an integer in [0, q)
+    (valid_ranks).  Built on every call: the caller's mapping may change
+    after a check."""
+    specs = list(entries.values())
+    if not (specs and all(issubclass(t, spec_type) for t in set(map(type, specs)))):
+        return None
+    rows, types = [list(entries)], spec_type.__base__.__annotations__
+    for name, values in zip(spec_type._fields, zip(*specs)):
+        if types[name] is not tuple:
+            rows.append(values)
+        elif point_coordinates(field, n, values) is None:
+            return None
+        else:
+            rows += zip(*values)
+    return np.array(rows, dtype=np.int64) if all(valid_ranks(r, field.q) for r in rows) else None
 
 
-def _spheres_inside(field: Fq, points: PointSet, spheres: list, radii: list) -> bool:
+def _circles_inside(field: Fq, points: PointSet, centers: np.ndarray, radii: np.ndarray) -> bool:
+    """Both points a + r and a - r of every circle lie in the set, in one
+    gather each."""
+    mask = points.mask
+    return bool(mask[field.add_arrays(centers[0], radii)].all()
+                and mask[field.sub_arrays(centers[0], radii)].all())
+
+
+def _spheres_inside(field: Fq, points: PointSet, centers: np.ndarray, radii: np.ndarray) -> bool:
     """Both spherical constructions certify with spheres centred at
     (a_0, 0, ..., 0), which are unions of whole levels of the fibres:
 
         S_r(a_0, 0, ..., 0) = {(a_0 + y_0, t) : y_0 in F_q, ||t|| = r - y_0^2},
 
     so such a sphere lies inside a level-built set iff H[r - y_0^2, a_0 + y_0]
-    holds for every y_0, with H = points.level_table().  They are checked
-    by q lookups each into the one q x q table, in blocks of at most 2^18
-    lookups up to the first that fails.  Every other sphere, and every
-    sphere of a set given by its mask, is gathered at the mask, a block of
-    spheres of about 2^18 points a gather (geometry._sphere_block)."""
-    centers = _fields(spheres, "center")
-    if point_coordinates(field, points.n, centers) is None:
-        return False
+    holds for every y_0, with H = points.level_table().  A witness of such
+    spheres alone (centers, its n digit rows, are 0 past the first) is
+    checked by q lookups per sphere into the one q x q table, in blocks of
+    at most 2^18 lookups up to the first that fails.  Any other witness,
+    and every witness of a set given by its mask, is gathered at the mask,
+    a block of spheres of about 2^18 points a gather (geometry._sphere_block)."""
     table = points.level_table()
-    if table is not None:
-        on_axis = list(map(not_, map(any, map(itemgetter(slice(1, None)), centers))))
-        a0, r = np.array([list(compress(map(itemgetter(0), centers), on_axis)),
-                          list(compress(radii, on_axis))], dtype=np.int64)[:, :, None]
-        step, y0 = max(1, (1 << 18) // field.q), np.arange(field.q)
-        for i in range(0, len(a0), step):
-            flat = (field.sub_arrays(r[i:i + step], field.sq_arr) * field.q
-                    + field.add_arrays(a0[i:i + step], y0))
-            if not table.ravel()[flat].all():
-                return False
-        centers = list(compress(centers, map(not_, on_axis)))
-        radii = list(compress(radii, map(not_, on_axis)))
-    if not centers:
-        return True
-    centers = np.array(list(chain.from_iterable(centers)), dtype=np.int64).reshape(-1, points.n)
-    radii = np.array(radii, dtype=np.int64)
+    if table is not None and not centers[1:].any():
+        a0, r, y0 = centers[0][:, None], radii[:, None], np.arange(field.q)
+        step = max(1, (1 << 18) // field.q)
+        return all(table[field.sub_arrays(r[i:i + step], field.sq_arr),
+                         field.add_arrays(a0[i:i + step], y0)].all()
+                   for i in range(0, radii.size, step))
     block = max(1, (1 << 18) // field.q ** (points.n - 1))
-    return all(points.mask[_sphere_block(field, centers[i:i + block], radii[i:i + block])].all()
-               for i in range(0, len(centers), block))
+    return all(points.mask[_sphere_block(field, centers[:, i:i + block].T,
+                                         radii[i:i + block])].all()
+               for i in range(0, radii.size, block))
 
 
-def _hyperspheres_inside(field: Fq, points: PointSet, hyperspheres: list,
-                         radii: list) -> bool:
+def _hyperspheres_inside(field: Fq, points: PointSet, digits: np.ndarray,
+                         radii: np.ndarray) -> bool:
     """The hyper-sphere union certifies with cone entries: center a equal
     to the direction and radius -||a|| != 0.  Such an H_a lies in the null
     quadric less the origin, N* = {x != 0 : ||x|| = 0} (the proof is in
     constructions.hypersphere_union), so when the set holds all of N*,
     which one pass over the origin norm profile tells, every cone entry
-    lies inside it.  The cone entries are told by the point ranks of all
-    centers (point_ranks) read in that profile.  Other entries, and cone
-    entries when that pass fails (N* inside the set is sufficient, not
-    necessary), are gathered."""
-    n = points.n
-    centers, directions = _fields(hyperspheres, "center"), _fields(hyperspheres, "direction")
-    flat = point_coordinates(field, n, centers + directions)
-    if flat is None:
-        return False
-    mask, norms = points.mask, origin_norm_profile(field, n)
-    ranks = point_ranks(field, n, flat[:n * len(centers)])
-    negs = map(field.neg_arr.item, map(norms.item, ranks))
-    cone = list(map(and_, map(eq, centers, directions), map(eq, radii, negs)))
-    if any(cone) and (mask[1:] | (norms[1:] != 0)).all():
-        hyperspheres = list(compress(hyperspheres, map(not_, cone)))
-    return all(mask[hypersphere_ranks(field, h)].all() for h in hyperspheres)
+    lies inside it.  digits holds the n center digit rows, then the n
+    direction rows; the cone entries are told by the norms of the center
+    ranks, read in that profile.  Other entries, and cone entries when that
+    pass fails (N* inside the set is sufficient, not necessary), are
+    gathered."""
+    n, mask = points.n, points.mask
+    norms = origin_norm_profile(field, n)
+    centers = digits[:n]
+    cone = ((centers == digits[n:]).all(axis=0)
+            & (radii == field.neg_arr[norms[field.q ** np.arange(n) @ centers]]))
+    if cone.any() and (mask[1:] | (norms[1:] != 0)).all():
+        if cone.all():
+            return True
+        digits, radii = digits[:, ~cone], radii[~cone]
+    return all(mask[hypersphere_ranks(field, HypersphereSpec._make((h[:n], h[n:], r)))].all()
+               for h, r in zip(map(tuple, digits.T.tolist()), radii.tolist()))
 
 
-def _circle_columns(field: Fq, entries, params) -> np.ndarray | None:
-    """The (param, centre, radius) int64 columns of a witness given by
-    entries, or None unless every entry is a CircleSpec (one issubclass
-    test per distinct type) of integer ranks in [0, q) (valid_ranks) whose
-    certified parameter, as params names it, is its key.  Built on every
-    call: the caller's dict may change after a check."""
-    specs = list(entries.values())
-    if not all(issubclass(t, CircleSpec) for t in set(map(type, specs))):
-        return None
-    centers, radii = _fields(specs, "center"), _fields(specs, "radius")
-    keyed = params(specs)
-    if not (valid_ranks(centers, field.q) and valid_ranks(radii, field.q)
-            and keyed == list(entries)):
-        return None
-    return np.array([keyed, centers, radii], dtype=np.int64)
-
-
-def _circles_valid(field: Fq, points: PointSet, keys: range, row: int,
-                   columns: np.ndarray) -> bool:
-    """The one check of a circle witness, on its int64 columns (param,
-    centre, radius): the params are exactly the keys, every rank lies in
-    [0, q), every radius is nonzero, each param equals the row of its
-    entry that the kind certifies, and both points a + r and a - r of
-    every circle lie in the set, in one gather each."""
-    q = field.q
-    param, center, radius = columns
-    if not (points.n == 1 and param.size == len(keys) and columns.min() >= 0
-            and columns.max() < q and radius.min() > 0
-            and np.array_equal(param, columns[row])):
-        return False
-    seen = np.zeros(q, dtype=bool)
-    seen[param] = True
-    mask = points.mask
-    return bool(seen[keys.start:].all() and mask[field.add_arrays(center, radius)].all()
-                and mask[field.sub_arrays(center, radius)].all())
-
-
-# kind -> (entry type, key set, the parameters that the keys of a list of
-# entries name, in its order)
+# kind -> (entry type, key set, the row of its columns that a param certifies)
 WITNESS_KINDS = {
-    "radius": (SphereSpec, Fq.units, lambda specs: _fields(specs, "radius")),
-    "center-coordinate": (SphereSpec, Fq.elements,
-                          lambda specs: list(map(itemgetter(0), _fields(specs, "center")))),
-    "hypersphere": (HypersphereSpec, Fq.units, lambda specs: _fields(specs, "radius")),
-    "circular-radius": (CircleSpec, Fq.units, lambda specs: _fields(specs, "radius")),
-    "circular-center": (CircleSpec, Fq.elements, lambda specs: _fields(specs, "center")),
+    "radius": (SphereSpec, Fq.units, -1),
+    "center-coordinate": (SphereSpec, Fq.elements, 1),
+    "hypersphere": (HypersphereSpec, Fq.units, -1),
+    "circular-radius": (CircleSpec, Fq.units, -1),
+    "circular-center": (CircleSpec, Fq.elements, 1),
 }
-# circle kind -> the row of its columns (param, centre, radius) that a param certifies
-_CIRCLE_ROWS = {"circular-radius": 2, "circular-center": 1}
-# sphere entry type -> whether its entries, given with their radii, lie in
-# F_q^n and in the set
-_INSIDE = {SphereSpec: _spheres_inside, HypersphereSpec: _hyperspheres_inside}
+# entry type -> whether its objects, given by the digit rows of their
+# points and their radii, lie in the set
+_INSIDE = {SphereSpec: _spheres_inside, HypersphereSpec: _hyperspheres_inside,
+           CircleSpec: _circles_inside}
 
 
 def witness_valid(field: Fq, points: PointSet, witness) -> bool:
@@ -199,29 +169,31 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
     Its kind names in WITNESS_KINDS the type of the entries and the key
     set, which must be exact: all of F_q^* or all of F_q.  Every entry must
     be of that type, made of element ranks in [0, q) with a nonzero radius,
-    certify the parameter its key names, and lie inside the set.  A circle
+    certify the parameter its key names, and lie inside the set.  Every
     witness is checked on its int64 columns, its own or built from its
-    entries (_circle_columns).  Returns False on any mismatch, an unknown
-    kind included, instead of raising.
+    entries (_entry_columns): one row count per type (n + 2, or 2n + 2 for
+    hyper-spheres), n = 1 for circles and n >= 2 otherwise, then one min,
+    max and comparison over all of them and one inside test per type.
+    Returns False on any mismatch, an unknown kind included, instead of
+    raising.
     """
     if witness.kind not in WITNESS_KINDS:
         return False
-    spec_type, keys, params = WITNESS_KINDS[witness.kind]
-    if spec_type is CircleSpec:
-        columns = witness.columns
+    spec_type, keys, row = WITNESS_KINDS[witness.kind]
+    q, n, keys = field.q, points.n, keys(field)
+    columns = witness.columns
+    if columns is None:
+        columns = _entry_columns(field, n, spec_type, witness.entries)
         if columns is None:
-            columns = _circle_columns(field, witness.entries, params)
-        return columns is not None and _circles_valid(
-            field, points, keys(field), _CIRCLE_ROWS[witness.kind], columns)
-    entries = witness.entries
-    specs = list(entries.values())
-    if not (entries.keys() == set(keys(field))
-            and all(issubclass(t, spec_type) for t in set(map(type, specs)))):
+            return False
+    param, radii = columns[0], columns[-1]
+    if not (columns.shape == ((len(spec_type._fields) - 1) * n + 2, len(keys))
+            and (n == 1) == (spec_type is CircleSpec) and columns.min() >= 0
+            and columns.max() < q and radii.min() > 0 and (param == columns[row]).all()):
         return False
-    radii = _fields(specs, "radius")
-    if not (valid_ranks(radii, field.q, low=1) and params(specs) == list(entries)):
-        return False
-    return _INSIDE[spec_type](field, points, specs, radii)
+    seen = np.zeros(q, dtype=bool)
+    seen[param] = True
+    return bool(seen[keys.start:].all()) and _INSIDE[spec_type](field, points, columns[1:-1], radii)
 
 
 # ---- saved witnesses ----
@@ -231,11 +203,13 @@ class KakeyaWitness:
 
     kind is a key of WITNESS_KINDS, which names the type of the entries;
     entries map the parameter (a radius or a center coordinate) to the
-    covering object.  A circle witness built by a construction holds no
-    entry objects but columns, a read-only (3, m) int64 array of rows
-    param, centre and radius, sorted by param; it forms entries, a
-    read-only mapping, the first time they are read, once.  Immutable,
-    and equal to any witness of the same kind and entries."""
+    covering object.  A witness built by a construction, of any kind, holds
+    no entry objects but columns: a read-only int64 array, sorted by param,
+    of the rows param, the n digits of the center, the n digits of the
+    direction (hyper-spheres only) and radius, so (n + 2, m) for spheres
+    and circles (n = 1) and (2n + 2, m) for hyper-spheres.  It forms
+    entries, a read-only mapping, the first time they are read, once.
+    Immutable, and equal to any witness of the same kind and entries."""
 
     __slots__ = ("kind", "_entries", "columns")
 
@@ -244,9 +218,8 @@ class KakeyaWitness:
 
     @classmethod
     def _adopt(cls, kind: str, columns: np.ndarray) -> "KakeyaWitness":
-        """The circle witness of a fresh (3, m) int64 array, taken over
-        without a copy and made read-only; no other reference to it may
-        write to it."""
+        """The witness of a fresh int64 column array, taken over without a
+        copy and made read-only; no other reference to it may write to it."""
         witness = cls.__new__(cls)
         witness._bind(kind, None, _read_only(columns))
         return witness
@@ -261,12 +234,27 @@ class KakeyaWitness:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def _column_fields(self, point) -> tuple:
+        """The entry type, the params and, per field of the type, its
+        values read off the columns: a point as point(its digits)."""
+        spec_type = WITNESS_KINDS[self.kind][0]
+        param, *rows = self.columns.tolist()
+        n = (len(rows) - 1) // (len(spec_type._fields) - 1)  # 1 for a circle
+        fields, types = [], spec_type.__base__.__annotations__
+        for name in spec_type._fields:
+            if types[name] is tuple:
+                fields.append(map(point, zip(*rows[:n])))
+                rows = rows[n:]
+            else:
+                fields.append(rows.pop(0))
+        return spec_type, param, fields
+
     @property
     def entries(self):
         if self._entries is None:
-            param, center, radius = self.columns.tolist()
+            spec_type, param, fields = self._column_fields(tuple)
             object.__setattr__(self, "_entries", MappingProxyType(
-                dict(zip(param, map(CircleSpec._make, zip(center, radius))))))
+                dict(zip(param, map(spec_type._make, zip(*fields))))))
         return self._entries
 
     def __eq__(self, other):
@@ -286,10 +274,14 @@ class KakeyaWitness:
 
     def to_json_dict(self) -> dict:
         """The fields of each entry by name, each point as a list of ranks;
-        a circle witness's straight from its columns."""
+        a constructed witness's straight from its columns."""
         if self.columns is not None:
-            return {"kind": self.kind, "entries": {
-                str(k): {"center": a, "radius": r} for k, a, r in zip(*self.columns.tolist())}}
+            spec_type, param, fields = self._column_fields(list)
+            entries = [{} for _ in param]
+            for name, values in zip(spec_type._fields, fields):
+                for entry, value in zip(entries, values):
+                    entry[name] = value
+            return {"kind": self.kind, "entries": dict(zip(map(str, param), entries))}
         return {"kind": self.kind, "entries": {
             str(k): {name: list(v) if isinstance(v, tuple) else v
                      for name, v in spec._asdict().items()}

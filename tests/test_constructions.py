@@ -412,6 +412,14 @@ class TestCircularWitnesses:
             tracemalloc.stop()
         assert res.witness_valid and kept < 4 * 2 ** 20, kept
 
+    def test_build_at_a_million_and_three_peaks_under_64_mib(self):
+        # the 24 MiB witness plus its per-param temporaries; the whole
+        # |K|^2 table of pair values and its int64 flat indices at once
+        # peaked at 86 MiB
+        circular_prime(1000003, "radius")  # per-field caches are not the build's
+        peak = traced_peak(lambda: circular_prime(1000003, "radius"))
+        assert peak < 64 * 2 ** 20, peak
+
     @pytest.mark.parametrize("variant", ["radius", "center"])
     def test_no_circle_object_until_entries_are_read(self, monkeypatch, variant):
         made = []

@@ -63,7 +63,7 @@ from ffkakeya import (
     verify_radius_kakeya,
     witness_valid,
 )
-from ffkakeya.constructions import ConstructionResult, KakeyaWitness
+from ffkakeya.constructions import ConstructionResult, KakeyaWitness, _circular_witness
 from ffkakeya.exact import DEFAULT_BUDGET, exact_str, spherical_kakeya_lower_bound
 from ffkakeya.geometry import (
     _fibres,
@@ -1093,6 +1093,36 @@ def test_circle_certificates_equal_the_argwhere_pairs(q):
         assert got == want, (q, res.variant)
 
 
+def unique_first_pairs(field, ks, variant):
+    """The (param, centre, radius) columns of the first certifying pair of
+    every value, read off np.unique over the whole |K| x |K| table of
+    values in one piece."""
+    k, q = np.array(ks, dtype=np.int64), field.q
+    op = field.sub_arrays if variant == "radius" else field.add_arrays
+    values = op(k[:, None], k).ravel()
+    if variant != "radius":
+        values[::k.size + 1] = q  # the diagonal certifies nothing
+    uniq, first = np.unique(values, return_index=True)
+    pair = dict(zip(uniq.tolist(), first.tolist()))
+    params = list(field.units() if variant == "radius" else field.elements())
+    shifted = [field.sub(ks[pair[field.add(x, x)] // k.size], x) for x in params]
+    rows = (params, shifted, params) if variant == "radius" else (params, params, shifted)
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [1009, 2003, 3 ** 7])
+def test_circle_certificates_over_several_row_blocks_equal_one_table(q):
+    # 1009 to 1100 elements put 2^18 // |K| = 238 to 259 rows in a block,
+    # so the first pairs come out of four or five blocks of np.minimum.at
+    field = field_of(q)
+    rng = np.random.default_rng(q)
+    for res in covering_sets(q):
+        extra = rng.choice(q, min(q, 1100), replace=False).tolist()
+        ks = sorted(set(res.points.ranks().tolist()) | set(extra))
+        got = _circular_witness(field, ks, res.variant).columns
+        assert np.array_equal(got, unique_first_pairs(field, ks, res.variant)), res.variant
+
+
 # ---- the origin profile and translate ----
 
 def test_origin_profile_is_cached_compact_and_read_only():
@@ -1674,3 +1704,102 @@ def test_hypersphere_witness_is_the_first_rank_of_each_sphere(q, n):
         assert h.center == h.direction and h.radius == r
         first = sorted_origin_sphere_ranks(field, n, field.neg(r))[0]
         assert point_rank(field, h.center) == first
+
+
+# ---- sphere and hyper-sphere witnesses: columns, entries and the oracle ----
+
+COLUMN_SWEEP = [(7, 4), (9, 4), (5, 5), (3, 2)]
+COLUMN_KINDS = {"radius": -1, "center-coordinate": 1, "hypersphere": -1}  # certified row
+
+
+def column_builds(field, n):
+    """The constructions of the three sphere kinds that apply at n."""
+    builds = [radius_spherical(field, n), center_spherical(field, n)]
+    return builds + ([hypersphere_union(field, n)] if n >= 3 else [])
+
+
+def as_point_entries(kind, columns, n):
+    """The witness of plain dict entries that the columns spell: the
+    center from the digit rows, or from the first n of them and the
+    direction from the rest for hyper-spheres, and the radius row; a param
+    repeated keeps its last entry."""
+    param, *digits, radii = columns.tolist()
+    spec = HypersphereSpec if kind == "hypersphere" else SphereSpec
+    runs = [digits[:n], digits[n:]] if kind == "hypersphere" else [digits]
+    points = [list(zip(*run)) for run in runs]
+    return KakeyaWitness(kind, {k: spec._make((*p, r))
+                                for k, *p, r in zip(param, *points, radii)})
+
+
+def off_axis(field, points, kind, columns, n):
+    """The columns with entry 0's center moved off the first axis, at the
+    first tail digit that takes its object out of the set, or None."""
+    for row in range(2, n + 1):
+        for x in range(1, field.q):
+            moved = columns.copy()
+            moved[row, 0] = x
+            if not per_entry_witness_valid(field, points, as_point_entries(kind, moved, n)):
+                return moved
+    return None
+
+
+def column_tampers(field, kind, columns, n):
+    """(name, tampered columns) of single changes that no witness survives
+    on its construction's set, each with an entries form of the same
+    entries."""
+    q, row, last = field.q, COLUMN_KINDS[kind], columns.shape[1] - 1
+
+    def changed(at, value):
+        out = columns.copy()
+        out[at] = value
+        return out
+
+    extra = np.concatenate([columns, columns[:, :1]], axis=1)
+    extra[[0, row], -1] = q  # a key outside F_q, certified
+    out = [("param shifted", changed((0, 0), (columns[0, 0] + 1) % q)),
+           ("certified shifted", changed((row, 0), columns[row, 0] % (q - 1) + 1
+                                         if row == -1 else (columns[row, 0] + 1) % q)),
+           ("zero radius", changed((-1, last), 0)),
+           ("missing key", np.delete(columns, last, axis=1)),
+           ("extra key", extra),
+           ("rank q", changed((n, 0), q)),
+           ("rank -1", changed((n, last), -1)),
+           ("row dropped", np.delete(columns, n, axis=0)),
+           ("row added", np.insert(columns, n, 0, axis=0))]
+    if kind == "hypersphere":
+        out.append(("direction rank q", changed((2 * n, 0), q)))
+    return out
+
+
+@pytest.mark.parametrize("q,n", COLUMN_SWEEP)
+def test_sphere_column_witnesses_agree_with_entries_and_the_oracle(q, n):
+    field = field_of(q)
+    for res in column_builds(field, n):
+        witness, kind = res.witness, res.witness.kind
+        columns = witness.columns
+        assert columns.shape == ((2 * n if kind == "hypersphere" else n) + 2, len(witness.entries))
+        assert not columns.flags.writeable and (np.diff(columns[0]) > 0).all()
+        plain = KakeyaWitness(kind, dict(witness.entries))
+        mask_set = PointSet(field, n, res.points.mask)
+        sets = [res.points, mask_set, PointSet.full(field, n), PointSet.empty(field, n)]
+        moved = off_axis(field, res.points, kind, columns, n)  # checked on both set forms
+        assert moved is not None, kind
+        tampers = column_tampers(field, kind, columns, n) + [("off axis", moved)]
+        for name, tampered in [("genuine", columns)] + tampers:
+            entries_form = as_point_entries(kind, tampered, n)
+            for points in sets:
+                want = bool(per_entry_witness_valid(field, points, entries_form))
+                got = (witness_valid(field, points, KakeyaWitness._adopt(kind, tampered.copy())),
+                       witness_valid(field, points, entries_form))
+                assert got == (want, want), (kind, name, points)
+            if name != "genuine":
+                for form in (KakeyaWitness._adopt(kind, tampered.copy()), entries_form):
+                    assert witness_valid(field, res.points, form) is False, (kind, name)
+        assert witness_valid(field, res.points, plain) is True
+        for other in ("radius", "center-coordinate", "hypersphere", "circular-radius",
+                      "circular-center", "bogus"):
+            if other != kind:
+                for form in (KakeyaWitness._adopt(other, columns.copy()),
+                             KakeyaWitness(other, dict(witness.entries))):
+                    assert witness_valid(field, res.points, form) is False, (kind, other)
+                    assert witness_valid(field, PointSet.full(field, n), form) is False

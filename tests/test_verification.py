@@ -1,6 +1,7 @@
 """Bounds, exhaustive verification, witness checking, one-dimensional covers."""
 
 import itertools
+import json
 import pickle
 import tracemalloc
 from fractions import Fraction
@@ -666,3 +667,67 @@ def test_circle_witness_forms_agree_and_every_tamper_fails(q, variant):
         for form in (KakeyaWitness._adopt(wrong, columns.copy()),
                      KakeyaWitness(wrong, dict(witness.entries))):
             assert witness_valid(field, points, form) is False, wrong
+
+
+# ---- sphere and hyper-sphere witnesses: formed late, written in the same bytes ----
+
+def entries_built(res):
+    """The witness of a spherical construction as entries, built one
+    entry at a time from the construction's definition."""
+    field, n, q = res.field, res.n, res.field.q
+    tail = (0,) * (n - 1)
+    if res.name == "radius-spherical":
+        return KakeyaWitness("radius", {r: SphereSpec((r,) + tail, r) for r in field.units()})
+    if res.name == "center-spherical":
+        r = res.accounting["fixedNonsquareRadius"]
+        return KakeyaWitness("center-coordinate",
+                             {a: SphereSpec((a,) + tail, r) for a in field.elements()})
+    norms = [norm(field, point_unrank(field, n, x)) for x in range(q ** n)]
+    first = {r: point_unrank(field, n, norms.index(field.neg(r))) for r in field.units()}
+    return KakeyaWitness("hypersphere", {r: HypersphereSpec(a, a, r) for r, a in first.items()})
+
+
+SPHERE_BUILDS = {
+    "radius 7^4": lambda: radius_spherical(make_field(7), 4),
+    "radius 9^2": lambda: radius_spherical(make_field(3, 2), 2),
+    "center 5^5": lambda: center_spherical(make_field(5), 5),
+    "center 9^4": lambda: center_spherical(make_field(3, 2), 4),
+    "hypersphere 7^4": lambda: hypersphere_union(make_field(7), 4),
+    "hypersphere 9^4": lambda: hypersphere_union(make_field(3, 2), 4),
+    "hypersphere 5^5": lambda: hypersphere_union(make_field(5), 5),
+}
+
+
+@pytest.mark.parametrize("build", SPHERE_BUILDS)
+def test_sphere_column_witness_writes_the_bytes_of_its_entries(build):
+    res = SPHERE_BUILDS[build]()
+    witness, given = res.witness, entries_built(res)
+    assert witness.columns is not None and given.columns is None
+    assert json.dumps(witness.to_json_dict()) == json.dumps(given.to_json_dict())
+    assert witness == given and given == witness
+    assert witness_from_json_dict(witness.to_json_dict(), res.field, res.n) == witness
+
+
+@pytest.mark.parametrize("build", SPHERE_BUILDS)
+def test_no_sphere_object_until_entries_are_read(monkeypatch, build):
+    made = []
+    for spec_type in (SphereSpec, HypersphereSpec):
+        make, new = spec_type._make, spec_type.__new__
+        monkeypatch.setattr(spec_type, "_make", classmethod(
+            lambda cls, it, make=make: made.append(1) or make(it)))
+        monkeypatch.setattr(spec_type, "__new__", lambda cls, *a, new=new, **kw: made.append(1)
+                            or new(cls, *a, **kw))
+    res = SPHERE_BUILDS[build]()
+    witness = res.witness
+    assert res.witness_valid and witness_valid(res.field, res.points, witness)
+    json_dict = witness.to_json_dict()
+    copied = pickle.loads(pickle.dumps(witness))
+    assert made == [] and copied.columns is not None
+    assert np.array_equal(copied.columns, witness.columns) and not copied.columns.flags.writeable
+    entries = witness.entries
+    assert len(made) == len(entries) and witness.entries is entries
+    with pytest.raises(TypeError):
+        entries[1] = entries[2]
+    assert copied == witness and witness == KakeyaWitness(witness.kind, dict(entries))
+    assert pickle.loads(pickle.dumps(KakeyaWitness(witness.kind, dict(entries)))) == witness
+    assert witness_from_json_dict(json_dict, res.field, res.n) == witness
