@@ -1,31 +1,36 @@
 """Alternating parent/change timings of the two exhaustive scans, of the
-prime circle cover and of the two spherical constructions, by size.
+prime circle cover, of the two spherical constructions and of witnesses
+given by entries, by size.
 
     python3 scripts/scan_sweep.py --parent ../parent --change . --out sweep.json
     python3 scripts/scan_sweep.py --parent . --change . --sizes mask/7^4 --out sweep.json
     python3 scripts/scan_sweep.py --parent ../parent --change . --sizes circle/4093 --out sweep.json
     python3 scripts/scan_sweep.py --parent ../parent --change . --sizes sphere/31^4 --out sweep.json
+    python3 scripts/scan_sweep.py --parent ../parent --change . \
+        --sizes given/circle/1000003,given/sphere/31^4 --out sweep.json
 
 Each size runs verification._complement_hit_counts (mask/q^n, on a seeded
 random mask, about half of F_q^n), verification._level_hit_counts
 (level/q^n, on the radius_spherical set), circular_prime(p, "radius")
-(circle/p, its witness built and checked) or radius_spherical and
-center_spherical of F_q^n (sphere/q^n, both witnesses built and checked)
-of one checkout in a fresh process, which imports the package from that
-checkout's src/.  A process times one first call, which builds the
-per-field tables the scan caches, then at least CALLS calls and as many
-more as fit in SECONDS.  Each of
-the --rounds rounds runs both sides, the parent first in even rounds and
-the change first in odd ones, so drift of a shared machine falls on both
-sides alike.
+(circle/p, its witness built and checked), radius_spherical and
+center_spherical of F_q^n (sphere/q^n, both witnesses built and checked),
+or KakeyaWitness(kind, dict(entries)) and witness_valid for the entries
+of the witness of circular_prime(p, "radius") (given/circle/p) or of
+radius_spherical of F_q^n, checked on a copy of its set given by its mask
+(given/sphere/q^n), of one checkout in a fresh process, which imports the
+package from that checkout's src/.  A process times one first call,
+which builds the per-field tables the scan caches, then at least CALLS
+calls and as many more as fit in SECONDS.  Each of the --rounds rounds
+runs both sides, the parent first in even rounds and the change first in
+odd ones, so drift of a shared machine falls on both sides alike.
 
 For each size and side the file holds every call's time, their median and
 minimum, each process's first call (first_s), and the sha256 of the
 counts (shape, dtype and bytes), or of the results' JSON (json.dumps of
-the list of their to_json_dict(), sort_keys=True), with the file the
-package was loaded from; per size it holds speed, the parent's minimum over the
-change's (above 1 means the change is faster), and whether both sides
-counted, or wrote, the same.
+the list of their to_json_dict(), sort_keys=True; a given witness's with
+its verdict), with the file the package was loaded from; per size it
+holds speed, the parent's minimum over the change's (above 1 means the
+change is faster), and whether both sides counted, or wrote, the same.
 """
 
 from __future__ import annotations
@@ -41,32 +46,49 @@ import time
 from pathlib import Path
 
 SIZES = ["mask/7^4", "mask/11^4", "mask/7^6", "mask/13^5", "mask/27^4",
-         "level/31^4", "level/27^4", "level/101^3", "circle/4093", "sphere/31^4"]
+         "level/31^4", "level/27^4", "level/101^3", "circle/4093", "sphere/31^4",
+         "given/circle/100003", "given/sphere/31^4"]
 CALLS = 3  # least timed calls per process
 SECONDS = 0.5  # least timed seconds per process
 
 
 def parse_size(name: str) -> tuple[str, int, int]:
-    kind, _, power = name.partition("/")
+    kind, _, power = name.rpartition("/")
     q, _, n = power.partition("^")
-    if kind == "circle" and q.isdigit() and not n:
+    if kind in ("circle", "given/circle") and q.isdigit() and not n:
         return kind, int(q), 1
-    if kind not in ("mask", "level", "sphere") or not (q.isdigit() and n.isdigit()):
-        raise SystemExit(f"size {name!r} is not mask/q^n, level/q^n, circle/p or sphere/q^n")
+    if kind not in ("mask", "level", "sphere", "given/sphere") or not (
+            q.isdigit() and n.isdigit()):
+        raise SystemExit(f"size {name!r} is not mask/q^n, level/q^n, circle/p, sphere/q^n, "
+                         "given/circle/p or given/sphere/q^n")
     return kind, int(q), int(n)
 
 
 def worker(name: str) -> None:
-    """Time one scan, cover or pair of constructions of the package on
-    sys.path and print one JSON line."""
+    """Time one scan, cover, pair of constructions or given witness check
+    of the package on sys.path and print one JSON line."""
     import numpy as np
 
     import ffkakeya as fk
     from ffkakeya import verification
 
     kind, q, n = parse_size(name)
-    field = None if kind == "circle" else fk.make_field(*fk.prime_power_decompose(q))
-    if kind in ("circle", "sphere"):
+    field = None if kind.endswith("circle") else fk.make_field(*fk.prime_power_decompose(q))
+    if kind.startswith("given/"):
+        res = (fk.circular_prime(q, "radius") if kind == "given/circle"
+               else fk.radius_spherical(field, n))
+        points = fk.PointSet(res.field, res.n, res.points.mask.copy())
+        witness_kind, entries = res.witness.kind, res.witness.entries
+
+        def call():
+            given = fk.KakeyaWitness(witness_kind, dict(entries))
+            return given, fk.witness_valid(res.field, points, given)
+
+        def digest_of(checked):
+            given, valid = checked
+            return hashlib.sha256(json.dumps([given.to_json_dict(), valid],
+                                             sort_keys=True).encode())
+    elif kind in ("circle", "sphere"):
         def call():
             if kind == "circle":
                 return [fk.circular_prime(q, "radius")]
@@ -119,8 +141,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--sizes", default=",".join(SIZES),
-                    help="comma-separated mask/q^n, level/q^n, circle/p and sphere/q^n "
-                         "(default: all ten)")
+                    help="comma-separated mask/q^n, level/q^n, circle/p, sphere/q^n, "
+                         "given/circle/p and given/sphere/q^n (default: all twelve)")
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--worker", metavar="SIZE", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

@@ -274,26 +274,29 @@ def _circular_witness(field: Fq, ks: list[int], variant: str) -> KakeyaWitness:
     indices, by blocks of rows of about 2^18 pairs so that the values,
     their indices and the field op's temporaries stay a few MB whatever
     |K| is, the diagonal sent to the spare slot q, and the witness is its
-    int64 columns (param, centre, radius), with no object per circle."""
-    q, k = field.q, np.asarray(ks, dtype=np.int64)
-    if variant == VARIANT_RADIUS:
-        kind, params, op = "circular-radius", np.arange(1, q, dtype=np.int64), field.sub_arrays
-    else:
-        kind, params, op = "circular-center", np.arange(q, dtype=np.int64), field.add_arrays
+    int64 columns (param, centre, radius), filled in once first is dropped."""
+    q, k, radius = field.q, np.asarray(ks, dtype=np.int64), variant == VARIANT_RADIUS
+    kind, op, free = (("circular-radius", field.sub_arrays, 1) if radius  # centre x1 - r
+                      else ("circular-center", field.add_arrays, 2))  # radius x1 - a
     first = np.full(q + 1, k.size ** 2, dtype=np.int64)
     block = max(1, (1 << 18) // k.size)
     for lo in range(0, k.size, block):
         values = op(k[lo:lo + block, None], k)
-        if variant != VARIANT_RADIUS:
+        if not radius:
             np.fill_diagonal(values[:, lo:], q)
         np.minimum.at(first, values.ravel(), np.arange(lo * k.size, lo * k.size + values.size))
+    params = np.arange(radius, q, dtype=np.int64)
     pair = first[field.add_arrays(params, params)]
+    del first
     missing = pair == k.size ** 2
     if missing.any():
         raise RuntimeError(f"no pair certifies {variant} {params[missing.argmax()]}")
-    shifted = field.sub_arrays(k[pair // k.size], params)  # the center x1 - r, or the radius x1 - a
-    rows = (params, shifted, params) if variant == VARIANT_RADIUS else (params, params, shifted)
-    return KakeyaWitness._adopt(kind, np.stack(rows))
+    columns = np.repeat(params[None], 3, axis=0)
+    del params
+    k.take(np.floor_divide(pair, k.size, out=pair), out=columns[free], mode="clip")
+    del pair
+    columns[free] = field.sub_arrays(columns[free], columns[0])
+    return KakeyaWitness._adopt(kind, columns)
 
 
 def _circular_result(field: Fq, name: str, variant: str, ks,

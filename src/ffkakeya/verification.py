@@ -9,9 +9,8 @@ difference cover K - K = F_q and the restricted sum cover K (+) K = F_q
 Witness mode checks a certificate (a KakeyaWitness) against the set
 through one table of its kinds, WITNESS_KINDS, on int64 columns for every
 kind: a row param, the n digit rows of the center (and of the direction,
-for hyper-spheres) and a row radius.  A constructed witness is its
-columns; one given by entries is turned into columns on every check,
-after the type and integer checks.  One row count, one min and max and
+for hyper-spheres) and a row radius, formed once when a witness is made,
+by a construction or from entries.  One row count, one min and max and
 one comparison of the params with the keys then hold for every kind, and
 one inside test per entry type: two gathers for circles; for spheres, q
 lookups per sphere into the level table of a level-built set when every
@@ -32,9 +31,9 @@ the joint norm counts of F_q^n.  The size lower bounds live in exact,
 which needs no numpy.
 
 The witness record and its codec live here, next to WITNESS_KINDS: each
-entry is written field by field (a constructed witness's from its
-columns) and read back into the type its kind names, so a process that
-only verifies a saved set loads no construction.
+entry is written field by field from the columns and read back into the
+type its kind names, so a process that only verifies a saved set loads no
+construction.
 """
 
 from __future__ import annotations
@@ -61,34 +60,11 @@ from .geometry import (
     json_int,
     json_point,
     origin_norm_profile,
-    point_coordinates,
     space_size,
 )
 from .scalar import valid_ranks
 
 # ---- witness checking ----
-
-def _entry_columns(field: Fq, n: int, spec_type: type, entries) -> np.ndarray | None:
-    """The int64 columns of a witness given by entries: the keys, then each
-    field of spec_type in order, a point as its n digit rows and a rank as
-    one row.  None unless every entry is a spec_type (one issubclass test
-    per distinct type), every point is a tuple or list of n coordinates
-    (point_coordinates) and every key and rank an integer in [0, q)
-    (valid_ranks).  Built on every call: the caller's mapping may change
-    after a check."""
-    specs = list(entries.values())
-    if not (specs and all(issubclass(t, spec_type) for t in set(map(type, specs)))):
-        return None
-    rows, types = [list(entries)], spec_type.__base__.__annotations__
-    for name, values in zip(spec_type._fields, zip(*specs)):
-        if types[name] is not tuple:
-            rows.append(values)
-        elif point_coordinates(field, n, values) is None:
-            return None
-        else:
-            rows += zip(*values)
-    return np.array(rows, dtype=np.int64) if all(valid_ranks(r, field.q) for r in rows) else None
-
 
 def _circles_inside(field: Fq, points: PointSet, centers: np.ndarray, radii: np.ndarray) -> bool:
     """Both points a + r and a - r of every circle lie in the set, in one
@@ -170,22 +146,17 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
     set, which must be exact: all of F_q^* or all of F_q.  Every entry must
     be of that type, made of element ranks in [0, q) with a nonzero radius,
     certify the parameter its key names, and lie inside the set.  Every
-    witness is checked on its int64 columns, its own or built from its
-    entries (_entry_columns): one row count per type (n + 2, or 2n + 2 for
-    hyper-spheres), n = 1 for circles and n >= 2 otherwise, then one min,
-    max and comparison over all of them and one inside test per type.
-    Returns False on any mismatch, an unknown kind included, instead of
-    raising.
+    witness is checked on its int64 columns alone, None failing: one row
+    count per type (n + 2, or 2n + 2 for hyper-spheres), n = 1 for circles
+    and n >= 2 otherwise, then one min, max and comparison over all of
+    them and one inside test per type.  Returns False on any mismatch, an
+    unknown kind included, instead of raising.
     """
-    if witness.kind not in WITNESS_KINDS:
+    columns = witness.columns
+    if witness.kind not in WITNESS_KINDS or columns is None:
         return False
     spec_type, keys, row = WITNESS_KINDS[witness.kind]
     q, n, keys = field.q, points.n, keys(field)
-    columns = witness.columns
-    if columns is None:
-        columns = _entry_columns(field, n, spec_type, witness.entries)
-        if columns is None:
-            return False
     param, radii = columns[0], columns[-1]
     if not (columns.shape == ((len(spec_type._fields) - 1) * n + 2, len(keys))
             and (n == 1) == (spec_type is CircleSpec) and columns.min() >= 0
@@ -198,23 +169,52 @@ def witness_valid(field: Fq, points: PointSet, witness) -> bool:
 
 # ---- saved witnesses ----
 
+def _entry_columns(kind: str, entries) -> np.ndarray | None:
+    """The columns of a witness given by entries, in the layout of a
+    constructed one: the keys, then each field of the kind's entry type in
+    order, a point as its digit rows and a rank as one row, sorted by key.
+    None for an unknown kind, and unless every entry is of that type (one
+    issubclass test per distinct type), every point a tuple or list, all of
+    one length, and every key and rank an int64 integer (valid_ranks);
+    witness_valid checks the ranks against q and the length against n."""
+    specs, spec_type = list(entries.values()), WITNESS_KINDS.get(kind, (None,))[0]
+    if not (specs and spec_type and all(issubclass(t, spec_type) for t in set(map(type, specs)))):
+        return None
+    rows, types, lengths = [list(entries)], spec_type.__base__.__annotations__, set()
+    for name, values in zip(spec_type._fields, zip(*specs)):
+        if types[name] is not tuple:
+            rows.append(values)
+        elif all(issubclass(t, (tuple, list)) for t in set(map(type, values))):
+            lengths.update(map(len, values))
+            rows += zip(*values)
+        else:
+            return None
+    if len(lengths) > 1 or not all(valid_ranks(r, 1 << 63, -1 << 63) for r in rows):
+        return None
+    columns = np.array(rows, dtype=np.int64)
+    return _read_only(columns[:, np.argsort(columns[0], kind="stable")])
+
+
 class KakeyaWitness:
     """Coverage certificate: one certified object per parameter value.
 
     kind is a key of WITNESS_KINDS, which names the type of the entries;
     entries map the parameter (a radius or a center coordinate) to the
-    covering object.  A witness built by a construction, of any kind, holds
-    no entry objects but columns: a read-only int64 array, sorted by param,
-    of the rows param, the n digits of the center, the n digits of the
-    direction (hyper-spheres only) and radius, so (n + 2, m) for spheres
-    and circles (n = 1) and (2n + 2, m) for hyper-spheres.  It forms
-    entries, a read-only mapping, the first time they are read, once.
+    covering object.  Every witness is checked and written from its
+    columns: a read-only int64 array, sorted by param, of the rows param,
+    the n digits of the center, the n digits of the direction
+    (hyper-spheres only) and radius, so (n + 2, m) for spheres and circles
+    (n = 1) and (2n + 2, m) for hyper-spheres, built by a construction or
+    formed from the entries given (_entry_columns).  Entries that form none
+    are kept as a read-only copy; otherwise entries, a read-only mapping,
+    are formed from the columns the first time they are read, once.
     Immutable, and equal to any witness of the same kind and entries."""
 
     __slots__ = ("kind", "_entries", "columns")
 
     def __init__(self, kind: str, entries) -> None:
-        self._bind(kind, entries, None)
+        columns = _entry_columns(kind, entries)
+        self._bind(kind, None if columns is not None else MappingProxyType(dict(entries)), columns)
 
     @classmethod
     def _adopt(cls, kind: str, columns: np.ndarray) -> "KakeyaWitness":
@@ -269,23 +269,20 @@ class KakeyaWitness:
 
     def __reduce__(self):
         if self.columns is None:
-            return KakeyaWitness, (self.kind, self._entries)
+            return KakeyaWitness, (self.kind, dict(self._entries))
         return KakeyaWitness._adopt, (self.kind, self.columns.copy())
 
     def to_json_dict(self) -> dict:
-        """The fields of each entry by name, each point as a list of ranks;
-        a constructed witness's straight from its columns."""
-        if self.columns is not None:
-            spec_type, param, fields = self._column_fields(list)
-            entries = [{} for _ in param]
-            for name, values in zip(spec_type._fields, fields):
-                for entry, value in zip(entries, values):
-                    entry[name] = value
-            return {"kind": self.kind, "entries": dict(zip(map(str, param), entries))}
-        return {"kind": self.kind, "entries": {
-            str(k): {name: list(v) if isinstance(v, tuple) else v
-                     for name, v in spec._asdict().items()}
-            for k, spec in sorted(self.entries.items())}}
+        """The fields of each entry by name, each point as a list of ranks,
+        written from the columns; ValueError for a witness with none."""
+        if self.columns is None:
+            raise ValueError(f"a {self.kind!r} witness with no columns has no JSON form")
+        spec_type, param, fields = self._column_fields(list)
+        entries = [{} for _ in param]
+        for name, values in zip(spec_type._fields, fields):
+            for entry, value in zip(entries, values):
+                entry[name] = value
+        return {"kind": self.kind, "entries": dict(zip(map(str, param), entries))}
 
 
 def _spec_from_dict(data, where: str, spec_type: type, field: Fq | None,

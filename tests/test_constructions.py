@@ -421,6 +421,17 @@ class TestCircularWitnesses:
         assert peak < 64 * 2 ** 20, peak
 
     @pytest.mark.parametrize("variant", ["radius", "center"])
+    def test_witness_at_300007_peaks_under_2_2_times_its_columns(self, variant):
+        # the rows are written into the one (3, m) array once the q + 1
+        # first pair indices are dropped: 1.9 times; the per-param
+        # temporaries alive together with np.stack of three rows took 2.5
+        p = 300007
+        field, ks = make_field(p), sorted(circular_prime(p, variant).points.ranks().tolist())
+        columns = _circular_witness(field, ks, variant).columns
+        peak = traced_peak(lambda: _circular_witness(field, ks, variant))
+        assert peak < 2.2 * columns.nbytes, peak / columns.nbytes
+
+    @pytest.mark.parametrize("variant", ["radius", "center"])
     def test_no_circle_object_until_entries_are_read(self, monkeypatch, variant):
         made = []
         make, new = CircleSpec._make, CircleSpec.__new__

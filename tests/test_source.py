@@ -8,8 +8,10 @@ construction result is made in one place, constructions._result, so every
 construction reports its size, bound verdict and witness verdict by one
 rule.  Scalar field arithmetic has one owner, scalar.py: field.py
 overrides no scalar op and multiplies no polynomial, and only field.py
-reads the exp/log pair.  Only the process entry, cli.run, touches the garbage
-collector or the way the process exits, so library calls and the
+reads the exp/log pair.  A witness has one form: KakeyaWitness.__init__
+alone turns entries into columns, and witness_valid reads the columns
+alone, never the entries.  Only the process entry, cli.run, touches the
+garbage collector or the way the process exits, so library calls and the
 in-process cli.main leave both alone."""
 
 import ast
@@ -158,6 +160,17 @@ def test_only_the_field_reads_its_logs():
     for variant in VARIANTS:
         assert circular_square(f, variant).witness_valid
     assert "_logs" not in vars(f)
+
+
+def test_a_witness_is_checked_in_one_form():
+    assert {module for module, tree in TREES.items()
+            if "_entry_columns" in loaded_names(tree)} == {"verification.py"}
+    tree = TREES["verification.py"]
+    witness = next(node for node in tree.body if getattr(node, "name", None) == "KakeyaWitness")
+    callers = [(name, fn) for name, fn in functions(tree).items()
+               if "_entry_columns" in loaded_names(fn)]
+    assert callers == [("__init__", functions(witness)["__init__"])]
+    assert not {"entries", "_entries"} & loaded_names(functions(tree)["witness_valid"])
 
 
 def test_only_the_process_entry_freezes_the_collector():

@@ -702,7 +702,7 @@ SPHERE_BUILDS = {
 def test_sphere_column_witness_writes_the_bytes_of_its_entries(build):
     res = SPHERE_BUILDS[build]()
     witness, given = res.witness, entries_built(res)
-    assert witness.columns is not None and given.columns is None
+    assert np.array_equal(given.columns, witness.columns)
     assert json.dumps(witness.to_json_dict()) == json.dumps(given.to_json_dict())
     assert witness == given and given == witness
     assert witness_from_json_dict(witness.to_json_dict(), res.field, res.n) == witness
@@ -731,3 +731,78 @@ def test_no_sphere_object_until_entries_are_read(monkeypatch, build):
     assert copied == witness and witness == KakeyaWitness(witness.kind, dict(entries))
     assert pickle.loads(pickle.dumps(KakeyaWitness(witness.kind, dict(entries)))) == witness
     assert witness_from_json_dict(json_dict, res.field, res.n) == witness
+
+
+# ---- a witness given by entries: its columns formed once, at construction ----
+
+GIVEN_SWEEP = {**SPHERE_BUILDS, **{f"circular-{variant} {q}": lambda q=q, v=variant:
+                                   circular_build(q)(v)
+                                   for q in CIRCLE_QS for variant in ("radius", "center")}}
+
+
+def old_entries_json(kind, entries) -> dict:
+    """The JSON of a witness written entry by entry from the entries it was
+    given, each field by name and each point as a list, sorted by key: how
+    such a witness was written before every witness held columns."""
+    return {"kind": kind, "entries": {
+        str(k): {name: list(v) if isinstance(v, tuple) else v
+                 for name, v in spec._asdict().items()}
+        for k, spec in sorted(entries.items())}}
+
+
+@pytest.mark.parametrize("case", GIVEN_SWEEP)
+def test_given_witness_holds_the_columns_of_the_constructed_one(case):
+    res = GIVEN_SWEEP[case]()
+    witness = res.witness
+    text = json.dumps(witness.to_json_dict())
+    for entries in (dict(witness.entries), dict(reversed(witness.entries.items()))):
+        given = KakeyaWitness(witness.kind, entries)
+        assert np.array_equal(given.columns, witness.columns), case
+        assert given.columns.dtype == np.int64 and not given.columns.flags.writeable
+        assert json.dumps(given.to_json_dict()) == json.dumps(
+            old_entries_json(witness.kind, entries)) == text
+        assert given == witness and witness_valid(res.field, res.points, given) is True
+        with pytest.raises(TypeError):
+            given.entries[int(witness.columns[0, 0])] = witness.entries[int(witness.columns[0, 1])]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_given_witness_keeps_the_entries_it_was_given(kind):
+    res = GENUINE[kind]()
+    field, points = res.field, res.points
+    entries = dict(res.witness.entries)
+    given = KakeyaWitness(kind, entries)
+    first, second = sorted(entries)[:2]
+    entries[first] = entries[second]  # certifies the wrong param
+    assert not witness_valid(field, points, KakeyaWitness(kind, entries))
+    del entries[second]
+    assert given.entries == res.witness.entries and given == res.witness
+    assert witness_valid(field, points, given) is True
+    with pytest.raises(TypeError):
+        given.entries[first] = entries[first]
+    assert witness_valid(field, points, given) is True
+    assert np.array_equal(given.columns, res.witness.columns)
+
+
+def test_numpy_int_ranks_are_written_as_plain_ints():
+    res = radius_spherical(make_field(5), 3)
+    given = KakeyaWitness("radius", {
+        np.int64(k): SphereSpec(tuple(map(np.int32, spec.center)), np.int16(spec.radius))
+        for k, spec in res.witness.entries.items()})
+    assert witness_valid(res.field, res.points, given) is True
+    assert json.dumps(given.to_json_dict()) == json.dumps(res.witness.to_json_dict())
+
+
+def test_a_witness_without_columns_is_not_written():
+    res = radius_spherical(make_field(5), 3)
+    entries = dict(res.witness.entries)
+    ragged = {**entries, 1: SphereSpec._make(((1, 0), 1))}
+    for kind, given in (("bogus", entries), ("circular-radius", entries), ("radius", {}),
+                        ("radius", ragged), ("radius", {**entries, 1: True}),
+                        ("radius", {**entries, 5.0: entries[1]})):
+        witness = KakeyaWitness(kind, given)
+        assert witness.columns is None and witness.entries == given
+        assert not witness_valid(res.field, res.points, witness)
+        with pytest.raises(ValueError, match="no columns"):
+            witness.to_json_dict()
+        assert pickle.loads(pickle.dumps(witness)) == witness
