@@ -1,17 +1,20 @@
 """Alternating parent/change timings of the two exhaustive scans, of the
-prime circle cover, of the two spherical constructions and of witnesses
-given by entries, by size.
+exhaustive verifiers, of the prime circle cover, of the two spherical
+constructions and of witnesses given by entries, by size.
 
     python3 scripts/scan_sweep.py --parent ../parent --change . --out sweep.json
     python3 scripts/scan_sweep.py --parent . --change . --sizes mask/7^4 --out sweep.json
+    python3 scripts/scan_sweep.py --parent ../parent --change . --sizes verify/11^4 --out sweep.json
     python3 scripts/scan_sweep.py --parent ../parent --change . --sizes circle/4093 --out sweep.json
     python3 scripts/scan_sweep.py --parent ../parent --change . --sizes sphere/31^4 --out sweep.json
     python3 scripts/scan_sweep.py --parent ../parent --change . \
         --sizes given/circle/1000003,given/sphere/31^4 --out sweep.json
 
 Each size runs verification._complement_hit_counts (mask/q^n, on a seeded
-random mask, about half of F_q^n), verification._level_hit_counts
-(level/q^n, on the radius_spherical set), circular_prime(p, "radius")
+random mask, about half of F_q^n), verify_radius_kakeya and
+verify_center_kakeya with no witness and no budget limit (verify/q^n, on
+the same mask), verification._level_hit_counts (level/q^n, on the
+radius_spherical set), circular_prime(p, "radius")
 (circle/p, its witness built and checked), radius_spherical and
 center_spherical of F_q^n (sphere/q^n, both witnesses built and checked),
 or KakeyaWitness(kind, dict(entries)) and witness_valid for the entries
@@ -26,9 +29,11 @@ odd ones, so drift of a shared machine falls on both sides alike.
 
 For each size and side the file holds every call's time, their median and
 minimum, each process's first call (first_s), and the sha256 of the
-counts (shape, dtype and bytes), or of the results' JSON (json.dumps of
-the list of their to_json_dict(), sort_keys=True; a given witness's with
-its verdict), with the file the package was loaded from; per size it
+counts (shape, dtype and bytes; a mask scan's as the (q^n, q) array in
+rank order, whatever view of it the scan returns), of the two verdicts'
+JSON, or of the results' JSON (json.dumps of the list of their
+to_json_dict(), sort_keys=True; a given witness's with its verdict), with
+the file the package was loaded from; per size it
 holds speed, the parent's minimum over the change's (above 1 means the
 change is faster), and whether both sides counted, or wrote, the same.
 """
@@ -46,6 +51,7 @@ import time
 from pathlib import Path
 
 SIZES = ["mask/7^4", "mask/11^4", "mask/7^6", "mask/13^5", "mask/27^4",
+         "verify/7^4", "verify/11^4", "verify/7^6", "verify/13^5",
          "level/31^4", "level/27^4", "level/101^3", "circle/4093", "sphere/31^4",
          "given/circle/100003", "given/sphere/31^4"]
 CALLS = 3  # least timed calls per process
@@ -57,16 +63,16 @@ def parse_size(name: str) -> tuple[str, int, int]:
     q, _, n = power.partition("^")
     if kind in ("circle", "given/circle") and q.isdigit() and not n:
         return kind, int(q), 1
-    if kind not in ("mask", "level", "sphere", "given/sphere") or not (
+    if kind not in ("mask", "verify", "level", "sphere", "given/sphere") or not (
             q.isdigit() and n.isdigit()):
-        raise SystemExit(f"size {name!r} is not mask/q^n, level/q^n, circle/p, sphere/q^n, "
-                         "given/circle/p or given/sphere/q^n")
+        raise SystemExit(f"size {name!r} is not mask/q^n, verify/q^n, level/q^n, circle/p, "
+                         "sphere/q^n, given/circle/p or given/sphere/q^n")
     return kind, int(q), int(n)
 
 
 def worker(name: str) -> None:
-    """Time one scan, cover, pair of constructions or given witness check
-    of the package on sys.path and print one JSON line."""
+    """Time one scan, pair of verifiers, cover, pair of constructions or
+    given witness check of the package on sys.path and print one JSON line."""
     import numpy as np
 
     import ffkakeya as fk
@@ -74,6 +80,8 @@ def worker(name: str) -> None:
 
     kind, q, n = parse_size(name)
     field = None if kind.endswith("circle") else fk.make_field(*fk.prime_power_decompose(q))
+    if kind in ("mask", "verify"):  # a seeded random mask, about half of F_q^n
+        points = fk.PointSet(field, n, np.random.default_rng(q * 100 + n).random(q ** n) < 0.5)
     if kind.startswith("given/"):
         res = (fk.circular_prime(q, "radius") if kind == "given/circle"
                else fk.radius_spherical(field, n))
@@ -97,10 +105,15 @@ def worker(name: str) -> None:
         def digest_of(results):
             return hashlib.sha256(json.dumps([res.to_json_dict() for res in results],
                                              sort_keys=True).encode())
+    elif kind == "verify":
+        def call():
+            return [fk.verify_radius_kakeya(points, budget=1 << 62),
+                    fk.verify_center_kakeya(points, budget=1 << 62)]
+
+        def digest_of(verdicts):
+            return hashlib.sha256(json.dumps(verdicts).encode())
     else:
         if kind == "mask":
-            rng = np.random.default_rng(q * 100 + n)
-            points = fk.PointSet(field, n, rng.random(q ** n) < 0.5)
             scan = verification._complement_hit_counts
         else:
             points = fk.radius_spherical(field, n).points
@@ -110,6 +123,8 @@ def worker(name: str) -> None:
             return scan(points, 1 << 62)
 
         def digest_of(counts):
+            if kind == "mask":  # (a_(n-1), r, .., a_0), or already (q^n, q): r last, rank order
+                counts = np.moveaxis(counts, 1, -1).reshape(q ** n, q)
             counts = np.ascontiguousarray(counts)
             return hashlib.sha256(f"{counts.shape} {counts.dtype}".encode() + counts.tobytes())
     t0 = time.perf_counter()
@@ -141,8 +156,9 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--sizes", default=",".join(SIZES),
-                    help="comma-separated mask/q^n, level/q^n, circle/p, sphere/q^n, "
-                         "given/circle/p and given/sphere/q^n (default: all twelve)")
+                    help="comma-separated mask/q^n, verify/q^n, level/q^n, circle/p, "
+                         "sphere/q^n, given/circle/p and given/sphere/q^n "
+                         "(default: all sixteen)")
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--worker", metavar="SIZE", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

@@ -20,15 +20,15 @@ the null quadric for the cone entries and a gather for the others.
 Exhaustive mode needs none: within a work budget it counts exactly the
 points outside every candidate sphere, adding a squared coordinate by
 whole-row gathers, out[a, r, :] = sum_y X[a + y, r - y^2, :]
-(_add_square), with the centre and the partial norm leading and every
-other axis one contiguous trailing row, and the row index of (y, a, r)
-built once per field and cached (_square_rows): once after a product of
-the level table and the cached joint norm counts per Witt class
-(geometry.joint_norm_counts) for a set built by PointSet.from_levels, in
-about (q + 1) q^3 steps, and once per coordinate, in about n * q^(n+2)
-steps, for any other set.  The intersection-lemma maximum is read from
-the joint norm counts of F_q^n.  The size lower bounds live in exact,
-which needs no numpy.
+(_add_square), with the row index of (y, a, r) built once per field and
+cached (_square_rows): once after a product of the level table and the
+cached joint norm counts per Witt class (geometry.joint_norm_counts) for
+a set built by PointSet.from_levels, in about (q + 1) q^3 steps, and once
+per coordinate, in about n * q^(n+2) steps, for any other set.  A verdict
+is one least count over the view of the counts that either scan leaves,
+per radius r != 0 or per first coordinate of the centre, 0 at each.
+The intersection-lemma maximum is read from the joint norm counts of
+F_q^n.  The size lower bounds live in exact, which needs no numpy.
 
 The witness record and its codec live here, next to WITNESS_KINDS: each
 entry is written field by field from the columns and read back into the
@@ -207,8 +207,8 @@ class KakeyaWitness:
     (n = 1) and (2n + 2, m) for hyper-spheres, built by a construction or
     formed from the entries given (_entry_columns).  Entries that form none
     are kept as a read-only copy; otherwise entries, a read-only mapping,
-    are formed from the columns the first time they are read, once.
-    Immutable, and equal to any witness of the same kind and entries."""
+    are formed from the columns on first read.  Immutable, and equal to any
+    witness of the same kind and entries: of the same columns, if both have."""
 
     __slots__ = ("kind", "_entries", "columns")
 
@@ -260,7 +260,9 @@ class KakeyaWitness:
     def __eq__(self, other):
         if not isinstance(other, KakeyaWitness):
             return NotImplemented
-        return self.kind == other.kind and self.entries == other.entries
+        if self.columns is None or other.columns is None:
+            return self.kind == other.kind and self.entries == other.entries
+        return self.kind == other.kind and np.array_equal(self.columns, other.columns)
 
     __hash__ = None
 
@@ -372,25 +374,25 @@ def _complement_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     lies inside the set iff G[a, v] == 0.
 
     ||x - a|| sums one square per coordinate, so G is built one coordinate
-    at a time in exact integers.  acc leads with the coordinate axis to
-    turn next and the partial-norm axis r, and holds every other
-    coordinate in one trailing axis; each step turns the leading point
-    digits x_i into centre digits a_i by _add_square, and one copy rotates
-    a_i to the end and the next coordinate to the front.  About n * q^(n+2)
-    work and q^(n+1) counts of memory, whatever the set holds."""
+    at a time in exact integers, from the mask's most significant digit:
+    acc leads with the coordinate to turn next and the partial norm r, the
+    others one trailing axis, and each step copies it contiguous, freeing
+    the last step's counts, then turns point digits x_i into centre digits
+    a_i by _add_square.  G is the last step's view (a_(n-1), r, a_(n-2) ..
+    a_1, a_0) for centre rank sum a_i q^i, the first coordinate last, and
+    transpose(0, 2, 3, 1) in rank order.  About n * q^(n+2) work and two
+    arrays of q^(n+1) counts, whatever the set holds."""
     field, n, q = points.field, points.n, points.field.q
-    space = space_size(field, n)
     estimate = n * q ** (n + 2)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    # C-order axes of the mask, most significant digit first, as G reads them
-    acc = np.zeros((q, q, q ** (n - 1)), dtype=np.min_scalar_type(space))
+    acc = np.zeros((q, q, q ** (n - 1)), dtype=np.min_scalar_type(space_size(field, n)))
     acc[:, 0] = (~points.mask).reshape(q, -1)
     rows = _square_rows(field)
-    for _ in range(n):  # (a_i, r, x_(i+1), rest) -> (x_(i+1), r, rest, a_i), a view
+    for _ in range(n):  # (a_i, r, x_(i-1), rest) -> (x_(i-1), r, rest, a_i), a view
+        acc = np.ascontiguousarray(acc)
         acc = _add_square(acc, rows).reshape(q, q, q, -1).transpose(2, 1, 3, 0)
-    # (a_0, r, a_1 .. a_(n-2), a_(n-1)) -> (a_0 .. a_(n-1), r)
-    return np.ascontiguousarray(acc.transpose(0, 2, 3, 1)).reshape(space, q)
+    return acc
 
 
 def _level_hit_counts(points: PointSet, budget: int) -> np.ndarray:
@@ -415,20 +417,18 @@ def _level_hit_counts(points: PointSet, budget: int) -> np.ndarray:
     return _add_square(outside, _square_rows(field)).transpose(2, 0, 1)
 
 
-def _verify_spherical(points: PointSet, witness, kind: str, axis: tuple, budget: int) -> bool:
+def _verify_spherical(points: PointSet, witness, kind: str, axes: tuple, budget: int) -> bool:
     """The body of both verifiers: the witness of this kind, or else the
-    scan.  found[g, a_0, r - 1]: some S_r(a), a = (a_0, a'), lies inside the
-    set for an a' in group g, a nonempty class of a' (_level_hit_counts) for
-    a level-built set, else one a' (center rank a_0 + q * rank(a'))."""
+    scan's view of G, (a', r, a'', a_0) or (class, r, 1, a_0).  S_r(a) lies
+    in the set iff G[a, r] == 0, so it passes iff the least count of
+    G[:, 1:] over axes is 0 at each r, or at each first coordinate a_0."""
     if points.n < 2:
         raise BadDimensionError("spherical verification needs dimension >= 2")
     if witness is not None:
         return witness.kind == kind and witness_valid(points.field, points, witness)
-    q = points.field.q
-    hits = (_level_hit_counts(points, budget) if points.level_built
-            else _complement_hit_counts(points, budget).reshape(-1, q, q))
-    found = hits[..., 1:] == 0
-    return bool(found.any(axis=axis).all())
+    hits = (_complement_hit_counts(points, budget) if not points.level_built
+            else _level_hit_counts(points, budget).transpose(0, 2, 1)[:, :, None])
+    return not hits[:, 1:].min(axis=axes).any()
 
 
 def verify_radius_kakeya(points: PointSet, witness=None, *,
@@ -437,7 +437,7 @@ def verify_radius_kakeya(points: PointSet, witness=None, *,
 
     With a witness, checks the certificate; otherwise counts the points
     outside every sphere exhaustively (_verify_spherical)."""
-    return _verify_spherical(points, witness, "radius", (0, 1), budget)
+    return _verify_spherical(points, witness, "radius", (0, 2, 3), budget)
 
 
 def verify_center_kakeya(points: PointSet, witness=None, *,
@@ -445,7 +445,7 @@ def verify_center_kakeya(points: PointSet, witness=None, *,
     """True iff for every a1 in F_q the set contains a sphere (of some
     nonzero radius) whose center has first coordinate a1.  Checks a witness
     as the radius verifier does, or else counts exhaustively in the same way."""
-    return _verify_spherical(points, witness, "center-coordinate", (0, 2), budget)
+    return _verify_spherical(points, witness, "center-coordinate", (0, 1, 2), budget)
 
 
 def verify_intersection_lemma(field: Fq, n: int, *,

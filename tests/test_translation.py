@@ -926,6 +926,12 @@ def test_add_square_memory_is_bounded_by_its_blocks():
     assert traced_peak(lambda: _add_square(acc, _square_rows(field))) < 32 << 20
 
 
+def rank_ordered(counts):
+    """G of _complement_hit_counts, a view (a_(n-1), r, a_(n-2) .. a_1, a_0),
+    as the (q^n, q) array G[rank(a), r] in rank order."""
+    return counts.transpose(0, 2, 3, 1).reshape(-1, counts.shape[1])
+
+
 def verdicts_from_counts(field, counts):
     """The radius and centre verdicts read from G: some sphere of every
     radius, and some sphere centred at every first coordinate (rank a mod q)."""
@@ -959,8 +965,10 @@ def test_exhaustive_scan_equals_the_old_recurrence(q, n):
         points = PointSet(field, n, rng.random(q ** n) >= density)
         want = old_recurrence_hit_counts(points, 10 ** 12)
         cold, got = cold_and_warm(_complement_hit_counts, points)
-        assert got.dtype == want.dtype == dtype and got.shape == want.shape == (q ** n, q)
-        assert np.array_equal(got, want) and np.array_equal(cold, want), density
+        assert got.dtype == want.dtype == dtype and got.shape == (q, q, q ** (n - 2), q)
+        assert want.shape == (q ** n, q)
+        assert np.array_equal(rank_ordered(got), want), density
+        assert np.array_equal(rank_ordered(cold), want), density
         radius_ok, center_ok = verdicts_from_counts(field, want)
         assert verify_radius_kakeya(points) == radius_ok, density
         assert verify_center_kakeya(points) == center_ok, density
@@ -977,7 +985,7 @@ def test_exhaustive_scan_equals_the_pair_scan(q, n):
     for name, points in sets.items():
         want = (radius_counts if name == "radius"
                 else old_complement_hit_counts(points, 10 ** 12))
-        got = _complement_hit_counts(points, 10 ** 12)
+        got = rank_ordered(_complement_hit_counts(points, 10 ** 12))
         assert got.dtype == np.min_scalar_type(q ** n) and np.array_equal(got, want), name
         assert np.array_equal(got, old_recurrence_hit_counts(points, 10 ** 12)), name
         found = want[:, 1:] == 0
@@ -1019,7 +1027,7 @@ def test_level_scan_equals_the_recurrence_at_class_representatives(q, n):
         # the verifiers scan every level-built set by classes, with no q^n mask
         assert points.level_built and points._mask is None
         copy = PointSet(field, n, points.mask)
-        want = _complement_hit_counts(copy, 10 ** 12).reshape(-1, q, q)
+        want = rank_ordered(_complement_hit_counts(copy, 10 ** 12)).reshape(-1, q, q)
         assert np.array_equal(hits, want[tails])
         assert radius_ok == verify_radius_kakeya(copy)
         assert center_ok == verify_center_kakeya(copy)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import norm, unique_sum_two_squares_covers
+from conftest import norm, traced_peak, unique_sum_two_squares_covers
 from ffkakeya import (
     BadDimensionError,
     BudgetExceededError,
@@ -215,6 +215,41 @@ class TestExhaustiveAgainstReference:
         f = make_field(3)
         with pytest.raises(BadDimensionError):
             verify_radius_kakeya(PointSet.empty(f, 1))
+
+    @pytest.mark.parametrize("q,n", [(7, 2), (11, 2), (9, 2), (3, 3), (7, 3), (9, 3), (5, 4)])
+    def test_center_verdict_reads_the_first_coordinate(self, q, n):
+        # one sphere per a in F_q, of radius a mod (q - 1) + 1, centred at a
+        # on coordinate axis j: the centres' first coordinates cover F_q
+        # only for j = 0 and their last only for j = n - 1, so a centre
+        # verdict read off any other axis of the scan's counts fails one of
+        # the two.  Spheres inside are told one by one, by sphere_ranks.
+        f = make_field(*prime_power_decompose(q))
+        centers, firsts = [point_unrank(f, n, c) for c in range(q ** n)], {}
+        for j in range(n):
+            points = PointSet.from_ranks(f, n, np.concatenate([
+                sphere_ranks(f, SphereSpec(tuple(a if i == j else 0 for i in range(n)),
+                                           a % (q - 1) + 1)) for a in f.elements()]))
+            inside = [(center, r) for center in centers for r in f.units()
+                      if points.mask[sphere_ranks(f, SphereSpec(center, r))].all()]
+            firsts[j] = {center[0] for center, _ in inside} == set(f.elements())
+            assert verify_center_kakeya(points) == firsts[j], j
+            assert verify_radius_kakeya(points) == ({r for _, r in inside} == set(f.units())), j
+        assert firsts[0] and not firsts[n - 1]
+
+    @pytest.mark.parametrize("q,n", [(11, 4), (7, 5)])
+    def test_scan_memory_is_two_count_arrays(self, q, n):
+        # a mask scan step holds the last step's counts and its own,
+        # q^(n+1) counts each, and _add_square's buffer of 2^16 counts
+        # (under one array here); a step that also held a contiguous copy
+        # of the last counts, or a copy of G to read the verdict from, goes
+        # past three arrays
+        f = make_field(q)
+        points = PointSet(f, n, np.random.default_rng(q * 100 + n).random(q ** n) < 0.5)
+        counts = q ** (n + 1) * np.min_scalar_type(q ** n).itemsize
+        for verify in (verify_radius_kakeya, verify_center_kakeya):
+            verify(points)  # caches the row index of F_q
+            peak = traced_peak(lambda: verify(points))
+            assert peak < 3 * counts, (verify.__name__, peak, counts)
 
 
 def _small_spaces():
@@ -782,6 +817,25 @@ def test_given_witness_keeps_the_entries_it_was_given(kind):
         given.entries[first] = entries[first]
     assert witness_valid(field, points, given) is True
     assert np.array_equal(given.columns, res.witness.columns)
+
+
+@pytest.mark.parametrize("case", GIVEN_SWEEP)
+def test_column_witnesses_compare_by_their_columns_alone(case):
+    # two witnesses with columns are equal iff kind and columns are, and
+    # comparing them forms no entries on either side
+    res = GIVEN_SWEEP[case]()
+    kind, columns = res.witness.kind, res.witness.columns
+    given = KakeyaWitness(kind, dict(res.witness.entries))
+    assert given == res.witness and res.witness == given
+    first, second = (KakeyaWitness._adopt(kind, columns.copy()) for _ in range(2))
+    assert first == second and second == first and given == first and first == given
+    for row in range(len(columns)):
+        tampered = columns.copy()
+        tampered[row, 0] += 1
+        assert first != KakeyaWitness._adopt(kind, tampered), (case, row)
+    other = "radius" if kind != "radius" else "center-coordinate"
+    assert first != KakeyaWitness._adopt(other, columns.copy())
+    assert first._entries is None and second._entries is None and given._entries is None
 
 
 def test_numpy_int_ranks_are_written_as_plain_ints():
